@@ -1,9 +1,11 @@
 """Buchberger Gröbner engine.
 
-Provides reduced bases with cofactor tracking, normal forms, elimination,
+Provides reduced bases, normal forms, cofactor lifts, elimination,
 saturation, Krull dimension, and radical membership.  Pair selection uses the
 sugar strategy with Gebauer-Möller pruning; budgets on pair count and lcm
 degree are explicit and raise BudgetExceeded, never silently truncate.
+Cofactors (each basis element written over the generators) are tracked only
+when asked for, which only cofactor_lift does.
 
 The reduced basis for a fixed (generator tuple, order) is unique, so every
 result here is reproducible across runs; results are memoized on that key.
@@ -11,6 +13,7 @@ result here is reproducible across runs; results are memoized on that key.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -104,15 +107,16 @@ def _mul_monomial(p: Poly, exp, coeff) -> Poly:
     )
 
 
-def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder):
+def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence | None = None):
     """Multivariate division: f = sum(q_i * basis_i) + r.
 
     Returns (r, [q_i]); no term of r is divisible by any leading term of the
     basis.  Deterministic: always reduces by the first divisor in basis order.
+    `leads`, when given, holds leading(basis_i, order) for every i.
     """
     ring = f.ring
     fld = ring.field
-    lead = [leading(g, order) for g in basis]
+    lead = [leading(g, order) for g in basis] if leads is None else leads
     quots: list[dict] = [dict() for _ in basis]
     rem: dict = {}
     work = dict(f.terms)
@@ -143,83 +147,100 @@ def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder):
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with cofactor tracking
+# Buchberger, with cofactor tracking on request
 
 class _Tracked:
-    """A polynomial together with its expression over the original gens."""
+    """A nonzero basis element with its leading term, its sugar and, when
+    cofactors are tracked, its expression over the original gens (else None)."""
 
-    __slots__ = ("poly", "rep", "sugar")
+    __slots__ = ("poly", "rep", "sugar", "lm", "lc")
 
-    def __init__(self, poly: Poly, rep: list, sugar: int):
+    def __init__(self, poly: Poly, rep: list | None, sugar: int, order: MonomialOrder):
         self.poly = poly
         self.rep = rep
         self.sugar = sugar
+        self.lm, self.lc = leading(poly, order)
 
 
-def _reduce_tracked(h: _Tracked, against: list, order: MonomialOrder) -> _Tracked:
-    r, quots = divide(h.poly, [t.poly for t in against], order)
-    rep = list(h.rep)
-    sugar = h.sugar
-    for q, t in zip(quots, against):
+def _reduce(poly: Poly, rep: list | None, sugar: int, G: list, order: MonomialOrder):
+    """Divide poly by the basis G: returns (remainder, rep, sugar).
+
+    Sugar grows with every quotient; rep, when tracked, is rewritten along."""
+    r, quots = divide(poly, [t.poly for t in G], order, [(t.lm, t.lc) for t in G])
+    if rep is not None:
+        rep = list(rep)
+    for q, t in zip(quots, G):
         if q.is_zero():
             continue
         sugar = max(sugar, q.total_degree() + t.sugar)
-        for j in range(len(rep)):
-            if not t.rep[j].is_zero():
-                rep[j] = rep[j] - q * t.rep[j]
-    return _Tracked(r, rep, sugar)
+        if rep is not None:
+            for j in range(len(rep)):
+                if not t.rep[j].is_zero():
+                    rep[j] = rep[j] - q * t.rep[j]
+    return r, rep, sugar
 
 
-def _update_pairs(G: list, P: set, t: _Tracked, order: MonomialOrder):
-    """Gebauer-Möller pair update when t joins the basis G."""
-    lmG = [leading(g.poly, order)[0] for g in G]
-    lmf = leading(t.poly, order)[0]
+def _update_pairs(G: list, P: dict, heap: list, t: _Tracked, order: MonomialOrder):
+    """Gebauer-Möller pair update when t joins the basis G.
+
+    P maps each live pair (i, j) to the lcm of its leading monomials; heap
+    holds (sugar, order key of the lcm, pair) for every pair ever created, and
+    pruned pairs stay in it until they are popped and skipped.
+    """
+    lmf = t.lm
     k = len(G)
 
-    P = {
+    for p in [
         p
-        for p in P
-        if (
-            not exp_divides(lmf, exp_lcm(lmG[p[0]], lmG[p[1]]))
-            or exp_lcm(lmG[p[0]], lmG[p[1]]) == exp_lcm(lmG[p[0]], lmf)
-            or exp_lcm(lmG[p[0]], lmG[p[1]]) == exp_lcm(lmG[p[1]], lmf)
-        )
-    }
+        for p, L in P.items()
+        if exp_divides(lmf, L)
+        and L != exp_lcm(G[p[0]].lm, lmf)
+        and L != exp_lcm(G[p[1]].lm, lmf)
+    ]:
+        del P[p]
 
     lcm_groups: dict = {}
     for i in range(k):
-        lcm_groups.setdefault(exp_lcm(lmG[i], lmf), []).append(i)
+        lcm_groups.setdefault(exp_lcm(G[i].lm, lmf), []).append(i)
+    keys = {L: order.key(L) for L in lcm_groups}
     kept = []
-    for L in sorted(lcm_groups, key=order.key):
+    for L in sorted(lcm_groups, key=keys.__getitem__):
         if all(not exp_divides(L2, L) for L2 in kept):
             kept.append(L)
-    new_pairs = set()
+    degf = sum(lmf)
     for L in kept:
         # product criterion: skip coprime leading monomials
-        if any(L == exp_add(lmG[i], lmf) for i in lcm_groups[L]):
+        if any(L == exp_add(G[i].lm, lmf) for i in lcm_groups[L]):
             continue
-        new_pairs.add((min(lcm_groups[L]), k))
+        i = min(lcm_groups[L])
+        degL = sum(L)
+        sugar = max(G[i].sugar + degL - sum(G[i].lm), t.sugar + degL - degf)
+        P[(i, k)] = L
+        heapq.heappush(heap, (sugar, keys[L], (i, k)))
 
     G.append(t)
-    return G, P | new_pairs
 
 
 class GBasis:
-    """A reduced Gröbner basis with its leading data and cofactor matrix.
+    """A reduced Gröbner basis with its leading terms and, on request, its
+    cofactor matrix.
 
-    basis[i] == sum_j reps[i][j] * ideal.gens[j] holds exactly; the basis is
-    monic, auto-reduced, and canonically sorted, hence unique for
-    (ideal.gens, order).
+    leads[i] is the (exponent, coefficient) of basis[i]'s leading term, and
+    lead_exps[i] its exponent.  reps is None unless the basis was computed
+    with cofactors; when it is not None, basis[i] == sum_j reps[i][j] *
+    ideal.gens[j] holds exactly.  The basis is monic, auto-reduced, and
+    canonically sorted, hence unique for (ideal.gens, order).
     """
 
-    __slots__ = ("ideal", "order", "basis", "reps", "lead_exps")
+    __slots__ = ("ideal", "order", "basis", "reps", "leads", "lead_exps")
 
-    def __init__(self, ideal_: Ideal, order: MonomialOrder, basis, reps):
+    def __init__(self, ideal_: Ideal, order: MonomialOrder, basis, reps, leads):
         self.ideal = ideal_
         self.order = order
         self.basis = list(basis)
-        self.reps = [list(r) for r in reps]
-        self.lead_exps = [leading(g, order)[0] for g in self.basis]
+        self.reps = None if reps is None else [list(r) for r in reps]
+        self.leads = list(leads)
+        self.lead_exps = [e for e, _ in self.leads]
 
     @property
     def ring(self) -> Ring:
@@ -231,7 +252,7 @@ class GBasis:
     def normal_form(self, f: Poly) -> Poly:
         if not self.basis:
             return f
-        r, _ = divide(f, self.basis, self.order)
+        r, _ = divide(f, self.basis, self.order, self.leads)
         return r
 
     def contains(self, f: Poly) -> bool:
@@ -241,6 +262,8 @@ class GBasis:
         return f"GBasis[{', '.join(map(str, self.basis))}]"
 
 
+# One basis per (ring, gens, order); a basis with cofactors also answers
+# plain requests, and a cofactor request replaces a basis without them.
 _gb_cache: dict = {}
 
 # When enabled, every basis computed is recorded for the suite-wide
@@ -261,13 +284,19 @@ def audit_log() -> list:
 
 
 def buchberger_audit(gb: GBasis) -> bool:
-    """Post-hoc Buchberger criterion: every S-polynomial reduces to zero."""
+    """Post-hoc Buchberger criterion: every S-polynomial reduces to zero.
+
+    The stored leading terms are first checked against the basis itself, so
+    the S-polynomials and reductions may then use them.
+    """
+    if [leading(g, gb.order) for g in gb.basis] != gb.leads:
+        return False
     n = len(gb.basis)
     fld = gb.ring.field
     for i in range(n):
+        ei, ci = gb.leads[i]
         for j in range(i + 1, n):
-            ei, ci = leading(gb.basis[i], gb.order)
-            ej, cj = leading(gb.basis[j], gb.order)
+            ej, cj = gb.leads[j]
             L = exp_lcm(ei, ej)
             s = _mul_monomial(gb.basis[i], exp_sub(L, ei), fld.inv(ci)) - _mul_monomial(
                 gb.basis[j], exp_sub(L, ej), fld.inv(cj)
@@ -277,112 +306,95 @@ def buchberger_audit(gb: GBasis) -> bool:
     return True
 
 
-def groebner(I: Ideal, order: MonomialOrder | None = None, budget: Budget = DEFAULT_BUDGET) -> GBasis:
-    """Reduced Gröbner basis of I; deterministic for (gens, order)."""
+def groebner(
+    I: Ideal,
+    order: MonomialOrder | None = None,
+    budget: Budget = DEFAULT_BUDGET,
+    cofactors: bool = False,
+) -> GBasis:
+    """Reduced Gröbner basis of I; deterministic for (gens, order).
+
+    With cofactors=True the result also carries reps, the expression of each
+    basis element over I.gens (see GBasis); otherwise reps may be None.
+    """
     if order is None:
         order = degrevlex(I.ring.nvars)
     key = (I.ring, I.gens, order)
     hit = _gb_cache.get(key)
-    if hit is not None:
+    if hit is not None and (hit.reps is not None or not cofactors):
         return hit
 
     ring = I.ring
     fld = ring.field
     ngens = len(I.gens)
 
-    def unit_rep(i):
-        return [ring.one() if j == i else ring.zero() for j in range(ngens)]
-
     G: list = []
-    P: set = set()
+    P: dict = {}
+    heap: list = []
     for i, g in enumerate(I.gens):
         if g.is_zero():
             continue
-        t = _Tracked(g, unit_rep(i), max(g.total_degree(), 0))
-        t = _reduce_tracked(t, G, order) if G else t
-        if t.poly.is_zero():
-            continue
-        G, P = _update_pairs(G, P, t, order)
+        rep = [ring.one() if j == i else ring.zero() for j in range(ngens)] if cofactors else None
+        sugar = max(g.total_degree(), 0)
+        if G:
+            g, rep, sugar = _reduce(g, rep, sugar, G, order)
+            if g.is_zero():
+                continue
+        _update_pairs(G, P, heap, _Tracked(g, rep, sugar, order), order)
 
     processed = 0
     while P:
-        def pair_key(p):
-            L = exp_lcm(
-                leading(G[p[0]].poly, order)[0], leading(G[p[1]].poly, order)[0]
-            )
-            sugar = max(
-                G[p[0]].sugar + sum(exp_sub(L, leading(G[p[0]].poly, order)[0])),
-                G[p[1]].sugar + sum(exp_sub(L, leading(G[p[1]].poly, order)[0])),
-            )
-            return (sugar, order.key(L), p)
-
-        p = min(P, key=pair_key)
-        P.discard(p)
+        sugar, _, p = heapq.heappop(heap)
+        L = P.pop(p, None)
+        if L is None:  # pruned by Gebauer-Möller after it was queued
+            continue
         processed += 1
         budget.check_pairs(processed)
+        budget.check_degree(sum(L))
 
         gi, gj = G[p[0]], G[p[1]]
-        ei, ci = leading(gi.poly, order)
-        ej, cj = leading(gj.poly, order)
-        L = exp_lcm(ei, ej)
-        budget.check_degree(sum(L))
-        mi, mj = exp_sub(L, ei), exp_sub(L, ej)
-        s_poly = _mul_monomial(gi.poly, mi, fld.inv(ci)) - _mul_monomial(
-            gj.poly, mj, fld.inv(cj)
-        )
-        rep = [
-            _mul_monomial(a, mi, fld.inv(ci)) - _mul_monomial(b, mj, fld.inv(cj))
-            if not (a.is_zero() and b.is_zero())
-            else ring.zero()
-            for a, b in zip(gi.rep, gj.rep)
-        ]
-        sugar = max(gi.sugar + sum(mi), gj.sugar + sum(mj))
-        t = _reduce_tracked(_Tracked(s_poly, rep, sugar), G, order)
-        if not t.poly.is_zero():
-            G, P = _update_pairs(G, P, t, order)
+        mi, mj = exp_sub(L, gi.lm), exp_sub(L, gj.lm)
+        ci, cj = fld.inv(gi.lc), fld.inv(gj.lc)
+        s_poly = _mul_monomial(gi.poly, mi, ci) - _mul_monomial(gj.poly, mj, cj)
+        rep = None
+        if cofactors:
+            rep = [
+                _mul_monomial(a, mi, ci) - _mul_monomial(b, mj, cj)
+                if not (a.is_zero() and b.is_zero())
+                else ring.zero()
+                for a, b in zip(gi.rep, gj.rep)
+            ]
+        r, rep, sugar = _reduce(s_poly, rep, sugar, G, order)
+        if not r.is_zero():
+            _update_pairs(G, P, heap, _Tracked(r, rep, sugar, order), order)
 
-    gb = _finalize(I, order, G)
+    gb = _finalize(I, order, G, cofactors)
     _gb_cache[key] = gb
     if _audit_enabled:
         _audit_log.append(gb)
     return gb
 
 
-def _finalize(I: Ideal, order: MonomialOrder, G: list) -> GBasis:
-    ring = I.ring
-    fld = ring.field
-    ngens = len(I.gens)
-    if not G:
-        return GBasis(I, order, [], [])
+def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasis:
+    fld = I.ring.field
 
     # minimalize: drop elements whose LM is divisible by another LM
-    G_sorted = sorted(G, key=lambda t: order.key(leading(t.poly, order)[0]))
     minimal: list = []
-    for t in G_sorted:
-        lm = leading(t.poly, order)[0]
-        if all(not exp_divides(leading(u.poly, order)[0], lm) for u in minimal):
+    for t in sorted(G, key=lambda t: order.key(t.lm)):
+        if all(not exp_divides(u.lm, t.lm) for u in minimal):
             minimal.append(t)
 
-    # interreduce and normalize to monic
-    reduced: list = []
+    # interreduce and normalize to monic; no leading term is reducible by
+    # another, so each survives and the basis stays sorted by it
+    basis: list = []
+    reps: list | None = [] if cofactors else None
     for i, t in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r, quots = divide(t.poly, [u.poly for u in others], order)
-        rep = list(t.rep)
-        for q, u in zip(quots, others):
-            if q.is_zero():
-                continue
-            for j in range(ngens):
-                if not u.rep[j].is_zero():
-                    rep[j] = rep[j] - q * u.rep[j]
-        lc = leading(r, order)[1]
-        inv = fld.inv(lc)
-        r = r.scale(inv)
-        rep = [c.scale(inv) for c in rep]
-        reduced.append((r, rep))
-
-    reduced.sort(key=lambda pair: order.key(leading(pair[0], order)[0]))
-    return GBasis(I, order, [p for p, _ in reduced], [r for _, r in reduced])
+        r, rep, _ = _reduce(t.poly, t.rep, t.sugar, minimal[:i] + minimal[i + 1 :], order)
+        inv = fld.inv(t.lc)
+        basis.append(r.scale(inv))
+        if cofactors:
+            reps.append([c.scale(inv) for c in rep])
+    return GBasis(I, order, basis, reps, [(t.lm, fld.one) for t in minimal])
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +410,12 @@ def member(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 def cofactor_lift(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> list:
     """Write f = sum(c_j * I.gens[j]); error if f is not in I."""
-    gb = groebner(I, None, budget)
+    gb = groebner(I, None, budget, cofactors=True)
     if not gb.basis:
         if f.is_zero():
             return [I.ring.zero() for _ in I.gens]
         raise EngineError(f"{f} is not a member of the zero ideal")
-    r, quots = divide(f, gb.basis, gb.order)
+    r, quots = divide(f, gb.basis, gb.order, gb.leads)
     if not r.is_zero():
         raise EngineError(f"{f} is not a member of the ideal")
     cof = [I.ring.zero() for _ in I.gens]
@@ -554,12 +566,6 @@ def radical_member(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
     return is_unit_ideal(Ideal(ext, gens), budget)
 
 
-def ideal_sum(A: Ideal, B: Ideal) -> Ideal:
-    if A.ring != B.ring:
-        raise RingMismatch("sum across rings")
-    return Ideal(A.ring, A.gens + B.gens)
-
-
 def ideal_product(A: Ideal, B: Ideal) -> Ideal:
     if A.ring != B.ring:
         raise RingMismatch("product across rings")
@@ -575,12 +581,6 @@ def ideal_equal(A: Ideal, B: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
     ga = groebner(A, None, budget)
     gb = groebner(B, None, budget)
     return ga.basis == gb.basis
-
-
-def ideal_contains(A: Ideal, B: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """A ⊇ B as ideals."""
-    ga = groebner(A, None, budget)
-    return all(ga.normal_form(g).is_zero() for g in B.gens)
 
 
 def fiber_staircase(

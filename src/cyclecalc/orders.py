@@ -91,10 +91,6 @@ def block_order(first: Sequence[int], second: Sequence[int]) -> MonomialOrder:
     return _Block([tuple(first), tuple(second)])
 
 
-def block_order_many(blocks: Sequence[Sequence[int]]) -> MonomialOrder:
-    return _Block(blocks)
-
-
 def exp_divides(a, b) -> bool:
     """Does monomial a divide monomial b."""
     return all(x <= y for x, y in zip(a, b))

@@ -1,6 +1,7 @@
 """Buchberger engine: bases, normal forms, elimination, saturation, dimension,
 radical membership, cofactor lifts — with independent oracles."""
 
+import importlib
 import random
 
 import pytest
@@ -24,9 +25,12 @@ from cyclecalc.groebner import (
     saturate,
     saturate_poly,
 )
-from cyclecalc.orders import degrevlex, lex
+from cyclecalc.orders import block_order, degrevlex, lex
 from cyclecalc.poly import Poly, ring_over
 from cyclecalc.symbols import _determinant
+
+# the module, not the function that `cyclecalc.groebner` names
+groebner_mod = importlib.import_module("cyclecalc.groebner")
 
 R2 = ring_over(0, ["x", "y"])
 X, Y = R2.gens()
@@ -292,4 +296,82 @@ def test_cyclic5_regression():
     ]
     gb = groebner(Ideal(R, gens))
     assert len(gb.basis) == 20
+    assert buchberger_audit(gb)
+
+
+def _random_ideal(rng, ring):
+    def rand_poly():
+        out = ring.zero()
+        for _ in range(rng.randint(2, 4)):
+            e = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+            out = out + ring.monomial(e, rng.randint(-5, 5))
+        return out
+
+    return Ideal(ring, [rand_poly() for _ in range(rng.randint(2, 3))])
+
+
+@pytest.mark.parametrize("char", [7, 0])
+@pytest.mark.parametrize(
+    "order", [degrevlex(3), lex(3), block_order([0], [1, 2])], ids=["degrevlex", "lex", "block"]
+)
+def test_plain_and_cofactor_bases_agree(char, order, monkeypatch):
+    """A plain request computes no cofactors; a cofactor request on the same
+    key recomputes with them, gets the same basis, and replaces the cache
+    slot; a later plain request is a cache hit that reruns nothing."""
+    rng = random.Random(31 + char)
+    R = ring_over(char, ["pc_u", "pc_v", "pc_w"])
+    cache = groebner_mod._gb_cache
+    for _ in range(8):
+        I = _random_ideal(rng, R)
+        key = (R, I.gens, order)
+        cache.pop(key, None)
+        entries = len(cache)
+
+        plain = groebner(I, order)
+        assert plain.reps is None
+        tracked = groebner(I, order, cofactors=True)
+        assert tracked is not plain and tracked.reps is not None
+        assert tracked.basis == plain.basis and tracked.lead_exps == plain.lead_exps
+        assert len(cache) == entries + 1 and cache[key] is tracked
+
+        for g, row in zip(tracked.basis, tracked.reps):
+            assert sum((c * h for c, h in zip(row, I.gens)), R.zero()) == g
+
+        def no_rerun(*args):
+            raise AssertionError("Buchberger reran on a cache hit")
+
+        with monkeypatch.context() as m:
+            m.setattr(groebner_mod, "_finalize", no_rerun)
+            assert groebner(I, order) is tracked
+            assert groebner(I, order, cofactors=True) is tracked
+        assert len(cache) == entries + 1
+
+
+def _cyclic(n, ring):
+    v = ring.gens()
+    gens = []
+    for d in range(1, n):
+        s = ring.zero()
+        for i in range(n):
+            t = ring.one()
+            for k in range(d):
+                t = t * v[(i + k) % n]
+            s = s + t
+        gens.append(s)
+    prod = ring.one()
+    for x in v:
+        prod = prod * x
+    return Ideal(ring, gens + [prod - 1])
+
+
+@pytest.mark.parametrize("n,char,pairs", [(4, 7, 8), (4, 0, 8), (5, 7, 108)])
+def test_pair_selection_budget_is_exact(n, char, pairs):
+    """Pins how many S-pairs sugar selection with Gebauer-Möller pruning
+    processes: `pairs` passes the budget, one fewer trips it.  The variable
+    names are this test's own, because the cache ignores the budget and a
+    hit would skip the run."""
+    I = _cyclic(n, ring_over(char, [f"sel{n}_{i}" for i in range(n)]))
+    with pytest.raises(BudgetExceeded):
+        groebner(I, None, Budget(max_pairs=pairs - 1))
+    gb = groebner(I, None, Budget(max_pairs=pairs))
     assert buchberger_audit(gb)
