@@ -196,7 +196,7 @@ def trace_form(
     if alpha.ring != ring:
         raise RingMismatch("form must be presented on the ambient ring")
     d = pres.d
-    gb = groebner(Ideal(ring, list(pres.t)))
+    gb = groebner(Ideal(ring, list(pres.t)), budget=budget)
     lifted = alpha.map_coefficients(gb.normal_form)
     # dt_d ^ ... ^ dt_1 ^ alpha~, in exactly that order
     dts = [Form.d(t) for t in reversed(pres.t)]

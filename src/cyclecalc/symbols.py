@@ -106,7 +106,7 @@ class KoszulFraction:
             self._gb = None
             return
         loc = _localized(Ideal(self.ring, list(denominators)), chart, budget)
-        self._gb = groebner(loc)
+        self._gb = groebner(loc, budget=budget)
         self.numerator = num.map_coefficients(self._gb.normal_form)
 
     # -- predicates ------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the engine's own computation paths: the residue
-oracle inverts and traces inside sympy's univariate arithmetic, and the
-elimination oracle is a Sylvester determinant.
+oracle inverts and traces inside sympy's univariate arithmetic, the
+univariate factorization and gcd oracles call sympy's, and the elimination
+oracle is a Sylvester determinant.
 """
 
 from fractions import Fraction
 
 import sympy
 
-from cyclecalc.poly import Poly
+from cyclecalc.errors import EngineError
+from cyclecalc.poly import Poly, Ring, pow_scalar
 from cyclecalc.symbols import _determinant
 
 
@@ -54,3 +56,75 @@ def sylvester_resultant(f: Poly, g: Poly, var: int) -> Poly:
             row[i + (n - k)] = coeff
         rows.append(row)
     return _determinant(rows, ring)
+
+
+_x = sympy.Symbol("x")
+
+
+def _to_sympy(p: Poly, var_index: int):
+    ring = p.ring
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        if any(k for i, k in enumerate(e) if i != var_index):
+            raise EngineError(f"not univariate in {ring.vars[var_index]}: {p}")
+        if isinstance(c, Fraction):
+            coeff = sympy.Rational(c.numerator, c.denominator)
+        else:
+            coeff = sympy.Integer(c)
+        expr += coeff * _x ** e[var_index]
+    return expr
+
+
+def _from_sympy(expr, ring: Ring, var_index: int) -> Poly:
+    poly = sympy.Poly(expr, _x)
+    out = ring.zero()
+    for (k,), c in poly.terms():
+        if ring.characteristic:
+            coeff = int(c) % ring.characteristic
+        else:
+            coeff = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+        out = out + ring.monomial(tuple(k if i == var_index else 0 for i in range(ring.nvars)), coeff)
+    return out
+
+
+def sympy_factor_univariate(p: Poly, var_index: int):
+    """cyclecalc.univar.factor_univariate computed by sympy.factor_list: the
+    same (lead, [(monic factor, mult)]), factors sorted by degree and then by
+    sympy's printed form of the factor."""
+    ring = p.ring
+    expr = _to_sympy(p, var_index)
+    char = ring.characteristic
+    if char:
+        content, factors = sympy.factor_list(expr, _x, modulus=char)
+    else:
+        content, factors = sympy.factor_list(expr, _x)
+    lead = ring.field.coerce(
+        Fraction(int(sympy.numer(content)), int(sympy.denom(content)))
+        if not char
+        else int(content)
+    )
+    out = []
+    for fac, mult in sorted(factors, key=lambda fm: (sympy.Poly(fm[0], _x).degree(), str(fm[0]))):
+        q = _from_sympy(fac, ring, var_index)
+        lc = q.terms[max(q.terms, key=lambda e: e[var_index])]
+        if lc != ring.field.one:
+            lead = ring.field.mul(lead, pow_scalar(ring.field, lc, mult))
+            q = q.monic_by(lc)
+        out.append((q, int(mult)))
+    return lead, out
+
+
+def sympy_gcd_univariate(p: Poly, q: Poly, var_index: int) -> Poly:
+    """Monic gcd computed by sympy.gcd (zero when both inputs are zero)."""
+    ring = p.ring
+    char = ring.characteristic
+    opts = {"modulus": char} if char else {}
+    g = sympy.gcd(
+        sympy.Poly(_to_sympy(p, var_index), _x, **opts),
+        sympy.Poly(_to_sympy(q, var_index), _x, **opts),
+    )
+    out = _from_sympy(sympy.Poly(g, _x).as_expr(), ring, var_index)
+    if out.is_zero():
+        return out
+    lc = out.terms[max(out.terms, key=lambda e: e[var_index])]
+    return out.monic_by(lc)

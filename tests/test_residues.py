@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cyclecalc.errors import EngineError
+from cyclecalc.errors import BudgetExceeded, EngineError
 from cyclecalc.forms import Form
+from cyclecalc.groebner import Budget
 from cyclecalc.poly import ring_over
 from cyclecalc.residues import (
     FinitePresentation,
@@ -209,3 +210,15 @@ def test_divmod_in_var():
 def test_fiber_finiteness_required():
     with pytest.raises(EngineError):
         residue(ResidueQuery(_pres(Y * X - 1), X))
+
+
+def test_trace_form_groebner_sees_the_budget():
+    """The basis of (t) in trace_form is computed under the caller's budget.
+    The variable names are this test's own: the cache ignores the budget."""
+    ring = ring_over(0, ["tfb", "tfs", "tft"])
+    b, s, t = ring.gens()
+    pres = FinitePresentation(ring, ("tfb",), ("tfs", "tft"), (s**2 + b * t, s * t + 1))
+    with pytest.raises(BudgetExceeded) as err:
+        trace_form(pres, Form.from_poly(ring.one()), Budget(max_pairs=0))
+    names = [entry.name for entry in err.traceback]
+    assert names[names.index("groebner") - 1] == "trace_form"

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from cyclecalc.errors import EngineError, RegularityError
+from cyclecalc.errors import BudgetExceeded, EngineError, RegularityError
 from cyclecalc.forms import Form
 from cyclecalc.geometry import PrimeComponent, Space, affine, closed_set
-from cyclecalc.groebner import Ideal, member
+from cyclecalc.groebner import Budget, Ideal, member
 from cyclecalc.poly import ring_over
 from cyclecalc.symbols import (
     Chart,
     KoszulFraction,
+    RegularityCertificate,
     cycle_class_at_chart,
     lci_trace_symbol,
     split_and_project,
@@ -238,3 +239,16 @@ def test_cycle_class_independence_three_choices_each():
     base_p = cycle_class_at_chart(par, routes_par[0], chart_p)
     for params in routes_par[1:]:
         assert base_p.equal(cycle_class_at_chart(par, params, chart_p))
+
+
+def test_fraction_groebner_sees_the_budget():
+    """With a certificate given, the only Gröbner call in the constructor is
+    the one on the denominator ideal, and it runs under the caller's budget.
+    The variable names are this test's own: the cache ignores the budget."""
+    ring = ring_over(0, ["kfa", "kfb"])
+    a, b = ring.gens()
+    certificate = RegularityCertificate((1, 0), False)
+    with pytest.raises(BudgetExceeded) as err:
+        KoszulFraction(ring.one(), (a**2 + b, a * b + 1), budget=Budget(max_pairs=0), _certificate=certificate)
+    names = [entry.name for entry in err.traceback]
+    assert names[names.index("groebner") - 1] == "__init__"
