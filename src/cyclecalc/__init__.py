@@ -23,6 +23,7 @@ from .orders import block_order, degrevlex, lex
 from .groebner import (
     Budget,
     GBasis,
+    budget_scope,
     Ideal,
     buchberger_audit,
     cofactor_lift,

@@ -15,6 +15,7 @@ feature).
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 from .cycles import (
     Cycle,
@@ -42,7 +43,7 @@ from .geometry import (
     proj,
     whole_space,
 )
-from .groebner import Budget, DEFAULT_BUDGET, Ideal
+from .groebner import Ideal, current_budget
 from .poly import Ring
 from .report import (
     ERROR,
@@ -67,13 +68,8 @@ def _task(report: Report, name: str, kind: str, fn):
     report.add(TaskResult(name, kind, verdict, detail, audit))
 
 
-def run_axiom_harness(
-    characteristic: int = 0, mutate_sign: bool = False, budget: Budget = DEFAULT_BUDGET
-) -> Report:
-    report = Report(
-        characteristic=characteristic,
-        budgets={"max_pairs": budget.max_pairs, "max_degree": budget.max_degree},
-    )
+def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Report:
+    report = Report(characteristic=characteristic, budgets=asdict(current_budget()))
     start = time.time()
     char = characteristic
 
@@ -85,14 +81,12 @@ def run_axiom_harness(
             Y = Space([affine("y")], char)
             f = Morphism(X, Y, [(X.ring.var("x") ** n,)])
             line = PrimeComponent(whole_space(X), "X", screen=False)
-            out = push_forward(
-                cycle_of(line, SupportFamily.full(X)), f, SupportFamily.full(Y), budget
-            )
+            out = push_forward(cycle_of(line, SupportFamily.full(X)), f, SupportFamily.full(Y))
             pres = FinitePresentation(
                 Ring(("x", "y"), X.ring.field), ("y",), ("x",),
                 (Ring(("x", "y"), X.ring.field).var("y") - Ring(("x", "y"), X.ring.field).var("x") ** n,),
             )
-            deg_independent = pres.rank(budget)
+            deg_independent = pres.rank()
             got = list(out.terms.values())
             ok = got == [n] and deg_independent == n
             return (PASS if ok else FAIL,
@@ -104,7 +98,7 @@ def run_axiom_harness(
         def check_trace(n=n):
             R = Ring(("x", "y"), Space([affine("x")], char).ring.field)
             pres = FinitePresentation(R, ("y",), ("x",), (R.var("y") - R.var("x") ** n,))
-            got = trace_property_check(pres, "degree", budget)
+            got = trace_property_check(pres, "degree")
             if got == "inapplicable":
                 return INAPPLICABLE, f"deg {n} not a unit in characteristic {char}", {}
             return (PASS if got == "pass" else FAIL, "", {})
@@ -114,7 +108,7 @@ def run_axiom_harness(
     def check_cond2():
         P1 = Space([proj("U", "V")], char)
         T = Ring(("t",), P1.ring.field)
-        d = principal_divisor_line(T.var("t"), T.one(), P1, budget)
+        d = principal_divisor_line(T.var("t"), T.one(), P1)
         zero_pt = PrimeComponent(closed_set(P1, P1.ring.var("U")), "0", screen=False)
         inf_pt = PrimeComponent(closed_set(P1, P1.ring.var("V")), "inf", screen=False)
         ok = d == Cycle(P1, {zero_pt: 1, inf_pt: -1}) and divisor_degree(d) == 0
@@ -136,9 +130,7 @@ def run_axiom_harness(
             decl = {
                 X_curve: [PullbackTerm(origin, n, probe=LineProbe({"x": 0}, {"x": 1}))]
             }
-            out = flat_pullback(
-                Cycle(A2, {X_curve: 1}), iota, -1, "transversal immersion", decl, budget
-            )
+            out = flat_pullback(Cycle(A2, {X_curve: 1}), iota, -1, "transversal immersion", decl)
             ok = out == Cycle(A1, {origin: n})
             return PASS if ok else FAIL, "" if ok else repr(out), {"n": n}
         _task(report, f"cond3_tangency_n{n}", "axiom-3", check_mult)
@@ -161,16 +153,16 @@ def run_axiom_harness(
 
     for label, W, t1, t2, wit in class_cases():
         def check_class(W=W, t1=t1, t2=t2, wit=wit):
-            c1 = cycle_class_at_chart(W, t1, witness=wit, budget=budget)
-            c2 = cycle_class_at_chart(W, t2, witness=wit, budget=budget)
-            ok = c1.equal(c2, budget)
+            c1 = cycle_class_at_chart(W, t1, witness=wit)
+            c2 = cycle_class_at_chart(W, t2, witness=wit)
+            ok = c1.equal(c2)
             return PASS if ok else FAIL, "" if ok else f"{c1!r} != {c2!r}", {}
         _task(report, f"cond4_class_params_{label}", "axiom-4", check_class)
 
     for label, W, t1, _t2, wit in class_cases():
         def check_lci(W=W, t1=t1, wit=wit):
             # route A: the explicit cycle class (optionally sign-mutated)
-            cl = cycle_class_at_chart(W, t1, witness=wit, budget=budget)
+            cl = cycle_class_at_chart(W, t1, witness=wit)
             if sign_flip < 0:
                 cl = -cl
             # route B: the regular-embedding trace symbol against the
@@ -178,10 +170,10 @@ def run_axiom_harness(
             c = len(t1)
             ring = W.space.ring
             rev = wedge_all([Form.d(t) for t in reversed(t1)])
-            lci = KoszulFraction(rev, tuple(t1), budget=budget)
+            lci = KoszulFraction(rev, tuple(t1))
             sign = (-1) ** (c * (c + 1) // 2)
             lci = lci.scale(sign)
-            ok = cl.equal(lci, budget)
+            ok = cl.equal(lci)
             return PASS if ok else FAIL, "" if ok else "sign routes disagree", {}
         _task(report, f"cond4_lci_route_{label}", "axiom-4", check_lci)
 
@@ -203,10 +195,10 @@ def run_axiom_harness(
             PullbackTerm(p1, 1, witness={"x": 2}),
             PullbackTerm(p2, 1, witness={"x": -2}),
         ]}
-        fb = flat_pullback(b, f, 0, "finite flat", decl, budget)
-        lhs = push_forward(fb, f, fullY, budget)
+        fb = flat_pullback(b, f, 0, "finite flat", decl)
+        lhs = push_forward(fb, f, fullY)
         # rhs: f_*(1_X) cup b = 2 [Y] cup b = 2 b
-        push1 = push_forward(cycle_of(PrimeComponent(whole_space(X), "X", screen=False), fullX), f, fullY, budget)
+        push1 = push_forward(cycle_of(PrimeComponent(whole_space(X), "X", screen=False), fullX), f, fullY)
         (mult,) = set(push1.terms.values())
         rhs = b.scale(mult)
         ok = lhs == rhs
@@ -230,13 +222,13 @@ def run_axiom_harness(
             PullbackTerm(c1, 1, witness={"x": 1, "y": 0}),
             PullbackTerm(c2, 1, witness={"x": -1, "y": 0}),
         ]}
-        fb = flat_pullback(b, f, 0, "finite flat", decl, budget)
+        fb = flat_pullback(b, f, 0, "finite flat", decl)
         # a cup f^2*(b): transversal intersections, multiplicity 1
-        inter = _transversal_cup(a, fb, budget)
-        lhs = push_forward(inter, f, fullY, budget)
+        inter = _transversal_cup(a, fb)
+        lhs = push_forward(inter, f, fullY)
         # rhs: f_*[a] cup b
-        fa = push_forward(Cycle(X, {a: 1}), f, fullY, budget)
-        rhs = _transversal_cup(bq, fa, budget)
+        fa = push_forward(Cycle(X, {a: 1}), f, fullY)
+        rhs = _transversal_cup(bq, fa)
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
     _task(report, "projection_formula_plane", "axiom-pf", proj_formula_plane)
@@ -250,13 +242,13 @@ def run_axiom_harness(
         b = Cycle(A2, {bq: 1})
         x1 = PrimeComponent(point_set(A1, {"x": 1}), "x1", screen=False)
         decl = {bq: [PullbackTerm(x1, 1, witness={"x": 1})]}
-        fb = flat_pullback(b, iota, -1, "transversal immersion", decl, budget)
-        lhs = push_forward(fb, iota, fullY, budget)
+        fb = flat_pullback(b, iota, -1, "transversal immersion", decl)
+        lhs = push_forward(fb, iota, fullY)
         fa = push_forward(
             cycle_of(PrimeComponent(whole_space(A1), "A1", screen=False), SupportFamily.full(A1)),
-            iota, fullY, budget,
+            iota, fullY,
         )
-        rhs = _transversal_cup(bq, fa, budget)
+        rhs = _transversal_cup(bq, fa)
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
     _task(report, "projection_formula_immersion", "axiom-pf", proj_formula_immersion)
@@ -269,8 +261,8 @@ def run_axiom_harness(
         fullY = SupportFamily.full(Y)
         a = cycle_of(PrimeComponent(whole_space(X), "X", screen=False), SupportFamily.full(X))
         B = point_set(Y, {"y": 0})
-        lhs = push_forward(a, f, fullY, budget).restrict_off(B)
-        rhs = push_forward(a.restrict_off(preimage_of(f, B, budget)), f, fullY, budget)
+        lhs = push_forward(a, f, fullY).restrict_off(B)
+        rhs = push_forward(a.restrict_off(preimage_of(f, B)), f, fullY)
         ok = lhs == rhs
         return PASS if ok else FAIL, "", {}
     _task(report, "base_change_open_square", "axiom-bc", square_open_restriction)
@@ -283,8 +275,8 @@ def run_axiom_harness(
         p = PrimeComponent(point_set(X, {"x": 1}), "p", screen=False)
         a = Cycle(X, {p: 1}, SupportFamily.full(X))
         B = point_set(Y, {"y": 0})
-        lhs = push_forward(a, f, fullY, budget).restrict_off(B)
-        rhs = push_forward(a.restrict_off(preimage_of(f, B, budget)), f, fullY, budget)
+        lhs = push_forward(a, f, fullY).restrict_off(B)
+        rhs = push_forward(a.restrict_off(preimage_of(f, B)), f, fullY)
         ok = lhs == rhs
         return PASS if ok else FAIL, "", {}
     _task(report, "base_change_open_cube", "axiom-bc", square_open_cube)
@@ -301,10 +293,10 @@ def run_axiom_harness(
         prX = Morphism(XT, X, [(XT.ring.var("x"),)])
         fullYT = SupportFamily.full(YT)
         a = cycle_of(PrimeComponent(whole_space(X), "X", screen=False), SupportFamily.full(X))
-        fa = push_forward(a, f, SupportFamily.full(Y), budget)
-        lhs = flat_pullback(fa, prY, 1, "projection", None, budget)
-        ga = flat_pullback(a, prX, 1, "projection", None, budget)
-        rhs = push_forward(ga.with_family(SupportFamily.full(XT)), fxid, fullYT, budget)
+        fa = push_forward(a, f, SupportFamily.full(Y))
+        lhs = flat_pullback(fa, prY, 1, "projection", None)
+        ga = flat_pullback(a, prX, 1, "projection", None)
+        rhs = push_forward(ga.with_family(SupportFamily.full(XT)), fxid, fullYT)
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
     _task(report, "base_change_flat_projection", "axiom-bc", square_flat_projection)
@@ -315,10 +307,10 @@ def run_axiom_harness(
         RX, RY = X.ring, Y.ring
         f = Morphism(X, Y, [(RX.var("x") ** 2, RX.var("y"))])
         a = cycle_of(PrimeComponent(whole_space(X), "X", screen=False), SupportFamily.full(X))
-        fa = push_forward(a, f, SupportFamily.full(Y), budget)
-        lhs = _restrict_to_hyperplane(fa, RY.var("v"), budget)
-        aX = _restrict_to_hyperplane(a, RX.var("y"), budget)
-        rhs = push_forward(aX.with_family(SupportFamily.full(X)), f, SupportFamily.full(Y), budget)
+        fa = push_forward(a, f, SupportFamily.full(Y))
+        lhs = _restrict_to_hyperplane(fa, RY.var("v"))
+        aX = _restrict_to_hyperplane(a, RX.var("y"))
+        rhs = push_forward(aX.with_family(SupportFamily.full(X)), f, SupportFamily.full(Y))
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
     _task(report, "base_change_hyperplane", "axiom-bc", square_hyperplane)
@@ -330,8 +322,8 @@ def run_axiom_harness(
         iota = Morphism(X, Y, [(X.ring.var("x"), X.ring.zero())])
         p = PrimeComponent(point_set(X, {"x": 3}), "p", screen=False)
         a = Cycle(X, {p: 1}, SupportFamily.full(X))
-        fa = push_forward(a, iota, SupportFamily.full(Y), budget)
-        lhs = _restrict_to_hyperplane(fa, Y.ring.var("v") - 1, budget)
+        fa = push_forward(a, iota, SupportFamily.full(Y))
+        lhs = _restrict_to_hyperplane(fa, Y.ring.var("v") - 1)
         # the hyperplane v=1 misses iota(X) entirely
         ok = lhs.is_zero()
         return PASS if ok else FAIL, "" if ok else repr(lhs), {}
@@ -341,13 +333,13 @@ def run_axiom_harness(
     return report
 
 
-def preimage_of(f: Morphism, B, budget: Budget):
+def preimage_of(f: Morphism, B):
     from .geometry import preimage
 
-    return preimage(f, B, budget)
+    return preimage(f, B)
 
 
-def _transversal_cup(prime_comp: PrimeComponent, other: Cycle, budget: Budget) -> Cycle:
+def _transversal_cup(prime_comp: PrimeComponent, other: Cycle) -> Cycle:
     """[prime] cup other for visibly transversal suite configurations.
 
     Components must intersect with additive codimension; each intersection is
@@ -358,7 +350,7 @@ def _transversal_cup(prime_comp: PrimeComponent, other: Cycle, budget: Budget) -
     space = prime_comp.space
     out: dict = {}
     for comp, mult in other.terms.items():
-        inter = prime_comp.closed_set.intersect(comp.closed_set, budget)
+        inter = prime_comp.closed_set.intersect(comp.closed_set)
         if inter.is_empty():
             continue
         expected_dim = prime_comp.dim + comp.dim - space.dim
@@ -396,7 +388,7 @@ def _some_rational_point(cs: ClosedSet):
     return None
 
 
-def _restrict_to_hyperplane(a: Cycle, h, budget: Budget) -> Cycle:
+def _restrict_to_hyperplane(a: Cycle, h) -> Cycle:
     """Gysin restriction to a transversal hyperplane V(h), multiplicity one.
 
     Components inside the hyperplane are rejected; intersections must drop
@@ -406,7 +398,7 @@ def _restrict_to_hyperplane(a: Cycle, h, budget: Budget) -> Cycle:
     out: dict = {}
     for comp, mult in a.terms.items():
         gens = list(comp.closed_set.ideal.gens) + [h]
-        inter = ClosedSet(space, Ideal(space.ring, gens), budget=budget)
+        inter = ClosedSet(space, Ideal(space.ring, gens))
         if inter.is_empty():
             continue
         if inter.dim != comp.dim - 1:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from .axioms import run_axiom_harness
 from .errors import EngineError, ScenarioError
-from .groebner import Budget, Ideal, buchberger_audit, groebner
+from .groebner import Budget, Ideal, budget_scope, buchberger_audit, current_budget, groebner
 from .orders import degrevlex, lex
 from .poly import ring_over
 from .report import Report, TaskResult
@@ -39,7 +40,7 @@ def cmd_run(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     try:
-        env = parse_scenario(text, args.char, _budget(args))
+        env = parse_scenario(text, args.char)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -50,7 +51,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    report = run_axiom_harness(args.char or 0, args.mutate_sign, _budget(args))
+    report = run_axiom_harness(args.char or 0, args.mutate_sign)
     return _emit(report, args)
 
 
@@ -80,8 +81,8 @@ def cmd_groebner(args) -> int:
         gens.append(_poly_expr(ts, ring))
         ts.require_done()
     order = lex(ring.nvars) if args.order == "lex" else degrevlex(ring.nvars)
-    gb = groebner(Ideal(ring, gens), order, _budget(args))
-    report = Report(characteristic=char, budgets={"max_pairs": args.budget_pairs, "max_degree": args.budget_degree})
+    gb = groebner(Ideal(ring, gens), order)
+    report = Report(characteristic=char, budgets=asdict(current_budget()))
     audit_ok = buchberger_audit(gb)
     report.add(
         TaskResult(
@@ -128,7 +129,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with budget_scope(_budget(args)):
+            return args.fn(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from .geometry import (
     product_space,
     projection_proper_certificate,
 )
-from .groebner import Budget, DEFAULT_BUDGET, Ideal, eliminate, saturate
+from .groebner import Ideal, eliminate, saturate
 from .supports import SupportFamily, in_P_family
 from .verdicts import Verdict
 
@@ -75,7 +75,6 @@ class Correspondence:
         tgt_variety: PrimeComponent,
         tgt_family: SupportFamily,
         cycle: Cycle,
-        budget: Budget = DEFAULT_BUDGET,
     ):
         self.src_variety = src_variety
         self.src_family = src_family
@@ -85,10 +84,9 @@ class Correspondence:
         if cycle.space != self.prod.space:
             raise RingMismatch("correspondence cycle not on the pair space")
         self.cycle = cycle
-        self.budget = budget
         ambient = self.ambient_product_set()
         for comp in cycle.terms:
-            if not ambient.contains(comp.closed_set, budget):
+            if not ambient.contains(comp.closed_set):
                 raise EngineError(
                     f"component {comp.label} is not inside the product of the varieties"
                 )
@@ -100,7 +98,7 @@ class Correspondence:
     def ambient_product_set(self) -> ClosedSet:
         gens = list(self.prod.inject_ideal(0, self.src_variety.closed_set.ideal).gens)
         gens += list(self.prod.inject_ideal(1, self.tgt_variety.closed_set.ideal).gens)
-        return ClosedSet(self.prod.space, Ideal(self.prod.space.ring, gens), budget=self.budget)
+        return ClosedSet(self.prod.space, Ideal(self.prod.space.ring, gens))
 
     def support(self) -> ClosedSet:
         return self.cycle.support()
@@ -145,12 +143,8 @@ class Correspondence:
         I = Ideal(ring, gens)
         bl = f.base_locus()
         if not bl.is_empty():
-            I = saturate(
-                I,
-                Ideal(ring, [g.inject(ring, emb[0]) for g in bl.ideal.gens]),
-                self.budget,
-            )
-        return ClosedSet(self.prod.space, I, budget=self.budget)
+            I = saturate(I, Ideal(ring, [g.inject(ring, emb[0]) for g in bl.ideal.gens]))
+        return ClosedSet(self.prod.space, I)
 
     def attach_graph(self, comp: PrimeComponent, data: GraphData, verify: bool = True):
         target = self._resolve(comp)
@@ -176,9 +170,7 @@ class Correspondence:
     def p_verdicts(self) -> dict:
         if self._p_verdicts is None:
             self._p_verdicts = {
-                comp: in_P_family(
-                    comp.closed_set, self.src_family, self.tgt_family, self.prod, self.budget
-                )
+                comp: in_P_family(comp.closed_set, self.src_family, self.tgt_family, self.prod)
                 for comp in self.cycle.terms
             }
         return self._p_verdicts
@@ -220,7 +212,6 @@ class Correspondence:
             self.src_variety,
             self.src_family,
             Cycle(new_prod.space, terms),
-            budget=self.budget,
         )
         for comp, data in graph_moves:
             out.attach_graph(comp, data, verify=False)
@@ -233,7 +224,6 @@ class Correspondence:
             self.tgt_variety,
             self.tgt_family,
             self.cycle.scale(k),
-            budget=self.budget,
         )
         for comp, datas in self.graphs.items():
             if comp in out.cycle.terms:
@@ -244,7 +234,7 @@ class Correspondence:
         return f"Corr({self.cycle!r} : {self.src_variety.label} => {self.tgt_variety.label})"
 
 
-def identity_corr(variety: PrimeComponent, family: SupportFamily, budget: Budget = DEFAULT_BUDGET) -> Correspondence:
+def identity_corr(variety: PrimeComponent, family: SupportFamily) -> Correspondence:
     """The diagonal correspondence of (X, Phi)."""
     space = variety.space
     prod = pair_product(space, space)
@@ -261,7 +251,7 @@ def identity_corr(variety: PrimeComponent, family: SupportFamily, budget: Budget
             for i in range(len(idxs)):
                 for j in range(i + 1, len(idxs)):
                     gens.append(left[i] * right[j] - left[j] * right[i])
-    cs = ClosedSet(prod.space, Ideal(ring, gens), budget=budget)
+    cs = ClosedSet(prod.space, Ideal(ring, gens))
     comp = PrimeComponent(cs, label=f"diag({variety.label})", screen=False)
     ident = identity_morphism(space)
     corr = Correspondence(
@@ -270,7 +260,6 @@ def identity_corr(variety: PrimeComponent, family: SupportFamily, budget: Budget
         variety,
         family,
         Cycle(prod.space, {comp: 1}),
-        budget=budget,
     )
     corr.attach_graph(comp, GraphData("graph", ident), verify=False)
     corr.attach_graph(comp, GraphData("transpose", ident), verify=False)
@@ -283,13 +272,11 @@ def graph_correspondence(
     src_family: SupportFamily,
     tgt_variety: PrimeComponent,
     tgt_family: SupportFamily,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> Correspondence:
     """The correspondence [graph of f], with its graph data attached."""
     corr = Correspondence(
         src_variety, src_family, tgt_variety, tgt_family,
         Cycle(pair_product(src_variety.space, tgt_variety.space).space, {}),
-        budget=budget,
     )
     data = GraphData("graph", f)
     cs = corr._graph_closed_set(data)
@@ -322,21 +309,20 @@ class CompositionResult:
     audit: dict = field(default_factory=dict)
     auto_graphs: list = field(default_factory=list)
 
-    def to_correspondence(self, budget: Budget = DEFAULT_BUDGET) -> Correspondence:
+    def to_correspondence(self) -> Correspondence:
         corr = Correspondence(
             self.src_variety,
             self.src_family,
             self.tgt_variety,
             self.tgt_family,
             self.main,
-            budget=budget,
         )
         for comp, data in self.auto_graphs:
             if comp in corr.cycle.terms:
                 corr.attach_graph(comp, data, verify=False)
         return corr
 
-    def error_codim_certificates(self, budget: Budget = DEFAULT_BUDGET) -> dict:
+    def error_codim_certificates(self) -> dict:
         """Codimension of the two projections of the error support."""
         out = {}
         if self.error_support.is_empty():
@@ -345,13 +331,13 @@ class CompositionResult:
         for k, name in ((0, "pr1"), (1, "pr2")):
             keep = self.pair.factor_var_indices(k)
             drop_names = [ring.vars[i] for i in range(ring.nvars) if i not in keep]
-            J = eliminate(self.error_support.ideal, drop_names, budget)
+            J = eliminate(self.error_support.ideal, drop_names)
             factor = self.pair.factors[k]
             back = {}
             for local, prod_i in self.pair.embeddings[k].items():
                 back[J.ring.index(ring.vars[prod_i])] = local
             gens = [g.inject(factor.ring, back) for g in J.gens]
-            img = ClosedSet(factor, Ideal(factor.ring, gens), budget=budget)
+            img = ClosedSet(factor, Ideal(factor.ring, gens))
             variety_dim = (self.src_variety if k == 0 else self.tgt_variety).dim
             out[name] = variety_dim - img.dim
         return out
@@ -380,9 +366,7 @@ def _pair_ideal_to_triple(
     return [g.inject(ring, mapping) for g in I.gens]
 
 
-def supp_of_composition(
-    a: Correspondence, b: Correspondence, budget: Budget = DEFAULT_BUDGET
-):
+def supp_of_composition(a: Correspondence, b: Correspondence):
     """supp(a,b): eliminate the middle factor; properness is policy-checked.
 
     Returns (ClosedSet on the output pair space, output ProductStructure).
@@ -391,20 +375,16 @@ def supp_of_composition(
     ring = triple.space.ring
     gens = _pair_ideal_to_triple(a.support().ideal, a.prod, triple, (0, 1))
     gens += _pair_ideal_to_triple(b.support().ideal, b.prod, triple, (1, 2))
-    T = ClosedSet(triple.space, Ideal(ring, gens), budget=budget)
-    projection_proper_certificate(T, {0, 2}, triple, budget)
+    T = ClosedSet(triple.space, Ideal(ring, gens))
+    projection_proper_certificate(T, {0, 2}, triple)
 
     middle_names = [ring.vars[i] for i in sorted(triple.factor_var_indices(1))]
-    J = eliminate(T.ideal, middle_names, budget)
+    J = eliminate(T.ideal, middle_names)
     out_pair = pair_product(a.src_variety.space, b.tgt_variety.space)
     out_ring = out_pair.space.ring
     # elimination lists factor-1 then factor-3 variables in order: positional map
     back = {i: i for i in range(out_ring.nvars)}
-    supp = ClosedSet(
-        out_pair.space,
-        Ideal(out_ring, [g.inject(out_ring, back) for g in J.gens]),
-        budget=budget,
-    )
+    supp = ClosedSet(out_pair.space, Ideal(out_ring, [g.inject(out_ring, back) for g in J.gens]))
     return supp, out_pair
 
 
@@ -414,7 +394,6 @@ def compose_localized(
     hint: ClosedSet | None = None,
     witnesses: Sequence[Mapping] | None = None,
     split: Mapping | None = None,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> CompositionResult:
     """b∘a through the localization route.
 
@@ -426,7 +405,7 @@ def compose_localized(
     """
     if hint is not None and hint.space != a.src_variety.space:
         raise RingMismatch("good-open hint must live in the source space")
-    supp, out_pair = supp_of_composition(a, b, budget)
+    supp, out_pair = supp_of_composition(a, b)
     out_ring = out_pair.space.ring
     audit: dict = {"modes": {}, "supp": repr(supp.ideal), "witness_checks": []}
     auto_graphs: list = []
@@ -441,7 +420,7 @@ def compose_localized(
             ga_graph = a.graph_of(ca, "graph", require_total=False)
             gb_transpose = b.graph_of(cb, "transpose", require_total=False)
             if gb_total is not None:
-                contribution = _push_route(a, b, ca, cb, ma, mb, out_pair, gb_total, "target", budget)
+                contribution = _push_route(a, b, ca, cb, ma, mb, out_pair, gb_total, "target")
                 route = "push: second factor is a graph"
                 ga_any = a.graph_of(ca, "graph", require_total=False)
                 if ga_any is not None and not ga_any.partial:
@@ -449,7 +428,7 @@ def compose_localized(
                     for comp in contribution.terms:
                         auto_graphs.append((comp, GraphData("graph", composed)))
             elif ga_t_total is not None:
-                contribution = _push_route(a, b, ca, cb, ma, mb, out_pair, ga_t_total, "source", budget)
+                contribution = _push_route(a, b, ca, cb, ma, mb, out_pair, ga_t_total, "source")
                 route = "push: first factor is a transposed graph"
                 gb_any = b.graph_of(cb, "transpose", require_total=False)
                 if gb_any is not None and not gb_any.partial:
@@ -459,13 +438,13 @@ def compose_localized(
             elif ga_graph is not None:
                 contribution = _pull_route(
                     a, b, ca, cb, ma, mb, out_pair, hint, witnesses, split,
-                    ga_graph, "first", audit, budget,
+                    ga_graph, "first", audit,
                 )
                 route = "pull: along the graph of the first factor"
             elif gb_transpose is not None:
                 contribution = _pull_route(
                     a, b, ca, cb, ma, mb, out_pair, hint, witnesses, split,
-                    gb_transpose, "second", audit, budget,
+                    gb_transpose, "second", audit,
                 )
                 route = "pull: along the transposed graph of the second factor"
             else:
@@ -476,7 +455,7 @@ def compose_localized(
             audit["modes"][key] = route
             main = main + contribution
 
-    if not supp.contains(main.support(), budget):
+    if not supp.contains(main.support()):
         raise EngineError("computed main term escapes supp(a,b); composition invalid")
 
     if hint is None or hint.is_empty():
@@ -485,7 +464,7 @@ def compose_localized(
         gens = list(supp.ideal.gens) + [
             g.inject(out_ring, out_pair.embeddings[0]) for g in hint.ideal.gens
         ]
-        err = ClosedSet(out_pair.space, Ideal(out_ring, gens), budget=budget)
+        err = ClosedSet(out_pair.space, Ideal(out_ring, gens))
 
     return CompositionResult(
         main=main,
@@ -515,9 +494,7 @@ def _structured_coords(space: Space, images: Mapping[int, object]) -> list:
     return out
 
 
-def _push_route(
-    a, b, ca, cb, ma, mb, out_pair, data: GraphData, push_side: str, budget: Budget
-) -> Cycle:
+def _push_route(a, b, ca, cb, ma, mb, out_pair, data: GraphData, push_side: str) -> Cycle:
     """Exact composition when one factor is a global (transposed) graph."""
     if push_side == "target":
         g = data.morphism  # X2 -> X3
@@ -544,7 +521,7 @@ def _push_route(
             id_coords.append(tuple(ring.var(src_prod.embeddings[1][i]) for i in idxs))
         coords = moved + id_coords
     F = Morphism(src_prod.space, out_pair.space, coords)
-    cert = degree_over_image(pushed_comp, F, budget)
+    cert = degree_over_image(pushed_comp, F)
     if cert.degree == 0:
         return Cycle(out_pair.space, {})
     img = PrimeComponent(cert.image, label=f"({cb.label})o({ca.label})", screen=False)
@@ -553,7 +530,7 @@ def _push_route(
 
 def _pull_route(
     a, b, ca, cb, ma, mb, out_pair, hint, witnesses, split, data: GraphData, via: str,
-    audit: dict, budget: Budget,
+    audit: dict,
 ) -> Cycle:
     out_ring = out_pair.space.ring
     if via == "first":
@@ -592,15 +569,13 @@ def _pull_route(
         J = saturate(
             J,
             Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[bl_side]) for g in bl.ideal.gens]),
-            budget,
         )
     if hint is not None and not hint.is_empty():
         J = saturate(
             J,
             Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[0]) for g in hint.ideal.gens]),
-            budget,
         )
-    C = ClosedSet(out_pair.space, J, budget=budget)
+    C = ClosedSet(out_pair.space, J)
     if C.is_empty():
         return Cycle(out_pair.space, {})
 
@@ -611,10 +586,10 @@ def _pull_route(
         comps = list(declared)
         union = None
         for pc in comps:
-            if not C.contains(pc.closed_set, budget):
+            if not C.contains(pc.closed_set):
                 raise EngineError(f"declared split component {pc.label} not inside the pullback")
             union = pc.closed_set if union is None else union.union(pc.closed_set)
-        if not union.contains(C, budget):
+        if not union.contains(C):
             raise EngineError("declared split does not cover the pullback")
 
     pool = list(witnesses or [])
@@ -656,7 +631,6 @@ def compose_assoc_check(
     opts_bc: dict | None = None,
     opts_outer_left: dict | None = None,
     opts_outer_right: dict | None = None,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """(c∘b)∘a == c∘(b∘a): main terms equal, error supports mutually contained."""
 
@@ -667,16 +641,15 @@ def compose_assoc_check(
             hint=opts.get("hint"),
             witnesses=opts.get("witnesses"),
             split=opts.get("split"),
-            budget=budget,
         )
 
     r_ba = run(a, b, opts_ab)
-    ba = r_ba.to_correspondence(budget)
+    ba = r_ba.to_correspondence()
     _apply_redeclarations(ba, (opts_ab or {}).get("redeclare"))
     r_left = run(ba, c, opts_outer_left)
 
     r_cb = run(b, c, opts_bc)
-    cb = r_cb.to_correspondence(budget)
+    cb = r_cb.to_correspondence()
     _apply_redeclarations(cb, (opts_bc or {}).get("redeclare"))
     r_right = run(a, cb, opts_outer_right)
 
@@ -712,16 +685,15 @@ def projector_check(
     witnesses: Sequence[Mapping] | None = None,
     split: Mapping | None = None,
     bound: ClosedSet | None = None,
-    budget: Budget = DEFAULT_BUDGET,
 ):
     """p∘p == lam * p up to a cycle supported in `bound`.
 
     Returns (bool, CompositionResult).
     """
-    r = compose_localized(p, p, hint=hint, witnesses=witnesses, split=split, budget=budget)
+    r = compose_localized(p, p, hint=hint, witnesses=witnesses, split=split)
     ok = r.main == p.cycle.scale(lam)
     if bound is not None:
-        ok = ok and bound.contains(r.error_support, budget)
+        ok = ok and bound.contains(r.error_support)
     else:
         ok = ok and r.error_support.is_empty()
     return ok, r
@@ -732,40 +704,30 @@ def check_localized_supp(
     b: Correspondence,
     bad_src: ClosedSet,
     bad_tgt: ClosedSet,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """supp(a', b') == supp(a,b) ∩ (open x open), by independent elimination.
 
     a' and b' are the cycle-level restrictions off the bad loci; both sides
     are compared as closures of their open parts.
     """
-    supp, out_pair = supp_of_composition(a, b, budget)
+    supp, out_pair = supp_of_composition(a, b)
     out_ring = out_pair.space.ring
     bad1 = Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[0]) for g in bad_src.ideal.gens])
     bad3 = Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[1]) for g in bad_tgt.ideal.gens])
-    rhs = ClosedSet(
-        out_pair.space,
-        saturate(saturate(supp.ideal, bad1, budget), bad3, budget),
-        budget=budget,
-    )
+    rhs = ClosedSet(out_pair.space, saturate(saturate(supp.ideal, bad1), bad3))
 
-    a_r = _restrict_corr(a, bad_src, side=0, budget=budget)
-    b_r = _restrict_corr(b, bad_tgt, side=1, budget=budget)
-    supp_r, _ = supp_of_composition(a_r, b_r, budget)
-    lhs = ClosedSet(
-        out_pair.space,
-        saturate(saturate(supp_r.ideal, bad1, budget), bad3, budget),
-        budget=budget,
-    )
-    return lhs.same_locus(rhs, budget)
+    a_r = _restrict_corr(a, bad_src, side=0)
+    b_r = _restrict_corr(b, bad_tgt, side=1)
+    supp_r, _ = supp_of_composition(a_r, b_r)
+    lhs = ClosedSet(out_pair.space, saturate(saturate(supp_r.ideal, bad1), bad3))
+    return lhs.same_locus(rhs)
 
 
-def _restrict_corr(corr: Correspondence, bad: ClosedSet, side: int, budget: Budget) -> Correspondence:
+def _restrict_corr(corr: Correspondence, bad: ClosedSet, side: int) -> Correspondence:
     ring = corr.prod.space.ring
     bad_pulled = ClosedSet(
         corr.prod.space,
         Ideal(ring, [g.inject(ring, corr.prod.embeddings[side]) for g in bad.ideal.gens]),
-        budget=budget,
     )
     restricted = corr.cycle.restrict_off(bad_pulled)
     out = Correspondence(
@@ -774,7 +736,6 @@ def _restrict_corr(corr: Correspondence, bad: ClosedSet, side: int, budget: Budg
         corr.tgt_variety,
         corr.tgt_family,
         restricted,
-        budget=budget,
     )
     for comp, datas in corr.graphs.items():
         if comp in restricted.terms:

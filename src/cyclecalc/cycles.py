@@ -25,8 +25,6 @@ from .geometry import (
     smooth_at,
 )
 from .groebner import (
-    Budget,
-    DEFAULT_BUDGET,
     Ideal,
     fiber_staircase,
     max_independent_set,
@@ -164,7 +162,6 @@ def relative_degree(
     I: Ideal,
     base_names: set,
     proj_block_names: Sequence[tuple],
-    budget: Budget = DEFAULT_BUDGET,
 ) -> int:
     """Vector-space dimension over k(base) of the quotient by I.
 
@@ -185,18 +182,16 @@ def relative_degree(
                 images[ring.index(nm)] = sub.zero()
             images[ring.index(blk[j])] = sub.one()
             gens = [g.substitute(images, sub) for g in I.gens]
-            total += relative_degree(Ideal(sub, gens), base_names, rest, budget)
+            total += relative_degree(Ideal(sub, gens), base_names, rest)
         return total
     fiber_idx = [i for i, v in enumerate(ring.vars) if v not in base_names]
-    st = fiber_staircase(I, fiber_idx, budget)
+    st = fiber_staircase(I, fiber_idx)
     if st is None:
         raise EngineError("fiber is not finite over the chosen parameters")
     return len(st)
 
 
-def degree_over_image(
-    Z: PrimeComponent, f: Morphism, budget: Budget = DEFAULT_BUDGET
-) -> DegreeCertificate:
+def degree_over_image(Z: PrimeComponent, f: Morphism) -> DegreeCertificate:
     """Generic-fiber degree of Z over its image closure under f."""
     if Z.space != f.source:
         raise RingMismatch("component not in the source of f")
@@ -204,14 +199,14 @@ def degree_over_image(
         cap = Z.closed_set.intersect(f.base_locus())
         if not cap.is_empty():
             raise EngineError("component meets the base locus of the map")
-    W = image_closure(f, Z.closed_set, budget)
+    W = image_closure(f, Z.closed_set)
     if W.dim < Z.dim:
         return DegreeCertificate(Z, W, 0, "dimension-drop")
     if W.dim > Z.dim:
         raise EngineError("image dimension exceeds source dimension")
 
-    graph, prod = graph_closure(f, over=Z.closed_set, budget=budget)
-    S_tgt = max_independent_set(W.ideal, budget=budget)
+    graph, prod = graph_closure(f, over=Z.closed_set)
+    S_tgt = max_independent_set(W.ideal)
     tgt_ring = f.target.ring
     S_names_tgt = {tgt_ring.vars[i] for i in S_tgt}
     prod_ring = prod.space.ring
@@ -220,8 +215,8 @@ def degree_over_image(
         tuple(prod_ring.vars[prod.embeddings[0][i]] for i in blk)
         for blk in f.source.proj_block_indices()
     ]
-    d_graph = relative_degree(graph.ideal, S_names_prod, src_proj, budget)
-    d_image = relative_degree(W.ideal, S_names_tgt, [], budget)
+    d_graph = relative_degree(graph.ideal, S_names_prod, src_proj)
+    d_image = relative_degree(W.ideal, S_names_tgt, [])
     if d_image == 0 or d_graph % d_image:
         raise EngineError(
             f"staircase ratio is not integral ({d_graph}/{d_image}); "
@@ -239,7 +234,6 @@ def push_forward(
     a: Cycle,
     f: Morphism,
     psi: SupportFamily,
-    budget: Budget = DEFAULT_BUDGET,
     check_side_conditions: bool = True,
 ) -> Cycle:
     """Component-wise f_*: multiply by deg(Z/f(Z)), drop dimension drops."""
@@ -249,14 +243,14 @@ def push_forward(
     if phi is None:
         phi = SupportFamily(a.space, [c.closed_set for c in a.terms])
     if check_side_conditions:
-        verdict = check_Vstar_morphism(f, phi, psi, "push", budget)
+        verdict = check_Vstar_morphism(f, phi, psi, "push")
         if verdict is Verdict.REJECT:
             raise PolicyReject("push-forward side condition not certifiable")
         if verdict is Verdict.NO:
             raise EngineError("push-forward side condition fails: f(phi) not in psi")
     out: dict = {}
     for comp, mult in a.terms.items():
-        cert = degree_over_image(comp, f, budget)
+        cert = degree_over_image(comp, f)
         if cert.degree == 0:
             continue
         img = PrimeComponent(cert.image, label=f"f({comp.label})")
@@ -310,7 +304,6 @@ def flat_pullback(
     fiber_dim: int,
     flat_tag: str,
     declared: Mapping[PrimeComponent, Sequence[PullbackTerm]] | None = None,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> Cycle:
     """Component-wise scheme preimage along a declared-flat morphism.
 
@@ -333,7 +326,7 @@ def flat_pullback(
         out[comp] = out.get(comp, 0) + mult
 
     for comp, mult in a.terms.items():
-        P = preimage(f, comp.closed_set, budget)
+        P = preimage(f, comp.closed_set)
         if P.is_empty():
             continue
         decl = None
@@ -411,9 +404,7 @@ def _verify_multiplicity(
 # ---------------------------------------------------------------------------
 # principal divisors on the line
 
-def principal_divisor_line(
-    numerator: Poly, denominator: Poly, space: Space, budget: Budget = DEFAULT_BUDGET
-) -> Cycle:
+def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> Cycle:
     """div(numerator/denominator) on A^1 or P^1.
 
     The rational function is given in the affine coordinate t (on P^1 with

@@ -20,8 +20,6 @@ from typing import Mapping, Sequence
 from .errors import EngineError, PolicyReject, RingMismatch
 from .fields import field_of_characteristic
 from .groebner import (
-    Budget,
-    DEFAULT_BUDGET,
     Ideal,
     eliminate,
     groebner,
@@ -178,7 +176,7 @@ class ClosedSet:
 
     __slots__ = ("space", "ideal", "_dim", "_gb")
 
-    def __init__(self, space: Space, I: Ideal, presaturated: bool = False, budget: Budget = DEFAULT_BUDGET):
+    def __init__(self, space: Space, I: Ideal, presaturated: bool = False):
         if I.ring != space.ring:
             raise RingMismatch("ideal not in the space's coordinate ring")
         for g in I.gens:
@@ -188,7 +186,7 @@ class ClosedSet:
                 )
         if not presaturated:
             for irr in space.irrelevant_ideals():
-                I = saturate(I, irr, budget)
+                I = saturate(I, irr)
         self.space = space
         self.ideal = I
         self._dim = None
@@ -228,30 +226,25 @@ class ClosedSet:
 
     # -- set operations -------------------------------------------------------
 
-    def intersect(self, other: "ClosedSet", budget: Budget = DEFAULT_BUDGET) -> "ClosedSet":
+    def intersect(self, other: "ClosedSet") -> "ClosedSet":
         self._same_space(other)
-        return ClosedSet(self.space, Ideal(self.space.ring, self.ideal.gens + other.ideal.gens), budget=budget)
+        return ClosedSet(self.space, Ideal(self.space.ring, self.ideal.gens + other.ideal.gens))
 
-    def union(self, other: "ClosedSet", budget: Budget = DEFAULT_BUDGET) -> "ClosedSet":
+    def union(self, other: "ClosedSet") -> "ClosedSet":
         self._same_space(other)
-        return ClosedSet(self.space, ideal_intersect(self.ideal, other.ideal, budget), budget=budget)
+        return ClosedSet(self.space, ideal_intersect(self.ideal, other.ideal))
 
-    def minus_closure(self, other: "ClosedSet", budget: Budget = DEFAULT_BUDGET) -> "ClosedSet":
-        """Closure of self minus other, via saturation."""
-        self._same_space(other)
-        return ClosedSet(self.space, saturate(self.ideal, other.ideal, budget), budget=budget)
-
-    def contains(self, other: "ClosedSet", budget: Budget = DEFAULT_BUDGET) -> bool:
+    def contains(self, other: "ClosedSet") -> bool:
         """Set-theoretic containment: other ⊆ self."""
         self._same_space(other)
         if other.is_empty():
             return True
         return all(
-            radical_member(g, other.ideal, budget) for g in self.ideal.gens
+            radical_member(g, other.ideal) for g in self.ideal.gens
         )
 
-    def same_locus(self, other: "ClosedSet", budget: Budget = DEFAULT_BUDGET) -> bool:
-        return self.contains(other, budget) and other.contains(self, budget)
+    def same_locus(self, other: "ClosedSet") -> bool:
+        return self.contains(other) and other.contains(self)
 
     def _same_space(self, other: "ClosedSet"):
         if self.space != other.space:
@@ -435,7 +428,6 @@ def graph_product(f: Morphism) -> ProductStructure:
 def graph_closure(
     f: Morphism,
     over: ClosedSet | None = None,
-    budget: Budget = DEFAULT_BUDGET,
     prod: ProductStructure | None = None,
 ):
     """Closure of the graph of f over `over` (default: the whole source).
@@ -460,20 +452,20 @@ def graph_closure(
     I = Ideal(ring, gens)
     bl = f.base_locus()
     if not bl.is_empty():
-        I = saturate(I, prod.inject_ideal(0, bl.ideal), budget)
-    cs = ClosedSet(prod.space, I, budget=budget)
+        I = saturate(I, prod.inject_ideal(0, bl.ideal))
+    cs = ClosedSet(prod.space, I)
     if cs.is_empty():
         raise EngineError("graph closure is empty (restriction misses the domain)")
     return cs, prod
 
 
-def image_closure(f: Morphism, Z: ClosedSet, budget: Budget = DEFAULT_BUDGET) -> ClosedSet:
+def image_closure(f: Morphism, Z: ClosedSet) -> ClosedSet:
     """Zariski closure of f(Z)."""
     if Z.space != f.source:
         raise RingMismatch("Z not in the source of f")
-    graph, prod = graph_closure(f, over=Z, budget=budget)
+    graph, prod = graph_closure(f, over=Z)
     src_names = [prod.space.ring.vars[i] for i in sorted(prod.factor_var_indices(0))]
-    J = eliminate(graph.ideal, src_names, budget)
+    J = eliminate(graph.ideal, src_names)
     # re-interpret the eliminated ideal in the target space's ring
     tgt_emb = prod.embeddings[1]
     tgt_ring = f.target.ring
@@ -482,10 +474,10 @@ def image_closure(f: Morphism, Z: ClosedSet, budget: Budget = DEFAULT_BUDGET) ->
         name = prod.space.ring.vars[prod_i]
         back[J.ring.index(name)] = tgt_i
     gens = [g.inject(tgt_ring, back) for g in J.gens]
-    return ClosedSet(f.target, Ideal(tgt_ring, gens), budget=budget)
+    return ClosedSet(f.target, Ideal(tgt_ring, gens))
 
 
-def pullback_form(f: Morphism, w, budget: Budget = DEFAULT_BUDGET):
+def pullback_form(f: Morphism, w):
     """Pull a differential form on the target back along f.
 
     Coordinates substitute as polynomials and d commutes with the
@@ -496,7 +488,7 @@ def pullback_form(f: Morphism, w, budget: Budget = DEFAULT_BUDGET):
     return w.pullback(f.coordinate_images(), f.source.ring)
 
 
-def preimage(f: Morphism, W: ClosedSet, budget: Budget = DEFAULT_BUDGET) -> ClosedSet:
+def preimage(f: Morphism, W: ClosedSet) -> ClosedSet:
     """Scheme-theoretic preimage ideal (then ambient saturation)."""
     if W.space != f.target:
         raise RingMismatch("W not in the target of f")
@@ -504,22 +496,20 @@ def preimage(f: Morphism, W: ClosedSet, budget: Budget = DEFAULT_BUDGET) -> Clos
     gens = [g.substitute(images, f.source.ring) for g in W.ideal.gens]
     if f.domain is not None:
         gens += list(f.domain.ideal.gens)
-    return ClosedSet(f.source, Ideal(f.source.ring, gens), budget=budget)
+    return ClosedSet(f.source, Ideal(f.source.ring, gens))
 
 
 # ---------------------------------------------------------------------------
 # properness policy
 
-def _projection_finiteness_gap(
-    I: Ideal, drop_affine_idx: Sequence[int], budget: Budget = DEFAULT_BUDGET
-) -> list:
+def _projection_finiteness_gap(I: Ideal, drop_affine_idx: Sequence[int]) -> list:
     """Dropped affine variables lacking a monic eliminant (empty = finite)."""
     if not drop_affine_idx:
         return []
     ring = I.ring
     keep = [i for i in range(ring.nvars) if i not in set(drop_affine_idx)]
     order = block_order(list(drop_affine_idx), keep)
-    gb = groebner(I, order, budget)
+    gb = groebner(I, order)
     missing = []
     for i in drop_affine_idx:
         ok = False
@@ -532,9 +522,7 @@ def _projection_finiteness_gap(
     return missing
 
 
-def projection_proper_certificate(
-    Z: ClosedSet, keep_factor: set, prod: ProductStructure, budget: Budget = DEFAULT_BUDGET
-) -> bool:
+def projection_proper_certificate(Z: ClosedSet, keep_factor: set, prod: ProductStructure) -> bool:
     """Certify that projecting Z onto the given factors is proper.
 
     keep_factor: indices of prod factors retained by the projection.  The
@@ -562,14 +550,14 @@ def projection_proper_certificate(
     ring = space.ring
     if drop_proj:
         names = [ring.vars[i] for i in drop_proj]
-        J = eliminate(Z.ideal, names, budget)
+        J = eliminate(Z.ideal, names)
         work_ring = J.ring
         drop_affine_work = [work_ring.index(ring.vars[i]) for i in drop_affine]
     else:
         J = Z.ideal
         work_ring = ring
         drop_affine_work = list(drop_affine)
-    missing = _projection_finiteness_gap(J, drop_affine_work, budget)
+    missing = _projection_finiteness_gap(J, drop_affine_work)
     if missing:
         raise PolicyReject(
             "no monic eliminant for eliminated affine variable(s): "
@@ -578,7 +566,7 @@ def projection_proper_certificate(
     return True
 
 
-def is_finite_over(Z: ClosedSet, f: Morphism, budget: Budget = DEFAULT_BUDGET) -> bool:
+def is_finite_over(Z: ClosedSet, f: Morphism) -> bool:
     """Is Z finite over the target along f (monic-eliminant certificate)?
 
     Returns True/False for affine sources; projective source blocks cannot be
@@ -588,18 +576,18 @@ def is_finite_over(Z: ClosedSet, f: Morphism, budget: Budget = DEFAULT_BUDGET) -
         raise RingMismatch("Z not in the source of f")
     if any(b.kind == "proj" for b in f.source.blocks):
         raise PolicyReject("finiteness test requires an affine source")
-    graph, prod = graph_closure(f, over=Z, budget=budget)
+    graph, prod = graph_closure(f, over=Z)
     drop = sorted(prod.factor_var_indices(0))
-    missing = _projection_finiteness_gap(graph.ideal, drop, budget)
+    missing = _projection_finiteness_gap(graph.ideal, drop)
     return not missing
 
 
-def morphism_proper_on(f: Morphism, Z: ClosedSet, budget: Budget = DEFAULT_BUDGET) -> bool:
+def morphism_proper_on(f: Morphism, Z: ClosedSet) -> bool:
     """Certify f|Z proper via the graph projection.  True or PolicyReject."""
     if Z.is_empty():
         return True
-    graph, prod = graph_closure(f, over=Z, budget=budget)
-    return projection_proper_certificate(graph, {1}, prod, budget)
+    graph, prod = graph_closure(f, over=Z)
+    return projection_proper_certificate(graph, {1}, prod)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +641,7 @@ def lies_on(cs: ClosedSet, point: Mapping[str, object]) -> bool:
     return all(g.eval_point(pt) == cs.space.ring.field.zero for g in cs.ideal.gens)
 
 
-def smooth_at(cs: ClosedSet, point: Mapping[str, object], budget: Budget = DEFAULT_BUDGET) -> bool:
+def smooth_at(cs: ClosedSet, point: Mapping[str, object]) -> bool:
     """Jacobian-rank smoothness certificate at a declared rational point."""
     ring = cs.space.ring
     if not lies_on(cs, point):

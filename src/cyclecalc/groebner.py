@@ -2,10 +2,16 @@
 
 Provides reduced bases, normal forms, cofactor lifts, elimination,
 saturation, Krull dimension, and radical membership.  Pair selection uses the
-sugar strategy with Gebauer-Möller pruning; budgets on pair count and lcm
-degree are explicit and raise BudgetExceeded, never silently truncate.
-Cofactors (each basis element written over the generators) are tracked only
-when asked for, which only cofactor_lift does.
+sugar strategy with Gebauer-Möller pruning.  Cofactors (each basis element
+written over the generators) are tracked only when asked for, which only
+cofactor_lift does.
+
+Resource limits live in one budget scope, not in arguments: `with
+budget_scope(Budget(...)):` bounds every Buchberger run started inside it,
+however deep in geometry, cycles or symbols the call is made, and
+current_budget() reads it back.  Outside any scope the limits are Budget().
+groebner() reads the scope once per cache miss and is the only place a budget
+is checked; exceeding it raises BudgetExceeded, never a silent truncation.
 
 The reduced basis for a fixed (generator tuple, order) is unique, so every
 result here is reproducible across runs; results are memoized on that key.
@@ -14,6 +20,8 @@ result here is reproducible across runs; results are memoized on that key.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,7 +40,7 @@ from .poly import Poly, Ring
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for a single Gröbner run."""
+    """Resource limits for each Gröbner run; set them with budget_scope."""
 
     max_pairs: int = 50_000
     max_degree: int = 120
@@ -46,7 +54,22 @@ class Budget:
             raise BudgetExceeded("S-pair lcm degree", self.max_degree)
 
 
-DEFAULT_BUDGET = Budget()
+_scoped_budget: ContextVar[Budget] = ContextVar("cyclecalc_budget", default=Budget())
+
+
+def current_budget() -> Budget:
+    """The budget that bounds Gröbner runs started here."""
+    return _scoped_budget.get()
+
+
+@contextmanager
+def budget_scope(limits: Budget):
+    """Bound every Gröbner run inside the with-block by `limits`."""
+    token = _scoped_budget.set(limits)
+    try:
+        yield
+    finally:
+        _scoped_budget.reset(token)
 
 
 class Ideal:
@@ -263,7 +286,8 @@ class GBasis:
 
 
 # One basis per (ring, gens, order); a basis with cofactors also answers
-# plain requests, and a cofactor request replaces a basis without them.
+# plain requests, and a cofactor request replaces a basis without them.  The
+# key ignores the budget: a hit runs no S-pair, so there is nothing to bound.
 _gb_cache: dict = {}
 
 # When enabled, every basis computed is recorded for the suite-wide
@@ -306,16 +330,12 @@ def buchberger_audit(gb: GBasis) -> bool:
     return True
 
 
-def groebner(
-    I: Ideal,
-    order: MonomialOrder | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-    cofactors: bool = False,
-) -> GBasis:
+def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = False) -> GBasis:
     """Reduced Gröbner basis of I; deterministic for (gens, order).
 
     With cofactors=True the result also carries reps, the expression of each
-    basis element over I.gens (see GBasis); otherwise reps may be None.
+    basis element over I.gens (see GBasis); otherwise reps may be None.  A
+    basis not already cached is computed under current_budget().
     """
     if order is None:
         order = degrevlex(I.ring.nvars)
@@ -324,6 +344,7 @@ def groebner(
     if hit is not None and (hit.reps is not None or not cofactors):
         return hit
 
+    budget = _scoped_budget.get()
     ring = I.ring
     fld = ring.field
     ngens = len(I.gens)
@@ -400,17 +421,17 @@ def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasi
 # ---------------------------------------------------------------------------
 # derived operations
 
-def normal_form(f: Poly, I: Ideal, order: MonomialOrder | None = None, budget: Budget = DEFAULT_BUDGET) -> Poly:
-    return groebner(I, order, budget).normal_form(f)
+def normal_form(f: Poly, I: Ideal, order: MonomialOrder | None = None) -> Poly:
+    return groebner(I, order).normal_form(f)
 
 
-def member(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
-    return normal_form(f, I, None, budget).is_zero()
+def member(f: Poly, I: Ideal) -> bool:
+    return normal_form(f, I).is_zero()
 
 
-def cofactor_lift(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> list:
+def cofactor_lift(f: Poly, I: Ideal) -> list:
     """Write f = sum(c_j * I.gens[j]); error if f is not in I."""
-    gb = groebner(I, None, budget, cofactors=True)
+    gb = groebner(I, cofactors=True)
     if not gb.basis:
         if f.is_zero():
             return [I.ring.zero() for _ in I.gens]
@@ -428,11 +449,11 @@ def cofactor_lift(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> list:
     return cof
 
 
-def is_unit_ideal(I: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
+def is_unit_ideal(I: Ideal) -> bool:
     for g in I.gens:
         if not g.is_zero() and g.is_constant():
             return True
-    return groebner(I, None, budget).is_unit()
+    return groebner(I).is_unit()
 
 
 def _fresh_names(ring: Ring, count: int, stem: str = "_z") -> list:
@@ -448,7 +469,7 @@ def _fresh_names(ring: Ring, count: int, stem: str = "_z") -> list:
     return names
 
 
-def eliminate(I: Ideal, drop: Iterable[str], budget: Budget = DEFAULT_BUDGET) -> Ideal:
+def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """I ∩ k[vars - drop], computed with a block order."""
     ring = I.ring
     drop_set = set(drop)
@@ -459,7 +480,7 @@ def eliminate(I: Ideal, drop: Iterable[str], budget: Budget = DEFAULT_BUDGET) ->
     if not drop_idx:
         return I
     order = block_order(drop_idx, keep_idx)
-    gb = groebner(I, order, budget)
+    gb = groebner(I, order)
     sub = ring.drop(drop_set)
     index_map = {i: sub.index(ring.vars[i]) for i in keep_idx}
     kept = []
@@ -469,7 +490,7 @@ def eliminate(I: Ideal, drop: Iterable[str], budget: Budget = DEFAULT_BUDGET) ->
     return Ideal(sub, kept)
 
 
-def saturate_poly(I: Ideal, g: Poly, budget: Budget = DEFAULT_BUDGET) -> Ideal:
+def saturate_poly(I: Ideal, g: Poly) -> Ideal:
     """(I : g^inf) by the tag-variable method."""
     ring = I.ring
     if g.is_zero():
@@ -481,13 +502,13 @@ def saturate_poly(I: Ideal, g: Poly, budget: Budget = DEFAULT_BUDGET) -> Ideal:
     idx = {i: i for i in range(ring.nvars)}
     gens = [p.inject(ext, idx) for p in I.gens]
     gens.append(ext.one() - ext.var(tag) * g.inject(ext, idx))
-    J = eliminate(Ideal(ext, gens), [tag], budget)
+    J = eliminate(Ideal(ext, gens), [tag])
     # eliminate() returns the ideal in a ring with the same remaining vars
     back = {i: i for i in range(ring.nvars)}
     return Ideal(ring, [p.inject(ring, back) for p in J.gens])
 
 
-def ideal_intersect(A: Ideal, B: Ideal, budget: Budget = DEFAULT_BUDGET) -> Ideal:
+def ideal_intersect(A: Ideal, B: Ideal) -> Ideal:
     ring = A.ring
     if ring != B.ring:
         raise RingMismatch("intersection across rings")
@@ -497,26 +518,26 @@ def ideal_intersect(A: Ideal, B: Ideal, budget: Budget = DEFAULT_BUDGET) -> Idea
     t = ext.var(tag)
     gens = [t * a.inject(ext, idx) for a in A.nonzero_gens()]
     gens += [(ext.one() - t) * b.inject(ext, idx) for b in B.nonzero_gens()]
-    J = eliminate(Ideal(ext, gens), [tag], budget)
+    J = eliminate(Ideal(ext, gens), [tag])
     back = {i: i for i in range(ring.nvars)}
     return Ideal(ring, [p.inject(ring, back) for p in J.gens])
 
 
-def saturate(I: Ideal, J: Ideal, budget: Budget = DEFAULT_BUDGET) -> Ideal:
+def saturate(I: Ideal, J: Ideal) -> Ideal:
     """(I : J^inf) = intersection of (I : g^inf) over generators g of J."""
     gens = J.nonzero_gens()
     if not gens:
         return Ideal(I.ring, [I.ring.one()])
-    parts = [saturate_poly(I, g, budget) for g in gens]
+    parts = [saturate_poly(I, g) for g in gens]
     out = parts[0]
     for p in parts[1:]:
-        out = ideal_intersect(out, p, budget)
+        out = ideal_intersect(out, p)
     return out
 
 
-def krull_dim(I: Ideal, budget: Budget = DEFAULT_BUDGET) -> int:
+def krull_dim(I: Ideal) -> int:
     """Krull dimension of ring/I via maximal LT-independent variable sets."""
-    gb = groebner(I, None, budget)
+    gb = groebner(I)
     if gb.is_unit():
         raise EngineError("dimension of the unit ideal")
     n = I.ring.nvars
@@ -533,12 +554,12 @@ def krull_dim(I: Ideal, budget: Budget = DEFAULT_BUDGET) -> int:
     return 0
 
 
-def max_independent_set(I: Ideal, within: Iterable[int] | None = None, budget: Budget = DEFAULT_BUDGET) -> tuple:
+def max_independent_set(I: Ideal, within: Iterable[int] | None = None) -> tuple:
     """A maximum LT-independent variable set, optionally inside `within`.
 
     Deterministic: lexicographically first among maximum-size sets.
     """
-    gb = groebner(I, None, budget)
+    gb = groebner(I)
     if gb.is_unit():
         raise EngineError("independent set of the unit ideal")
     pool = tuple(sorted(within)) if within is not None else tuple(range(I.ring.nvars))
@@ -553,7 +574,7 @@ def max_independent_set(I: Ideal, within: Iterable[int] | None = None, budget: B
     return ()
 
 
-def radical_member(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
+def radical_member(f: Poly, I: Ideal) -> bool:
     """f in sqrt(I), by the Rabinowitsch trick."""
     if f.is_zero():
         return True
@@ -563,7 +584,7 @@ def radical_member(f: Poly, I: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
     idx = {i: i for i in range(ring.nvars)}
     gens = [p.inject(ext, idx) for p in I.gens]
     gens.append(ext.one() - ext.var(tag) * f.inject(ext, idx))
-    return is_unit_ideal(Ideal(ext, gens), budget)
+    return is_unit_ideal(Ideal(ext, gens))
 
 
 def ideal_product(A: Ideal, B: Ideal) -> Ideal:
@@ -575,17 +596,15 @@ def ideal_product(A: Ideal, B: Ideal) -> Ideal:
     return Ideal(A.ring, gens)
 
 
-def ideal_equal(A: Ideal, B: Ideal, budget: Budget = DEFAULT_BUDGET) -> bool:
+def ideal_equal(A: Ideal, B: Ideal) -> bool:
     if A.ring != B.ring:
         raise RingMismatch("comparison across rings")
-    ga = groebner(A, None, budget)
-    gb = groebner(B, None, budget)
+    ga = groebner(A)
+    gb = groebner(B)
     return ga.basis == gb.basis
 
 
-def fiber_staircase(
-    I: Ideal, fiber_idx: Sequence[int], budget: Budget = DEFAULT_BUDGET
-) -> list | None:
+def fiber_staircase(I: Ideal, fiber_idx: Sequence[int]) -> list | None:
     """Monomial basis of ring/I over the fraction field of the other variables.
 
     Under a block order with the fiber variables dominant, a Gröbner basis of
@@ -600,7 +619,7 @@ def fiber_staircase(
     if not fiber:
         return [()]
     order = block_order(fiber, base) if base else None
-    gb = groebner(I, order, budget)
+    gb = groebner(I, order)
     if not gb.basis:
         return None
     fparts = []

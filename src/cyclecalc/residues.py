@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from .errors import EngineError, RingMismatch
 from .forms import Form, wedge_all
 from .groebner import (
-    Budget,
-    DEFAULT_BUDGET,
     Ideal,
     cofactor_lift,
     eliminate,
@@ -73,9 +71,9 @@ class FinitePresentation:
                     raise EngineError(f"{p} is not a base-ring element")
         return p.inject(base, idx)
 
-    def module_basis(self, budget: Budget = DEFAULT_BUDGET) -> list:
+    def module_basis(self) -> list:
         """Monomial basis of O_X over O_Y (staircase in the fiber variables)."""
-        st = fiber_staircase(Ideal(self.ring, list(self.t)), self.fiber_indices(), budget)
+        st = fiber_staircase(Ideal(self.ring, list(self.t)), self.fiber_indices())
         if st is None:
             raise EngineError("presentation is not fiber-finite")
         if st == []:
@@ -89,8 +87,8 @@ class FinitePresentation:
             monos.append(self.ring.monomial(tuple(e)))
         return monos
 
-    def rank(self, budget: Budget = DEFAULT_BUDGET) -> int:
-        return len(self.module_basis(budget))
+    def rank(self) -> int:
+        return len(self.module_basis())
 
 
 def divmod_in_var(f: Poly, g: Poly, var_index: int):
@@ -117,7 +115,7 @@ def divmod_in_var(f: Poly, g: Poly, var_index: int):
         r = r - piece * g
 
 
-def _triangular_eliminants(pres: FinitePresentation, budget: Budget) -> list:
+def _triangular_eliminants(pres: FinitePresentation) -> list:
     """Monic eliminants g_i(x_i; x_1..x_{i-1}, y), one per fiber variable.
 
     g_i lies in the ideal (t) and is monic in x_i with coefficients in the
@@ -129,12 +127,12 @@ def _triangular_eliminants(pres: FinitePresentation, budget: Budget) -> list:
     out = []
     for pos, xi in enumerate(fiber_idx):
         later = [ring.vars[j] for j in fiber_idx[pos + 1 :]]
-        J = eliminate(I, later, budget) if later else I
+        J = eliminate(I, later) if later else I
         jring = J.ring
         xi_j = jring.index(ring.vars[xi])
         rest = [k for k in range(jring.nvars) if k != xi_j]
         order = block_order([xi_j], rest)
-        gb = groebner(J, order, budget)
+        gb = groebner(J, order)
         g = None
         for poly, e in zip(gb.basis, gb.lead_exps):
             if e[xi_j] > 0 and all(e[k] == 0 for k in rest):
@@ -155,15 +153,15 @@ class ResidueQuery:
     numerator: Poly  # coefficient of dx_1 ^ ... ^ dx_d, in the fiber order
 
 
-def residue(query: ResidueQuery, budget: Budget = DEFAULT_BUDGET) -> Poly:
+def residue(query: ResidueQuery) -> Poly:
     """Res_{P/Y}[h dx_1...dx_d / t_1,...,t_d] as a base-ring element."""
     pres = query.presentation
     ring = pres.ring
     if query.numerator.ring != ring:
         raise RingMismatch("numerator in the wrong ring")
-    gs = _triangular_eliminants(pres, budget)
+    gs = _triangular_eliminants(pres)
     I = Ideal(ring, list(pres.t))
-    rows = [cofactor_lift(g, I, budget) for g in gs]
+    rows = [cofactor_lift(g, I) for g in gs]
     det = _determinant(rows, ring)
     cur = query.numerator * det
     fiber_idx = pres.fiber_indices()
@@ -183,9 +181,7 @@ class TraceResult:
     audit: dict = field(default_factory=dict)
 
 
-def trace_form(
-    pres: FinitePresentation, alpha: Form, budget: Budget = DEFAULT_BUDGET
-) -> TraceResult:
+def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
     """tau_f(alpha) for f: X -> Y finite, X = V(t) in P = Y x A^d.
 
     Writes dt_d ^ ... ^ dt_1 ^ alpha~ in the relative/base bigraded basis,
@@ -196,7 +192,7 @@ def trace_form(
     if alpha.ring != ring:
         raise RingMismatch("form must be presented on the ambient ring")
     d = pres.d
-    gb = groebner(Ideal(ring, list(pres.t)), budget=budget)
+    gb = groebner(Ideal(ring, list(pres.t)))
     lifted = alpha.map_coefficients(gb.normal_form)
     # dt_d ^ ... ^ dt_1 ^ alpha~, in exactly that order
     dts = [Form.d(t) for t in reversed(pres.t)]
@@ -220,7 +216,7 @@ def trace_form(
         # residue numerator: coefficient against dx_1 ^ ... ^ dx_d in fiber order
         fib_sign = _permutation_sign(tuple(fiber_idx.index(i) for i in fib))
         h = coeff.scale(sign * fib_sign)
-        res = residue(ResidueQuery(pres, h), budget)
+        res = residue(ResidueQuery(pres, h))
         audit_terms.append((idx, str(h), str(res)))
         base_tuple = tuple(sorted(base_index[i] for i in base))
         piece = Form(base_ring, out_degree, {base_tuple: res})
@@ -260,17 +256,17 @@ def pullback_to_total(pres: FinitePresentation, beta: Form) -> Form:
     return beta.inject(pres.ring, inj)
 
 
-def multiplication_trace(pres: FinitePresentation, h: Poly, budget: Budget = DEFAULT_BUDGET) -> Poly:
+def multiplication_trace(pres: FinitePresentation, h: Poly) -> Poly:
     """Linear-algebra trace of multiplication by h on the module basis."""
     ring = pres.ring
     fiber_idx = pres.fiber_indices()
-    basis = pres.module_basis(budget)
+    basis = pres.module_basis()
     basis_exps = []
     for m in basis:
         (e,) = m.terms
         basis_exps.append(tuple(e[i] for i in fiber_idx))
     order = block_order(fiber_idx, [i for i in range(ring.nvars) if i not in set(fiber_idx)])
-    gb = groebner(Ideal(ring, list(pres.t)), order, budget)
+    gb = groebner(Ideal(ring, list(pres.t)), order)
     total = ring.zero()
     for col, m in enumerate(basis):
         nf = gb.normal_form(h * m)
@@ -289,9 +285,7 @@ def multiplication_trace(pres: FinitePresentation, h: Poly, budget: Budget = DEF
     return pres.to_base(total)
 
 
-def trace_property_check(
-    pres: FinitePresentation, which: str, budget: Budget = DEFAULT_BUDGET
-) -> str:
+def trace_property_check(pres: FinitePresentation, which: str) -> str:
     """Executable checks for the three trace properties.
 
     'degree0': tau_f on functions equals the multiplication-operator trace on
@@ -303,14 +297,14 @@ def trace_property_check(
     """
     ring = pres.ring
     base_ring = pres.base_ring()
-    basis = pres.module_basis(budget)
+    basis = pres.module_basis()
     if which == "degree0":
         sweep = list(basis)
         if len(sweep) > 1:
             sweep.append(basis[0] + basis[1])
         for h in sweep:
-            lhs = trace_form(pres, Form.from_poly(h), budget).output
-            rhs = multiplication_trace(pres, h, budget)
+            lhs = trace_form(pres, Form.from_poly(h)).output
+            rhs = multiplication_trace(pres, h)
             if lhs.as_poly() != rhs:
                 return "fail"
         return "pass"
@@ -322,24 +316,24 @@ def trace_property_check(
         betas = [Form.from_poly(base_ring.var(n)) for n in pres.base_names]
         betas += [Form.d(base_ring.var(n)) for n in pres.base_names]
         for alpha in alphas:
-            ta = trace_form(pres, alpha, budget).output
+            ta = trace_form(pres, alpha).output
             for beta in betas:
                 if alpha.degree + beta.degree > len(pres.base_names):
                     continue
-                lhs = trace_form(pres, alpha.wedge(pullback_to_total(pres, beta)), budget).output
+                lhs = trace_form(pres, alpha.wedge(pullback_to_total(pres, beta))).output
                 rhs = ta.wedge(beta)
                 if lhs != rhs:
                     return "fail"
         return "pass"
     if which == "degree":
-        deg = pres.rank(budget)
+        deg = pres.rank()
         if ring.field.coerce(deg) == ring.field.zero:
             return "inapplicable"
         betas = [Form.from_poly(base_ring.one())]
         betas += [Form.from_poly(base_ring.var(n)) for n in pres.base_names]
         betas += [Form.d(base_ring.var(n)) for n in pres.base_names]
         for beta in betas:
-            lhs = trace_form(pres, pullback_to_total(pres, beta), budget).output
+            lhs = trace_form(pres, pullback_to_total(pres, beta)).output
             rhs = beta.scale(deg)
             if lhs != rhs:
                 return "fail"

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .corr import (
@@ -54,13 +54,7 @@ from .corr import (
     projector_check,
 )
 from .cycles import Cycle, principal_divisor_line, push_forward
-from .errors import (
-    BudgetExceeded,
-    EngineError,
-    PolicyReject,
-    RegularityError,
-    ScenarioError,
-)
+from .errors import EngineError, PolicyReject, ScenarioError
 from .forms import Form
 from .geometry import (
     Block,
@@ -69,7 +63,7 @@ from .geometry import (
     PrimeComponent,
     Space,
 )
-from .groebner import Budget, DEFAULT_BUDGET, Ideal
+from .groebner import Budget, Ideal, budget_scope, current_budget
 from .poly import Poly, Ring
 from .report import (
     ERROR,
@@ -366,7 +360,8 @@ class Task:
 class Scenario:
     characteristic: int = 0
     char_locked: bool = False
-    budget: Budget = DEFAULT_BUDGET
+    # the budget in scope while the declarations were parsed; the tasks run under it too
+    budget: Budget = field(default_factory=current_budget)
     spaces: dict = field(default_factory=dict)
     pairs: dict = field(default_factory=dict)  # name -> ProductStructure
     closeds: dict = field(default_factory=dict)
@@ -407,10 +402,10 @@ class Scenario:
         return self.families[name]
 
 
-def parse_scenario(text: str, characteristic: int | None = None, budget: Budget = DEFAULT_BUDGET) -> Scenario:
+def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:
     """Parse a scenario; a caller-supplied characteristic overrides the file's
     own `char` statement (so one file can be rerun over several fields)."""
-    env = Scenario(budget=budget)
+    env = Scenario()
     if characteristic is not None:
         env.characteristic = characteristic
         env.char_locked = True
@@ -511,7 +506,7 @@ def _stmt_closed(env: Scenario, ts: TokenStream):
     ts.pos = save
     gens = _parse_gens(ts, space.ring)
     ts.pos = end
-    env.closeds[name] = ClosedSet(space, Ideal(space.ring, gens), budget=env.budget)
+    env.closeds[name] = ClosedSet(space, Ideal(space.ring, gens))
 
 
 def _stmt_prime(env: Scenario, ts: TokenStream):
@@ -539,7 +534,7 @@ def _stmt_prime(env: Scenario, ts: TokenStream):
         ts.pos = save
         gens = _parse_gens(ts, space.ring)
         ts.pos = end
-        cs = ClosedSet(space, Ideal(space.ring, gens), budget=env.budget)
+        cs = ClosedSet(space, Ideal(space.ring, gens))
     else:
         ref = ts.expect_ident()
         cs = env.closed_of(ref.text, ref)
@@ -752,7 +747,7 @@ def _stmt_corr(env: Scenario, ts: TokenStream):
         while ts.accept(","):
             waive.add(ts.expect_ident().text)
         ts.expect(")")
-    corr = Correspondence(src_var, src_fam, tgt_var, tgt_fam, cyc, budget=env.budget)
+    corr = Correspondence(src_var, src_fam, tgt_var, tgt_fam, cyc)
     env.corrs[name] = corr
 
     def run_P() -> TaskResult:
@@ -848,7 +843,7 @@ def _corr_operand(env: Scenario, name: str) -> Correspondence:
     if name in env.corrs:
         return env.corrs[name]
     if name in env.compositions:
-        return env.compositions[name].to_correspondence(env.budget)
+        return env.compositions[name].to_correspondence()
     raise EngineError(f"unknown correspondence {name!r}")
 
 
@@ -879,11 +874,11 @@ def _stmt_compose(env: Scenario, ts: TokenStream):
     def run() -> TaskResult:
         a = _corr_operand(env, a_tok.text)
         b = _corr_operand(env, b_tok.text)
-        r = compose_localized(a, b, hint=hint, witnesses=witnesses, split=split or None, budget=env.budget)
+        r = compose_localized(a, b, hint=hint, witnesses=witnesses, split=split or None)
         env.compositions[name] = r
         audit = dict(r.audit)
         audit["error_support"] = repr(r.error_support.ideal)
-        audit["codim_certificates"] = r.error_codim_certificates(env.budget)
+        audit["codim_certificates"] = r.error_codim_certificates()
         verdict = PASS
         detail = ""
         if expect_main_zero and not r.main.is_zero():
@@ -893,7 +888,7 @@ def _stmt_compose(env: Scenario, ts: TokenStream):
             verdict = FAIL
             detail = f"main {r.main!r} != expected {expect_main!r}"
         if verdict == PASS and expect_bound is not None:
-            if not expect_bound.contains(r.error_support, env.budget):
+            if not expect_bound.contains(r.error_support):
                 verdict = FAIL
                 detail = "error support escapes the declared bound"
         return TaskResult(name, "compose", verdict, detail, audit)
@@ -917,7 +912,7 @@ def _stmt_projector(env: Scenario, ts: TokenStream):
     def run() -> TaskResult:
         p = _corr_operand(env, p_tok.text)
         ok, r = projector_check(
-            p, lam, hint=hint, witnesses=witnesses, split=split or None, bound=bound, budget=env.budget
+            p, lam, hint=hint, witnesses=witnesses, split=split or None, bound=bound
         )
         audit = dict(r.audit)
         audit["error_support"] = repr(r.error_support.ideal)
@@ -969,9 +964,7 @@ def _stmt_identity(env: Scenario, ts: TokenStream):
                 return env.cycles[side_spec[1]].scale(k)
             a = _corr_operand(env, side_spec[1])
             b = _corr_operand(env, side_spec[2])
-            r = compose_localized(
-                a, b, hint=hint, witnesses=witnesses, split=split or None, budget=env.budget
-            )
+            r = compose_localized(a, b, hint=hint, witnesses=witnesses, split=split or None)
             results.append(r)
             return r.main.scale(k)
 
@@ -980,7 +973,7 @@ def _stmt_identity(env: Scenario, ts: TokenStream):
         ok = lhs == rhs
         detail = "" if ok else f"{lhs!r} != {rhs!r}"
         for r in results:
-            if ok and not bound.contains(r.error_support, env.budget):
+            if ok and not bound.contains(r.error_support):
                 ok = False
                 detail = "error support escapes the declared bound"
         return TaskResult(name, "identity", PASS if ok else FAIL, detail, {
@@ -1009,7 +1002,7 @@ def _stmt_property(env: Scenario, ts: TokenStream):
     def run() -> TaskResult:
         from .residues import trace_property_check
 
-        got = trace_property_check(pres, which_tok.text, env.budget)
+        got = trace_property_check(pres, which_tok.text)
         if got == "fail":
             return TaskResult(name, "property", FAIL, f"{which_tok.text} check failed")
         if got == want_tok.text:
@@ -1054,7 +1047,7 @@ def _stmt_symbol(env: Scenario, ts: TokenStream):
     ts.expect(")")
     ts.expect("]")
     ts.pos = end
-    env.symbols[name] = KoszulFraction(numerator, tuple(denoms), chart, budget=env.budget)
+    env.symbols[name] = KoszulFraction(numerator, tuple(denoms), chart)
 
 
 def _stmt_class(env: Scenario, ts: TokenStream):
@@ -1086,7 +1079,7 @@ def _stmt_class(env: Scenario, ts: TokenStream):
         witness = _parse_point(env, ts)
 
     def run() -> TaskResult:
-        frac = cycle_class_at_chart(W, params, chart, witness, env.budget)
+        frac = cycle_class_at_chart(W, params, chart, witness)
         env.symbols[name] = frac
         return TaskResult(name, "class", PASS, "", {"symbol": repr(frac)})
 
@@ -1148,7 +1141,7 @@ def _stmt_assert(env: Scenario, ts: TokenStream):
             rhs = _form_expr(ts, pres.base_ring())
 
         def run() -> TaskResult:
-            out = trace_form(pres, arg, env.budget)
+            out = trace_form(pres, arg)
             ok = out.output.is_zero() if rhs is None else out.output == rhs
             return TaskResult(
                 task_name, "assert", PASS if ok else FAIL,
@@ -1180,7 +1173,7 @@ def _stmt_assert(env: Scenario, ts: TokenStream):
     def run_cmp() -> TaskResult:
         s1 = _resolve_symbol(env, lhs_name, task_name)
         s2 = _resolve_symbol(env, rhs_name, task_name).scale(scale * sign)
-        ok = s1.equal(s2, env.budget)
+        ok = s1.equal(s2)
         return TaskResult(task_name, "assert", PASS if ok else FAIL,
                           "" if ok else f"{s1!r} != {scale}*{s2!r}", {})
 
@@ -1240,7 +1233,7 @@ def _stmt_vanish(env: Scenario, ts: TokenStream):
         witness = _parse_point(env, ts)
 
     def run() -> TaskResult:
-        rep = vanishing_check(V, factor_indices, r, pf, pr, chart, witness, budget=env.budget)
+        rep = vanishing_check(V, factor_indices, r, pf, pr, chart, witness)
         ok = rep.all_vanish
         return TaskResult(
             name, "vanish", PASS if ok else FAIL,
@@ -1271,7 +1264,7 @@ def _stmt_push(env: Scenario, ts: TokenStream):
     expected = _parse_cycle_body(env, ts)
 
     def run() -> TaskResult:
-        out = push_forward(a, f, psi, env.budget)
+        out = push_forward(a, f, psi)
         env.cycles[name] = out
         ok = out == expected
         return TaskResult(
@@ -1319,7 +1312,7 @@ def _stmt_divisor(env: Scenario, ts: TokenStream):
         expected = _parse_cycle_body(env, ts, space=space)
 
     def run() -> TaskResult:
-        out = principal_divisor_line(num, den, space, env.budget)
+        out = principal_divisor_line(num, den, space)
         env.cycles[name] = out
         ok = True
         detail = ""
@@ -1378,26 +1371,20 @@ _STATEMENTS = {
 # runner
 
 def run_scenario(env: Scenario) -> Report:
-    report = Report(
-        characteristic=env.characteristic,
-        budgets={"max_pairs": env.budget.max_pairs, "max_degree": env.budget.max_degree},
-    )
+    report = Report(characteristic=env.characteristic, budgets=asdict(env.budget))
     start = time.time()
-    for task in env.tasks:
-        try:
-            result = task.run()
-        except PolicyReject as exc:
-            result = TaskResult(task.name, task.kind, POLICY_REJECT, str(exc))
-        except BudgetExceeded as exc:
-            result = TaskResult(task.name, task.kind, ERROR, str(exc))
-        except RegularityError as exc:
-            result = TaskResult(task.name, task.kind, ERROR, str(exc))
-        except EngineError as exc:
-            result = TaskResult(task.name, task.kind, ERROR, str(exc))
-        report.add(result)
+    with budget_scope(env.budget):
+        for task in env.tasks:
+            try:
+                result = task.run()
+            except PolicyReject as exc:
+                result = TaskResult(task.name, task.kind, POLICY_REJECT, str(exc))
+            except EngineError as exc:
+                result = TaskResult(task.name, task.kind, ERROR, str(exc))
+            report.add(result)
     report.timing_seconds = time.time() - start
     return report
 
 
-def run_scenario_text(text: str, characteristic: int | None = None, budget: Budget = DEFAULT_BUDGET) -> Report:
-    return run_scenario(parse_scenario(text, characteristic, budget))
+def run_scenario_text(text: str, characteristic: int | None = None) -> Report:
+    return run_scenario(parse_scenario(text, characteristic))

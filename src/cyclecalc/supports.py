@@ -23,7 +23,7 @@ from .geometry import (
     projection_proper_certificate,
     whole_space,
 )
-from .groebner import Budget, DEFAULT_BUDGET, Ideal, ideal_product
+from .groebner import Ideal, ideal_product
 from .verdicts import Verdict
 
 
@@ -46,11 +46,7 @@ class SupportFamily:
     def full(space: Space) -> "SupportFamily":
         return SupportFamily(space, [whole_space(space)])
 
-    @staticmethod
-    def empty_only(space: Space) -> "SupportFamily":
-        return SupportFamily(space, [])
-
-    def union_set(self, budget: Budget = DEFAULT_BUDGET) -> ClosedSet:
+    def union_set(self) -> ClosedSet:
         """The union of the generators, as one closed set.
 
         Uses the product ideal: same locus as the intersection of the ideals,
@@ -61,33 +57,31 @@ class SupportFamily:
         I = self.generators[0].ideal
         for g in self.generators[1:]:
             I = ideal_product(I, g.ideal)
-        return ClosedSet(self.space, I, presaturated=True, budget=budget)
+        return ClosedSet(self.space, I, presaturated=True)
 
-    def member(self, Z: ClosedSet, budget: Budget = DEFAULT_BUDGET) -> bool:
+    def member(self, Z: ClosedSet) -> bool:
         """Z in the family, i.e. Z inside the union of the generators."""
         if Z.space != self.space:
             raise RingMismatch("membership test across spaces")
         if Z.is_empty():
             return True
-        return self.union_set(budget).contains(Z, budget)
+        return self.union_set().contains(Z)
 
-    def subfamily_of(self, other: "SupportFamily", budget: Budget = DEFAULT_BUDGET) -> bool:
-        return all(other.member(g, budget) for g in self.generators)
+    def subfamily_of(self, other: "SupportFamily") -> bool:
+        return all(other.member(g) for g in self.generators)
 
     def __repr__(self):
         return f"Family({', '.join(map(repr, self.generators))})"
 
 
-def preimage_family(f: Morphism, psi: SupportFamily, budget: Budget = DEFAULT_BUDGET) -> SupportFamily:
+def preimage_family(f: Morphism, psi: SupportFamily) -> SupportFamily:
     """Family generated by the preimages of the generators."""
     if psi.space != f.target:
         raise RingMismatch("family not on the target of f")
-    return SupportFamily(f.source, [preimage(f, g, budget) for g in psi.generators])
+    return SupportFamily(f.source, [preimage(f, g) for g in psi.generators])
 
 
-def product_family(
-    phi: SupportFamily, psi: SupportFamily, prod: ProductStructure, budget: Budget = DEFAULT_BUDGET
-) -> SupportFamily:
+def product_family(phi: SupportFamily, psi: SupportFamily, prod: ProductStructure) -> SupportFamily:
     """Family on the product generated by pairwise products of generators."""
     if prod.factors[0] != phi.space or prod.factors[1] != psi.space:
         raise RingMismatch("product structure does not match the families")
@@ -99,7 +93,7 @@ def product_family(
                 list(prod.inject_ideal(0, a.ideal).gens)
                 + list(prod.inject_ideal(1, b.ideal).gens),
             )
-            gens.append(ClosedSet(prod.space, I, budget=budget))
+            gens.append(ClosedSet(prod.space, I))
     return SupportFamily(prod.space, gens)
 
 
@@ -108,7 +102,6 @@ def in_P_family(
     phi: SupportFamily,
     psi: SupportFamily,
     prod: ProductStructure,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Membership in P(phi, psi) on the product X x Y.
 
@@ -120,7 +113,7 @@ def in_P_family(
     if Z.is_empty():
         return Verdict.YES
     try:
-        projection_proper_certificate(Z, {1}, prod, budget)
+        projection_proper_certificate(Z, {1}, prod)
     except PolicyReject:
         return Verdict.REJECT
 
@@ -128,7 +121,7 @@ def in_P_family(
     pulled = SupportFamily(
         prod.space,
         [
-            ClosedSet(prod.space, prod.inject_ideal(1, v.ideal), budget=budget)
+            ClosedSet(prod.space, prod.inject_ideal(1, v.ideal))
             for v in psi.generators
         ],
     )
@@ -139,9 +132,8 @@ def in_P_family(
                 prod.space.ring,
                 list(Z.ideal.gens) + list(prod.inject_ideal(0, w.ideal).gens),
             ),
-            budget=budget,
         )
-        if not pulled.member(cap, budget):
+        if not pulled.member(cap):
             return Verdict.NO
     return Verdict.YES
 
@@ -151,7 +143,6 @@ def check_Vstar_morphism(
     phi: SupportFamily,
     psi: SupportFamily,
     variance: str,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Side conditions for f to act on supported classes.
 
@@ -164,14 +155,14 @@ def check_Vstar_morphism(
             raise RingMismatch("families do not match the morphism")
         for w in phi.generators:
             try:
-                morphism_proper_on(f, w, budget)
+                morphism_proper_on(f, w)
             except PolicyReject:
                 return Verdict.REJECT
-            if not psi.member(image_closure(f, w, budget), budget):
+            if not psi.member(image_closure(f, w)):
                 return Verdict.NO
         return Verdict.YES
     if variance == "pull":
         if phi.space != f.source or psi.space != f.target:
             raise RingMismatch("families do not match the morphism")
-        return Verdict.of(preimage_family(f, psi, budget).subfamily_of(phi, budget))
+        return Verdict.of(preimage_family(f, psi).subfamily_of(phi))
     raise EngineError(f"unknown variance {variance!r}")

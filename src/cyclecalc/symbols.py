@@ -24,8 +24,6 @@ from .errors import EngineError, RegularityError, RingMismatch
 from .forms import Form, wedge_all
 from .geometry import PrimeComponent, smooth_at
 from .groebner import (
-    Budget,
-    DEFAULT_BUDGET,
     Ideal,
     cofactor_lift,
     groebner,
@@ -56,11 +54,11 @@ class Chart:
 NO_CHART = Chart()
 
 
-def _localized(I: Ideal, chart: Chart, budget: Budget) -> Ideal:
+def _localized(I: Ideal, chart: Chart) -> Ideal:
     d = chart.product(I.ring)
     if d is None:
         return I
-    return saturate_poly(I, d, budget)
+    return saturate_poly(I, d)
 
 
 def _as_form(m) -> Form:
@@ -87,7 +85,6 @@ class KoszulFraction:
         numerator,
         denominators: Sequence[Poly],
         chart: Chart = NO_CHART,
-        budget: Budget = DEFAULT_BUDGET,
         _certificate=None,
     ):
         num = _as_form(numerator)
@@ -99,14 +96,14 @@ class KoszulFraction:
         self.denominators = denominators
         self.chart = chart
         if _certificate is None:
-            _certificate = verify_regular_sequence(self.ring, denominators, chart, budget)
+            _certificate = verify_regular_sequence(self.ring, denominators, chart)
         self.certificate = _certificate
         if _certificate.empty_in_chart:
             self.numerator = Form.zero(self.ring, num.degree)
             self._gb = None
             return
-        loc = _localized(Ideal(self.ring, list(denominators)), chart, budget)
-        self._gb = groebner(loc, budget=budget)
+        loc = _localized(Ideal(self.ring, list(denominators)), chart)
+        self._gb = groebner(loc)
         self.numerator = num.map_coefficients(self._gb.normal_form)
 
     # -- predicates ------------------------------------------------------------
@@ -153,7 +150,7 @@ class KoszulFraction:
 
     # -- rewriting rules ----------------------------------------------------------
 
-    def transform(self, new_denominators: Sequence[Poly], budget: Budget = DEFAULT_BUDGET) -> "KoszulFraction":
+    def transform(self, new_denominators: Sequence[Poly]) -> "KoszulFraction":
         """Rewrite with denominators t' where (t') is contained in (t).
 
         Each t'_i is lifted as t'_i = sum_j T_ij t_j; the result is
@@ -165,19 +162,15 @@ class KoszulFraction:
         I = self.denominator_ideal()
         rows = []
         for tp in new:
-            rows.append(cofactor_lift(tp, I, budget))
+            rows.append(cofactor_lift(tp, I))
         det = _determinant(rows, self.ring)
-        return KoszulFraction(
-            self.numerator.scale(det), new, self.chart, budget=budget
-        )
+        return KoszulFraction(self.numerator.scale(det), new, self.chart)
 
-    def cousin_boundary(self, extra: Poly, budget: Budget = DEFAULT_BUDGET) -> "KoszulFraction":
+    def cousin_boundary(self, extra: Poly) -> "KoszulFraction":
         """Boundary of the localization sequence: [m/extra / t] -> [m / t, extra]."""
-        return KoszulFraction(
-            self.numerator, self.denominators + (extra,), self.chart, budget=budget
-        )
+        return KoszulFraction(self.numerator, self.denominators + (extra,), self.chart)
 
-    def cup(self, other: "KoszulFraction", budget: Budget = DEFAULT_BUDGET) -> "KoszulFraction":
+    def cup(self, other: "KoszulFraction") -> "KoszulFraction":
         """[a/s] cup [b/t] = [a wedge b / (s, t)]."""
         if other.ring != self.ring or other.chart != self.chart:
             raise EngineError("cup requires one ring and one chart")
@@ -185,12 +178,11 @@ class KoszulFraction:
             self.numerator.wedge(other.numerator),
             self.denominators + other.denominators,
             self.chart,
-            budget=budget,
         )
 
     # -- equality across denominators ------------------------------------------------
 
-    def equal(self, other: "KoszulFraction", budget: Budget = DEFAULT_BUDGET, power_cap: int = 24) -> bool:
+    def equal(self, other: "KoszulFraction", power_cap: int = 24) -> bool:
         """Equality via a common refinement of the denominators.
 
         The refinement is built from powers of this fraction's denominators,
@@ -206,11 +198,11 @@ class KoszulFraction:
             return True
         if self.denominators == other.denominators:
             return (self - other).is_zero()
-        A = _localized(self.denominator_ideal(), self.chart, budget)
-        B = _localized(other.denominator_ideal(), other.chart, budget)
+        A = _localized(self.denominator_ideal(), self.chart)
+        B = _localized(other.denominator_ideal(), other.chart)
         # different loci can only agree at zero
-        if not all(radical_member(g, A, budget) for g in B.gens) or not all(
-            radical_member(g, B, budget) for g in A.gens
+        if not all(radical_member(g, A) for g in B.gens) or not all(
+            radical_member(g, B) for g in A.gens
         ):
             return self.is_zero() and other.is_zero()
         unit = self.chart.product(self.ring) or self.ring.one()
@@ -218,15 +210,15 @@ class KoszulFraction:
         refinement = []
         self_scalers = []
         for t in self.denominators:
-            n, k = _power_with_unit(t, B_raw, unit, power_cap, budget)
+            n, k = _power_with_unit(t, B_raw, unit, power_cap)
             refinement.append(unit**k * t**n)
             self_scalers.append(unit**k * t ** (n - 1))
         refinement = tuple(refinement)
         factor = self.ring.one()
         for s in self_scalers:
             factor = factor * s
-        left = KoszulFraction(self.numerator.scale(factor), refinement, self.chart, budget=budget)
-        right = other.transform(refinement, budget)
+        left = KoszulFraction(self.numerator.scale(factor), refinement, self.chart)
+        right = other.transform(refinement)
         return (left - right).is_zero()
 
     # -- display -----------------------------------------------------------------
@@ -243,7 +235,7 @@ class RegularityCertificate:
 
 
 def verify_regular_sequence(
-    ring: Ring, ts: Sequence[Poly], chart: Chart = NO_CHART, budget: Budget = DEFAULT_BUDGET
+    ring: Ring, ts: Sequence[Poly], chart: Chart = NO_CHART
 ) -> RegularityCertificate:
     """Stepwise dimension-drop check (valid in the Cohen-Macaulay ambient).
 
@@ -253,10 +245,10 @@ def verify_regular_sequence(
     n = ring.nvars
     dims = []
     for i in range(1, len(ts) + 1):
-        I = _localized(Ideal(ring, list(ts[:i])), chart, budget)
-        if is_unit_ideal(I, budget):
+        I = _localized(Ideal(ring, list(ts[:i])), chart)
+        if is_unit_ideal(I):
             return RegularityCertificate(tuple(dims), True)
-        d = krull_dim(I, budget)
+        d = krull_dim(I)
         if d != n - i:
             raise RegularityError(
                 f"sequence fails to drop dimension at step {i}: dim {d} != {n - i}"
@@ -279,14 +271,14 @@ def _determinant(rows: list, ring: Ring) -> Poly:
     return det
 
 
-def _power_with_unit(t: Poly, target: Ideal, unit: Poly, cap: int, budget: Budget):
+def _power_with_unit(t: Poly, target: Ideal, unit: Poly, cap: int):
     """Smallest (n, k) with unit^k * t^n in the (raw) target ideal."""
     trivial_unit = unit.is_constant()
     p = t
     for n in range(1, cap + 1):
         q = p
         for k in range(0, (0 if trivial_unit else cap) + 1):
-            if member(q, target, budget):
+            if member(q, target):
                 return n, k
             q = q * unit
         p = p * t
@@ -301,7 +293,6 @@ def cycle_class_at_chart(
     params: Sequence[Poly],
     chart: Chart = NO_CHART,
     witness: dict | None = None,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> KoszulFraction:
     """cl(W) at a chart where W is cut by the regular parameters.
 
@@ -314,32 +305,30 @@ def cycle_class_at_chart(
     c = cs.codim
     if len(params) != c:
         raise EngineError(f"expected {c} parameters for a codim-{c} component")
-    IW_loc = _localized(cs.ideal, chart, budget)
+    IW_loc = _localized(cs.ideal, chart)
     for t in params:
-        if not member(t, IW_loc, budget):
+        if not member(t, IW_loc):
             raise EngineError(f"parameter {t} does not vanish on {W.label} at the chart")
-    It_loc = _localized(Ideal(ring, list(params)), chart, budget)
+    It_loc = _localized(Ideal(ring, list(params)), chart)
     for g in cs.ideal.gens:
-        if not member(g, It_loc, budget):
+        if not member(g, It_loc):
             raise EngineError(
                 f"parameters fail to cut {W.label} at the chart: {g} escapes"
             )
-    if witness is not None and not smooth_at(cs, witness, budget):
+    if witness is not None and not smooth_at(cs, witness):
         raise EngineError(f"{W.label} is not smooth at the declared witness")
     numerator = wedge_all([Form.d(t) for t in params]) if params else Form.from_poly(ring.one())
-    frac = KoszulFraction(numerator, tuple(params), chart, budget=budget)
+    frac = KoszulFraction(numerator, tuple(params), chart)
     return frac if c % 2 == 0 else -frac
 
 
-def lci_trace_symbol(
-    a: Poly, params: Sequence[Poly], chart: Chart = NO_CHART, budget: Budget = DEFAULT_BUDGET
-) -> KoszulFraction:
+def lci_trace_symbol(a: Poly, params: Sequence[Poly], chart: Chart = NO_CHART) -> KoszulFraction:
     """Image of a * t_1^v ^ ... ^ t_c^v under the regular-embedding trace.
 
     The sign is (-1)^{c(c+1)/2}; the lift of a is the polynomial handed in.
     """
     c = len(params)
-    frac = KoszulFraction(Form.from_poly(a), tuple(params), chart, budget=budget)
+    frac = KoszulFraction(Form.from_poly(a), tuple(params), chart)
     sign = (-1) ** (c * (c + 1) // 2)
     return frac if sign == 1 else -frac
 
@@ -377,7 +366,6 @@ def vanishing_check(
     chart: Chart = NO_CHART,
     witness: dict | None = None,
     factor_name: str = "factor",
-    budget: Budget = DEFAULT_BUDGET,
 ) -> VanishingReport:
     """Projection-vanishing of the cycle class of V inside a product.
 
@@ -395,9 +383,7 @@ def vanishing_check(
             raise EngineError(
                 f"parameter {t} uses variables outside the projected factor"
             )
-    cl = cycle_class_at_chart(
-        V, list(params_factor) + list(params_rest), chart, witness, budget
-    )
+    cl = cycle_class_at_chart(V, list(params_factor) + list(params_rest), chart, witness)
     verdicts = []
     for q in range(r):
         part = split_and_project(cl, factor_indices, q)

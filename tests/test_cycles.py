@@ -169,10 +169,9 @@ def test_pullback_then_push_squares():
     fa = push_forward(a, f, SupportFamily.full(Y))
     # restrict to the hyperplane v = 0 on both sides
     from cyclecalc.axioms import _restrict_to_hyperplane
-    from cyclecalc.groebner import DEFAULT_BUDGET
 
-    lhs = _restrict_to_hyperplane(fa, RY.var("v"), DEFAULT_BUDGET)
-    aX = _restrict_to_hyperplane(a, RX.var("y"), DEFAULT_BUDGET)
+    lhs = _restrict_to_hyperplane(fa, RY.var("v"))
+    aX = _restrict_to_hyperplane(a, RX.var("y"))
     rhs = push_forward(aX.with_family(SupportFamily.full(X)), f, SupportFamily.full(Y))
     assert lhs == rhs
 

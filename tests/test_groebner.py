@@ -11,6 +11,7 @@ from cyclecalc.groebner import (
     Budget,
     Ideal,
     buchberger_audit,
+    budget_scope,
     cofactor_lift,
     eliminate,
     fiber_staircase,
@@ -230,8 +231,8 @@ def test_budget_exceeded_distinct():
     tiny = Budget(max_pairs=1, max_degree=2)
     R = ring_over(0, ["x", "y", "z"])
     x, y, z = R.gens()
-    with pytest.raises(BudgetExceeded):
-        groebner(Ideal(R, [x**3 - y * z + x, y**3 - x * z, z**3 + x * y * z]), None, tiny)
+    with budget_scope(tiny), pytest.raises(BudgetExceeded):
+        groebner(Ideal(R, [x**3 - y * z + x, y**3 - x * z, z**3 + x * y * z]))
 
 
 def test_fiber_staircase():
@@ -371,7 +372,8 @@ def test_pair_selection_budget_is_exact(n, char, pairs):
     names are this test's own, because the cache ignores the budget and a
     hit would skip the run."""
     I = _cyclic(n, ring_over(char, [f"sel{n}_{i}" for i in range(n)]))
-    with pytest.raises(BudgetExceeded):
-        groebner(I, None, Budget(max_pairs=pairs - 1))
-    gb = groebner(I, None, Budget(max_pairs=pairs))
+    with budget_scope(Budget(max_pairs=pairs - 1)), pytest.raises(BudgetExceeded):
+        groebner(I)
+    with budget_scope(Budget(max_pairs=pairs)):
+        gb = groebner(I)
     assert buchberger_audit(gb)

@@ -8,7 +8,7 @@ import sympy
 
 from cyclecalc.errors import BudgetExceeded, EngineError
 from cyclecalc.forms import Form
-from cyclecalc.groebner import Budget
+from cyclecalc.groebner import Budget, budget_scope
 from cyclecalc.poly import ring_over
 from cyclecalc.residues import (
     FinitePresentation,
@@ -218,7 +218,7 @@ def test_trace_form_groebner_sees_the_budget():
     ring = ring_over(0, ["tfb", "tfs", "tft"])
     b, s, t = ring.gens()
     pres = FinitePresentation(ring, ("tfb",), ("tfs", "tft"), (s**2 + b * t, s * t + 1))
-    with pytest.raises(BudgetExceeded) as err:
-        trace_form(pres, Form.from_poly(ring.one()), Budget(max_pairs=0))
+    with budget_scope(Budget(max_pairs=0)), pytest.raises(BudgetExceeded) as err:
+        trace_form(pres, Form.from_poly(ring.one()))
     names = [entry.name for entry in err.traceback]
     assert names[names.index("groebner") - 1] == "trace_form"

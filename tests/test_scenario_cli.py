@@ -1,5 +1,6 @@
 """Scenario parsing, report schema, determinism, and the CLI surface."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -8,9 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from cyclecalc.axioms import run_axiom_harness
 from cyclecalc.errors import ScenarioError
+from cyclecalc.groebner import Budget, budget_scope, current_budget
 from cyclecalc.report import Report, TaskResult
 from cyclecalc.scenario import parse_scenario, run_scenario, run_scenario_text
+
+# the module, not the function that `cyclecalc.groebner` names
+groebner_mod = importlib.import_module("cyclecalc.groebner")
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -72,12 +78,42 @@ def test_report_verdict_consistency():
         assert task["name"] in text_render
 
 
-def test_report_schema_golden_file():
-    text = (SCENARIOS / "tangency.scn").read_text()
-    rep = run_scenario_text(text)
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+def test_report_schema_golden_file(path):
+    rep = run_scenario_text(path.read_text())
     got = json.loads(rep.to_json(with_timing=False))
-    golden = json.loads((GOLDEN / "tangency_report.json").read_text())
+    golden = json.loads((GOLDEN / f"{path.stem}_report.json").read_text())
     assert got == golden
+
+
+def test_every_groebner_run_sees_the_run_budget(monkeypatch):
+    """Every Buchberger run of a scenario (declarations and tasks) and of the
+    axiom harness is bounded by the scope's budget, not the default.  The
+    cache is emptied first, since a hit runs no S-pair and checks nothing;
+    the scenarios are parsed inside the scope and run outside it, so the
+    tasks see the budget the declarations saw."""
+    run_budget = Budget(max_pairs=49_999)
+    checked = []
+    check_pairs = Budget.check_pairs
+
+    def record(self, n):
+        checked.append(self)
+        return check_pairs(self, n)
+
+    monkeypatch.setattr(Budget, "check_pairs", record)
+    monkeypatch.setattr(groebner_mod, "_gb_cache", {})
+    reports = []
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        with budget_scope(run_budget):
+            env = parse_scenario(path.read_text())
+        reports.append(run_scenario(env))
+    with budget_scope(run_budget):
+        reports += [run_axiom_harness(char) for char in (0, 5)]
+    assert current_budget() == Budget()
+    assert checked and all(b is run_budget for b in checked)
+    for rep in reports:
+        assert rep.ok
+        assert rep.budgets == {"max_pairs": 49_999, "max_degree": 120}
 
 
 def test_report_counts_and_rejects():

@@ -8,7 +8,7 @@ import pytest
 from cyclecalc.errors import BudgetExceeded, EngineError, RegularityError
 from cyclecalc.forms import Form
 from cyclecalc.geometry import PrimeComponent, Space, affine, closed_set
-from cyclecalc.groebner import Budget, Ideal, member
+from cyclecalc.groebner import Budget, Ideal, budget_scope, member
 from cyclecalc.poly import ring_over
 from cyclecalc.symbols import (
     Chart,
@@ -248,7 +248,7 @@ def test_fraction_groebner_sees_the_budget():
     ring = ring_over(0, ["kfa", "kfb"])
     a, b = ring.gens()
     certificate = RegularityCertificate((1, 0), False)
-    with pytest.raises(BudgetExceeded) as err:
-        KoszulFraction(ring.one(), (a**2 + b, a * b + 1), budget=Budget(max_pairs=0), _certificate=certificate)
+    with budget_scope(Budget(max_pairs=0)), pytest.raises(BudgetExceeded) as err:
+        KoszulFraction(ring.one(), (a**2 + b, a * b + 1), _certificate=certificate)
     names = [entry.name for entry in err.traceback]
     assert names[names.index("groebner") - 1] == "__init__"
