@@ -14,12 +14,14 @@ groebner() reads the scope once per cache miss and is the only place a budget
 is checked; exceeding it raises BudgetExceeded, never a silent truncation.
 
 The reduced basis for a fixed (generator tuple, order) is unique, so every
-result here is reproducible across runs; results are memoized on that key.
+result here is reproducible across runs; results are memoized on that key,
+in a cache that drops the least recently used basis once it is full.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -130,37 +132,61 @@ def _mul_monomial(p: Poly, exp, coeff) -> Poly:
     )
 
 
+def _neg_key(k):
+    """An order key with every integer negated, nested (block) keys part by
+    part, so that a min-heap of negated keys pops the largest monomial first."""
+    return tuple([-x if type(x) is int else _neg_key(x) for x in k])
+
+
 def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence | None = None):
     """Multivariate division: f = sum(q_i * basis_i) + r.
 
     Returns (r, [q_i]); no term of r is divisible by any leading term of the
-    basis.  Deterministic: always reduces by the first divisor in basis order.
+    basis.  Deterministic: terms are taken largest first, and each is reduced
+    by the first basis element, in basis order, whose leading term divides it.
     `leads`, when given, holds leading(basis_i, order) for every i.
+
+    The working terms sit in a heap of (negated order key, exponent), after
+    Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011):
+    a term's key is computed once, when it enters the working set.  A term
+    that cancels stays in the heap and is skipped when popped; one that
+    reappears later is pushed again.
     """
     ring = f.ring
     fld = ring.field
+    zero = fld.zero
+    key = order.key
     lead = [leading(g, order) for g in basis] if leads is None else leads
     quots: list[dict] = [dict() for _ in basis]
     rem: dict = {}
     work = dict(f.terms)
-    while work:
-        e = max(work, key=order.key)
-        c = work.pop(e)
+    heap = [(_neg_key(key(e)), e) for e in work]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:  # cancelled after it was queued
+            continue
         for i, (le, lc) in enumerate(lead):
             if exp_divides(le, e):
                 q_exp = exp_sub(e, le)
                 q_coeff = fld.div(c, lc)
-                quots[i][q_exp] = fld.add(quots[i].get(q_exp, fld.zero), q_coeff)
-                if quots[i][q_exp] == fld.zero:
-                    del quots[i][q_exp]
-                # work -= q * g  (the leading term cancels by construction)
+                # each e is taken once, so q_exp is new to quots[i]
+                quots[i][q_exp] = q_coeff
+                # work -= q * g  (the leading term cancels by construction);
+                # every new term is smaller than e
                 for ge, gc in basis[i].terms.items():
                     if ge == le:
                         continue
                     te = exp_add(ge, q_exp)
-                    v = fld.sub(work.get(te, fld.zero), fld.mul(gc, q_coeff))
-                    if v == fld.zero:
-                        work.pop(te, None)
+                    old = work.get(te)
+                    if old is None:
+                        work[te] = fld.sub(zero, fld.mul(gc, q_coeff))
+                        heapq.heappush(heap, (_neg_key(key(te)), te))
+                        continue
+                    v = fld.sub(old, fld.mul(gc, q_coeff))
+                    if v == zero:
+                        del work[te]
                     else:
                         work[te] = v
                 break
@@ -288,7 +314,10 @@ class GBasis:
 # One basis per (ring, gens, order); a basis with cofactors also answers
 # plain requests, and a cofactor request replaces a basis without them.  The
 # key ignores the budget: a hit runs no S-pair, so there is nothing to bound.
-_gb_cache: dict = {}
+# Least recently used bases are evicted past _GB_CACHE_MAX entries, far above
+# what the shipped scenarios fill in one process (394).
+_GB_CACHE_MAX = 4096
+_gb_cache: OrderedDict = OrderedDict()
 
 # When enabled, every basis computed is recorded for the suite-wide
 # Buchberger zero-reduction audit.
@@ -342,6 +371,7 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
     key = (I.ring, I.gens, order)
     hit = _gb_cache.get(key)
     if hit is not None and (hit.reps is not None or not cofactors):
+        _gb_cache.move_to_end(key)
         return hit
 
     budget = _scoped_budget.get()
@@ -391,6 +421,9 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
 
     gb = _finalize(I, order, G, cofactors)
     _gb_cache[key] = gb
+    _gb_cache.move_to_end(key)
+    if len(_gb_cache) > _GB_CACHE_MAX:
+        _gb_cache.popitem(last=False)
     if _audit_enabled:
         _audit_log.append(gb)
     return gb

@@ -8,6 +8,7 @@ earlier block beats every monomial that does not.
 
 from __future__ import annotations
 
+from operator import add, le, neg, sub
 from typing import Sequence
 
 
@@ -53,7 +54,7 @@ class _Degrevlex(MonomialOrder):
         self.nvars = nvars
 
     def key(self, exp):
-        return (sum(exp),) + tuple(-exp[i] for i in range(len(exp) - 1, -1, -1))
+        return (sum(exp), *map(neg, reversed(exp)))
 
 
 class _Lex(MonomialOrder):
@@ -73,8 +74,8 @@ class _Block(MonomialOrder):
     def key(self, exp):
         parts = []
         for block in self.blocks:
-            sub = tuple(exp[i] for i in block)
-            parts.append((sum(sub),) + tuple(-s for s in reversed(sub)))
+            part = [exp[i] for i in block]
+            parts.append((sum(part), *map(neg, reversed(part))))
         return tuple(parts)
 
 
@@ -93,16 +94,16 @@ def block_order(first: Sequence[int], second: Sequence[int]) -> MonomialOrder:
 
 def exp_divides(a, b) -> bool:
     """Does monomial a divide monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))

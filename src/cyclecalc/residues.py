@@ -192,7 +192,9 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
     if alpha.ring != ring:
         raise RingMismatch("form must be presented on the ambient ring")
     d = pres.d
-    gb = groebner(Ideal(ring, list(pres.t)))
+    # residue() lifts over this same ideal, so compute the cofactors now
+    # rather than a second basis there
+    gb = groebner(Ideal(ring, list(pres.t)), cofactors=True)
     lifted = alpha.map_coefficients(gb.normal_form)
     # dt_d ^ ... ^ dt_1 ^ alpha~, in exactly that order
     dts = [Form.d(t) for t in reversed(pres.t)]

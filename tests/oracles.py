@@ -2,8 +2,9 @@
 
 These deliberately avoid the engine's own computation paths: the residue
 oracle inverts and traces inside sympy's univariate arithmetic, the
-univariate factorization and gcd oracles call sympy's, and the elimination
-oracle is a Sylvester determinant.
+univariate factorization and gcd oracles call sympy's, the elimination
+oracle is a Sylvester determinant, and the division oracle is the plain
+largest-term scan that the engine's heap-ordered division replaced.
 """
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import sympy
 
 from cyclecalc.errors import EngineError
+from cyclecalc.groebner import leading
 from cyclecalc.poly import Poly, Ring, pow_scalar
 from cyclecalc.symbols import _determinant
 
@@ -128,3 +130,39 @@ def sympy_gcd_univariate(p: Poly, q: Poly, var_index: int) -> Poly:
         return out
     lc = out.terms[max(out.terms, key=lambda e: e[var_index])]
     return out.monic_by(lc)
+
+
+def reference_divide(f: Poly, basis, order, leads=None):
+    """Multivariate division by rescanning the working terms for the largest
+    at every step; the same contract as cyclecalc.groebner.divide.  Exponent
+    arithmetic is spelled out here rather than taken from cyclecalc.orders."""
+    ring = f.ring
+    fld = ring.field
+    lead = [leading(g, order) for g in basis] if leads is None else leads
+    quots: list[dict] = [dict() for _ in basis]
+    rem: dict = {}
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for i, (le, lc) in enumerate(lead):
+            if all(x <= y for x, y in zip(le, e)):
+                q_exp = tuple(x - y for x, y in zip(e, le))
+                q_coeff = fld.div(c, lc)
+                quots[i][q_exp] = fld.add(quots[i].get(q_exp, fld.zero), q_coeff)
+                if quots[i][q_exp] == fld.zero:
+                    del quots[i][q_exp]
+                # work -= q * g  (the leading term cancels by construction)
+                for ge, gc in basis[i].terms.items():
+                    if ge == le:
+                        continue
+                    te = tuple(x + y for x, y in zip(ge, q_exp))
+                    v = fld.sub(work.get(te, fld.zero), fld.mul(gc, q_coeff))
+                    if v == fld.zero:
+                        work.pop(te, None)
+                    else:
+                        work[te] = v
+                break
+        else:
+            rem[e] = c
+    return Poly(ring, rem), [Poly(ring, q) for q in quots]

@@ -3,6 +3,7 @@ radical membership, cofactor lifts — with independent oracles."""
 
 import importlib
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -346,6 +347,26 @@ def test_plain_and_cofactor_bases_agree(char, order, monkeypatch):
             assert groebner(I, order) is tracked
             assert groebner(I, order, cofactors=True) is tracked
         assert len(cache) == entries + 1
+
+
+def test_basis_cache_evicts_least_recently_used(monkeypatch):
+    """Past _GB_CACHE_MAX bases the least recently used one is dropped; a hit
+    makes its entry the most recent."""
+    cache = OrderedDict()
+    monkeypatch.setattr(groebner_mod, "_gb_cache", cache)
+    bound = groebner_mod._GB_CACHE_MAX
+    R = ring_over(0, ["lru_x"])
+    ideals = [Ideal(R, [R.var(0) - R.const(i)]) for i in range(bound + 1)]
+    order = degrevlex(1)
+    for I in ideals[:bound]:
+        groebner(I, order)
+    assert len(cache) == bound
+    first = groebner(ideals[0], order)  # a hit: ideals[0] is now the most recent
+    groebner(ideals[bound], order)
+    assert len(cache) == bound
+    assert (R, ideals[1].gens, order) not in cache
+    assert cache[(R, ideals[0].gens, order)] is first
+    assert (R, ideals[bound].gens, order) in cache
 
 
 def _cyclic(n, ring):

@@ -1,6 +1,8 @@
 """Residue symbols and finite-morphism traces, against independent oracles."""
 
+import importlib
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ import sympy
 
 from cyclecalc.errors import BudgetExceeded, EngineError
 from cyclecalc.forms import Form
-from cyclecalc.groebner import Budget, budget_scope
+from cyclecalc.groebner import Budget, Ideal, budget_scope
+from cyclecalc.orders import degrevlex
 from cyclecalc.poly import ring_over
 from cyclecalc.residues import (
     FinitePresentation,
@@ -20,6 +23,9 @@ from cyclecalc.residues import (
     trace_form,
     trace_property_check,
 )
+
+# the module, not the function that `cyclecalc.groebner` names
+groebner_mod = importlib.import_module("cyclecalc.groebner")
 
 R = ring_over(0, ["x", "y"])
 X, Y = R.gens()
@@ -222,3 +228,24 @@ def test_trace_form_groebner_sees_the_budget():
         trace_form(pres, Form.from_poly(ring.one()))
     names = [entry.name for entry in err.traceback]
     assert names[names.index("groebner") - 1] == "trace_form"
+
+
+def test_trace_form_and_residue_share_one_basis(monkeypatch):
+    """trace_form asks for the cofactors that residue's lifts need, so the
+    ideal (t) gets one Buchberger run in degrevlex, not a plain one and then
+    one with cofactors."""
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    runs = []
+    finalize = groebner_mod._finalize
+
+    def record(I, order, G, cofactors):
+        runs.append((I, order))
+        return finalize(I, order, G, cofactors)
+
+    monkeypatch.setattr(groebner_mod, "_finalize", record)
+    pres = _pres(Y - X**2)
+    trace_form(pres, Form.d(X).scale(X))
+    residue(ResidueQuery(pres, X))
+    I, order = Ideal(R, [Y - X**2]), degrevlex(2)
+    assert runs.count((I, order)) == 1
+    assert groebner_mod._gb_cache[(R, I.gens, order)].reps is not None

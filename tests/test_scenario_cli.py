@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -101,7 +102,7 @@ def test_every_groebner_run_sees_the_run_budget(monkeypatch):
         return check_pairs(self, n)
 
     monkeypatch.setattr(Budget, "check_pairs", record)
-    monkeypatch.setattr(groebner_mod, "_gb_cache", {})
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
     reports = []
     for path in sorted(SCENARIOS.glob("*.scn")):
         with budget_scope(run_budget):
