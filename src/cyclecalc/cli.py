@@ -21,7 +21,7 @@ from .groebner import Budget, Ideal, budget_scope, buchberger_audit, current_bud
 from .orders import degrevlex, lex
 from .poly import ring_over
 from .report import Report, TaskResult
-from .scenario import TokenStream, _poly_expr, parse_scenario, run_scenario, tokenize
+from .scenario import TokenStream, parse_poly, parse_scenario, run_scenario, tokenize
 
 
 def _budget(args) -> Budget:
@@ -78,7 +78,7 @@ def cmd_groebner(args) -> int:
         if not stmts:
             continue
         ts = TokenStream(stmts[0])
-        gens.append(_poly_expr(ts, ring))
+        gens.append(parse_poly(ts, ring))
         ts.require_done()
     order = lex(ring.nvars) if args.order == "lex" else degrevlex(ring.nvars)
     gb = groebner(Ideal(ring, gens), order)

@@ -1,7 +1,7 @@
 """Machine- and human-readable run reports.
 
-Verdicts are four-valued: pass / fail / policy-reject / inapplicable.  The
-machine rendering is deterministic (timing lives outside the comparable
+Verdicts are five-valued: pass / fail / policy-reject / inapplicable / error.
+The machine rendering is deterministic (timing lives outside the comparable
 payload), and both renderings always carry identical verdicts.
 """
 

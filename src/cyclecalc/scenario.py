@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections import ChainMap
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -156,15 +157,20 @@ def tokenize(text: str):
 
 
 class TokenStream:
-    def __init__(self, tokens: list):
+    def __init__(self, tokens: list, end: Token | None = None):
         self.tokens = tokens
         self.pos = 0
+        # what peek() sees past the last token: a group's closing bracket (see
+        # `_bracketed`), else an end marker at the last token's position
+        if end is None:
+            last = tokens[-1] if tokens else Token("end", "", 0, 0)
+            end = Token("end", "", last.line, last.col)
+        self.end = end
 
     def peek(self) -> Token:
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
-        last = self.tokens[-1] if self.tokens else Token("end", "", 0, 0)
-        return Token("end", "", last.line, last.col)
+        return self.end
 
     def next(self) -> Token:
         tok = self.peek()
@@ -208,17 +214,16 @@ class TokenStream:
     def require_done(self):
         if not self.done():
             tok = self.peek()
-            raise ScenarioError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+            if self.end.kind == "end":
+                raise ScenarioError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+            raise ScenarioError(f"expected {self.end.text!r}, found {tok.text!r}", tok.line, tok.col)
 
 
 # ---------------------------------------------------------------------------
 # expression parsing
 
 def parse_poly(ts: TokenStream, ring: Ring) -> Poly:
-    return _poly_expr(ts, ring)
-
-
-def _poly_expr(ts: TokenStream, ring: Ring) -> Poly:
+    """Read one polynomial in `ring` from `ts` (the literal syntax in the module docstring)."""
     sign = 1
     if ts.accept("-"):
         sign = -1
@@ -276,17 +281,14 @@ def _poly_atom(ts: TokenStream, ring: Ring) -> Poly:
             raise ScenarioError(f"unknown variable {tok.text!r}", tok.line, tok.col) from None
     if tok.text == "(":
         ts.next()
-        inner = _poly_expr(ts, ring)
+        inner = parse_poly(ts, ring)
         ts.expect(")")
         return inner
     raise ScenarioError(f"expected a polynomial, found {tok.text!r}", tok.line, tok.col)
 
 
 def parse_form(ts: TokenStream, ring: Ring) -> Form:
-    return _form_expr(ts, ring)
-
-
-def _form_expr(ts: TokenStream, ring: Ring) -> Form:
+    """Read one differential form with coefficients in `ring` from `ts`."""
     sign = 1
     if ts.accept("-"):
         sign = -1
@@ -319,14 +321,14 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
         tok = ts.peek()
         if tok.text == "[":
             ts.next()
-            sub = _form_expr(ts, ring)
+            sub = parse_form(ts, ring)
             ts.expect("]")
             forms.append(sub)
             saw_any = True
         elif tok.kind == "ident" and tok.text == "d" and ts.tokens[ts.pos + 1 : ts.pos + 2] and ts.tokens[ts.pos + 1].text == "(":
             ts.next()
             ts.expect("(")
-            inner = _poly_expr(ts, ring)
+            inner = parse_poly(ts, ring)
             ts.expect(")")
             forms.append(Form.d(inner))
             saw_any = True
@@ -377,29 +379,15 @@ class Scenario:
     compositions: dict = field(default_factory=dict)
     tasks: list = field(default_factory=list)
 
-    def space_of(self, name: str, tok: Token) -> Space:
-        if name in self.spaces:
-            return self.spaces[name]
-        if name in self.pairs:
-            return self.pairs[name].space
-        raise ScenarioError(f"unknown space {name!r}", tok.line, tok.col)
+    @property
+    def space_table(self) -> ChainMap:
+        """Space names: declared spaces first, then pairs (as their product spaces)."""
+        return ChainMap(self.spaces, {n: p.space for n, p in self.pairs.items()})
 
-    def closed_of(self, name: str, tok: Token) -> ClosedSet:
-        if name in self.closeds:
-            return self.closeds[name]
-        if name in self.primes:
-            return self.primes[name].closed_set
-        raise ScenarioError(f"unknown closed set {name!r}", tok.line, tok.col)
-
-    def prime_of(self, name: str, tok: Token) -> PrimeComponent:
-        if name not in self.primes:
-            raise ScenarioError(f"unknown prime component {name!r}", tok.line, tok.col)
-        return self.primes[name]
-
-    def family_of(self, name: str, tok: Token) -> SupportFamily:
-        if name not in self.families:
-            raise ScenarioError(f"unknown support family {name!r}", tok.line, tok.col)
-        return self.families[name]
+    @property
+    def closed_table(self) -> ChainMap:
+        """Closed-set names: declared closed sets first, then prime components."""
+        return ChainMap(self.closeds, {n: p.closed_set for n, p in self.primes.items()})
 
 
 def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:
@@ -422,6 +410,63 @@ def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
+# grammar helpers: each bracket group, name reference and comma-separated list
+# in a statement is read by one of these
+
+def _bracketed(ts: TokenStream, open_: str, close: str) -> TokenStream:
+    """Consume a balanced `open_ ... close` group and return its inside.
+
+    The inside is a stream of its own that ends at the closing bracket, so a
+    statement can read what follows the group (the space after `{ ... } on`,
+    say) before it parses the group in that space's ring.
+    """
+    start = ts.expect(open_)
+    depth = 1
+    for i in range(ts.pos, len(ts.tokens)):
+        text = ts.tokens[i].text
+        if text == open_:
+            depth += 1
+        elif text == close:
+            depth -= 1
+            if not depth:
+                inside = TokenStream(ts.tokens[ts.pos : i], end=ts.tokens[i])
+                ts.pos = i + 1
+                return inside
+    raise ScenarioError(f"unclosed {open_!r}", start.line, start.col)
+
+
+def _ref(ts: TokenStream, table, what: str):
+    """Read a name and look it up in `table`; an unknown name is a positioned error."""
+    tok = ts.expect_ident()
+    if tok.text not in table:
+        raise ScenarioError(f"unknown {what} {tok.text!r}", tok.line, tok.col)
+    return table[tok.text]
+
+
+def _comma_list(group: TokenStream, read, allow_empty: bool = False) -> list:
+    """The comma-separated items filling `group` (from `_bracketed`), each read by `read(group)`."""
+    items = []
+    if not (allow_empty and group.done()):
+        items.append(read(group))
+        while group.accept(","):
+            items.append(read(group))
+    group.require_done()
+    return items
+
+
+def _poly_list(group: TokenStream, ring: Ring, allow_empty: bool = False) -> list:
+    return _comma_list(group, lambda g: parse_poly(g, ring), allow_empty)
+
+
+def _closed_literal(env: Scenario, ts: TokenStream) -> ClosedSet:
+    """`{ p, ... } on SPACE`: the ring is named after the braces."""
+    gens = _bracketed(ts, "{", "}")
+    ts.expect("on")
+    space = _ref(ts, env.space_table, "space")
+    return ClosedSet(space, Ideal(space.ring, _poly_list(gens, space.ring, allow_empty=True)))
+
+
+# ---------------------------------------------------------------------------
 # statement handlers
 
 def _stmt_char(env: Scenario, ts: TokenStream):
@@ -433,111 +478,47 @@ def _stmt_char(env: Scenario, ts: TokenStream):
         env.characteristic = value
 
 
-def _parse_blocks(env: Scenario, ts: TokenStream) -> list:
-    blocks = []
-
-    def one_block() -> Block:
+def _parse_blocks(ts: TokenStream) -> list:
+    def one_block(ts: TokenStream) -> Block:
         kind_tok = ts.expect_ident()
         if kind_tok.text not in ("affine", "proj"):
             raise ScenarioError("expected affine(...) or proj(...)", kind_tok.line, kind_tok.col)
-        ts.expect("(")
-        names = [ts.expect_ident().text]
-        while ts.accept(","):
-            names.append(ts.expect_ident().text)
-        ts.expect(")")
+        names = _comma_list(_bracketed(ts, "(", ")"), lambda g: g.expect_ident().text)
         return Block(kind_tok.text, tuple(names))
 
-    if ts.at("space"):
-        ts.next()
-        ts.expect("(")
-        blocks.append(one_block())
-        while ts.accept(","):
-            blocks.append(one_block())
-        ts.expect(")")
-    else:
-        blocks.append(one_block())
-    return blocks
+    if ts.accept("space"):
+        return _comma_list(_bracketed(ts, "(", ")"), one_block)
+    return [one_block(ts)]
 
 
 def _stmt_space(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect("=")
-    blocks = _parse_blocks(env, ts)
-    env.spaces[name] = Space(blocks, env.characteristic)
+    env.spaces[name] = Space(_parse_blocks(ts), env.characteristic)
 
 
 def _stmt_pair(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect("=")
-    a = ts.expect_ident()
+    a = _ref(ts, env.space_table, "space")
     ts.expect("**")
-    b = ts.expect_ident()
-    env.pairs[name] = pair_product(env.space_of(a.text, a), env.space_of(b.text, b))
-
-
-def _parse_gens(ts: TokenStream, ring: Ring) -> list:
-    ts.expect("{")
-    gens = []
-    if not ts.at("}"):
-        gens.append(_poly_expr(ts, ring))
-        while ts.accept(","):
-            gens.append(_poly_expr(ts, ring))
-    ts.expect("}")
-    return gens
+    env.pairs[name] = pair_product(a, _ref(ts, env.space_table, "space"))
 
 
 def _stmt_closed(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect("=")
-    # need the space first: peek ahead after gens via 'on'
-    save = ts.pos
-    ts.expect("{")
-    depth = 1
-    while depth:
-        t = ts.next()
-        if t.text == "{":
-            depth += 1
-        elif t.text == "}":
-            depth -= 1
-    ts.expect("on")
-    sp_tok = ts.expect_ident()
-    space = env.space_of(sp_tok.text, sp_tok)
-    end = ts.pos
-    ts.pos = save
-    gens = _parse_gens(ts, space.ring)
-    ts.pos = end
-    env.closeds[name] = ClosedSet(space, Ideal(space.ring, gens))
+    env.closeds[name] = _closed_literal(env, ts)
 
 
 def _stmt_prime(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect("=")
-    if ts.at("closed"):
-        ts.next()
-        ref = ts.expect_ident()
-        cs = env.closed_of(ref.text, ref)
-    elif ts.at("{"):
-        save = ts.pos
-        depth = 0
-        while True:
-            t = ts.next()
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-        ts.expect("on")
-        sp_tok = ts.expect_ident()
-        space = env.space_of(sp_tok.text, sp_tok)
-        end = ts.pos
-        ts.pos = save
-        gens = _parse_gens(ts, space.ring)
-        ts.pos = end
-        cs = ClosedSet(space, Ideal(space.ring, gens))
+    if ts.at("{"):
+        cs = _closed_literal(env, ts)
     else:
-        ref = ts.expect_ident()
-        cs = env.closed_of(ref.text, ref)
+        ts.accept("closed")
+        cs = _ref(ts, env.closed_table, "closed set")
     screen = not ts.accept("noscreen")
     env.primes[name] = PrimeComponent(cs, label=name, screen=screen)
 
@@ -545,11 +526,10 @@ def _stmt_prime(env: Scenario, ts: TokenStream):
 def _stmt_open(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect("=")
-    sp_tok = ts.expect_ident()
-    space = env.space_of(sp_tok.text, sp_tok)
+    space = _ref(ts, env.space_table, "space")
     ts.expect("minus")
-    bad_tok = ts.expect_ident()
-    bad = env.closed_of(bad_tok.text, bad_tok)
+    bad_tok = ts.peek()
+    bad = _ref(ts, env.closed_table, "closed set")
     if bad.space != space:
         raise ScenarioError("bad locus lives in the wrong space", bad_tok.line, bad_tok.col)
     env.opens[name] = bad
@@ -561,68 +541,34 @@ def _stmt_chart(env: Scenario, ts: TokenStream):
     kw = ts.expect_ident()
     if kw.text == "full":
         ts.expect("on")
-        sp = ts.expect_ident()
-        env.space_of(sp.text, sp)
+        _ref(ts, env.space_table, "space")
         env.charts[name] = NO_CHART
         return
     if kw.text != "invert":
         raise ScenarioError("expected invert(...) or full", kw.line, kw.col)
-    save = ts.pos
-    ts.expect("(")
-    depth = 1
-    while depth:
-        t = ts.next()
-        if t.text == "(":
-            depth += 1
-        elif t.text == ")":
-            depth -= 1
+    denoms = _bracketed(ts, "(", ")")
     ts.expect("on")
-    sp_tok = ts.expect_ident()
-    space = env.space_of(sp_tok.text, sp_tok)
-    end = ts.pos
-    ts.pos = save
-    ts.expect("(")
-    denoms = []
-    if not ts.at(")"):
-        denoms.append(_poly_expr(ts, space.ring))
-        while ts.accept(","):
-            denoms.append(_poly_expr(ts, space.ring))
-    ts.expect(")")
-    ts.pos = end
-    env.charts[name] = Chart(tuple(denoms))
+    space = _ref(ts, env.space_table, "space")
+    env.charts[name] = Chart(tuple(_poly_list(denoms, space.ring, allow_empty=True)))
 
 
 def _stmt_morphism(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect(":")
-    src_tok = ts.expect_ident()
-    src = env.space_of(src_tok.text, src_tok)
+    src = _ref(ts, env.space_table, "space")
     ts.expect("->")
-    tgt_tok = ts.expect_ident()
-    tgt = env.space_of(tgt_tok.text, tgt_tok)
+    tgt = _ref(ts, env.space_table, "space")
     ts.expect("=")
     ts.expect("(")
-    coords = []
-    tup = [parse_poly_block(ts, src.ring)]
-    while True:
-        if ts.accept(","):
-            tup.append(parse_poly_block(ts, src.ring))
-        elif ts.accept(";"):
-            coords.append(tuple(tup))
-            tup = [parse_poly_block(ts, src.ring)]
-        else:
-            break
-    coords.append(tuple(tup))
+    # one tuple per target block, the tuples separated by ';'
+    coords = [[parse_poly(ts, src.ring)]]
+    while ts.at(",") or ts.at(";"):
+        if ts.next().text == ";":
+            coords.append([])
+        coords[-1].append(parse_poly(ts, src.ring))
     ts.expect(")")
-    domain = None
-    if ts.accept("on"):
-        ref = ts.expect_ident()
-        domain = env.closed_of(ref.text, ref)
+    domain = _ref(ts, env.closed_table, "closed set") if ts.accept("on") else None
     env.morphisms[name] = Morphism(src, tgt, coords, domain)
-
-
-def parse_poly_block(ts: TokenStream, ring: Ring) -> Poly:
-    return _poly_expr(ts, ring)
 
 
 def _stmt_support(env: Scenario, ts: TokenStream):
@@ -631,24 +577,15 @@ def _stmt_support(env: Scenario, ts: TokenStream):
     kw = ts.expect_ident()
     if kw.text == "full":
         ts.expect("on")
-        sp_tok = ts.expect_ident()
-        space = env.space_of(sp_tok.text, sp_tok)
-        env.families[name] = SupportFamily.full(space)
+        env.families[name] = SupportFamily.full(_ref(ts, env.space_table, "space"))
         return
     if kw.text != "family":
         raise ScenarioError("expected family(...) or full", kw.line, kw.col)
-    ts.expect("(")
-    members = []
-    if not ts.at(")"):
-        ref = ts.expect_ident()
-        members.append(env.closed_of(ref.text, ref))
-        while ts.accept(","):
-            ref = ts.expect_ident()
-            members.append(env.closed_of(ref.text, ref))
-    ts.expect(")")
+    members = _comma_list(
+        _bracketed(ts, "(", ")"), lambda g: _ref(g, env.closed_table, "closed set"), allow_empty=True
+    )
     if ts.accept("on"):
-        sp_tok = ts.expect_ident()
-        space = env.space_of(sp_tok.text, sp_tok)
+        space = _ref(ts, env.space_table, "space")
     elif members:
         space = members[0].space
     else:
@@ -663,32 +600,26 @@ def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None
     A bare identifier naming a declared cycle is also accepted.
     """
     if ts.at_kind("ident") and ts.peek().text in env.cycles:
-        tok = ts.next()
-        return env.cycles[tok.text]
+        return env.cycles[ts.next().text]
     terms: dict = {}
-
-    def one_term(sign: int):
+    sign = -1 if ts.accept("-") else 1
+    while True:
+        term_tok = ts.peek()
         mult = sign
         if ts.at_kind("number"):
             mult = sign * ts.expect_number()
             ts.accept("*")
         ts.expect("[")
-        ref = ts.expect_ident()
-        comp = env.prime_of(ref.text, ref)
+        comp = _ref(ts, env.primes, "prime component")
         ts.expect("]")
+        if space is None:
+            space = comp.space
+        if comp.space != space:
+            raise ScenarioError("cycle components live on different spaces", term_tok.line, term_tok.col)
         terms[comp] = terms.get(comp, 0) + mult
-        return comp
-
-    sign = -1 if ts.accept("-") else 1
-    first = one_term(sign)
-    sp = space or first.space
-    while ts.at("+") or ts.at("-"):
-        s = -1 if ts.next().text == "-" else 1
-        one_term(s)
-    for comp in terms:
-        if comp.space != sp:
-            raise ScenarioError("cycle components live on different spaces", 0, 0)
-    return Cycle(sp, terms)
+        if not (ts.at("+") or ts.at("-")):
+            return Cycle(space, terms)
+        sign = -1 if ts.next().text == "-" else 1
 
 
 def _stmt_cycle(env: Scenario, ts: TokenStream):
@@ -696,19 +627,16 @@ def _stmt_cycle(env: Scenario, ts: TokenStream):
     ts.expect("=")
     if ts.accept("0"):
         ts.expect("on")
-        sp_tok = ts.expect_ident()
-        env.cycles[name] = Cycle(env.space_of(sp_tok.text, sp_tok), {})
+        env.cycles[name] = Cycle(_ref(ts, env.space_table, "space"), {})
         return
     cyc = _parse_cycle_body(env, ts)
     if ts.accept("on"):
-        sp_tok = ts.expect_ident()
-        space = env.space_of(sp_tok.text, sp_tok)
-        if cyc.space != space:
+        sp_tok = ts.peek()
+        if cyc.space != _ref(ts, env.space_table, "space"):
             raise ScenarioError("cycle is not on the declared space", sp_tok.line, sp_tok.col)
     if ts.accept("with"):
         ts.expect("support")
-        fam_tok = ts.expect_ident()
-        cyc = cyc.with_family(env.family_of(fam_tok.text, fam_tok))
+        cyc = cyc.with_family(_ref(ts, env.families, "support family"))
     env.cycles[name] = cyc
 
 
@@ -716,37 +644,25 @@ def _stmt_corr(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect(":")
     ts.expect("[")
-    src_tok = ts.expect_ident()
-    src_var = env.prime_of(src_tok.text, src_tok)
+    src_var = _ref(ts, env.primes, "prime component")
     ts.expect(",")
-    fam_tok = ts.expect_ident()
-    src_fam = env.family_of(fam_tok.text, fam_tok)
+    src_fam = _ref(ts, env.families, "support family")
     ts.expect("]")
     ts.expect("=>")
     ts.expect("[")
-    tgt_tok = ts.expect_ident()
-    tgt_var = env.prime_of(tgt_tok.text, tgt_tok)
+    tgt_var = _ref(ts, env.primes, "prime component")
     ts.expect(",")
-    fam2_tok = ts.expect_ident()
-    tgt_fam = env.family_of(fam2_tok.text, fam2_tok)
+    tgt_fam = _ref(ts, env.families, "support family")
     ts.expect("]")
     ts.expect("=")
-    if ts.at("cycle"):
-        ts.next()
-        ref = ts.expect_ident()
-        if ref.text not in env.cycles:
-            raise ScenarioError(f"unknown cycle {ref.text!r}", ref.line, ref.col)
-        cyc = env.cycles[ref.text]
+    if ts.accept("cycle"):
+        cyc = _ref(ts, env.cycles, "cycle")
     else:
         cyc = _parse_cycle_body(env, ts)
     waive = set()
     if ts.accept("waive"):
         ts.expect("P")
-        ts.expect("(")
-        waive.add(ts.expect_ident().text)
-        while ts.accept(","):
-            waive.add(ts.expect_ident().text)
-        ts.expect(")")
+        waive = set(_comma_list(_bracketed(ts, "(", ")"), lambda g: g.expect_ident().text))
     corr = Correspondence(src_var, src_fam, tgt_var, tgt_fam, cyc)
     env.corrs[name] = corr
 
@@ -768,40 +684,28 @@ def _stmt_corr(env: Scenario, ts: TokenStream):
 
 
 def _stmt_graph(env: Scenario, ts: TokenStream):
-    corr_tok = ts.expect_ident()
-    if corr_tok.text not in env.corrs:
-        raise ScenarioError(f"unknown correspondence {corr_tok.text!r}", corr_tok.line, corr_tok.col)
-    corr = env.corrs[corr_tok.text]
+    corr = _ref(ts, env.corrs, "correspondence")
     ts.expect(".")
-    comp_tok = ts.expect_ident()
-    comp = env.prime_of(comp_tok.text, comp_tok)
+    comp = _ref(ts, env.primes, "prime component")
     ts.expect("=")
     kind_tok = ts.expect_ident()
     if kind_tok.text not in ("graph", "transpose"):
         raise ScenarioError("expected graph or transpose", kind_tok.line, kind_tok.col)
-    m_tok = ts.expect_ident()
-    if m_tok.text not in env.morphisms:
-        raise ScenarioError(f"unknown morphism {m_tok.text!r}", m_tok.line, m_tok.col)
-    corr.attach_graph(comp, GraphData(kind_tok.text, env.morphisms[m_tok.text]), verify=True)
+    f = _ref(ts, env.morphisms, "morphism")
+    corr.attach_graph(comp, GraphData(kind_tok.text, f), verify=True)
 
 
-def _parse_point(env: Scenario, ts: TokenStream) -> dict:
-    ts.expect("(")
-    point = {}
-    while True:
+def _parse_point(ts: TokenStream) -> dict:
+    def coordinate(ts: TokenStream):
         name = ts.expect_ident().text
         ts.expect("=")
         sign = -1 if ts.accept("-") else 1
         num = ts.expect_number()
         if ts.accept("/"):
-            den = ts.expect_number()
-            point[name] = Fraction(sign * num, den)
-        else:
-            point[name] = sign * num
-        if not ts.accept(","):
-            break
-    ts.expect(")")
-    return point
+            return name, Fraction(sign * num, ts.expect_number())
+        return name, sign * num
+
+    return dict(_comma_list(_bracketed(ts, "(", ")"), coordinate))
 
 
 def _corr_compose_clauses(env: Scenario, ts: TokenStream):
@@ -811,12 +715,9 @@ def _corr_compose_clauses(env: Scenario, ts: TokenStream):
     while True:
         if ts.accept("over"):
             ts.expect("open")
-            ref = ts.expect_ident()
-            if ref.text not in env.opens:
-                raise ScenarioError(f"unknown open {ref.text!r}", ref.line, ref.col)
-            hint = env.opens[ref.text]
+            hint = _ref(ts, env.opens, "open")
         elif ts.accept("witness"):
-            witnesses.append(_parse_point(env, ts))
+            witnesses.append(_parse_point(ts))
         elif ts.accept("split"):
             ts.expect("(")
             a_tok = ts.expect_ident()
@@ -824,12 +725,9 @@ def _corr_compose_clauses(env: Scenario, ts: TokenStream):
             b_tok = ts.expect_ident()
             ts.expect(")")
             ts.expect("into")
-            ts.expect("[")
-            comps = [env.prime_of(ts.expect_ident().text, ts.peek())]
-            while ts.accept(","):
-                comps.append(env.prime_of(ts.expect_ident().text, ts.peek()))
-            ts.expect("]")
-            split[(a_tok.text, b_tok.text)] = comps
+            split[(a_tok.text, b_tok.text)] = _comma_list(
+                _bracketed(ts, "[", "]"), lambda g: _ref(g, env.primes, "prime component")
+            )
         else:
             return hint, witnesses, split
 
@@ -868,8 +766,7 @@ def _stmt_compose(env: Scenario, ts: TokenStream):
         if ts.accept(","):
             ts.expect("error")
             ts.expect("within")
-            ref = ts.expect_ident()
-            expect_bound = env.closed_of(ref.text, ref)
+            expect_bound = _ref(ts, env.closed_table, "closed set")
 
     def run() -> TaskResult:
         a = _corr_operand(env, a_tok.text)
@@ -906,8 +803,7 @@ def _stmt_projector(env: Scenario, ts: TokenStream):
     hint, witnesses, split = _corr_compose_clauses(env, ts)
     bound = None
     if ts.accept("bound"):
-        ref = ts.expect_ident()
-        bound = env.closed_of(ref.text, ref)
+        bound = _ref(ts, env.closed_table, "closed set")
 
     def run() -> TaskResult:
         p = _corr_operand(env, p_tok.text)
@@ -937,9 +833,9 @@ def _stmt_identity(env: Scenario, ts: TokenStream):
         k = sign * (ts.expect_number() if ts.at_kind("number") else 1)
         ts.accept("*")
         if ts.accept("cycle"):
-            ref = ts.expect_ident()
-            if ref.text not in env.cycles:
-                raise ScenarioError(f"unknown cycle {ref.text!r}", ref.line, ref.col)
+            # checked now, read at run time: a task may have replaced it by then
+            ref = ts.peek()
+            _ref(ts, env.cycles, "cycle")
             return k, ("cycle", ref.text)
         ts.expect("(")
         b_tok = ts.expect_ident()
@@ -952,8 +848,7 @@ def _stmt_identity(env: Scenario, ts: TokenStream):
     ts.expect("~")
     k2, side2 = side()
     ts.expect("within")
-    bound_tok = ts.expect_ident()
-    bound = env.closed_of(bound_tok.text, bound_tok)
+    bound = _ref(ts, env.closed_table, "closed set")
     hint, witnesses, split = _corr_compose_clauses(env, ts)
 
     def run() -> TaskResult:
@@ -987,10 +882,7 @@ def _stmt_property(env: Scenario, ts: TokenStream):
     """property NAME = TRACE {degree0|projection|degree} expect {pass|inapplicable}"""
     name = ts.expect_ident().text
     ts.expect("=")
-    tr_tok = ts.expect_ident()
-    if tr_tok.text not in env.traces:
-        raise ScenarioError(f"unknown trace {tr_tok.text!r}", tr_tok.line, tr_tok.col)
-    pres = env.traces[tr_tok.text]
+    pres = _ref(ts, env.traces, "trace")
     which_tok = ts.expect_ident()
     if which_tok.text not in ("degree0", "projection", "degree"):
         raise ScenarioError("expected degree0 | projection | degree", which_tok.line, which_tok.col)
@@ -1014,39 +906,17 @@ def _stmt_property(env: Scenario, ts: TokenStream):
 
 
 def _stmt_symbol(env: Scenario, ts: TokenStream):
+    """symbol NAME = [ FORM / (t1, ...) ] on SPACE [chart C]"""
     name = ts.expect_ident().text
     ts.expect("=")
-    # [ FORM / (t1, ...) ] on SPACE [chart C]
-    save = ts.pos
-    ts.expect("[")
-    depth = 1
-    while depth:
-        t = ts.next()
-        if t.text == "[":
-            depth += 1
-        elif t.text == "]":
-            depth -= 1
+    body = _bracketed(ts, "[", "]")
     ts.expect("on")
-    sp_tok = ts.expect_ident()
-    space = env.space_of(sp_tok.text, sp_tok)
-    chart = NO_CHART
-    if ts.accept("chart"):
-        ref = ts.expect_ident()
-        if ref.text not in env.charts:
-            raise ScenarioError(f"unknown chart {ref.text!r}", ref.line, ref.col)
-        chart = env.charts[ref.text]
-    end = ts.pos
-    ts.pos = save
-    ts.expect("[")
-    numerator = _form_expr(ts, space.ring)
-    ts.expect("/")
-    ts.expect("(")
-    denoms = [_poly_expr(ts, space.ring)]
-    while ts.accept(","):
-        denoms.append(_poly_expr(ts, space.ring))
-    ts.expect(")")
-    ts.expect("]")
-    ts.pos = end
+    space = _ref(ts, env.space_table, "space")
+    chart = _ref(ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
+    numerator = parse_form(body, space.ring)
+    body.expect("/")
+    denoms = _poly_list(_bracketed(body, "(", ")"), space.ring)
+    body.require_done()
     env.symbols[name] = KoszulFraction(numerator, tuple(denoms), chart)
 
 
@@ -1057,26 +927,15 @@ def _stmt_class(env: Scenario, ts: TokenStream):
     if kw.text != "cl":
         raise ScenarioError("expected cl(W)", kw.line, kw.col)
     ts.expect("(")
-    w_tok = ts.expect_ident()
-    W = env.prime_of(w_tok.text, w_tok)
+    W = _ref(ts, env.primes, "prime component")
     ts.expect(")")
     ts.expect("at")
     ts.expect("chart")
-    chart_tok = ts.expect_ident()
-    if chart_tok.text not in env.charts:
-        raise ScenarioError(f"unknown chart {chart_tok.text!r}", chart_tok.line, chart_tok.col)
-    chart = env.charts[chart_tok.text]
+    chart = _ref(ts, env.charts, "chart")
     ts.expect("with")
     ts.expect("params")
-    ts.expect("(")
-    ring = W.space.ring
-    params = [_poly_expr(ts, ring)]
-    while ts.accept(","):
-        params.append(_poly_expr(ts, ring))
-    ts.expect(")")
-    witness = None
-    if ts.accept("witness"):
-        witness = _parse_point(env, ts)
+    params = _poly_list(_bracketed(ts, "(", ")"), W.space.ring)
+    witness = _parse_point(ts) if ts.accept("witness") else None
 
     def run() -> TaskResult:
         frac = cycle_class_at_chart(W, params, chart, witness)
@@ -1093,23 +952,16 @@ def _stmt_trace(env: Scenario, ts: TokenStream):
     if kw.text != "trace":
         raise ScenarioError("expected trace(...)", kw.line, kw.col)
     ts.expect("(")
-    f_tok = ts.expect_ident()
-    if f_tok.text not in env.morphisms:
-        raise ScenarioError(f"unknown morphism {f_tok.text!r}", f_tok.line, f_tok.col)
-    f = env.morphisms[f_tok.text]
+    f = _ref(ts, env.morphisms, "morphism")
     ts.expect("via")
-    p_tok = ts.expect_ident()
-    total = env.space_of(p_tok.text, p_tok)
+    p_tok = ts.peek()
+    total = _ref(ts, env.space_table, "space")
     ts.expect(",")
     t_kw = ts.expect_ident()
     if t_kw.text != "t":
         raise ScenarioError("expected t = (...)", t_kw.line, t_kw.col)
     ts.expect("=")
-    ts.expect("(")
-    tseq = [_poly_expr(ts, total.ring)]
-    while ts.accept(","):
-        tseq.append(_poly_expr(ts, total.ring))
-    ts.expect(")")
+    tseq = _poly_list(_bracketed(ts, "(", ")"), total.ring)
     ts.expect(")")
     if not set(f.target.ring.vars) <= set(total.ring.vars):
         raise ScenarioError(
@@ -1131,14 +983,14 @@ def _stmt_assert(env: Scenario, ts: TokenStream):
     if head.text in env.traces and ts.at("("):
         pres = env.traces[head.text]
         ts.expect("(")
-        arg = _form_expr(ts, pres.ring)
+        arg = parse_form(ts, pres.ring)
         ts.expect(")")
         ts.expect("==")
         if ts.at("0") and ts.tokens[ts.pos + 1 : ts.pos + 2] == []:
             ts.next()
             rhs = None
         else:
-            rhs = _form_expr(ts, pres.base_ring())
+            rhs = parse_form(ts, pres.base_ring())
 
         def run() -> TaskResult:
             out = trace_form(pres, arg)
@@ -1193,44 +1045,22 @@ def _stmt_vanish(env: Scenario, ts: TokenStream):
     if kw.text != "cl":
         raise ScenarioError("expected cl(V)", kw.line, kw.col)
     ts.expect("(")
-    v_tok = ts.expect_ident()
-    V = env.prime_of(v_tok.text, v_tok)
+    V = _ref(ts, env.primes, "prime component")
     ts.expect(")")
     ts.expect("factor")
-    ts.expect("(")
     ring = V.space.ring
-    factor_vars = [ts.expect_ident().text]
-    while ts.accept(","):
-        factor_vars.append(ts.expect_ident().text)
-    ts.expect(")")
+    factor_vars = _comma_list(_bracketed(ts, "(", ")"), lambda g: g.expect_ident().text)
     factor_indices = {ring.index(v) for v in factor_vars}
     ts.expect("codim")
     r = ts.expect_number()
     ts.expect("params")
     ts.expect("(")
-    ts.expect("(")
-    pf = []
-    if not ts.at(")"):
-        pf.append(_poly_expr(ts, ring))
-        while ts.accept(","):
-            pf.append(_poly_expr(ts, ring))
-    ts.expect(")")
+    pf = _poly_list(_bracketed(ts, "(", ")"), ring, allow_empty=True)
     ts.expect(";")
-    ts.expect("(")
-    pr = []
-    if not ts.at(")"):
-        pr.append(_poly_expr(ts, ring))
-        while ts.accept(","):
-            pr.append(_poly_expr(ts, ring))
+    pr = _poly_list(_bracketed(ts, "(", ")"), ring, allow_empty=True)
     ts.expect(")")
-    ts.expect(")")
-    chart = NO_CHART
-    if ts.accept("chart"):
-        ref = ts.expect_ident()
-        chart = env.charts[ref.text]
-    witness = None
-    if ts.accept("witness"):
-        witness = _parse_point(env, ts)
+    chart = _ref(ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
+    witness = _parse_point(ts) if ts.accept("witness") else None
 
     def run() -> TaskResult:
         rep = vanishing_check(V, factor_indices, r, pf, pr, chart, witness)
@@ -1248,18 +1078,11 @@ def _stmt_push(env: Scenario, ts: TokenStream):
     name = ts.expect_ident().text
     ts.expect("=")
     ts.expect("push")
-    cyc_tok = ts.expect_ident()
-    if cyc_tok.text not in env.cycles:
-        raise ScenarioError(f"unknown cycle {cyc_tok.text!r}", cyc_tok.line, cyc_tok.col)
-    a = env.cycles[cyc_tok.text]
+    a = _ref(ts, env.cycles, "cycle")
     ts.expect("along")
-    f_tok = ts.expect_ident()
-    if f_tok.text not in env.morphisms:
-        raise ScenarioError(f"unknown morphism {f_tok.text!r}", f_tok.line, f_tok.col)
-    f = env.morphisms[f_tok.text]
+    f = _ref(ts, env.morphisms, "morphism")
     ts.expect("into")
-    fam_tok = ts.expect_ident()
-    psi = env.family_of(fam_tok.text, fam_tok)
+    psi = _ref(ts, env.families, "support family")
     ts.expect("expect")
     expected = _parse_cycle_body(env, ts)
 
@@ -1281,32 +1104,19 @@ def _stmt_divisor(env: Scenario, ts: TokenStream):
     kw = ts.expect_ident()
     if kw.text != "div":
         raise ScenarioError("expected div(...)", kw.line, kw.col)
-    save = ts.pos
-    ts.expect("(")
-    depth = 1
-    while depth:
-        t = ts.next()
-        if t.text == "(":
-            depth += 1
-        elif t.text == ")":
-            depth -= 1
+    body = _bracketed(ts, "(", ")")
     ts.expect("on")
-    sp_tok = ts.expect_ident()
-    space = env.space_of(sp_tok.text, sp_tok)
-    end = ts.pos
-    ts.pos = save
+    space = _ref(ts, env.space_table, "space")
     if space.blocks[0].kind == "affine":
         ring = Ring((space.blocks[0].names[0],), space.ring.field)
     else:
         ring = Ring(("t",), space.ring.field)
-    ts.expect("(")
-    num = _poly_expr(ts, ring)
-    if ts.accept("/"):
-        den = _poly_expr(ts, ring)
+    num = parse_poly(body, ring)
+    if body.accept("/"):
+        den = parse_poly(body, ring)
     else:
         den = ring.one()
-    ts.expect(")")
-    ts.pos = end
+    body.require_done()
     expected = None
     if ts.accept("expect"):
         expected = _parse_cycle_body(env, ts, space=space)

@@ -42,12 +42,44 @@ def test_misspelled_keyword_positions():
     assert "spsce" in str(err.value) and "line 2" in str(err.value)
 
 
-def test_unknown_names_rejected():
+# one declaration of each name kind, so each snippet below misses exactly one name
+NAMES = """char 0
+space X = space(affine(x))
+space P = space(affine(x, y))
+pair XX = X ** X
+prime W = { } on X noscreen
+prime D = { x@1 - x@2 } on XX noscreen
+support Phi = full on X
+chart C = full on X
+morphism f : X -> X = (x^2)
+cycle a = 1*[W]
+corr Z : [W, Phi] => [W, Phi] = 1*[D]
+trace t = trace(f via P, t = (y - x^2))
+"""
+
+UNKNOWN_NAMES = {
+    "space": "closed B = { x } on Nowhere",
+    "variable": "closed B = { zz } on X",
+    "closed set": "open U = X minus Nowhere",
+    "prime component": "cycle b = 1*[Nowhere]",
+    "support family": "cycle b = 1*[W] with support Nowhere",
+    "correspondence": "graph Nowhere . D = graph f",
+    "morphism": "graph Z . D = graph Nowhere",
+    "cycle": "push b = push Nowhere along f into Phi expect 1*[W]",
+    "trace": "property p = Nowhere degree expect pass",
+    "chart": "class c = cl(W) at chart Nowhere with params (x)",
+    "open": "compose c = Z . Z over open Nowhere",
+}
+
+
+@pytest.mark.parametrize("kind", UNKNOWN_NAMES, ids=lambda kind: kind.replace(" ", "-"))
+def test_unknown_names_rejected(kind):
+    line = NAMES.count("\n") + 1
     with pytest.raises(ScenarioError) as err:
-        parse_scenario("char 0\nclosed B = { x } on Nowhere\n")
-    assert "Nowhere" in str(err.value)
-    with pytest.raises(ScenarioError):
-        parse_scenario("char 0\nspace X = space(affine(x))\nclosed B = { zz } on X\n")
+        parse_scenario(NAMES + UNKNOWN_NAMES[kind] + "\n")
+    name = "zz" if kind == "variable" else "Nowhere"
+    assert f"unknown {kind} {name!r}" in str(err.value)
+    assert f"(line {line}, " in str(err.value)
 
 
 def test_char_must_come_first():
@@ -127,10 +159,10 @@ def test_report_counts_and_rejects():
         TaskResult("c", "compose", "maybe")
 
 
-def _engine(*args):
+def _engine(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "cyclecalc.cli", *args],
-        capture_output=True, text=True, cwd=ROOT,
+        capture_output=True, text=True, cwd=ROOT, timeout=timeout,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
 
@@ -175,6 +207,45 @@ def test_cli_scenario_error_position(tmp_path):
     proc = _engine("run", str(bad))
     assert proc.returncode == 2
     assert "line 2" in proc.stderr
+
+
+MALFORMED_PREAMBLE = """char 0
+space X = space(affine(x))
+space Y = space(affine(y))
+prime W = { x } on X noscreen
+prime V = { y } on Y noscreen
+"""
+
+
+@pytest.mark.parametrize("stmt, message", [
+    # an unclosed bracket group, one per statement that scans ahead over one
+    pytest.param("closed B = { x on X", "unclosed '{' (line 6, col 12)", id="closed"),
+    pytest.param("prime P = { x on X", "unclosed '{' (line 6, col 11)", id="prime"),
+    pytest.param("chart C = invert(1 + x on X", "unclosed '(' (line 6, col 17)", id="chart"),
+    pytest.param("symbol s = [ d(x) / (x) on X", "unclosed '[' (line 6, col 12)", id="symbol"),
+    pytest.param("divisor d = div(x on X", "unclosed '(' (line 6, col 16)", id="divisor"),
+    pytest.param(
+        "vanish v = cl(W) factor (x) codim 1 params ((x) ; ()) chart Nope",
+        "unknown chart 'Nope' (line 6, col 61)", id="vanish-chart",
+    ),
+    # the position is the unknown name's, not the token after it
+    pytest.param(
+        "compose c = Z . Z split (a, b) into [W, Nope]",
+        "unknown prime component 'Nope' (line 6, col 41)", id="split-component",
+    ),
+    # the position is the first term off the first term's space
+    pytest.param(
+        "cycle b = 1*[W] + 2*[V]",
+        "cycle components live on different spaces (line 6, col 19)", id="cycle-spaces",
+    ),
+])
+def test_cli_malformed_statement_is_a_positioned_error(tmp_path, stmt, message):
+    """Exit 2 with the error's position: never a hang, never a traceback."""
+    bad = tmp_path / "bad.scn"
+    bad.write_text(MALFORMED_PREAMBLE + stmt)
+    proc = _engine("run", str(bad), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.strip() == f"scenario error: {message}"
 
 
 def test_polynomial_literal_syntax():
