@@ -489,19 +489,6 @@ def is_unit_ideal(I: Ideal) -> bool:
     return groebner(I).is_unit()
 
 
-def _fresh_names(ring: Ring, count: int, stem: str = "_z") -> list:
-    names = []
-    k = 0
-    taken = set(ring.vars)
-    while len(names) < count:
-        cand = f"{stem}{k}"
-        if cand not in taken:
-            names.append(cand)
-            taken.add(cand)
-        k += 1
-    return names
-
-
 def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """I ∩ k[vars - drop], computed with a block order."""
     ring = I.ring
@@ -523,49 +510,54 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     return Ideal(sub, kept)
 
 
-def saturate_poly(I: Ideal, g: Poly) -> Ideal:
-    """(I : g^inf) by the tag-variable method."""
-    ring = I.ring
-    if g.is_zero():
-        return Ideal(ring, [ring.one()])
-    if g.is_constant():
-        return I
-    (tag,) = _fresh_names(ring, 1)
-    ext = ring.extend([tag])
+def _tagged(ring: Ring, count: int, stem: str):
+    """(ext, tags, up): ring extended by `count` fresh variables named after
+    `stem`, those variables in ext, and the injection of ring into ext."""
+    # ring has nvars names, so nvars + count candidates leave count free ones
+    candidates = (f"{stem}{k}" for k in range(ring.nvars + count))
+    names = [v for v in candidates if v not in ring.vars][:count]
+    ext = ring.extend(names)
     idx = {i: i for i in range(ring.nvars)}
-    gens = [p.inject(ext, idx) for p in I.gens]
-    gens.append(ext.one() - ext.var(tag) * g.inject(ext, idx))
-    J = eliminate(Ideal(ext, gens), [tag])
-    # eliminate() returns the ideal in a ring with the same remaining vars
-    back = {i: i for i in range(ring.nvars)}
-    return Ideal(ring, [p.inject(ring, back) for p in J.gens])
+    return ext, [ext.var(v) for v in names], lambda p: p.inject(ext, idx)
+
+
+def _untagged(ring: Ring, ext: Ring, gens: list) -> Ideal:
+    """(gens) ∩ ring, for gens in a tagged extension ext of ring."""
+    # eliminate() leaves an ideal of a ring equal to ring: the same variables
+    return Ideal(ring, eliminate(Ideal(ext, gens), ext.vars[ring.nvars :]).gens)
+
+
+def saturate(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J^inf) = (I + <1 - sum t_i g_i>) ∩ k[x], one elimination with a
+    fresh t_i per nonzero generator g_i of J.
+
+    ⊇: f g_i^N ∈ I for every i gives f ≡ f (sum t_i g_i)^M ∈ I[t] mod 1 - sum t_i g_i.
+    ⊆: t_j -> 1/g_j, other t_i -> 0 puts f in I k[x]_{g_j}, so f g_j^N ∈ I for each j.
+    """
+    ring = I.ring
+    gens = J.nonzero_gens()
+    if not gens:
+        return Ideal(ring, [ring.one()])
+    if len(gens) == 1 and gens[0].is_constant():
+        return I
+    ext, tags, up = _tagged(ring, len(gens), "_z")
+    relation = ext.one() - sum((t * up(g) for t, g in zip(tags, gens)), ext.zero())
+    return _untagged(ring, ext, [up(p) for p in I.gens] + [relation])
+
+
+def saturate_poly(I: Ideal, g: Poly) -> Ideal:
+    """(I : g^inf), the one-generator case of saturate."""
+    return saturate(I, Ideal(I.ring, [g]))
 
 
 def ideal_intersect(A: Ideal, B: Ideal) -> Ideal:
     ring = A.ring
     if ring != B.ring:
         raise RingMismatch("intersection across rings")
-    (tag,) = _fresh_names(ring, 1, "_w")
-    ext = ring.extend([tag])
-    idx = {i: i for i in range(ring.nvars)}
-    t = ext.var(tag)
-    gens = [t * a.inject(ext, idx) for a in A.nonzero_gens()]
-    gens += [(ext.one() - t) * b.inject(ext, idx) for b in B.nonzero_gens()]
-    J = eliminate(Ideal(ext, gens), [tag])
-    back = {i: i for i in range(ring.nvars)}
-    return Ideal(ring, [p.inject(ring, back) for p in J.gens])
-
-
-def saturate(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J^inf) = intersection of (I : g^inf) over generators g of J."""
-    gens = J.nonzero_gens()
-    if not gens:
-        return Ideal(I.ring, [I.ring.one()])
-    parts = [saturate_poly(I, g) for g in gens]
-    out = parts[0]
-    for p in parts[1:]:
-        out = ideal_intersect(out, p)
-    return out
+    ext, (t,), up = _tagged(ring, 1, "_w")
+    gens = [t * up(a) for a in A.nonzero_gens()]
+    gens += [(ext.one() - t) * up(b) for b in B.nonzero_gens()]
+    return _untagged(ring, ext, gens)
 
 
 def krull_dim(I: Ideal) -> int:
@@ -611,13 +603,8 @@ def radical_member(f: Poly, I: Ideal) -> bool:
     """f in sqrt(I), by the Rabinowitsch trick."""
     if f.is_zero():
         return True
-    ring = I.ring
-    (tag,) = _fresh_names(ring, 1, "_r")
-    ext = ring.extend([tag])
-    idx = {i: i for i in range(ring.nvars)}
-    gens = [p.inject(ext, idx) for p in I.gens]
-    gens.append(ext.one() - ext.var(tag) * f.inject(ext, idx))
-    return is_unit_ideal(Ideal(ext, gens))
+    ext, (t,), up = _tagged(I.ring, 1, "_r")
+    return is_unit_ideal(Ideal(ext, [up(p) for p in I.gens] + [ext.one() - t * up(f)]))
 
 
 def ideal_product(A: Ideal, B: Ideal) -> Ideal:

@@ -55,7 +55,7 @@ from .corr import (
     projector_check,
 )
 from .cycles import Cycle, principal_divisor_line, push_forward
-from .errors import EngineError, PolicyReject, ScenarioError
+from .errors import BudgetExceeded, EngineError, PolicyReject, ScenarioError
 from .forms import Form
 from .geometry import (
     Block,
@@ -404,7 +404,13 @@ def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:
         handler = _STATEMENTS.get(head.text)
         if handler is None:
             raise ScenarioError(f"unknown statement {head.text!r}", head.line, head.col)
-        handler(env, ts)
+        try:
+            handler(env, ts)
+        except (ScenarioError, BudgetExceeded):
+            raise
+        except EngineError as exc:
+            # raised below the parser, so it carries no position: give it the statement's
+            raise ScenarioError(str(exc), head.line, head.col) from exc
         ts.require_done()
     return env
 

@@ -4,7 +4,9 @@ These deliberately avoid the engine's own computation paths: the residue
 oracle inverts and traces inside sympy's univariate arithmetic, the
 univariate factorization and gcd oracles call sympy's, the elimination
 oracle is a Sylvester determinant, and the division oracle is the plain
-largest-term scan that the engine's heap-ordered division replaced.
+largest-term scan that the engine's heap-ordered division replaced, and the
+saturation oracle saturates by one generator at a time and intersects the
+parts, the route the engine's one-elimination saturation replaced.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from fractions import Fraction
 import sympy
 
 from cyclecalc.errors import EngineError
-from cyclecalc.groebner import leading
+from cyclecalc.groebner import Ideal, eliminate, leading
 from cyclecalc.poly import Poly, Ring, pow_scalar
 from cyclecalc.symbols import _determinant
 
@@ -166,3 +168,35 @@ def reference_divide(f: Poly, basis, order, leads=None):
         else:
             rem[e] = c
     return Poly(ring, rem), [Poly(ring, q) for q in quots]
+
+
+def _drop_last_variable(ring: Ring, ext: Ring, gens) -> Ideal:
+    """(gens) ∩ ring, for gens in ext, which is ring with one more variable."""
+    idx = {i: i for i in range(ring.nvars)}
+    J = eliminate(Ideal(ext, gens), [ext.vars[-1]])
+    return Ideal(ring, [p.inject(ring, idx) for p in J.gens])
+
+
+def reference_saturate(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J^inf) as the intersection of the (I : g^inf) over the nonzero
+    generators g of J: each (I + <1 - t g>) ∩ k[x] by its own elimination,
+    the parts intersected pairwise as (t A + (1 - t) B) ∩ k[x]."""
+    ring = I.ring
+    ext = ring.extend(["_tag"])
+    t, one = ext.var("_tag"), ext.one()
+    idx = {i: i for i in range(ring.nvars)}
+
+    def up(p):
+        return p.inject(ext, idx)
+
+    parts = [
+        I if g.is_constant() else _drop_last_variable(ring, ext, [up(p) for p in I.gens] + [one - t * up(g)])
+        for g in J.nonzero_gens()
+    ]
+    if not parts:
+        return Ideal(ring, [ring.one()])
+    out = parts[0]
+    for part in parts[1:]:
+        gens = [t * up(a) for a in out.nonzero_gens()] + [(one - t) * up(b) for b in part.nonzero_gens()]
+        out = _drop_last_variable(ring, ext, gens)
+    return out

@@ -133,6 +133,79 @@ def test_radical_membership_examples():
     assert radical_member(X + Y, ideal(R2, (X + Y) ** 3, X * (X + Y)))
 
 
+def _at(p: Poly, point) -> object:
+    """p at a point of its ring's affine space, in exact field arithmetic."""
+    fld = p.ring.field
+    out = fld.zero
+    for e, c in p.terms.items():
+        for v, k in zip(point, e):
+            for _ in range(k):
+                c = fld.mul(c, fld.coerce(v))
+        out = fld.add(out, c)
+    return out
+
+
+def _radical_cases():
+    """Radical membership with certificates that never run the Rabinowitsch
+    test: (I, f, N) with f^N in I, and (I, f, point) with point in V(I) and
+    f(point) != 0.  Several f have degree 4 or more."""
+    x, y = R2.gens()
+    F7 = ring_over(7, ["x", "y"])
+    a, b = F7.gens()
+    R3 = ring_over(0, ["x", "y", "z"])
+    u, v, w = R3.gens()
+    P3 = ring_over(32003, ["x", "y", "z"])
+    p, q, r = P3.gens()
+    inside = [
+        (ideal(R2, x**2), x, 2),
+        (ideal(R2, (x + y) ** 3, x * (x + y)), x + y, 3),
+        (ideal(R2, (x * y - 1) ** 3), x**2 * y**2 - 1, 3),
+        (ideal(F7, a**3, b**2), a**2 + a * b**3, 3),
+        (ideal(R3, u**2 - v * w, w**3), u * w + u**3 * v, 3),
+    ]
+    outside = [
+        (ideal(R2, x), y, (0, 1)),
+        (ideal(R2, y - x**2), x**4 + 1, (0, 0)),
+        (ideal(R2, x * y - 1), x**3 * y**3 - x * y + x**4, (1, 1)),
+        (ideal(R2, x**2 - y**3), x**4 - y**6 + x, (1, 1)),
+        # f vanishes on the line x = 0 of V(I), not on the line y = 1
+        (ideal(R2, x * (y - 1)), x**4, (1, 1)),
+        (ideal(F7, a**2 + b**2 - 2), a**4 - 1 + b, (1, 1)),
+        (ideal(R3, u * w - v**2), u**2 * w**2 + v**4, (1, 1, 1)),
+        (ideal(P3, p * q * r - 1, p - q), p**5 * q + r, (1, 1, 1)),
+    ]
+    return inside, outside
+
+
+def _radical_certificate_failures(radical_member_fn) -> list:
+    """The certified cases that radical_member_fn gets wrong."""
+    inside, outside = _radical_cases()
+    wrong = [(I, f) for I, f, _ in inside if not radical_member_fn(f, I)]
+    return wrong + [(I, f) for I, f, _ in outside if radical_member_fn(f, I)]
+
+
+def test_radical_certificates_hold():
+    inside, outside = _radical_cases()
+    for I, f, n in inside:
+        assert member(f**n, I), (I, f, n)
+    for I, f, point in outside:
+        assert all(_at(g, point) == I.ring.field.zero for g in I.gens), (I, point)
+        assert _at(f, point) != I.ring.field.zero, (f, point)
+    assert any(f.total_degree() >= 4 for _, f, _ in outside)
+
+
+def test_radical_member_agrees_with_certificates():
+    assert _radical_certificate_failures(radical_member) == []
+
+
+def test_radical_certificates_catch_high_degree_mutant():
+    """A radical_member that calls every f of degree above 3 radical."""
+    def mutant(f, I):
+        return f.total_degree() > 3 or radical_member(f, I)
+
+    assert _radical_certificate_failures(mutant)
+
+
 def test_cofactor_examples():
     (c,) = cofactor_lift(X**2 + X * Y, ideal(R2, X))
     assert c == X + Y

@@ -238,6 +238,15 @@ prime V = { y } on Y noscreen
         "cycle b = 1*[W] + 2*[V]",
         "cycle components live on different spaces (line 6, col 19)", id="cycle-spaces",
     ),
+    # an engine error raised below the parser takes the statement's position
+    pytest.param(
+        "space Xt = space(affine(x, y), proj(u, v))\nmorphism sg : Y -> Xt = (y, y)",
+        "one coordinate tuple per target block required (line 7, col 1)", id="morphism-blocks",
+    ),
+    pytest.param(
+        "vanish v = cl(W) factor (zz) codim 1 params ((x) ; ())",
+        "unknown variable 'zz' in QQ[x] (line 6, col 1)", id="vanish-factor",
+    ),
 ])
 def test_cli_malformed_statement_is_a_positioned_error(tmp_path, stmt, message):
     """Exit 2 with the error's position: never a hang, never a traceback."""
