@@ -7,11 +7,27 @@ eliminants, one per fiber variable, and then one variable is extracted at a
 time: Res[h dx / g(x)] is the coefficient of x^{deg g - 1} in h reduced
 modulo g.  This route is total on fiber-finite input; Jacobian division is
 never used (it breaks at ramification).
+
+Everything that depends only on the presentation X = V(t) in Y x A^d, and
+not on the numerator or the form, is its frame, computed once per
+FinitePresentation and kept on it for as long as it lives:
+- `residue_frame`: the triangular eliminants g_i and the determinant of
+  their cofactor rows over (t);
+- `dt_prefix`: the form dt_d ^ ... ^ dt_1 that trace_form wedges onto;
+- `staircase`: the module basis of O_X over O_Y.
+Each part is computed on first use, so a presentation that is not
+fiber-finite is still built without error and fails only where a residue or
+a basis is asked for.  A part is built under the budget scope of its first
+caller, and a later caller reuses it without running Buchberger, just as a
+`_gb_cache` hit runs no S-pair; a budget trip while building one leaves
+nothing behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
 from .errors import EngineError, RingMismatch
 from .forms import Form, wedge_all
 from .groebner import (
@@ -71,7 +87,8 @@ class FinitePresentation:
                     raise EngineError(f"{p} is not a base-ring element")
         return p.inject(base, idx)
 
-    def module_basis(self) -> list:
+    @cached_property
+    def staircase(self) -> tuple:
         """Monomial basis of O_X over O_Y (staircase in the fiber variables)."""
         st = fiber_staircase(Ideal(self.ring, list(self.t)), self.fiber_indices())
         if st is None:
@@ -85,10 +102,34 @@ class FinitePresentation:
             for pos, k in enumerate(exp):
                 e[fiber_idx[pos]] = k
             monos.append(self.ring.monomial(tuple(e)))
-        return monos
+        return tuple(monos)
+
+    @cached_property
+    def residue_frame(self) -> ResidueFrame:
+        """The eliminants and determinant every residue over (t) divides by."""
+        gs = tuple(_triangular_eliminants(self))
+        I = Ideal(self.ring, list(self.t))
+        return ResidueFrame(gs, _determinant([cofactor_lift(g, I) for g in gs], self.ring))
+
+    @cached_property
+    def dt_prefix(self) -> Form | None:
+        """dt_d ^ ... ^ dt_1, in exactly that order; None when d = 0."""
+        return wedge_all(Form.d(t) for t in reversed(self.t)) if self.d else None
+
+    def module_basis(self) -> list:
+        """Monomial basis of O_X over O_Y (staircase in the fiber variables)."""
+        return list(self.staircase)
 
     def rank(self) -> int:
-        return len(self.module_basis())
+        return len(self.staircase)
+
+
+@dataclass(frozen=True)
+class ResidueFrame:
+    """The numerator-free part of every residue over one presentation."""
+
+    gs: tuple  # monic eliminant g_i in x_i, one per fiber variable
+    det: Poly  # determinant of the cofactor rows of the g_i over (t)
 
 
 def divmod_in_var(f: Poly, g: Poly, var_index: int):
@@ -159,15 +200,12 @@ def residue(query: ResidueQuery) -> Poly:
     ring = pres.ring
     if query.numerator.ring != ring:
         raise RingMismatch("numerator in the wrong ring")
-    gs = _triangular_eliminants(pres)
-    I = Ideal(ring, list(pres.t))
-    rows = [cofactor_lift(g, I) for g in gs]
-    det = _determinant(rows, ring)
-    cur = query.numerator * det
+    frame = pres.residue_frame
+    cur = query.numerator * frame.det
     fiber_idx = pres.fiber_indices()
     for pos in range(pres.d - 1, -1, -1):
         xi = fiber_idx[pos]
-        g = gs[pos]
+        g = frame.gs[pos]
         n = g.degree_in(xi)
         _, r = divmod_in_var(cur, g, xi)
         cur = r.coeffs_in(xi).get(n - 1, ring.zero())
@@ -197,8 +235,7 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
     gb = groebner(Ideal(ring, list(pres.t)), cofactors=True)
     lifted = alpha.map_coefficients(gb.normal_form)
     # dt_d ^ ... ^ dt_1 ^ alpha~, in exactly that order
-    dts = [Form.d(t) for t in reversed(pres.t)]
-    omega = wedge_all(dts + [lifted]) if d else lifted
+    omega = pres.dt_prefix.wedge(lifted) if d else lifted
 
     fiber_idx = pres.fiber_indices()
     fiber_set = set(fiber_idx)

@@ -460,6 +460,15 @@ def _comma_list(group: TokenStream, read, allow_empty: bool = False) -> list:
     return items
 
 
+def _var_index(ts: TokenStream, ring: Ring) -> int:
+    """Read a variable name and return its index in `ring`, positioned at the name."""
+    tok = ts.expect_ident()
+    try:
+        return ring.index(tok.text)
+    except EngineError as exc:
+        raise ScenarioError(str(exc), tok.line, tok.col) from None
+
+
 def _poly_list(group: TokenStream, ring: Ring, allow_empty: bool = False) -> list:
     return _comma_list(group, lambda g: parse_poly(g, ring), allow_empty)
 
@@ -1055,8 +1064,7 @@ def _stmt_vanish(env: Scenario, ts: TokenStream):
     ts.expect(")")
     ts.expect("factor")
     ring = V.space.ring
-    factor_vars = _comma_list(_bracketed(ts, "(", ")"), lambda g: g.expect_ident().text)
-    factor_indices = {ring.index(v) for v in factor_vars}
+    factor_indices = set(_comma_list(_bracketed(ts, "(", ")"), lambda g: _var_index(g, ring)))
     ts.expect("codim")
     r = ts.expect_number()
     ts.expect("params")

@@ -6,7 +6,10 @@ univariate factorization and gcd oracles call sympy's, the elimination
 oracle is a Sylvester determinant, and the division oracle is the plain
 largest-term scan that the engine's heap-ordered division replaced, and the
 saturation oracle saturates by one generator at a time and intersects the
-parts, the route the engine's one-elimination saturation replaced.
+parts, the route the engine's one-elimination saturation replaced, and the
+residue and trace oracles rebuild the eliminants, their cofactor rows, the
+determinant and the dt-wedge on every call, the route the engine's
+per-presentation residue frame replaced.
 """
 
 from fractions import Fraction
@@ -14,8 +17,10 @@ from fractions import Fraction
 import sympy
 
 from cyclecalc.errors import EngineError
-from cyclecalc.groebner import Ideal, eliminate, leading
+from cyclecalc.forms import Form, wedge_all
+from cyclecalc.groebner import Ideal, cofactor_lift, eliminate, groebner, leading
 from cyclecalc.poly import Poly, Ring, pow_scalar
+from cyclecalc.residues import FinitePresentation, _triangular_eliminants, divmod_in_var
 from cyclecalc.symbols import _determinant
 
 
@@ -200,3 +205,57 @@ def reference_saturate(I: Ideal, J: Ideal) -> Ideal:
         gens = [t * up(a) for a in out.nonzero_gens()] + [(one - t) * up(b) for b in part.nonzero_gens()]
         out = _drop_last_variable(ring, ext, gens)
     return out
+
+
+def reference_residue(pres: FinitePresentation, h: Poly) -> Poly:
+    """Res_{P/Y}[h dx_1...dx_d / t_1,...,t_d], with the eliminants, one
+    cofactor lift per eliminant and their determinant computed afresh."""
+    ring = pres.ring
+    gs = _triangular_eliminants(pres)
+    I = Ideal(ring, list(pres.t))
+    det = _determinant([cofactor_lift(g, I) for g in gs], ring)
+    cur = h * det
+    fiber_idx = pres.fiber_indices()
+    for pos in range(pres.d - 1, -1, -1):
+        xi = fiber_idx[pos]
+        n = gs[pos].degree_in(xi)
+        _, r = divmod_in_var(cur, gs[pos], xi)
+        cur = r.coeffs_in(xi).get(n - 1, ring.zero())
+    return pres.to_base(cur)
+
+
+def _inversion_sign(perm) -> int:
+    """Sign of a permutation of 0..n-1, by counting its inversions."""
+    n = len(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
+def reference_trace_form(pres: FinitePresentation, alpha: Form) -> tuple:
+    """(output, audit) of cyclecalc.residues.trace_form, wedging all of
+    dt_d, ..., dt_1 and the lift in one fold and taking every residue by
+    reference_residue, with permutation signs counted by inversions."""
+    ring = pres.ring
+    d = pres.d
+    lifted = alpha.map_coefficients(groebner(Ideal(ring, list(pres.t))).normal_form)
+    omega = wedge_all([Form.d(t) for t in reversed(pres.t)] + [lifted])
+    fiber_idx = pres.fiber_indices()
+    base_ring = pres.base_ring()
+    base_index = {ring.index(n): i for i, n in enumerate(base_ring.vars)}
+    result = Form.zero(base_ring, alpha.degree)
+    audit_terms = []
+    for idx, coeff in omega.components.items():
+        fib = tuple(i for i in idx if i in fiber_idx)
+        base = tuple(i for i in idx if i not in fiber_idx)
+        if len(fib) != d:
+            continue
+        sign = _inversion_sign([idx.index(v) for v in fib + base])
+        fib_sign = _inversion_sign([fiber_idx.index(i) for i in fib])
+        h = coeff.scale(sign * fib_sign)
+        res = reference_residue(pres, h)
+        audit_terms.append((idx, str(h), str(res)))
+        base_tuple = tuple(sorted(base_index[i] for i in base))
+        result = result + Form(base_ring, alpha.degree, {base_tuple: res})
+    if (-1) ** (d * (d - 1) // 2) < 0:
+        result = -result
+    return result, {"terms": audit_terms, "lift": str(lifted)}

@@ -169,6 +169,23 @@ def test_trace_sign_conformance():
     assert trace_form(pres2, Form.from_poly(R4.one())).output.as_poly().constant_value() == 6
 
 
+def test_trace_signs_with_base_variables_first():
+    """Rings that list base variables before fiber ones, and fiber variables
+    out of ring order, so the reordering signs in trace_form are not all +1."""
+    R2 = ring_over(0, ["y", "x"])
+    y, x = R2.gens()
+    pres = FinitePresentation(R2, ("y",), ("x",), (y - x**2,))
+    assert trace_form(pres, Form.d(x).scale(x)).output == Form.d(pres.base_ring().var("y"))
+    assert trace_property_check(pres, "projection") == "pass"
+    R4 = ring_over(0, ["y1", "x2", "y2", "x1"])
+    y1, x2, y2, x1 = R4.gens()
+    pres2 = FinitePresentation(R4, ("y1", "y2"), ("x1", "x2"), (x1**2 + x1 - y1, x2**2 + x1 * x2 + y1 - y2))
+    assert trace_form(pres2, Form.from_poly(R4.one())).output.as_poly().constant_value() == 4
+    assert trace_form(pres2, Form.d(x1).scale(x1)).output == Form.d(pres2.base_ring().var("y1")).scale(2)
+    for which in ("degree0", "projection", "degree"):
+        assert trace_property_check(pres2, which) == "pass", which
+
+
 def test_trace_properties_char0_and_char5():
     assert trace_property_check(_pres(Y - X**2), "degree0") == "pass"
     assert trace_property_check(_pres(Y - X**2), "projection") == "pass"

@@ -233,6 +233,10 @@ prime V = { y } on Y noscreen
         "compose c = Z . Z split (a, b) into [W, Nope]",
         "unknown prime component 'Nope' (line 6, col 41)", id="split-component",
     ),
+    pytest.param(
+        "vanish v = cl(W) factor (zz) codim 1 params ((x) ; ())",
+        "unknown variable 'zz' in QQ[x] (line 6, col 26)", id="vanish-factor",
+    ),
     # the position is the first term off the first term's space
     pytest.param(
         "cycle b = 1*[W] + 2*[V]",
@@ -242,10 +246,6 @@ prime V = { y } on Y noscreen
     pytest.param(
         "space Xt = space(affine(x, y), proj(u, v))\nmorphism sg : Y -> Xt = (y, y)",
         "one coordinate tuple per target block required (line 7, col 1)", id="morphism-blocks",
-    ),
-    pytest.param(
-        "vanish v = cl(W) factor (zz) codim 1 params ((x) ; ())",
-        "unknown variable 'zz' in QQ[x] (line 6, col 1)", id="vanish-factor",
     ),
 ])
 def test_cli_malformed_statement_is_a_positioned_error(tmp_path, stmt, message):
