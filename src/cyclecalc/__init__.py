@@ -76,6 +76,5 @@ from .residues import FinitePresentation, ResidueQuery, residue, trace_form, tra
 from .report import Report, TaskResult
 from .scenario import parse_scenario, run_scenario, run_scenario_text
 from .axioms import run_axiom_harness
-from .verdicts import Verdict
 
 __version__ = "0.1.0"

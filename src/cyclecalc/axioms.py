@@ -27,7 +27,7 @@ from .cycles import (
     principal_divisor_line,
     push_forward,
 )
-from .errors import EngineError, PolicyReject
+from .errors import EngineError
 from .forms import Form, wedge_all
 from .geometry import (
     ClosedSet,
@@ -40,32 +40,22 @@ from .geometry import (
     jacobian_matrix,
     matrix_rank,
     point_set,
+    preimage,
     proj,
     whole_space,
 )
 from .groebner import Ideal, current_budget
 from .poly import Ring
 from .report import (
-    ERROR,
     FAIL,
     INAPPLICABLE,
     PASS,
     Report,
-    TaskResult,
+    run_check,
 )
 from .residues import FinitePresentation, trace_property_check
 from .supports import SupportFamily
 from .symbols import KoszulFraction, cycle_class_at_chart
-
-
-def _task(report: Report, name: str, kind: str, fn):
-    try:
-        verdict, detail, audit = fn()
-    except PolicyReject as exc:
-        verdict, detail, audit = "policy-reject", str(exc), {}
-    except EngineError as exc:
-        verdict, detail, audit = ERROR, str(exc), {}
-    report.add(TaskResult(name, kind, verdict, detail, audit))
 
 
 def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Report:
@@ -92,7 +82,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
             return (PASS if ok else FAIL,
                     "" if ok else f"push gave {got}, staircase rank {deg_independent}",
                     {"degree": n})
-        _task(report, f"cond1_push_deg{n}", "axiom-1", check)
+        report.add(run_check(f"cond1_push_deg{n}", "axiom-1", check))
 
     for label, n in [("square", 2), ("cube", 3)]:
         def check_trace(n=n):
@@ -102,7 +92,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
             if got == "inapplicable":
                 return INAPPLICABLE, f"deg {n} not a unit in characteristic {char}", {}
             return (PASS if got == "pass" else FAIL, "", {})
-        _task(report, f"cond1_trace_deg{n}", "axiom-1", check_trace)
+        report.add(run_check(f"cond1_trace_deg{n}", "axiom-1", check_trace))
 
     # ----- condition 2: [0] - [infinity] is principal on P^1 ---------------
     def check_cond2():
@@ -113,7 +103,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         inf_pt = PrimeComponent(closed_set(P1, P1.ring.var("V")), "inf", screen=False)
         ok = d == Cycle(P1, {zero_pt: 1, inf_pt: -1}) and divisor_degree(d) == 0
         return PASS if ok else FAIL, "" if ok else repr(d), {"divisor": repr(d)}
-    _task(report, "cond2_rational_equivalence", "axiom-2", check_cond2)
+    report.add(run_check("cond2_rational_equivalence", "axiom-2", check_cond2))
 
     # ----- condition 3: tangency multiplicities at cycle level -------------
     for n in (2, 3):
@@ -133,7 +123,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
             out = flat_pullback(Cycle(A2, {X_curve: 1}), iota, -1, "transversal immersion", decl)
             ok = out == Cycle(A1, {origin: n})
             return PASS if ok else FAIL, "" if ok else repr(out), {"n": n}
-        _task(report, f"cond3_tangency_n{n}", "axiom-3", check_mult)
+        report.add(run_check(f"cond3_tangency_n{n}", "axiom-3", check_mult))
 
     # ----- condition 4: cycle class independence and trace-route consistency --
     sign_flip = -1 if mutate_sign else 1
@@ -157,7 +147,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
             c2 = cycle_class_at_chart(W, t2, witness=wit)
             ok = c1.equal(c2)
             return PASS if ok else FAIL, "" if ok else f"{c1!r} != {c2!r}", {}
-        _task(report, f"cond4_class_params_{label}", "axiom-4", check_class)
+        report.add(run_check(f"cond4_class_params_{label}", "axiom-4", check_class))
 
     for label, W, t1, _t2, wit in class_cases():
         def check_lci(W=W, t1=t1, wit=wit):
@@ -175,7 +165,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
             lci = lci.scale(sign)
             ok = cl.equal(lci)
             return PASS if ok else FAIL, "" if ok else "sign routes disagree", {}
-        _task(report, f"cond4_lci_route_{label}", "axiom-4", check_lci)
+        report.add(run_check(f"cond4_lci_route_{label}", "axiom-4", check_lci))
 
     # ----- projection formula ------------------------------------------------
     def proj_formula_line():
@@ -203,7 +193,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         rhs = b.scale(mult)
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    _task(report, "projection_formula_line", "axiom-pf", proj_formula_line)
+    report.add(run_check("projection_formula_line", "axiom-pf", proj_formula_line))
 
     def proj_formula_plane():
         X = Space([affine("x", "y")], char)
@@ -231,7 +221,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         rhs = _transversal_cup(bq, fa)
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    _task(report, "projection_formula_plane", "axiom-pf", proj_formula_plane)
+    report.add(run_check("projection_formula_plane", "axiom-pf", proj_formula_plane))
 
     def proj_formula_immersion():
         A1 = Space([affine("x")], char)
@@ -251,7 +241,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         rhs = _transversal_cup(bq, fa)
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    _task(report, "projection_formula_immersion", "axiom-pf", proj_formula_immersion)
+    report.add(run_check("projection_formula_immersion", "axiom-pf", proj_formula_immersion))
 
     # ----- base-change squares ------------------------------------------------
     def square_open_restriction():
@@ -262,10 +252,10 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         a = cycle_of(PrimeComponent(whole_space(X), "X", screen=False), SupportFamily.full(X))
         B = point_set(Y, {"y": 0})
         lhs = push_forward(a, f, fullY).restrict_off(B)
-        rhs = push_forward(a.restrict_off(preimage_of(f, B)), f, fullY)
+        rhs = push_forward(a.restrict_off(preimage(f, B)), f, fullY)
         ok = lhs == rhs
         return PASS if ok else FAIL, "", {}
-    _task(report, "base_change_open_square", "axiom-bc", square_open_restriction)
+    report.add(run_check("base_change_open_square", "axiom-bc", square_open_restriction))
 
     def square_open_cube():
         X = Space([affine("x")], char)
@@ -276,10 +266,10 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         a = Cycle(X, {p: 1}, SupportFamily.full(X))
         B = point_set(Y, {"y": 0})
         lhs = push_forward(a, f, fullY).restrict_off(B)
-        rhs = push_forward(a.restrict_off(preimage_of(f, B)), f, fullY)
+        rhs = push_forward(a.restrict_off(preimage(f, B)), f, fullY)
         ok = lhs == rhs
         return PASS if ok else FAIL, "", {}
-    _task(report, "base_change_open_cube", "axiom-bc", square_open_cube)
+    report.add(run_check("base_change_open_cube", "axiom-bc", square_open_cube))
 
     def square_flat_projection():
         # finite cover times the line, pulled back along the projection
@@ -299,7 +289,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         rhs = push_forward(ga.with_family(SupportFamily.full(XT)), fxid, fullYT)
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    _task(report, "base_change_flat_projection", "axiom-bc", square_flat_projection)
+    report.add(run_check("base_change_flat_projection", "axiom-bc", square_flat_projection))
 
     def square_hyperplane():
         X = Space([affine("x", "y")], char)
@@ -313,7 +303,7 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         rhs = push_forward(aX.with_family(SupportFamily.full(X)), f, SupportFamily.full(Y))
         ok = lhs == rhs
         return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    _task(report, "base_change_hyperplane", "axiom-bc", square_hyperplane)
+    report.add(run_check("base_change_hyperplane", "axiom-bc", square_hyperplane))
 
     def square_empty_fiber():
         # transversal immersion missing the pushed cycle: both routes are zero
@@ -327,16 +317,10 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         # the hyperplane v=1 misses iota(X) entirely
         ok = lhs.is_zero()
         return PASS if ok else FAIL, "" if ok else repr(lhs), {}
-    _task(report, "base_change_empty_intersection", "axiom-bc", square_empty_fiber)
+    report.add(run_check("base_change_empty_intersection", "axiom-bc", square_empty_fiber))
 
     report.timing_seconds = time.time() - start
     return report
-
-
-def preimage_of(f: Morphism, B):
-    from .geometry import preimage
-
-    return preimage(f, B)
 
 
 def _transversal_cup(prime_comp: PrimeComponent, other: Cycle) -> Cycle:
@@ -364,10 +348,6 @@ def _transversal_cup(prime_comp: PrimeComponent, other: Cycle) -> Cycle:
             if matrix_rank(mat, ring.field) != inter.cone_codim():
                 raise EngineError("cup configuration is not transversal (rank)")
         pc = PrimeComponent(inter, label=f"{prime_comp.label}.{comp.label}", screen=False)
-        for existing in out:
-            if existing == pc:
-                pc = existing
-                break
         out[pc] = out.get(pc, 0) + mult
     return Cycle(space, {c: m for c, m in out.items() if m})
 
@@ -404,9 +384,5 @@ def _restrict_to_hyperplane(a: Cycle, h) -> Cycle:
         if inter.dim != comp.dim - 1:
             raise EngineError("hyperplane is not transversal to the cycle")
         pc = PrimeComponent(inter, label=f"{comp.label}|H", screen=False)
-        for existing in out:
-            if existing == pc:
-                pc = existing
-                break
         out[pc] = out.get(pc, 0) + mult
     return Cycle(space, {c: m for c, m in out.items() if m})

@@ -1,12 +1,14 @@
 """Correspondences and their composition with support tracking.
 
 A correspondence from (X, Phi) to (Y, Psi) is a cycle on the product space
-with component-wise P-membership bookkeeping.  Composition is implemented
-only through the localization route: push-forward along a declared graph
-factor where one exists (exact), otherwise pullback along a declared graph
-over a good open with a transversality witness per resulting component.  The
-remainder is never computed as a cycle; it is bounded by its support, which
-is exactly how the downstream vanishing arguments consume it.
+with support and graph bookkeeping; whether a component lies in
+P(Phi, Psi) is `supports.in_P_family` on the pair structure `prod`.
+Composition is implemented only through the localization route: push-forward
+along a declared graph factor where one exists (exact), otherwise pullback
+along a declared graph over a good open with a transversality witness per
+resulting component.  The remainder is never computed as a cycle; it is
+bounded by its support, which is exactly how the downstream vanishing
+arguments consume it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .cycles import Cycle, degree_over_image
-from .errors import EngineError, PolicyReject, RingMismatch
+from .errors import EngineError, RingMismatch
 from .geometry import (
     ClosedSet,
     Morphism,
@@ -34,8 +36,7 @@ from .geometry import (
     projection_proper_certificate,
 )
 from .groebner import Ideal, eliminate, saturate
-from .supports import SupportFamily, in_P_family
-from .verdicts import Verdict
+from .supports import SupportFamily
 
 
 def pair_product(src: Space, tgt: Space) -> ProductStructure:
@@ -91,7 +92,6 @@ class Correspondence:
                     f"component {comp.label} is not inside the product of the varieties"
                 )
         self.graphs: dict = {comp: [] for comp in cycle.terms}
-        self._p_verdicts: dict | None = None
 
     # -- geometry of the pair -------------------------------------------------
 
@@ -164,26 +164,6 @@ class Correspondence:
                 continue
             return data
         return None
-
-    # -- P-membership -----------------------------------------------------------
-
-    def p_verdicts(self) -> dict:
-        if self._p_verdicts is None:
-            self._p_verdicts = {
-                comp: in_P_family(comp.closed_set, self.src_family, self.tgt_family, self.prod)
-                for comp in self.cycle.terms
-            }
-        return self._p_verdicts
-
-    def require_P(self, waive: set | None = None):
-        waive = waive or set()
-        for comp, verdict in self.p_verdicts().items():
-            if comp.label in waive:
-                continue
-            if verdict is Verdict.REJECT:
-                raise PolicyReject(f"P-membership not certifiable for {comp.label}")
-            if verdict is Verdict.NO:
-                raise EngineError(f"component {comp.label} is not in P(phi, psi)")
 
     # -- structural operations ----------------------------------------------------
 

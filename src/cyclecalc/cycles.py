@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import EngineError, FlatnessError, PolicyReject, RingMismatch
+from .errors import EngineError, FlatnessError, RingMismatch
 from .geometry import (
     ClosedSet,
     Morphism,
@@ -32,7 +32,6 @@ from .groebner import (
 from .poly import Poly, Ring
 from .supports import SupportFamily, check_Vstar_morphism
 from .univar import factor_univariate, gcd_univariate, order_at_zero
-from .verdicts import Verdict
 
 
 class Cycle:
@@ -91,18 +90,6 @@ class Cycle:
 
     def with_family(self, family: SupportFamily) -> "Cycle":
         return Cycle(self.space, self.terms, family)
-
-    # -- grading ---------------------------------------------------------------
-
-    def pure_dimension(self):
-        """Common dimension of all components, or None if mixed/empty."""
-        dims = {c.dim for c in self.terms}
-        return dims.pop() if len(dims) == 1 else None
-
-    def graded_part(self, d: int) -> "Cycle":
-        return Cycle(
-            self.space, {c: m for c, m in self.terms.items() if c.dim == d}, self.family
-        )
 
     def support(self) -> ClosedSet:
         from .geometry import empty_set
@@ -234,30 +221,26 @@ def push_forward(
     a: Cycle,
     f: Morphism,
     psi: SupportFamily,
-    check_side_conditions: bool = True,
 ) -> Cycle:
-    """Component-wise f_*: multiply by deg(Z/f(Z)), drop dimension drops."""
+    """Component-wise f_*: multiply by deg(Z/f(Z)), drop dimension drops.
+
+    Raises PolicyReject when the policy cannot certify f proper on the
+    cycle's supports.
+    """
     if a.space != f.source:
         raise RingMismatch("cycle not on the source of f")
     phi = a.family
     if phi is None:
         phi = SupportFamily(a.space, [c.closed_set for c in a.terms])
-    if check_side_conditions:
-        verdict = check_Vstar_morphism(f, phi, psi, "push")
-        if verdict is Verdict.REJECT:
-            raise PolicyReject("push-forward side condition not certifiable")
-        if verdict is Verdict.NO:
-            raise EngineError("push-forward side condition fails: f(phi) not in psi")
+    if not check_Vstar_morphism(f, phi, psi, "push"):
+        raise EngineError("push-forward side condition fails: f(phi) not in psi")
     out: dict = {}
     for comp, mult in a.terms.items():
         cert = degree_over_image(comp, f)
         if cert.degree == 0:
             continue
+        # equal components hash alike, so the first label is the one kept
         img = PrimeComponent(cert.image, label=f"f({comp.label})")
-        for existing in out:
-            if existing == img:
-                img = existing
-                break
         out[img] = out.get(img, 0) + mult * cert.degree
     return Cycle(f.target, {c: m for c, m in out.items() if m}, psi)
 
@@ -317,24 +300,11 @@ def flat_pullback(
     if a.space != f.target:
         raise RingMismatch("cycle not on the target of f")
     out: dict = {}
-
-    def add(comp: PrimeComponent, mult: int):
-        for existing in out:
-            if existing == comp:
-                comp = existing
-                break
-        out[comp] = out.get(comp, 0) + mult
-
     for comp, mult in a.terms.items():
         P = preimage(f, comp.closed_set)
         if P.is_empty():
             continue
-        decl = None
-        if declared:
-            for key, value in declared.items():
-                if key == comp:
-                    decl = value
-                    break
+        decl = declared.get(comp) if declared else None
         if decl is None:
             pc = PrimeComponent(P, label=f"f^-1({comp.label})")
             if pc.dim != comp.dim + fiber_dim:
@@ -342,7 +312,7 @@ def flat_pullback(
                     f"preimage of {comp.label} has dimension {pc.dim}, "
                     f"expected {comp.dim + fiber_dim}"
                 )
-            add(pc, mult)
+            out[pc] = out.get(pc, 0) + mult
             continue
         # declared decomposition: verify completeness and multiplicities
         union = None
@@ -372,7 +342,7 @@ def flat_pullback(
                 raise FlatnessError(
                     "non-unit multiplicity requires a probe line declaration"
                 )
-            add(term.component, mult * term.multiplicity)
+            out[term.component] = out.get(term.component, 0) + mult * term.multiplicity
     return Cycle(f.source, {c: m for c, m in out.items() if m}, None)
 
 
@@ -443,10 +413,6 @@ def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> 
             label=str(comp_poly) + "=0",
             screen=False,
         )
-        for existing in terms:
-            if existing == comp:
-                comp = existing
-                break
         terms[comp] = terms.get(comp, 0) + mult
 
     _, num_factors = factor_univariate(numerator, 0)
@@ -464,10 +430,6 @@ def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> 
                 label="infinity",
                 screen=False,
             )
-            for existing in terms:
-                if existing == infty:
-                    infty = existing
-                    break
             terms[infty] = terms.get(infty, 0) + imbalance
 
     return Cycle(space, {c: m for c, m in terms.items() if m}, None)

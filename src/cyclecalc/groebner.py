@@ -561,22 +561,10 @@ def ideal_intersect(A: Ideal, B: Ideal) -> Ideal:
 
 
 def krull_dim(I: Ideal) -> int:
-    """Krull dimension of ring/I via maximal LT-independent variable sets."""
-    gb = groebner(I)
-    if gb.is_unit():
+    """Krull dimension of ring/I: the size of a maximal LT-independent variable set."""
+    if groebner(I).is_unit():
         raise EngineError("dimension of the unit ideal")
-    n = I.ring.nvars
-    if not gb.basis:
-        return n
-    supports = [frozenset(i for i, k in enumerate(e) if k) for e in gb.lead_exps]
-    from itertools import combinations
-
-    for size in range(n, -1, -1):
-        for S in combinations(range(n), size):
-            Sset = set(S)
-            if all(not supp <= Sset for supp in supports):
-                return size
-    return 0
+    return len(max_independent_set(I))
 
 
 def max_independent_set(I: Ideal, within: Iterable[int] | None = None) -> tuple:

@@ -211,9 +211,6 @@ class Poly:
             return self.ring.zero()
         return Poly(self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()})
 
-    def monic_by(self, coeff) -> "Poly":
-        return self.scale(self.ring.field.inv(coeff))
-
     # -- calculus and substitution ----------------------------------------
 
     def derivative(self, var) -> "Poly":

@@ -3,12 +3,18 @@
 Verdicts are five-valued: pass / fail / policy-reject / inapplicable / error.
 The machine rendering is deterministic (timing lives outside the comparable
 payload), and both renderings always carry identical verdicts.
+
+`run_check` is the one place where an exception becomes a verdict: inside the
+engine a side condition the properness policy cannot certify is a
+`PolicyReject` and nothing else, and it turns into `policy-reject` only here.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+from .errors import EngineError, PolicyReject
 
 ENGINE_VERSION = "0.1.0"
 
@@ -41,6 +47,22 @@ class TaskResult:
             "detail": self.detail,
             "audit": _jsonable(self.audit),
         }
+
+
+def run_check(name: str, kind: str, check) -> TaskResult:
+    """Run one check, which returns `(verdict, detail, audit)`, as a task.
+
+    `PolicyReject` becomes `policy-reject` and any other `EngineError` (a
+    tripped budget included) becomes `error`, with the exception's message as
+    the detail: neither is ever read as a mathematical `fail`.
+    """
+    try:
+        verdict, detail, audit = check()
+    except PolicyReject as exc:
+        return TaskResult(name, kind, POLICY_REJECT, str(exc))
+    except EngineError as exc:
+        return TaskResult(name, kind, ERROR, str(exc))
+    return TaskResult(name, kind, verdict, detail, audit)
 
 
 def _jsonable(value):

@@ -67,16 +67,15 @@ from .geometry import (
 from .groebner import Budget, Ideal, budget_scope, current_budget
 from .poly import Poly, Ring
 from .report import (
-    ERROR,
     FAIL,
     INAPPLICABLE,
     PASS,
     POLICY_REJECT,
     Report,
-    TaskResult,
+    run_check,
 )
 from .residues import FinitePresentation, trace_form
-from .supports import SupportFamily
+from .supports import SupportFamily, in_P_family
 from .symbols import (
     Chart,
     KoszulFraction,
@@ -355,7 +354,9 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
 class Task:
     name: str
     kind: str
-    run: object  # callable -> TaskResult
+    # callable -> (verdict, detail, audit); `report.run_check` runs it and turns
+    # an EngineError it raises into a policy-reject or error verdict
+    run: object
 
 
 @dataclass
@@ -681,19 +682,23 @@ def _stmt_corr(env: Scenario, ts: TokenStream):
     corr = Correspondence(src_var, src_fam, tgt_var, tgt_fam, cyc)
     env.corrs[name] = corr
 
-    def run_P() -> TaskResult:
-        verdicts = {c.label: v.value for c, v in corr.p_verdicts().items()}
+    def run_P():
+        # caught per component: a waived component's reject must not reject the task
+        verdicts = {}
+        for comp in corr.cycle.terms:
+            try:
+                member = in_P_family(comp.closed_set, src_fam, tgt_fam, corr.prod)
+            except PolicyReject:
+                verdicts[comp.label] = POLICY_REJECT
+                continue
+            verdicts[comp.label] = "yes" if member else "no"
         bad = [l for l, v in verdicts.items() if v == "no" and l not in waive]
-        rejected = [l for l, v in verdicts.items() if v == "policy-reject" and l not in waive]
+        rejected = [l for l, v in verdicts.items() if v == POLICY_REJECT and l not in waive]
         if bad:
-            return TaskResult(f"{name}_P", "corr-P", FAIL, f"not in P(phi,psi): {bad}", {"verdicts": verdicts})
+            return FAIL, f"not in P(phi,psi): {bad}", {"verdicts": verdicts}
         if rejected:
-            return TaskResult(
-                f"{name}_P", "corr-P", POLICY_REJECT,
-                f"properness not certifiable: {rejected}", {"verdicts": verdicts},
-            )
-        detail = f"waived: {sorted(waive)}" if waive else ""
-        return TaskResult(f"{name}_P", "corr-P", PASS, detail, {"verdicts": verdicts})
+            return POLICY_REJECT, f"properness not certifiable: {rejected}", {"verdicts": verdicts}
+        return PASS, f"waived: {sorted(waive)}" if waive else "", {"verdicts": verdicts}
 
     env.tasks.append(Task(f"{name}_P", "corr-P", run_P))
 
@@ -783,7 +788,7 @@ def _stmt_compose(env: Scenario, ts: TokenStream):
             ts.expect("within")
             expect_bound = _ref(ts, env.closed_table, "closed set")
 
-    def run() -> TaskResult:
+    def run():
         a = _corr_operand(env, a_tok.text)
         b = _corr_operand(env, b_tok.text)
         r = compose_localized(a, b, hint=hint, witnesses=witnesses, split=split or None)
@@ -803,7 +808,7 @@ def _stmt_compose(env: Scenario, ts: TokenStream):
             if not expect_bound.contains(r.error_support):
                 verdict = FAIL
                 detail = "error support escapes the declared bound"
-        return TaskResult(name, "compose", verdict, detail, audit)
+        return verdict, detail, audit
 
     env.tasks.append(Task(name, "compose", run))
 
@@ -820,17 +825,14 @@ def _stmt_projector(env: Scenario, ts: TokenStream):
     if ts.accept("bound"):
         bound = _ref(ts, env.closed_table, "closed set")
 
-    def run() -> TaskResult:
+    def run():
         p = _corr_operand(env, p_tok.text)
         ok, r = projector_check(
             p, lam, hint=hint, witnesses=witnesses, split=split or None, bound=bound
         )
         audit = dict(r.audit)
         audit["error_support"] = repr(r.error_support.ideal)
-        return TaskResult(
-            name, "projector", PASS if ok else FAIL,
-            "" if ok else f"main {r.main!r} vs {lam} * {p.cycle!r}", audit,
-        )
+        return PASS if ok else FAIL, "" if ok else f"main {r.main!r} vs {lam} * {p.cycle!r}", audit
 
     env.tasks.append(Task(name, "projector", run))
 
@@ -866,7 +868,7 @@ def _stmt_identity(env: Scenario, ts: TokenStream):
     bound = _ref(ts, env.closed_table, "closed set")
     hint, witnesses, split = _corr_compose_clauses(env, ts)
 
-    def run() -> TaskResult:
+    def run():
         results = []
 
         def evaluate(side_spec, k):
@@ -886,9 +888,7 @@ def _stmt_identity(env: Scenario, ts: TokenStream):
             if ok and not bound.contains(r.error_support):
                 ok = False
                 detail = "error support escapes the declared bound"
-        return TaskResult(name, "identity", PASS if ok else FAIL, detail, {
-            "lhs": repr(lhs), "rhs": repr(rhs),
-        })
+        return PASS if ok else FAIL, detail, {"lhs": repr(lhs), "rhs": repr(rhs)}
 
     env.tasks.append(Task(name, "identity", run))
 
@@ -906,16 +906,15 @@ def _stmt_property(env: Scenario, ts: TokenStream):
     if want_tok.text not in ("pass", "inapplicable"):
         raise ScenarioError("expected pass or inapplicable", want_tok.line, want_tok.col)
 
-    def run() -> TaskResult:
+    def run():
         from .residues import trace_property_check
 
         got = trace_property_check(pres, which_tok.text)
         if got == "fail":
-            return TaskResult(name, "property", FAIL, f"{which_tok.text} check failed")
+            return FAIL, f"{which_tok.text} check failed", {}
         if got == want_tok.text:
-            verdict = PASS if got == "pass" else INAPPLICABLE
-            return TaskResult(name, "property", verdict, "")
-        return TaskResult(name, "property", FAIL, f"expected {want_tok.text}, got {got}")
+            return PASS if got == "pass" else INAPPLICABLE, "", {}
+        return FAIL, f"expected {want_tok.text}, got {got}", {}
 
     env.tasks.append(Task(name, "property", run))
 
@@ -952,10 +951,10 @@ def _stmt_class(env: Scenario, ts: TokenStream):
     params = _poly_list(_bracketed(ts, "(", ")"), W.space.ring)
     witness = _parse_point(ts) if ts.accept("witness") else None
 
-    def run() -> TaskResult:
+    def run():
         frac = cycle_class_at_chart(W, params, chart, witness)
         env.symbols[name] = frac
-        return TaskResult(name, "class", PASS, "", {"symbol": repr(frac)})
+        return PASS, "", {"symbol": repr(frac)}
 
     env.tasks.append(Task(name, "class", run))
 
@@ -1007,13 +1006,10 @@ def _stmt_assert(env: Scenario, ts: TokenStream):
         else:
             rhs = parse_form(ts, pres.base_ring())
 
-        def run() -> TaskResult:
+        def run():
             out = trace_form(pres, arg)
             ok = out.output.is_zero() if rhs is None else out.output == rhs
-            return TaskResult(
-                task_name, "assert", PASS if ok else FAIL,
-                "" if ok else f"{out.output} != {rhs}", {"audit": out.audit},
-            )
+            return PASS if ok else FAIL, "" if ok else f"{out.output} != {rhs}", {"audit": out.audit}
 
         env.tasks.append(Task(task_name, "assert", run))
         return
@@ -1025,11 +1021,10 @@ def _stmt_assert(env: Scenario, ts: TokenStream):
     if ts.at_kind("number"):
         scale = ts.expect_number()
         if scale == 0 and ts.done():
-            def run_zero() -> TaskResult:
+            def run_zero():
                 s = _resolve_symbol(env, lhs_name, task_name)
                 ok = s.is_zero()
-                return TaskResult(task_name, "assert", PASS if ok else FAIL,
-                                  "" if ok else f"{s!r} is not zero", {})
+                return PASS if ok else FAIL, "" if ok else f"{s!r} is not zero", {}
             env.tasks.append(Task(task_name, "assert", run_zero))
             return
         ts.accept("*")
@@ -1037,12 +1032,11 @@ def _stmt_assert(env: Scenario, ts: TokenStream):
     rhs_tok = ts.expect_ident()
     rhs_name = rhs_tok.text
 
-    def run_cmp() -> TaskResult:
+    def run_cmp():
         s1 = _resolve_symbol(env, lhs_name, task_name)
         s2 = _resolve_symbol(env, rhs_name, task_name).scale(scale * sign)
         ok = s1.equal(s2)
-        return TaskResult(task_name, "assert", PASS if ok else FAIL,
-                          "" if ok else f"{s1!r} != {scale}*{s2!r}", {})
+        return PASS if ok else FAIL, "" if ok else f"{s1!r} != {scale}*{s2!r}", {}
 
     env.tasks.append(Task(task_name, "assert", run_cmp))
 
@@ -1076,11 +1070,11 @@ def _stmt_vanish(env: Scenario, ts: TokenStream):
     chart = _ref(ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
     witness = _parse_point(ts) if ts.accept("witness") else None
 
-    def run() -> TaskResult:
+    def run():
         rep = vanishing_check(V, factor_indices, r, pf, pr, chart, witness)
         ok = rep.all_vanish
-        return TaskResult(
-            name, "vanish", PASS if ok else FAIL,
+        return (
+            PASS if ok else FAIL,
             "" if ok else f"non-vanishing components: {[q for q, v in rep.verdicts if not v]}",
             {"verdicts": rep.verdicts},
         )
@@ -1100,14 +1094,11 @@ def _stmt_push(env: Scenario, ts: TokenStream):
     ts.expect("expect")
     expected = _parse_cycle_body(env, ts)
 
-    def run() -> TaskResult:
+    def run():
         out = push_forward(a, f, psi)
         env.cycles[name] = out
         ok = out == expected
-        return TaskResult(
-            name, "push", PASS if ok else FAIL,
-            "" if ok else f"{out!r} != {expected!r}", {},
-        )
+        return PASS if ok else FAIL, "" if ok else f"{out!r} != {expected!r}", {}
 
     env.tasks.append(Task(name, "push", run))
 
@@ -1135,7 +1126,7 @@ def _stmt_divisor(env: Scenario, ts: TokenStream):
     if ts.accept("expect"):
         expected = _parse_cycle_body(env, ts, space=space)
 
-    def run() -> TaskResult:
+    def run():
         out = principal_divisor_line(num, den, space)
         env.cycles[name] = out
         ok = True
@@ -1144,7 +1135,7 @@ def _stmt_divisor(env: Scenario, ts: TokenStream):
             ok = _cycles_match(out, expected)
             if not ok:
                 detail = f"{out!r} != {expected!r}"
-        return TaskResult(name, "divisor", PASS if ok else FAIL, detail, {"divisor": repr(out)})
+        return PASS if ok else FAIL, detail, {"divisor": repr(out)}
 
     env.tasks.append(Task(name, "divisor", run))
 
@@ -1199,13 +1190,7 @@ def run_scenario(env: Scenario) -> Report:
     start = time.time()
     with budget_scope(env.budget):
         for task in env.tasks:
-            try:
-                result = task.run()
-            except PolicyReject as exc:
-                result = TaskResult(task.name, task.kind, POLICY_REJECT, str(exc))
-            except EngineError as exc:
-                result = TaskResult(task.name, task.kind, ERROR, str(exc))
-            report.add(result)
+            report.add(run_check(task.name, task.kind, task.run))
     report.timing_seconds = time.time() - start
     return report
 

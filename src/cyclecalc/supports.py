@@ -4,13 +4,17 @@ A family is always finitely generated: it is the smallest collection of
 closed sets containing the declared generators and closed under finite unions
 and passage to closed subsets.  Membership of Z therefore reduces to one
 containment: Z inside the union of the generators.
+
+`in_P_family` and `check_Vstar_morphism` return a bool when they can decide.
+A properness side condition the policy cannot certify raises `PolicyReject`
+out of them; it is never folded into False.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EngineError, PolicyReject, RingMismatch
+from .errors import EngineError, RingMismatch
 from .geometry import (
     ClosedSet,
     Morphism,
@@ -24,7 +28,6 @@ from .geometry import (
     whole_space,
 )
 from .groebner import Ideal, ideal_product
-from .verdicts import Verdict
 
 
 class SupportFamily:
@@ -102,20 +105,18 @@ def in_P_family(
     phi: SupportFamily,
     psi: SupportFamily,
     prod: ProductStructure,
-) -> Verdict:
+) -> bool:
     """Membership in P(phi, psi) on the product X x Y.
 
     Z must be closed with pr2|Z proper (policy), and Z ∩ pr1^{-1}(W) must lie
-    in pr2^{-1}(psi) for every generator W of phi.
+    in pr2^{-1}(psi) for every generator W of phi.  Raises PolicyReject when
+    the policy cannot certify pr2|Z proper.
     """
     if Z.space != prod.space:
         raise RingMismatch("Z not on the product space")
     if Z.is_empty():
-        return Verdict.YES
-    try:
-        projection_proper_certificate(Z, {1}, prod)
-    except PolicyReject:
-        return Verdict.REJECT
+        return True
+    projection_proper_certificate(Z, {1}, prod)
 
     # pr2^{-1}(psi) is generated by X x V
     pulled = SupportFamily(
@@ -134,8 +135,8 @@ def in_P_family(
             ),
         )
         if not pulled.member(cap):
-            return Verdict.NO
-    return Verdict.YES
+            return False
+    return True
 
 
 def check_Vstar_morphism(
@@ -143,26 +144,24 @@ def check_Vstar_morphism(
     phi: SupportFamily,
     psi: SupportFamily,
     variance: str,
-) -> Verdict:
+) -> bool:
     """Side conditions for f to act on supported classes.
 
     variance='push': f restricted to each generator of phi is proper (policy)
-    and its image lies in psi.  variance='pull': the preimage family of psi is
-    contained in phi.
+    and its image lies in psi; raises PolicyReject when the policy cannot
+    certify f proper on a generator.  variance='pull': the preimage family of
+    psi is contained in phi.
     """
     if variance == "push":
         if phi.space != f.source or psi.space != f.target:
             raise RingMismatch("families do not match the morphism")
         for w in phi.generators:
-            try:
-                morphism_proper_on(f, w)
-            except PolicyReject:
-                return Verdict.REJECT
+            morphism_proper_on(f, w)
             if not psi.member(image_closure(f, w)):
-                return Verdict.NO
-        return Verdict.YES
+                return False
+        return True
     if variance == "pull":
         if phi.space != f.source or psi.space != f.target:
             raise RingMismatch("families do not match the morphism")
-        return Verdict.of(preimage_family(f, psi).subfamily_of(phi))
+        return preimage_family(f, psi).subfamily_of(phi)
     raise EngineError(f"unknown variance {variance!r}")

@@ -118,7 +118,7 @@ def sympy_factor_univariate(p: Poly, var_index: int):
         lc = q.terms[max(q.terms, key=lambda e: e[var_index])]
         if lc != ring.field.one:
             lead = ring.field.mul(lead, pow_scalar(ring.field, lc, mult))
-            q = q.monic_by(lc)
+            q = q.scale(ring.field.inv(lc))
         out.append((q, int(mult)))
     return lead, out
 
@@ -136,7 +136,7 @@ def sympy_gcd_univariate(p: Poly, q: Poly, var_index: int) -> Poly:
     if out.is_zero():
         return out
     lc = out.terms[max(out.terms, key=lambda e: e[var_index])]
-    return out.monic_by(lc)
+    return out.scale(ring.field.inv(lc))
 
 
 def reference_divide(f: Poly, basis, order, leads=None):

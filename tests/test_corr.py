@@ -27,8 +27,7 @@ from cyclecalc.geometry import (
     proj,
     whole_space,
 )
-from cyclecalc.supports import SupportFamily
-from cyclecalc.verdicts import Verdict
+from cyclecalc.supports import SupportFamily, in_P_family
 
 A1 = Space([affine("x")])
 A1b = Space([affine("y")])
@@ -145,9 +144,9 @@ def test_localized_supp_audit():
 def test_transpose_recomputes_verdicts():
     Gf = _graph(2)
     Gft = Gf.transpose()
-    assert all(v is Verdict.YES for v in Gf.p_verdicts().values())
-    assert all(v is Verdict.YES for v in Gft.p_verdicts().values())
-    Gft.require_P()
+    for corr in (Gf, Gft):
+        for comp in corr.cycle.terms:
+            assert in_P_family(comp.closed_set, corr.src_family, corr.tgt_family, corr.prod) is True
 
 
 def test_projector_scalar_algebra():

@@ -13,7 +13,7 @@ from cyclecalc.cycles import (
     principal_divisor_line,
     push_forward,
 )
-from cyclecalc.errors import EngineError, FlatnessError
+from cyclecalc.errors import EngineError, FlatnessError, PolicyReject
 from cyclecalc.geometry import (
     Morphism,
     PrimeComponent,
@@ -26,6 +26,7 @@ from cyclecalc.geometry import (
 )
 from cyclecalc.poly import Ring, ring_over
 from cyclecalc.residues import FinitePresentation
+from cyclecalc.scenario import run_scenario_text
 from cyclecalc.supports import SupportFamily
 
 A1 = Space([affine("t")])
@@ -113,6 +114,32 @@ def test_push_forward_functorial_towers():
         one_step = push_forward(a, g.compose(f), fullU)
         assert two_step == one_step
         assert list(one_step.terms.values()) == [m * n]
+
+
+def test_push_forward_policy_reject():
+    """(x, y) -> x is not certifiably proper on the plane: the library call
+    raises PolicyReject and a scenario reports a policy-reject, not an error."""
+    A2 = Space([affine("x", "y")])
+    L = Space([affine("u")])
+    f = Morphism(A2, L, [(A2.ring.var("x"),)])
+    plane = cycle_of(PrimeComponent(whole_space(A2), "P", screen=False), SupportFamily.full(A2))
+    with pytest.raises(PolicyReject, match="monic eliminant"):
+        push_forward(plane, f, SupportFamily.full(L))
+    text = """
+char 0
+space P = space(affine(x, y))
+space L = space(affine(u))
+morphism f : P -> L = (x)
+prime PV = { } on P noscreen
+prime LV = { } on L noscreen
+support FP = full on P
+support FL = full on L
+cycle a = 1*[PV] on P with support FP
+push b = push a along f into FL expect 1*[LV]
+"""
+    (task,) = run_scenario_text(text).tasks
+    assert (task.name, task.kind, task.verdict) == ("b", "push", "policy-reject")
+    assert "monic eliminant" in task.detail
 
 
 def test_flat_pullback_projection_and_restriction():
@@ -223,18 +250,6 @@ def test_char5_divisor():
     # splits into t-1, t+1 over F_5; infinity balances with -2
     assert sorted(d.terms.values()) == [-2, 1, 1]
     assert divisor_degree(d) == 0
-
-
-def test_grading_accessors():
-    TS = Space([affine("x"), affine("w")])
-    rp = TS.ring
-    curve = PrimeComponent(closed_set(TS, rp.var("w") - rp.var("x") ** 2), "c", screen=False)
-    pt = PrimeComponent(closed_set(TS, rp.var("x"), rp.var("w")), "p", screen=False)
-    mixed = Cycle(TS, {curve: 1, pt: 2})
-    assert mixed.pure_dimension() is None
-    assert Cycle(TS, {curve: 1}).pure_dimension() == 1
-    assert mixed.graded_part(0) == Cycle(TS, {pt: 2})
-    assert mixed.graded_part(1) == Cycle(TS, {curve: 1})
 
 
 def test_family_bounds_component_dimension():

@@ -347,19 +347,47 @@ compose p = Gf . Gft expect main = 3*[D]
     assert "3" in by_name["p"].detail
 
 
-def test_policy_reject_surfaces_in_report():
-    text = """
+@pytest.mark.parametrize(
+    "corr, verdict, detail, verdicts",
+    [
+        # the graph of x -> x^2: pr2 is finite on it
+        pytest.param("[XV, FX] => [YV, FY] = 1*[G]", "pass", "", {"G": "yes"}, id="pass"),
+        # over x = 0 the graph sits at y = 0, outside psi = <y = 1>
+        pytest.param(
+            "[XV, Phi0] => [YV, Psi1] = 1*[G]", "fail", "not in P(phi,psi): ['G']", {"G": "no"},
+            id="fail",
+        ),
+        # H = {y = 0} is not finite over Y: x has no monic eliminant
+        pytest.param(
+            "[XV, FX] => [YV, FY] = 1*[H]", "policy-reject", "properness not certifiable: ['H']",
+            {"H": "policy-reject"}, id="policy-reject",
+        ),
+        pytest.param(
+            "[XV, FX] => [YV, FY] = 1*[H] waive P(H)", "pass", "waived: ['H']",
+            {"H": "policy-reject"}, id="waived",
+        ),
+    ],
+)
+def test_policy_reject_surfaces_in_report(corr, verdict, detail, verdicts):
+    text = f"""
 char 0
 space X = space(affine(x))
 space Y = space(affine(y))
-prime XV = { } on X noscreen
-prime YV = { } on Y noscreen
+prime XV = {{ }} on X noscreen
+prime YV = {{ }} on Y noscreen
 support FX = full on X
 support FY = full on Y
+closed X0 = {{ x }} on X
+closed Y1 = {{ y - 1 }} on Y
+support Phi0 = family(X0)
+support Psi1 = family(Y1)
 pair XY = X ** Y
-prime H = { y@2 } on XY noscreen
-corr bad : [XV, FX] => [YV, FY] = 1*[H]
+prime H = {{ y@2 }} on XY noscreen
+prime G = {{ y@2 - x@1^2 }} on XY noscreen
+corr bad : {corr}
 """
     rep = run_scenario_text(text)
     (task,) = rep.tasks
-    assert task.name == "bad_P" and task.verdict == "policy-reject"
+    assert (task.name, task.kind, task.verdict) == ("bad_P", "corr-P", verdict)
+    assert task.detail == detail
+    assert task.audit == {"verdicts": verdicts}

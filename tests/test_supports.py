@@ -1,5 +1,8 @@
 """Families of supports and the V-side conditions."""
 
+import pytest
+
+from cyclecalc.errors import PolicyReject
 from cyclecalc.geometry import (
     Morphism,
     Space,
@@ -16,7 +19,6 @@ from cyclecalc.supports import (
     preimage_family,
     product_family,
 )
-from cyclecalc.verdicts import Verdict
 
 A1 = Space([affine("x")])
 A1y = Space([affine("y")])
@@ -89,28 +91,29 @@ def test_in_P_family_examples():
     rp = prod.space.ring
     full1, full2 = SupportFamily.full(A1), SupportFamily.full(A1y)
     diag = closed_set(prod.space, rp.var("y") - rp.var("x"))
-    assert in_P_family(diag, full1, full2, prod) is Verdict.YES
+    assert in_P_family(diag, full1, full2, prod) is True
     horizontal = closed_set(prod.space, rp.var("y"))
     psi0 = SupportFamily(A1y, [point_set(A1y, {"y": 0})])
-    assert in_P_family(horizontal, full1, psi0, prod) is Verdict.REJECT
+    with pytest.raises(PolicyReject):
+        in_P_family(horizontal, full1, psi0, prod)
     graph = closed_set(prod.space, rp.var("y") - rp.var("x") ** 2)
     phi0 = SupportFamily(A1, [point_set(A1, {"x": 0})])
-    assert in_P_family(graph, phi0, psi0, prod) is Verdict.YES
+    assert in_P_family(graph, phi0, psi0, prod) is True
     psi1 = SupportFamily(A1y, [point_set(A1y, {"y": 1})])
-    assert in_P_family(graph, phi0, psi1, prod) is Verdict.NO
+    assert in_P_family(graph, phi0, psi1, prod) is False
 
 
 def test_check_Vstar_morphism():
     f = Morphism(A1, A1y, [(A1.ring.var("x") ** 2,)])
     phi0 = SupportFamily(A1, [point_set(A1, {"x": 0})])
     psi0 = SupportFamily(A1y, [point_set(A1y, {"y": 0})])
-    assert check_Vstar_morphism(f, phi0, psi0, "push") is Verdict.YES
-    assert check_Vstar_morphism(f, preimage_family(f, psi0), psi0, "pull") is Verdict.YES
+    assert check_Vstar_morphism(f, phi0, psi0, "push") is True
+    assert check_Vstar_morphism(f, preimage_family(f, psi0), psi0, "pull") is True
     psi1 = SupportFamily(A1y, [point_set(A1y, {"y": 1})])
-    assert check_Vstar_morphism(f, phi0, psi1, "push") is Verdict.NO
+    assert check_Vstar_morphism(f, phi0, psi1, "push") is False
     # diagonal inside a product is finite over either factor
     prod = product_space([A1, A1y])
     rp = prod.space.ring
     pr2 = Morphism(prod.space, A1y, [(rp.var("y"),)])
     diag_fam = SupportFamily(prod.space, [closed_set(prod.space, rp.var("y") - rp.var("x"))])
-    assert check_Vstar_morphism(pr2, diag_fam, SupportFamily.full(A1y), "push") is Verdict.YES
+    assert check_Vstar_morphism(pr2, diag_fam, SupportFamily.full(A1y), "push") is True
