@@ -9,6 +9,13 @@ along a declared graph over a good open with a transversality witness per
 resulting component.  The remainder is never computed as a cycle; it is
 bounded by its support, which is exactly how the downstream vanishing
 arguments consume it.
+
+Both routes are symmetric in the two factors.  A global graph of g: X2 -> X3
+on b pushes a forward along id x g, and a global transposed graph of
+psi: X2 -> X1 on a pushes b forward along psi x id: one push, told which
+factor its morphism acts on.  Likewise a graph of phi: X1 -> X2 on a pulls b
+back along phi x id, and a transposed graph of chi: X3 -> X2 on b pulls a
+back along id x chi: one pull, told the factor.
 """
 
 from __future__ import annotations
@@ -119,31 +126,27 @@ class Correspondence:
         raise EngineError(f"{comp.label} is not a component of this correspondence")
 
     def _graph_closed_set(self, data: GraphData) -> ClosedSet:
-        if data.kind == "graph":
-            f = data.morphism
-            if f.source != self.src_variety.space or f.target != self.tgt_variety.space:
-                raise RingMismatch("graph morphism spaces do not match")
-            emb = (self.prod.embeddings[0], self.prod.embeddings[1])
-            over = self.src_variety.closed_set
-            other = self.tgt_variety.closed_set
-        else:
-            f = data.morphism
-            if f.source != self.tgt_variety.space or f.target != self.src_variety.space:
-                raise RingMismatch("transpose-graph morphism spaces do not match")
-            emb = (self.prod.embeddings[1], self.prod.embeddings[0])
-            over = self.tgt_variety.closed_set
-            other = self.src_variety.closed_set
+        side = 0 if data.kind == "graph" else 1
+        f = data.morphism
+        varieties = (self.src_variety, self.tgt_variety)
+        over, other = varieties[side], varieties[1 - side]
+        if f.source != over.space or f.target != other.space:
+            raise RingMismatch(
+                "graph morphism spaces do not match" if side == 0
+                else "transpose-graph morphism spaces do not match"
+            )
+        emb = (self.prod.embeddings[side], self.prod.embeddings[1 - side])
         flipped = ProductStructure(self.prod.space, (f.source, f.target), emb)
         ring = self.prod.space.ring
         gens = list(graph_relations(f, flipped))
-        gens += [g.inject(ring, emb[0]) for g in over.ideal.gens]
+        gens += [g.inject(ring, emb[0]) for g in over.closed_set.ideal.gens]
         if f.domain is not None:
             gens += [g.inject(ring, emb[0]) for g in f.domain.ideal.gens]
-        gens += [g.inject(ring, emb[1]) for g in other.ideal.gens]
+        gens += [g.inject(ring, emb[1]) for g in other.closed_set.ideal.gens]
         I = Ideal(ring, gens)
         bl = f.base_locus()
         if not bl.is_empty():
-            I = saturate(I, Ideal(ring, [g.inject(ring, emb[0]) for g in bl.ideal.gens]))
+            I = saturate(I, flipped.inject_ideal(0, bl.ideal))
         return ClosedSet(self.prod.space, I)
 
     def attach_graph(self, comp: PrimeComponent, data: GraphData, verify: bool = True):
@@ -198,15 +201,16 @@ class Correspondence:
         return out
 
     def scale(self, k: int) -> "Correspondence":
+        return self._with_cycle(self.cycle.scale(k))
+
+    def _with_cycle(self, cycle: Cycle) -> "Correspondence":
+        """The same varieties and families on `cycle`, keeping the graph data
+        of every component that survives in it."""
         out = Correspondence(
-            self.src_variety,
-            self.src_family,
-            self.tgt_variety,
-            self.tgt_family,
-            self.cycle.scale(k),
+            self.src_variety, self.src_family, self.tgt_variety, self.tgt_family, cycle
         )
         for comp, datas in self.graphs.items():
-            if comp in out.cycle.terms:
+            if comp in cycle.terms:
                 out.graphs[comp] = list(datas)
         return out
 
@@ -215,33 +219,12 @@ class Correspondence:
 
 
 def identity_corr(variety: PrimeComponent, family: SupportFamily) -> Correspondence:
-    """The diagonal correspondence of (X, Phi)."""
-    space = variety.space
-    prod = pair_product(space, space)
-    ring = prod.space.ring
-    gens = list(prod.inject_ideal(0, variety.closed_set.ideal).gens)
-    gens += list(prod.inject_ideal(1, variety.closed_set.ideal).gens)
-    for k, b in enumerate(space.blocks):
-        idxs = space.block_var_indices(k)
-        left = [ring.var(prod.embeddings[0][i]) for i in idxs]
-        right = [ring.var(prod.embeddings[1][i]) for i in idxs]
-        if b.kind == "affine":
-            gens += [l - r for l, r in zip(left, right)]
-        else:
-            for i in range(len(idxs)):
-                for j in range(i + 1, len(idxs)):
-                    gens.append(left[i] * right[j] - left[j] * right[i])
-    cs = ClosedSet(prod.space, Ideal(ring, gens))
-    comp = PrimeComponent(cs, label=f"diag({variety.label})", screen=False)
-    ident = identity_morphism(space)
-    corr = Correspondence(
-        variety,
-        family,
-        variety,
-        family,
-        Cycle(prod.space, {comp: 1}),
-    )
-    corr.attach_graph(comp, GraphData("graph", ident), verify=False)
+    """The diagonal correspondence of (X, Phi): the graph of the identity,
+    declared as its own transpose too."""
+    ident = identity_morphism(variety.space)
+    corr = graph_correspondence(ident, variety, family, variety, family)
+    (comp,) = corr.cycle.terms
+    comp.label = f"diag({variety.label})"
     corr.attach_graph(comp, GraphData("transpose", ident), verify=False)
     return corr
 
@@ -387,6 +370,8 @@ def compose_localized(
         raise RingMismatch("good-open hint must live in the source space")
     supp, out_pair = supp_of_composition(a, b)
     out_ring = out_pair.space.ring
+    ambient = list(out_pair.inject_ideal(0, a.src_variety.closed_set.ideal).gens)
+    ambient += list(out_pair.inject_ideal(1, b.tgt_variety.closed_set.ideal).gens)
     audit: dict = {"modes": {}, "supp": repr(supp.ideal), "witness_checks": []}
     auto_graphs: list = []
     main = Cycle(out_pair.space, {})
@@ -394,39 +379,33 @@ def compose_localized(
     for ca, ma in a.cycle.terms.items():
         for cb, mb in b.cycle.terms.items():
             key = (ca.label, cb.label)
-            route = None
+            label = f"({cb.label})o({ca.label})"
+            mult = ma * mb
+            declared = split.get(key) if split else None
             gb_total = b.graph_of(cb, "graph", require_total=True)
             ga_t_total = a.graph_of(ca, "transpose", require_total=True)
             ga_graph = a.graph_of(ca, "graph", require_total=False)
             gb_transpose = b.graph_of(cb, "transpose", require_total=False)
             if gb_total is not None:
-                contribution = _push_route(a, b, ca, cb, ma, mb, out_pair, gb_total, "target")
                 route = "push: second factor is a graph"
-                ga_any = a.graph_of(ca, "graph", require_total=False)
-                if ga_any is not None and not ga_any.partial:
-                    composed = gb_total.morphism.compose(ga_any.morphism)
-                    for comp in contribution.terms:
-                        auto_graphs.append((comp, GraphData("graph", composed)))
+                contribution = _push_route(ca, a.prod, gb_total.morphism, 1, out_pair, label, mult)
+                auto_graphs += _composed_graphs(contribution, gb_total, ga_graph)
             elif ga_t_total is not None:
-                contribution = _push_route(a, b, ca, cb, ma, mb, out_pair, ga_t_total, "source")
                 route = "push: first factor is a transposed graph"
-                gb_any = b.graph_of(cb, "transpose", require_total=False)
-                if gb_any is not None and not gb_any.partial:
-                    composed = ga_t_total.morphism.compose(gb_any.morphism)
-                    for comp in contribution.terms:
-                        auto_graphs.append((comp, GraphData("transpose", composed)))
+                contribution = _push_route(cb, b.prod, ga_t_total.morphism, 0, out_pair, label, mult)
+                auto_graphs += _composed_graphs(contribution, ga_t_total, gb_transpose)
             elif ga_graph is not None:
-                contribution = _pull_route(
-                    a, b, ca, cb, ma, mb, out_pair, hint, witnesses, split,
-                    ga_graph, "first", audit,
-                )
                 route = "pull: along the graph of the first factor"
-            elif gb_transpose is not None:
                 contribution = _pull_route(
-                    a, b, ca, cb, ma, mb, out_pair, hint, witnesses, split,
-                    gb_transpose, "second", audit,
+                    cb, b.prod, ga_graph, 0,
+                    out_pair, ambient, hint, witnesses, declared, label, mult, audit,
                 )
+            elif gb_transpose is not None:
                 route = "pull: along the transposed graph of the second factor"
+                contribution = _pull_route(
+                    ca, a.prod, gb_transpose, 1,
+                    out_pair, ambient, hint, witnesses, declared, label, mult, audit,
+                )
             else:
                 raise EngineError(
                     f"no graph route for ({ca.label}, {cb.label}): "
@@ -441,9 +420,7 @@ def compose_localized(
     if hint is None or hint.is_empty():
         err = empty_set(out_pair.space)
     else:
-        gens = list(supp.ideal.gens) + [
-            g.inject(out_ring, out_pair.embeddings[0]) for g in hint.ideal.gens
-        ]
+        gens = list(supp.ideal.gens) + list(out_pair.inject_ideal(0, hint.ideal).gens)
         err = ClosedSet(out_pair.space, Ideal(out_ring, gens))
 
     return CompositionResult(
@@ -461,107 +438,65 @@ def compose_localized(
     )
 
 
-def _flat_coords(f: Morphism) -> list:
-    return [p for tup in f.coords for p in tup]
+def _factor_map(pair: ProductStructure, side: int, f: Morphism, target: Space) -> Morphism:
+    """The map from the pair's space to `target` that is f on factor `side`
+    and the identity on the other factor."""
+    ring = pair.space.ring
+    coords = []
+    for k, factor in enumerate(pair.factors):
+        h = f if k == side else identity_morphism(factor)
+        coords += [tuple(p.inject(ring, pair.embeddings[k]) for p in tup) for tup in h.coords]
+    return Morphism(pair.space, target, coords)
 
 
-def _structured_coords(space: Space, images: Mapping[int, object]) -> list:
-    out = []
-    pos = 0
-    for blk in space.blocks:
-        out.append(tuple(images[pos + j] for j in range(len(blk.names))))
-        pos += len(blk.names)
-    return out
-
-
-def _push_route(a, b, ca, cb, ma, mb, out_pair, data: GraphData, push_side: str) -> Cycle:
-    """Exact composition when one factor is a global (transposed) graph."""
-    if push_side == "target":
-        g = data.morphism  # X2 -> X3
-        src_prod = a.prod
-        pushed_comp = ca
-        ring = src_prod.space.ring
-        id_coords = []
-        for k in range(len(a.src_variety.space.blocks)):
-            idxs = a.src_variety.space.block_var_indices(k)
-            id_coords.append(tuple(ring.var(src_prod.embeddings[0][i]) for i in idxs))
-        flat = [p.inject(ring, src_prod.embeddings[1]) for p in _flat_coords(g)]
-        moved = _structured_coords(g.target, dict(enumerate(flat)))
-        coords = id_coords + moved
-    else:
-        psi = data.morphism  # X2 -> X1
-        src_prod = b.prod
-        pushed_comp = cb
-        ring = src_prod.space.ring
-        flat = [p.inject(ring, src_prod.embeddings[0]) for p in _flat_coords(psi)]
-        moved = _structured_coords(psi.target, dict(enumerate(flat)))
-        id_coords = []
-        for k in range(len(b.tgt_variety.space.blocks)):
-            idxs = b.tgt_variety.space.block_var_indices(k)
-            id_coords.append(tuple(ring.var(src_prod.embeddings[1][i]) for i in idxs))
-        coords = moved + id_coords
-    F = Morphism(src_prod.space, out_pair.space, coords)
-    cert = degree_over_image(pushed_comp, F)
+def _push_route(
+    comp: PrimeComponent, pair: ProductStructure, g: Morphism, side: int,
+    out_pair: ProductStructure, label: str, mult: int,
+) -> Cycle:
+    """Exact composition: push comp forward along g on factor `side` of its
+    pair, the identity on the other factor."""
+    cert = degree_over_image(comp, _factor_map(pair, side, g, out_pair.space))
     if cert.degree == 0:
         return Cycle(out_pair.space, {})
-    img = PrimeComponent(cert.image, label=f"({cb.label})o({ca.label})", screen=False)
-    return Cycle(out_pair.space, {img: ma * mb * cert.degree})
+    img = PrimeComponent(cert.image, label=label, screen=False)
+    return Cycle(out_pair.space, {img: mult * cert.degree})
+
+
+def _composed_graphs(contribution: Cycle, outer: GraphData, inner: GraphData | None) -> list:
+    """A pushed component is the graph (of the same kind) of outer∘inner when
+    the pushed factor's own declaration is total."""
+    if inner is None or inner.partial:
+        return []
+    data = GraphData(outer.kind, outer.morphism.compose(inner.morphism))
+    return [(comp, data) for comp in contribution.terms]
 
 
 def _pull_route(
-    a, b, ca, cb, ma, mb, out_pair, hint, witnesses, split, data: GraphData, via: str,
-    audit: dict,
+    pulled: PrimeComponent, pulled_pair: ProductStructure, data: GraphData, side: int,
+    out_pair: ProductStructure, ambient: list, hint, witnesses, declared,
+    label: str, mult: int, audit: dict,
 ) -> Cycle:
-    out_ring = out_pair.space.ring
-    if via == "first":
-        phi = data.morphism  # X1 -> X2 (maybe rational)
-        pulled = cb
-        pulled_pair = b.prod
-        flat = [p.inject(out_ring, out_pair.embeddings[0]) for p in _flat_coords(phi)]
-        images = {}
-        for local in range(a.tgt_variety.space.ring.nvars):
-            images[pulled_pair.embeddings[0][local]] = flat[local]
-        for local in range(b.tgt_variety.space.ring.nvars):
-            images[pulled_pair.embeddings[1][local]] = out_ring.var(out_pair.embeddings[1][local])
-        bl_side = 0
-    else:
-        chi = data.morphism  # X3 -> X2 (maybe rational)
-        pulled = ca
-        pulled_pair = a.prod
-        flat = [p.inject(out_ring, out_pair.embeddings[1]) for p in _flat_coords(chi)]
-        images = {}
-        for local in range(a.src_variety.space.ring.nvars):
-            images[pulled_pair.embeddings[0][local]] = out_ring.var(out_pair.embeddings[0][local])
-        for local in range(a.tgt_variety.space.ring.nvars):
-            images[pulled_pair.embeddings[1][local]] = flat[local]
-        bl_side = 1
-
+    """Pull `pulled` back along data's morphism on factor `side` of the output
+    pair, the identity on the other factor, over the good open; every
+    resulting component needs a transversality witness."""
     if data.partial and (hint is None or hint.is_empty()):
         raise EngineError("pullback along a partial graph requires a good-open hint")
-
+    out_ring = out_pair.space.ring
+    images = _factor_map(out_pair, side, data.morphism, pulled_pair.space).coordinate_images()
     scheme_gens = [g.substitute(images, out_ring) for g in pulled.closed_set.ideal.gens]
-    ambient = list(out_pair.inject_ideal(0, a.src_variety.closed_set.ideal).gens)
-    ambient += list(out_pair.inject_ideal(1, b.tgt_variety.closed_set.ideal).gens)
     J0 = Ideal(out_ring, scheme_gens + ambient)
     J = J0
     bl = data.morphism.base_locus()
     if not bl.is_empty():
-        J = saturate(
-            J,
-            Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[bl_side]) for g in bl.ideal.gens]),
-        )
+        J = saturate(J, out_pair.inject_ideal(side, bl.ideal))
     if hint is not None and not hint.is_empty():
-        J = saturate(
-            J,
-            Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[0]) for g in hint.ideal.gens]),
-        )
+        J = saturate(J, out_pair.inject_ideal(0, hint.ideal))
     C = ClosedSet(out_pair.space, J)
     if C.is_empty():
         return Cycle(out_pair.space, {})
 
-    declared = split.get((ca.label, cb.label)) if split else None
     if declared is None:
-        comps = [PrimeComponent(C, label=f"({cb.label})o({ca.label})", screen=False)]
+        comps = [PrimeComponent(C, label=label, screen=False)]
     else:
         comps = list(declared)
         union = None
@@ -590,7 +525,7 @@ def _pull_route(
                 f"transversality witness fails the Jacobian rank check on {pc.label}"
             )
         audit["witness_checks"].append((pc.label, dict(witness)))
-        out[pc] = ma * mb
+        out[pc] = mult
     return Cycle(out_pair.space, out)
 
 
@@ -691,9 +626,8 @@ def check_localized_supp(
     are compared as closures of their open parts.
     """
     supp, out_pair = supp_of_composition(a, b)
-    out_ring = out_pair.space.ring
-    bad1 = Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[0]) for g in bad_src.ideal.gens])
-    bad3 = Ideal(out_ring, [g.inject(out_ring, out_pair.embeddings[1]) for g in bad_tgt.ideal.gens])
+    bad1 = out_pair.inject_ideal(0, bad_src.ideal)
+    bad3 = out_pair.inject_ideal(1, bad_tgt.ideal)
     rhs = ClosedSet(out_pair.space, saturate(saturate(supp.ideal, bad1), bad3))
 
     a_r = _restrict_corr(a, bad_src, side=0)
@@ -704,20 +638,5 @@ def check_localized_supp(
 
 
 def _restrict_corr(corr: Correspondence, bad: ClosedSet, side: int) -> Correspondence:
-    ring = corr.prod.space.ring
-    bad_pulled = ClosedSet(
-        corr.prod.space,
-        Ideal(ring, [g.inject(ring, corr.prod.embeddings[side]) for g in bad.ideal.gens]),
-    )
-    restricted = corr.cycle.restrict_off(bad_pulled)
-    out = Correspondence(
-        corr.src_variety,
-        corr.src_family,
-        corr.tgt_variety,
-        corr.tgt_family,
-        restricted,
-    )
-    for comp, datas in corr.graphs.items():
-        if comp in restricted.terms:
-            out.graphs[comp] = list(datas)
-    return out
+    bad_pulled = ClosedSet(corr.prod.space, corr.prod.inject_ideal(side, bad.ideal))
+    return corr._with_cycle(corr.cycle.restrict_off(bad_pulled))

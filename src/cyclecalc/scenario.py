@@ -1132,27 +1132,12 @@ def _stmt_divisor(env: Scenario, ts: TokenStream):
         ok = True
         detail = ""
         if expected is not None:
-            ok = _cycles_match(out, expected)
+            ok = out == expected
             if not ok:
                 detail = f"{out!r} != {expected!r}"
         return PASS if ok else FAIL, detail, {"divisor": repr(out)}
 
     env.tasks.append(Task(name, "divisor", run))
-
-
-def _cycles_match(a: Cycle, b: Cycle) -> bool:
-    """Cycle equality by component locus (labels may differ)."""
-    if a.space != b.space or len(a.terms) != len(b.terms):
-        return False
-    for comp, mult in a.terms.items():
-        hit = None
-        for c2, m2 in b.terms.items():
-            if c2.closed_set == comp.closed_set:
-                hit = m2
-                break
-        if hit != mult:
-            return False
-    return True
 
 
 _STATEMENTS = {

@@ -4,6 +4,7 @@ localization audits, and the blow-up decomposition."""
 import pytest
 
 from cyclecalc.corr import (
+    Correspondence,
     GraphData,
     check_localized_supp,
     compose_assoc_check,
@@ -87,24 +88,79 @@ def test_composition_with_transpose_push():
     assert p.error_support.is_empty()
 
 
-def test_composition_pull_route_with_split():
+# x@1 = ±x@2 on A1 x A1: the two components of the pullback of Gf^t along Gf
+OP = pair_product(A1, A1)
+X1, X2 = OP.space.ring.var("x@1"), OP.space.ring.var("x@2")
+DIAG = PrimeComponent(closed_set(OP.space, X1 - X2), "diag", screen=False)
+ANTI = PrimeComponent(closed_set(OP.space, X1 + X2), "anti", screen=False)
+SPLIT_WITNESSES = [{"x@1": 1, "x@2": 1}, {"x@1": 1, "x@2": -1}]
+
+
+@pytest.mark.parametrize("first_is_graph, mode", [
+    (True, "pull: along the graph of the first factor"),
+    (False, "pull: along the transposed graph of the second factor"),
+], ids=["graph-of-first", "transpose-of-second"])
+def test_composition_pull_route_with_split(first_is_graph, mode):
+    """Gf^t∘Gf splits into the diagonal and the antidiagonal whether the pull
+    runs along Gf's graph or, with Gf's graph data dropped, along Gf^t's."""
     Gf = _graph(2)
-    op = pair_product(A1, A1)
-    rr = op.space.ring
-    diag = PrimeComponent(closed_set(op.space, rr.var("x@1") - rr.var("x@2")), "diag", screen=False)
-    anti = PrimeComponent(closed_set(op.space, rr.var("x@1") + rr.var("x@2")), "anti", screen=False)
+    a = Gf if first_is_graph else Correspondence(VX, FX, VY, FY, Gf.cycle)
     q = compose_localized(
-        Gf, Gf.transpose(),
-        split={("graph", "graph^t"): [diag, anti]},
-        witnesses=[{"x@1": 1, "x@2": 1}, {"x@1": 1, "x@2": -1}],
+        a, Gf.transpose(), split={("graph", "graph^t"): [DIAG, ANTI]}, witnesses=SPLIT_WITNESSES,
     )
-    assert q.main == Cycle(op.space, {diag: 1, anti: 1})
+    assert q.main == Cycle(OP.space, {DIAG: 1, ANTI: 1})
+    assert q.audit["modes"] == {("graph", "graph^t"): mode}
 
 
 def test_pull_route_requires_witness():
     Gf = _graph(2)
     with pytest.raises(EngineError):
         compose_localized(Gf, Gf.transpose())
+
+
+def _non_reduced_pullback():
+    # x -> x^2 pulls {y = 0} back to the double point x^2 = 0
+    pair = pair_product(A1b, A1c)
+    line = PrimeComponent(closed_set(pair.space, pair.space.ring.var("y@1")), "L", screen=False)
+    plain = Correspondence(VY, FY, VZ, FZ, Cycle(pair.space, {line: 1}))
+    return compose_localized(_graph(2), plain, witnesses=[{"x@1": 0, "z@2": 1}])
+
+
+def _partial_graph_without_hint():
+    # the blow-up's rational section, declared as a graph with no good open
+    Xt_space, Y_space, Z, E = _blowup_setup()
+    (zc,) = Z.cycle.terms
+    sigma = Z.graph_of(zc, "transpose", require_total=False).morphism
+    Gsigma = graph_correspondence(sigma, Z.tgt_variety, Z.tgt_family, Z.src_variety, Z.src_family)
+    plain = Correspondence(Z.src_variety, Z.src_family, Z.tgt_variety, Z.tgt_family, Z.cycle)
+    return compose_localized(Gsigma, plain)
+
+
+def _compose_split(comps):
+    Gf = _graph(2)
+    return compose_localized(
+        Gf, Gf.transpose(), split={("graph", "graph^t"): comps}, witnesses=SPLIT_WITNESSES,
+    )
+
+
+def _split_outside_pullback():
+    off = PrimeComponent(closed_set(OP.space, X1 - 1), "off", screen=False)
+    return _compose_split([DIAG, ANTI, off])
+
+
+def _split_not_covering():
+    return _compose_split([DIAG])
+
+
+@pytest.mark.parametrize("compose, message", [
+    (_non_reduced_pullback, "fails the Jacobian rank check"),
+    (_partial_graph_without_hint, "requires a good-open hint"),
+    (_split_outside_pullback, "not inside the pullback"),
+    (_split_not_covering, "does not cover the pullback"),
+], ids=["non-reduced", "partial-no-hint", "split-outside", "split-not-covering"])
+def test_pull_route_refusals(compose, message):
+    with pytest.raises(EngineError, match=message):
+        compose()
 
 
 def test_associativity_of_graphs():
