@@ -16,6 +16,11 @@ is checked; exceeding it raises BudgetExceeded, never a silent truncation.
 The reduced basis for a fixed (generator tuple, order) is unique, so every
 result here is reproducible across runs; results are memoized on that key,
 in a cache that drops the least recently used basis once it is full.
+
+A plain basis over QQ is computed on primitive integer forms: S-pairs,
+reductions and interreduction run fraction-free on Python ints, and the
+Fractions of the result are built once, when it is made monic.  Every Poly
+this module returns stays over Fraction.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, EngineError, RingMismatch
@@ -199,19 +206,30 @@ def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence
 # Buchberger, with cofactor tracking on request
 
 class _Tracked:
-    """A nonzero basis element with its leading term, its sugar and, when
-    cofactors are tracked, its expression over the original gens (else None)."""
+    """A nonzero basis element with its leading term and its sugar.
 
-    __slots__ = ("poly", "rep", "sugar", "lm", "lc")
+    On the integer route (QQ, no cofactors) the element is `ints`, its
+    primitive integer form (exponent -> int, coefficients with gcd 1); lc is
+    then an int and poly is None.  Otherwise it is `poly`, ints is None, and
+    rep is its expression over the original gens when cofactors are tracked
+    (else None)."""
 
-    def __init__(self, poly: Poly, rep: list | None, sugar: int, order: MonomialOrder):
+    __slots__ = ("poly", "ints", "rep", "sugar", "lm", "lc")
+
+    def __init__(self, poly: Poly | None, rep: list | None, sugar: int, order: MonomialOrder,
+                 ints: dict | None = None):
         self.poly = poly
+        self.ints = ints
         self.rep = rep
         self.sugar = sugar
-        self.lm, self.lc = leading(poly, order)
+        if ints is None:
+            self.lm, self.lc = leading(poly, order)
+        else:
+            self.lm = max(ints, key=order.key)
+            self.lc = ints[self.lm]
 
 
-def _reduce(poly: Poly, rep: list | None, sugar: int, G: list, order: MonomialOrder):
+def _reduce_field(poly: Poly, rep: list | None, sugar: int, G: list, order: MonomialOrder):
     """Divide poly by the basis G: returns (remainder, rep, sugar).
 
     Sugar grows with every quotient; rep, when tracked, is rewritten along."""
@@ -227,6 +245,112 @@ def _reduce(poly: Poly, rep: list | None, sugar: int, G: list, order: MonomialOr
                 if not t.rep[j].is_zero():
                     rep[j] = rep[j] - q * t.rep[j]
     return r, rep, sugar
+
+
+def _integer_form(poly: Poly) -> dict:
+    """The primitive integer form of a nonzero polynomial over QQ."""
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+    _remove_content(ints)
+    return ints
+
+
+def _remove_content(*parts: dict):
+    """Divide the integer forms `parts` by the gcd of all their coefficients."""
+    g = gcd(*(c for part in parts for c in part.values()))
+    if g > 1:
+        for part in parts:
+            for e in part:
+                part[e] //= g
+
+
+def _s_poly_ints(gi: _Tracked, gj: _Tracked, L) -> dict:
+    """The S-polynomial of two integer forms with lcm L of their leading
+    monomials, times lc_i lc_j / gcd(lc_i, lc_j), so that it stays integral."""
+    g = gcd(gi.lc, gj.lc)
+    a, b = gj.lc // g, gi.lc // g
+    mi, mj = exp_sub(L, gi.lm), exp_sub(L, gj.lm)
+    # the leading terms cancel: a * lc_i == b * lc_j
+    s = {exp_add(e, mi): a * c for e, c in gi.ints.items() if e != gi.lm}
+    for e, c in gj.ints.items():
+        if e == gj.lm:
+            continue
+        te = exp_add(e, mj)
+        v = s.get(te, 0) - b * c
+        if v:
+            s[te] = v
+        else:
+            del s[te]
+    return s
+
+
+# A fraction-free reduction removes the content of its working terms and
+# remainder after this many scaling steps.
+_CONTENT_EVERY = 8
+
+
+def _reduce(f: dict, sugar: int, G: list, order: MonomialOrder):
+    """Fraction-free division of the integer form f by the integer forms of
+    the basis G: returns (remainder, sugar), the remainder primitive.
+
+    The steps are those of divide(): terms are taken largest first from a
+    heap, and each is reduced by the first element of G whose leading
+    monomial divides it.  Where divide() subtracts (c / lc) x^q g, this step
+    scales the working terms and the remainder by m = lc / gcd(c, lc) and
+    subtracts (c m / lc) x^q g.  So both stay nonzero multiples of divide()'s,
+    with the same monomials, and the remainder is a nonzero multiple of the
+    field remainder.  Sugar grows with every quotient term, as in
+    _reduce_field.
+    """
+    key = order.key
+    rem: dict = {}
+    work = dict(f)
+    heap = [(_neg_key(key(e)), e) for e in work]
+    heapq.heapify(heap)
+    scalings = 0
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:  # cancelled after it was queued
+            continue
+        for t in G:
+            le = t.lm
+            if not exp_divides(le, e):
+                continue
+            g = gcd(c, t.lc)
+            m, q = t.lc // g, c // g
+            if m < 0:
+                m, q = -m, -q
+            if m != 1:
+                work = {te: v * m for te, v in work.items()}
+                rem = {re: v * m for re, v in rem.items()}
+                scalings += 1
+            q_exp = exp_sub(e, le)
+            sugar = max(sugar, sum(q_exp) + t.sugar)
+            # work -= q * x^q_exp * g (the leading term cancels by construction);
+            # every new term is smaller than e
+            for ge, gc in t.ints.items():
+                if ge == le:
+                    continue
+                te = exp_add(ge, q_exp)
+                old = work.get(te)
+                if old is None:
+                    work[te] = -q * gc
+                    heapq.heappush(heap, (_neg_key(key(te)), te))
+                    continue
+                v = old - q * gc
+                if v:
+                    work[te] = v
+                else:
+                    del work[te]
+            if scalings == _CONTENT_EVERY:
+                scalings = 0
+                _remove_content(work, rem)
+            break
+        else:
+            rem[e] = c
+    _remove_content(rem)
+    return rem, sugar
 
 
 def _update_pairs(G: list, P: dict, heap: list, t: _Tracked, order: MonomialOrder):
@@ -379,19 +503,30 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
     fld = ring.field
     ngens = len(I.gens)
 
+    # the integer route: plain bases over QQ run on primitive integer forms
+    integral = fld.characteristic == 0 and not cofactors
     G: list = []
     P: dict = {}
     heap: list = []
     for i, g in enumerate(I.gens):
         if g.is_zero():
             continue
-        rep = [ring.one() if j == i else ring.zero() for j in range(ngens)] if cofactors else None
         sugar = max(g.total_degree(), 0)
-        if G:
-            g, rep, sugar = _reduce(g, rep, sugar, G, order)
-            if g.is_zero():
-                continue
-        _update_pairs(G, P, heap, _Tracked(g, rep, sugar, order), order)
+        if integral:
+            ints = _integer_form(g)
+            if G:
+                ints, sugar = _reduce(ints, sugar, G, order)
+                if not ints:
+                    continue
+            t = _Tracked(None, None, sugar, order, ints)
+        else:
+            rep = [ring.one() if j == i else ring.zero() for j in range(ngens)] if cofactors else None
+            if G:
+                g, rep, sugar = _reduce_field(g, rep, sugar, G, order)
+                if g.is_zero():
+                    continue
+            t = _Tracked(g, rep, sugar, order)
+        _update_pairs(G, P, heap, t, order)
 
     processed = 0
     while P:
@@ -404,6 +539,11 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
         budget.check_degree(sum(L))
 
         gi, gj = G[p[0]], G[p[1]]
+        if integral:
+            r, sugar = _reduce(_s_poly_ints(gi, gj, L), sugar, G, order)
+            if r:
+                _update_pairs(G, P, heap, _Tracked(None, None, sugar, order, r), order)
+            continue
         mi, mj = exp_sub(L, gi.lm), exp_sub(L, gj.lm)
         ci, cj = fld.inv(gi.lc), fld.inv(gj.lc)
         s_poly = _mul_monomial(gi.poly, mi, ci) - _mul_monomial(gj.poly, mj, cj)
@@ -415,7 +555,7 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
                 else ring.zero()
                 for a, b in zip(gi.rep, gj.rep)
             ]
-        r, rep, sugar = _reduce(s_poly, rep, sugar, G, order)
+        r, rep, sugar = _reduce_field(s_poly, rep, sugar, G, order)
         if not r.is_zero():
             _update_pairs(G, P, heap, _Tracked(r, rep, sugar, order), order)
 
@@ -430,7 +570,8 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
 
 
 def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasis:
-    fld = I.ring.field
+    ring = I.ring
+    fld = ring.field
 
     # minimalize: drop elements whose LM is divisible by another LM
     minimal: list = []
@@ -443,7 +584,15 @@ def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasi
     basis: list = []
     reps: list | None = [] if cofactors else None
     for i, t in enumerate(minimal):
-        r, rep, _ = _reduce(t.poly, t.rep, t.sugar, minimal[:i] + minimal[i + 1 :], order)
+        others = minimal[:i] + minimal[i + 1 :]
+        if t.ints is not None:
+            # a fraction-free reduction may scale t: divide by r's own
+            # leading coefficient, not t.lc
+            r, _ = _reduce(t.ints, t.sugar, others, order)
+            lc = r[t.lm]
+            basis.append(Poly(ring, {e: Fraction(c, lc) for e, c in r.items()}))
+            continue
+        r, rep, _ = _reduce_field(t.poly, t.rep, t.sugar, others, order)
         inv = fld.inv(t.lc)
         basis.append(r.scale(inv))
         if cofactors:

@@ -25,13 +25,6 @@ class MonomialOrder:
     def key(self, exp):
         raise NotImplementedError
 
-    def compare(self, a, b) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-    def max(self, exps):
-        return max(exps, key=self.key)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)

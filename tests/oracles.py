@@ -9,7 +9,8 @@ saturation oracle saturates by one generator at a time and intersects the
 parts, the route the engine's one-elimination saturation replaced, and the
 residue and trace oracles rebuild the eliminants, their cofactor rows, the
 determinant and the dt-wedge on every call, the route the engine's
-per-presentation residue frame replaced.
+per-presentation residue frame replaced, and the reduction oracle is the
+Fraction reduction the engine's fraction-free reduction over QQ replaced.
 """
 
 from fractions import Fraction
@@ -173,6 +174,18 @@ def reference_divide(f: Poly, basis, order, leads=None):
         else:
             rem[e] = c
     return Poly(ring, rem), [Poly(ring, q) for q in quots]
+
+
+def reference_reduce(poly: Poly, sugar: int, G, order):
+    """Divide poly by the basis elements G (each with .poly, .lm, .lc and
+    .sugar) over the field: returns (remainder, sugar), with sugar grown by
+    every nonzero quotient.  Over QQ, cyclecalc.groebner._reduce must return
+    a nonzero multiple of this remainder, with the same sugar."""
+    r, quots = reference_divide(poly, [t.poly for t in G], order, [(t.lm, t.lc) for t in G])
+    for q, t in zip(quots, G):
+        if not q.is_zero():
+            sugar = max(sugar, q.total_degree() + t.sugar)
+    return r, sugar
 
 
 def _drop_last_variable(ring: Ring, ext: Ring, gens) -> Ideal:

@@ -4,6 +4,7 @@ radical membership, cofactor lifts — with independent oracles."""
 import importlib
 import random
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
@@ -385,6 +386,22 @@ def _random_ideal(rng, ring):
     return Ideal(ring, [rand_poly() for _ in range(rng.randint(2, 3))])
 
 
+def _large_height_katsura3(rng, ring):
+    """katsura-3 under x_i -> a_i x_i, each generator times a negative
+    scalar; a_i and the scalars are fractions n/d with |n|, d up to 10^6."""
+
+    def height():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+
+    u0, u1, u2 = (x.scale(height()) for x in ring.gens())
+    gens = [
+        u0 + u1.scale(2) + u2.scale(2) - ring.one(),
+        u0 * u0 + (u1 * u1).scale(2) + (u2 * u2).scale(2) - u0,
+        (u0 * u1).scale(2) + (u1 * u2).scale(2) - u1,
+    ]
+    return Ideal(ring, [g.scale(-abs(height())) for g in gens])
+
+
 @pytest.mark.parametrize("char", [7, 0])
 @pytest.mark.parametrize(
     "order", [degrevlex(3), lex(3), block_order([0], [1, 2])], ids=["degrevlex", "lex", "block"]
@@ -392,12 +409,17 @@ def _random_ideal(rng, ring):
 def test_plain_and_cofactor_bases_agree(char, order, monkeypatch):
     """A plain request computes no cofactors; a cofactor request on the same
     key recomputes with them, gets the same basis, and replaces the cache
-    slot; a later plain request is a cache hit that reruns nothing."""
+    slot; a later plain request is a cache hit that reruns nothing.  Over QQ
+    the plain basis comes from the integer route and the tracked one from
+    Fractions; the last ideal there is katsura-3 rescaled by fractions of
+    height up to 10^6."""
     rng = random.Random(31 + char)
     R = ring_over(char, ["pc_u", "pc_v", "pc_w"])
     cache = groebner_mod._gb_cache
-    for _ in range(8):
-        I = _random_ideal(rng, R)
+    ideals = [_random_ideal(rng, R) for _ in range(8)]
+    if char == 0:
+        ideals.append(_large_height_katsura3(rng, R))
+    for I in ideals:
         key = (R, I.gens, order)
         cache.pop(key, None)
         entries = len(cache)

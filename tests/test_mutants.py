@@ -11,16 +11,21 @@ under the mutant.
 
 import dataclasses
 import importlib
+import inspect
 import sys
+import textwrap
+from collections import OrderedDict
 
 import pytest
 
+from cyclecalc.orders import degrevlex
 from cyclecalc.scenario import run_scenario_text
 
-from . import test_corr, test_geometry, test_residues
+from . import test_corr, test_geometry, test_groebner, test_residues
 
 corr_mod = importlib.import_module("cyclecalc.corr")
 geometry_mod = importlib.import_module("cyclecalc.geometry")
+groebner_mod = importlib.import_module("cyclecalc.groebner")
 residues_mod = importlib.import_module("cyclecalc.residues")
 
 
@@ -31,6 +36,32 @@ def _replace_everywhere(monkeypatch, name: str, new):
     for modname, mod in list(sys.modules.items()):
         if modname.startswith(("cyclecalc", "tests")) and getattr(mod, name, None) is orig:
             monkeypatch.setattr(mod, name, new)
+
+
+def _rewrite_groebner(monkeypatch, name: str, old: str, new: str):
+    """Rebind `cyclecalc.groebner.<name>` to its own source with the one
+    line `old` replaced by `new`.  The basis cache and the audit log are
+    fresh for the rest of the test, so no basis computed under the mutant
+    outlives it."""
+    source = textwrap.dedent(inspect.getsource(getattr(groebner_mod, name)))
+    assert source.count(old) == 1, f"{old!r} is not one line of {name}"
+    scope: dict = {}
+    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), vars(groebner_mod), scope)
+    monkeypatch.setattr(groebner_mod, name, scope[name])
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    monkeypatch.setattr(groebner_mod, "_audit_log", [])
+
+
+def monic_by_stored_lc(monkeypatch):
+    """_finalize makes an integer-route element monic by its stored leading
+    coefficient, not by its interreduced remainder's."""
+    _rewrite_groebner(monkeypatch, "_finalize", "lc = r[t.lm]", "lc = t.lc")
+
+
+def remainder_not_scaled(monkeypatch):
+    """A fraction-free step scales the working terms but not the remainder
+    built so far."""
+    _rewrite_groebner(monkeypatch, "_reduce", "rem = {re: v * m for re, v in rem.items()}", "pass")
 
 
 def sign_always_plus(monkeypatch):
@@ -95,6 +126,13 @@ property tf_proj = tf projection expect pass
 """
 
 
+def qq_plain_and_cofactor_bases_agree():
+    """test_groebner.test_plain_and_cofactor_bases_agree over QQ in degrevlex:
+    integer-route bases against Fraction cofactor-route ones."""
+    with pytest.MonkeyPatch.context() as m:
+        test_groebner.test_plain_and_cofactor_bases_agree(0, degrevlex(3), m)
+
+
 def d2_trace_scenario_passes():
     report = run_scenario_text(D2_TRACE_SCENARIO)
     assert [t.verdict for t in report.tasks] == ["pass"] * 3, report.tasks
@@ -109,6 +147,8 @@ def d2_trace_scenario_passes():
     (determinant_of_diagonal, d2_trace_scenario_passes),
     (push_degree_capped, test_corr.test_composition_with_transpose_push),
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
+    (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
+    (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
 ], ids=lambda v: v.__name__)
 def test_mutant_is_caught(monkeypatch, mutant, check):
     mutant(monkeypatch)
