@@ -87,7 +87,7 @@ class Form:
     # -- algebra -----------------------------------------------------------
 
     def _check(self, other: "Form"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("forms over different rings")
 
     def __add__(self, other: "Form") -> "Form":
@@ -179,7 +179,6 @@ class Form:
         out: dict = {}
         for idx, p in self.components.items():
             new_idx = tuple(index_map[i] for i in idx)
-            order = sorted(range(len(new_idx)), key=lambda k: new_idx[k])
             sign, sorted_idx = _merge_tuples(tuple(), tuple(new_idx))
             if sign == 0:
                 raise EngineError("injection collapsed distinct indices")

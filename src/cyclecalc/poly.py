@@ -143,7 +143,7 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
@@ -297,19 +297,6 @@ class Poly:
                     val = fld.mul(val, pow_scalar(fld, fld.coerce(point.get(i, 0)), k))
             total = fld.add(total, val)
         return total
-
-    # -- univariate views ---------------------------------------------------
-
-    def coeffs_in(self, var_index: int) -> dict:
-        """View as a polynomial in one variable: degree -> coefficient Poly."""
-        out: dict[int, Poly] = {}
-        for e, c in self.terms.items():
-            k = e[var_index]
-            e2 = list(e)
-            e2[var_index] = 0
-            rest = Poly(self.ring, {tuple(e2): c})
-            out[k] = out.get(k, self.ring.zero()) + rest
-        return {k: v for k, v in out.items() if not v.is_zero()}
 
     # -- hashing / display -------------------------------------------------
 

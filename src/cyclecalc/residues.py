@@ -6,7 +6,14 @@ rewritten (via the determinant rule) into a triangular system of monic
 eliminants, one per fiber variable, and then one variable is extracted at a
 time: Res[h dx / g(x)] is the coefficient of x^{deg g - 1} in h reduced
 modulo g.  This route is total on fiber-finite input; Jacobian division is
-never used (it breaks at ramification).
+never used (it breaks at ramification).  The reduction is
+`remainder_in_var`, which works on one term dict in place and builds no
+quotient; g is monic in x, so the remainder is unique.  The coefficient of
+x^{deg g - 1} is read straight off the remainder's terms.
+
+A trace keeps each residue numerator and residue as a polynomial; the
+strings of `TraceResult.audit` are rendered only when it is read, which the
+trace property checks never do.
 
 Everything that depends only on the presentation X = V(t) in Y x A^d, and
 not on the numerator or the form, is its frame, computed once per
@@ -25,7 +32,7 @@ nothing behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EngineError, RingMismatch
@@ -37,7 +44,7 @@ from .groebner import (
     fiber_staircase,
     groebner,
 )
-from .orders import block_order
+from .orders import block_order, exp_add, exp_sub
 from .poly import Poly, Ring
 from .symbols import _determinant
 
@@ -132,28 +139,55 @@ class ResidueFrame:
     det: Poly  # determinant of the cofactor rows of the g_i over (t)
 
 
-def divmod_in_var(f: Poly, g: Poly, var_index: int):
-    """Division by g monic in one variable (coefficients may involve others)."""
+def remainder_in_var(f: Poly, g: Poly, var_index: int) -> Poly:
+    """The remainder of f on division by g, monic in one variable x
+    (its coefficients may involve the others): the unique r = f mod g with
+    deg_x r < deg_x g.
+
+    Works on one term dict.  Each step takes every term at the top x-degree
+    m >= n = deg_x g and subtracts (c / lc) * x^(m-n) * g for it in place;
+    the terms at degree m cancel exactly and the rest of g lands below m.
+    """
     ring = f.ring
+    fld = ring.field
+    zero = fld.zero
+    add, mul = fld.add, fld.mul
     n = g.degree_in(var_index)
-    g_coeffs = g.coeffs_in(var_index)
-    lead_coeff = g_coeffs.get(n)
-    if lead_coeff is None or not lead_coeff.is_constant():
+    lead = [(e, c) for e, c in g.terms.items() if e[var_index] == n]
+    if len(lead) != 1 or sum(lead[0][0]) != n:
         raise EngineError(f"divisor is not monic in variable {ring.vars[var_index]}")
-    inv = ring.field.inv(lead_coeff.constant_value())
-    q = ring.zero()
-    r = f
-    while True:
-        m = r.degree_in(var_index)
+    minus_inv = fld.neg(fld.inv(lead[0][1]))
+    # the rest of g, scaled by -1/lc and shifted down by x^n: reducing the
+    # term c at exponent e adds c * gc at exp_add(e, ge) for each (ge, gc)
+    shift = tuple(n if i == var_index else 0 for i in range(ring.nvars))
+    tail = [
+        (exp_sub(ge, shift), mul(gc, minus_inv))
+        for ge, gc in g.terms.items()
+        if ge[var_index] < n
+    ]
+    r = dict(f.terms)
+    while r:
+        m = -1
+        top = []
+        for e, c in r.items():
+            k = e[var_index]
+            if k > m:
+                m = k
+                top = [(e, c)]
+            elif k == m:
+                top.append((e, c))
         if m < n:
-            return q, r
-        top = r.coeffs_in(var_index).get(m)
-        if top is None:
-            return q, r
-        shift = ring.var(var_index) ** (m - n)
-        piece = top.scale(inv) * shift
-        q = q + piece
-        r = r - piece * g
+            break
+        for e, c in top:
+            del r[e]
+            for ge, gc in tail:
+                te = exp_add(e, ge)
+                v = add(r.get(te, zero), mul(c, gc))
+                if v == zero:
+                    del r[te]
+                else:
+                    r[te] = v
+    return Poly(ring, r)
 
 
 def _triangular_eliminants(pres: FinitePresentation) -> list:
@@ -206,9 +240,10 @@ def residue(query: ResidueQuery) -> Poly:
     for pos in range(pres.d - 1, -1, -1):
         xi = fiber_idx[pos]
         g = frame.gs[pos]
-        n = g.degree_in(xi)
-        _, r = divmod_in_var(cur, g, xi)
-        cur = r.coeffs_in(xi).get(n - 1, ring.zero())
+        below = g.degree_in(xi) - 1
+        r = remainder_in_var(cur, g, xi)
+        # the coefficient of x_i^(n-1): exponent i cleared, no two terms merge
+        cur = Poly(ring, {e[:xi] + (0,) + e[xi + 1 :]: c for e, c in r.terms.items() if e[xi] == below})
     return pres.to_base(cur)
 
 
@@ -216,7 +251,16 @@ def residue(query: ResidueQuery) -> Poly:
 class TraceResult:
     input_degree: int
     output: Form  # on the base ring
-    audit: dict = field(default_factory=dict)
+    terms: list  # (index tuple, residue numerator h, its residue), one per top-relative piece
+    lifted: Form  # the form with its coefficients reduced modulo (t)
+
+    @cached_property
+    def audit(self) -> dict:
+        """The terms and the lift as strings, rendered on first read."""
+        return {
+            "terms": [(idx, str(h), str(res)) for idx, h, res in self.terms],
+            "lift": str(self.lifted),
+        }
 
 
 def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
@@ -243,7 +287,7 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
     base_index = {ring.index(n): i for i, n in enumerate(base_ring.vars)}
     out_degree = alpha.degree
     result = Form.zero(base_ring, out_degree)
-    audit_terms = []
+    terms = []
     for idx, coeff in omega.components.items():
         fib = tuple(i for i in idx if i in fiber_set)
         base = tuple(i for i in idx if i not in fiber_set)
@@ -256,14 +300,14 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
         fib_sign = _permutation_sign(tuple(fiber_idx.index(i) for i in fib))
         h = coeff.scale(sign * fib_sign)
         res = residue(ResidueQuery(pres, h))
-        audit_terms.append((idx, str(h), str(res)))
+        terms.append((idx, h, res))
         base_tuple = tuple(sorted(base_index[i] for i in base))
         piece = Form(base_ring, out_degree, {base_tuple: res})
         result = result + piece
     prefactor = (-1) ** (d * (d - 1) // 2)
     if prefactor < 0:
         result = -result
-    return TraceResult(alpha.degree, result, {"terms": audit_terms, "lift": str(lifted)})
+    return TraceResult(alpha.degree, result, terms, lifted)
 
 
 def _permutation_sign_from_sorted(sorted_tuple: tuple, arrangement: list) -> int:

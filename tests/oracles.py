@@ -10,7 +10,9 @@ parts, the route the engine's one-elimination saturation replaced, and the
 residue and trace oracles rebuild the eliminants, their cofactor rows, the
 determinant and the dt-wedge on every call, the route the engine's
 per-presentation residue frame replaced, and the reduction oracle is the
-Fraction reduction the engine's fraction-free reduction over QQ replaced.
+Fraction reduction the engine's fraction-free reduction over QQ replaced, and
+the one-variable division oracle rebuilds the remainder's coefficient split
+at every step, the route the engine's in-place remainder replaced.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from cyclecalc.errors import EngineError
 from cyclecalc.forms import Form, wedge_all
 from cyclecalc.groebner import Ideal, cofactor_lift, eliminate, groebner, leading
 from cyclecalc.poly import Poly, Ring, pow_scalar
-from cyclecalc.residues import FinitePresentation, _triangular_eliminants, divmod_in_var
+from cyclecalc.residues import FinitePresentation, _triangular_eliminants
 from cyclecalc.symbols import _determinant
 
 
@@ -48,10 +50,18 @@ def sum_over_roots_residue(h: Poly, g: Poly) -> Fraction:
     return Fraction(int(sympy.numer(trace)), int(sympy.denom(trace)))
 
 
+def coeffs_in(p: Poly, var_index: int) -> dict:
+    """View p as a polynomial in one variable: degree -> coefficient Poly."""
+    parts: dict[int, dict] = {}
+    for e, c in p.terms.items():
+        parts.setdefault(e[var_index], {})[e[:var_index] + (0,) + e[var_index + 1 :]] = c
+    return {k: Poly(p.ring, t) for k, t in parts.items()}
+
+
 def sylvester_resultant(f: Poly, g: Poly, var: int) -> Poly:
     """Resultant in one variable via the Sylvester determinant."""
     ring = f.ring
-    fc, gc = f.coeffs_in(var), g.coeffs_in(var)
+    fc, gc = coeffs_in(f, var), coeffs_in(g, var)
     m, n = max(fc), max(gc)
     size = m + n
     rows = []
@@ -220,6 +230,28 @@ def reference_saturate(I: Ideal, J: Ideal) -> Ideal:
     return out
 
 
+def divmod_in_var(f: Poly, g: Poly, var_index: int):
+    """Division by g monic in one variable (coefficients may involve others),
+    rebuilding the coefficient split of the remainder at every step:
+    (quotient, remainder), the remainder that of
+    cyclecalc.residues.remainder_in_var."""
+    ring = f.ring
+    n = g.degree_in(var_index)
+    lead_coeff = coeffs_in(g, var_index).get(n)
+    if lead_coeff is None or not lead_coeff.is_constant():
+        raise EngineError(f"divisor is not monic in variable {ring.vars[var_index]}")
+    inv = ring.field.inv(lead_coeff.constant_value())
+    q = ring.zero()
+    r = f
+    while True:
+        m = r.degree_in(var_index)
+        if m < n:
+            return q, r
+        piece = coeffs_in(r, var_index)[m].scale(inv) * ring.var(var_index) ** (m - n)
+        q = q + piece
+        r = r - piece * g
+
+
 def reference_residue(pres: FinitePresentation, h: Poly) -> Poly:
     """Res_{P/Y}[h dx_1...dx_d / t_1,...,t_d], with the eliminants, one
     cofactor lift per eliminant and their determinant computed afresh."""
@@ -233,7 +265,7 @@ def reference_residue(pres: FinitePresentation, h: Poly) -> Poly:
         xi = fiber_idx[pos]
         n = gs[pos].degree_in(xi)
         _, r = divmod_in_var(cur, gs[pos], xi)
-        cur = r.coeffs_in(xi).get(n - 1, ring.zero())
+        cur = coeffs_in(r, xi).get(n - 1, ring.zero())
     return pres.to_base(cur)
 
 

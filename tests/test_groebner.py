@@ -30,7 +30,8 @@ from cyclecalc.groebner import (
 )
 from cyclecalc.orders import block_order, degrevlex, lex
 from cyclecalc.poly import Poly, ring_over
-from cyclecalc.symbols import _determinant
+
+from .oracles import sylvester_resultant
 
 # the module, not the function that `cyclecalc.groebner` names
 groebner_mod = importlib.import_module("cyclecalc.groebner")
@@ -248,26 +249,6 @@ def test_membership_cofactor_agreement():
         assert inside == lifted
 
 
-def _sylvester_resultant(f: Poly, g: Poly, var: int) -> Poly:
-    """Resultant in one variable via the Sylvester determinant (oracle)."""
-    ring = f.ring
-    fc, gc = f.coeffs_in(var), g.coeffs_in(var)
-    m, n = max(fc), max(gc)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [ring.zero()] * size
-        for k, coeff in fc.items():
-            row[i + (m - k)] = coeff
-        rows.append(row)
-    for i in range(m):
-        row = [ring.zero()] * size
-        for k, coeff in gc.items():
-            row[i + (n - k)] = coeff
-        rows.append(row)
-    return _determinant(rows, ring)
-
-
 def test_eliminate_matches_resultant_oracle():
     """With f monic in x, projection is closed and the Sylvester resultant
     cuts exactly the eliminated locus."""
@@ -288,7 +269,7 @@ def test_eliminate_matches_resultant_oracle():
         g = rand_in_x(rng.randint(1, 2), monic=False)
         if g.degree_in(0) < 1:
             continue
-        res = _sylvester_resultant(f, g, 0)
+        res = sylvester_resultant(f, g, 0)
         E = eliminate(Ideal(R2, [f, g]), ["x"])
         t = E.ring
         if res.is_zero():

@@ -38,16 +38,21 @@ def _replace_everywhere(monkeypatch, name: str, new):
             monkeypatch.setattr(mod, name, new)
 
 
-def _rewrite_groebner(monkeypatch, name: str, old: str, new: str):
-    """Rebind `cyclecalc.groebner.<name>` to its own source with the one
-    line `old` replaced by `new`.  The basis cache and the audit log are
-    fresh for the rest of the test, so no basis computed under the mutant
-    outlives it."""
-    source = textwrap.dedent(inspect.getsource(getattr(groebner_mod, name)))
+def _rewritten(module, name: str, old: str, new: str):
+    """`module.<name>` compiled from its own source with the one line `old`
+    replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1, f"{old!r} is not one line of {name}"
     scope: dict = {}
-    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), vars(groebner_mod), scope)
-    monkeypatch.setattr(groebner_mod, name, scope[name])
+    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), vars(module), scope)
+    return scope[name]
+
+
+def _rewrite_groebner(monkeypatch, name: str, old: str, new: str):
+    """Rebind `cyclecalc.groebner.<name>` to its rewritten source.  The
+    basis cache and the audit log are fresh for the rest of the test, so no
+    basis computed under the mutant outlives it."""
+    monkeypatch.setattr(groebner_mod, name, _rewritten(groebner_mod, name, old, new))
     monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
     monkeypatch.setattr(groebner_mod, "_audit_log", [])
 
@@ -62,6 +67,18 @@ def remainder_not_scaled(monkeypatch):
     """A fraction-free step scales the working terms but not the remainder
     built so far."""
     _rewrite_groebner(monkeypatch, "_reduce", "rem = {re: v * m for re, v in rem.items()}", "pass")
+
+
+def remainder_keeps_zeros(monkeypatch):
+    """The in-place remainder stores a cancelled coefficient as zero."""
+    mutant = _rewritten(residues_mod, "remainder_in_var", "del r[te]", "r[te] = v")
+    _replace_everywhere(monkeypatch, "remainder_in_var", mutant)
+
+
+def remainder_stops_at_n(monkeypatch):
+    """The in-place remainder leaves the terms of x-degree n unreduced."""
+    mutant = _rewritten(residues_mod, "remainder_in_var", "if m < n:", "if m <= n:")
+    _replace_everywhere(monkeypatch, "remainder_in_var", mutant)
 
 
 def sign_always_plus(monkeypatch):
@@ -149,6 +166,8 @@ def d2_trace_scenario_passes():
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
+    (remainder_keeps_zeros, test_residues.test_remainder_matches_the_oracle),
+    (remainder_stops_at_n, test_residues.test_remainder_matches_the_oracle),
 ], ids=lambda v: v.__name__)
 def test_mutant_is_caught(monkeypatch, mutant, check):
     mutant(monkeypatch)

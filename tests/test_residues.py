@@ -7,22 +7,26 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecalc.errors import BudgetExceeded, EngineError
 from cyclecalc.forms import Form
 from cyclecalc.groebner import Budget, Ideal, budget_scope
 from cyclecalc.orders import degrevlex
-from cyclecalc.poly import ring_over
+from cyclecalc.poly import Poly, ring_over
 from cyclecalc.residues import (
     FinitePresentation,
     ResidueQuery,
-    divmod_in_var,
     multiplication_trace,
     pullback_to_total,
+    remainder_in_var,
     residue,
     trace_form,
     trace_property_check,
 )
+
+from .oracles import divmod_in_var
 
 # the module, not the function that `cyclecalc.groebner` names
 groebner_mod = importlib.import_module("cyclecalc.groebner")
@@ -203,6 +207,22 @@ def test_trace_properties_char0_and_char5():
     assert trace_form(pres5, dy_pb).output == Form.d(B5.var("y")).scale(3)
 
 
+def test_trace_property_check_renders_no_strings(monkeypatch):
+    """The trace audit strings are rendered only when read, and no property
+    check reads them."""
+    R4 = ring_over(0, ["x1", "x2", "y1", "y2"])
+    x1, x2, y1, y2 = R4.gens()
+    pres = FinitePresentation(R4, ("y1", "y2"), ("x1", "x2"), (x1**2 - y1, x2**2 + x1 * x2 - y2))
+
+    def refuse(self):
+        raise AssertionError("rendered a string")
+
+    monkeypatch.setattr(Poly, "__str__", refuse)
+    monkeypatch.setattr(Form, "__str__", refuse)
+    for which in ("degree0", "projection", "degree"):
+        assert trace_property_check(pres, which) == "pass", which
+
+
 def test_trace_inapplicable_when_char_divides_degree():
     R3 = ring_over(3, ["x", "y"])
     x3, y3 = R3.gens()
@@ -226,8 +246,52 @@ def test_trace_lift_independence():
 def test_divmod_in_var():
     q, r = divmod_in_var(X**4, X**2 - Y, 0)
     assert q == X**2 + Y and r == Y**2
+    assert remainder_in_var(X**4, X**2 - Y, 0) == Y**2
     with pytest.raises(EngineError):
         divmod_in_var(X, Y * X - 1, 0)
+
+
+REM_RINGS = {char: ring_over(char, ["x", "y", "z"]) for char in (0, 3, 32003)}
+
+
+def _rem_poly(draw, R, top: int, free_of=None):
+    """A sum of up to three terms, each of degree at most `top` in every
+    variable and of degree 0 in the variable `free_of`."""
+    out = R.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        e = tuple(0 if i == free_of else draw(st.integers(0, top)) for i in range(R.nvars))
+        out = out + R.monomial(e, R.field.coerce(draw(st.integers(-3, 3))))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_remainder_matches_the_oracle(data):
+    """f = a * g + b, with g of degree n in x_i and monic up to a unit, and
+    b of x_i-degree below n half the time: zero f, f of x_i-degree below n
+    and wholesale cancellation all occur.  The remainder is the oracle's,
+    term for term, with no zero coefficient stored."""
+    R = REM_RINGS[data.draw(st.sampled_from(sorted(REM_RINGS)))]
+    fld = R.field
+    xi = data.draw(st.integers(0, R.nvars - 1))
+    n = data.draw(st.integers(0, 3))
+    x = R.var(xi)
+    unit = fld.coerce(data.draw(st.sampled_from((1, 1, 2, -1))))
+    g = (x**n).scale(unit)
+    for k in range(n):
+        g = g + x**k * _rem_poly(data.draw, R, 2, free_of=xi)
+    b = _rem_poly(data.draw, R, 3)
+    if data.draw(st.booleans()):
+        b = Poly(R, {e: c for e, c in b.terms.items() if e[xi] < n})
+    f = _rem_poly(data.draw, R, 2) * g + b
+    r = remainder_in_var(f, g, xi)
+    assert r == divmod_in_var(f, g, xi)[1], (str(f), str(g))
+    assert fld.zero not in r.terms.values()
+    assert r.degree_in(xi) < n
+    other = R.var((xi + 1) % R.nvars)
+    for bad in (g + (x**n) * other, R.zero()):
+        with pytest.raises(EngineError, match="not monic"):
+            remainder_in_var(f, bad, xi)
 
 
 def test_fiber_finiteness_required():
