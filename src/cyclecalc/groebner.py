@@ -17,10 +17,21 @@ The reduced basis for a fixed (generator tuple, order) is unique, so every
 result here is reproducible across runs; results are memoized on that key,
 in a cache that drops the least recently used basis once it is full.
 
-A plain basis over QQ is computed on primitive integer forms: S-pairs,
-reductions and interreduction run fraction-free on Python ints, and the
-Fractions of the result are built once, when it is made monic.  Every Poly
-this module returns stays over Fraction.
+A plain request (cofactors=False) runs the whole Buchberger loop on packed
+monomials (orders.packing: one int per exponent tuple), over QQ and F_p
+alike: input reduction, S-polynomials, reduction, the pair keys, and the
+minimalization and interreduction of the result.  Coefficients are ints:
+primitive integer forms over QQ, reduced fraction-free, and monic forms over
+F_p.  Exponent tuples and Polys appear only at entry and in the returned
+basis, whose Fractions over QQ are built once, when it is made monic.  A
+cofactor request keeps its elements as Polys and reduces them with divide(),
+sharing only the packed pair update and minimalization with the plain route;
+divide, leading, GBasis.normal_form and buchberger_audit stay on exponent
+tuples, so the audit checks every packed basis independently.
+
+A monomial whose total degree reaches 2^(FIELD_BITS - 1) does not fit a
+packed field: it raises EngineError wherever it first appears (an input, an
+lcm, an S-polynomial or reduction term), never a wrong basis.
 """
 
 from __future__ import annotations
@@ -37,12 +48,14 @@ from typing import Iterable, Sequence
 from .errors import BudgetExceeded, EngineError, RingMismatch
 from .orders import (
     MonomialOrder,
+    Packing,
     block_order,
     degrevlex,
     exp_add,
     exp_divides,
     exp_lcm,
     exp_sub,
+    packing,
 )
 from .poly import Poly, Ring
 
@@ -205,52 +218,68 @@ def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence
 # ---------------------------------------------------------------------------
 # Buchberger, with cofactor tracking on request
 
+class _Packed:
+    """A nonzero basis element of the plain route, in packed form.
+
+    terms maps packed monomials to int coefficients, leading term first:
+    primitive integers over QQ, monic (lc == 1) over F_p.  tail lists the
+    other terms as (monomial, coefficient) pairs; lm is the packed leading
+    monomial and exp its exponent tuple."""
+
+    __slots__ = ("terms", "tail", "sugar", "lm", "lc", "exp")
+
+    def __init__(self, terms: dict, sugar: int, pk: Packing):
+        items = iter(terms.items())
+        self.lm, self.lc = next(items)
+        self.tail = list(items)
+        self.terms = terms
+        self.sugar = sugar
+        self.exp = pk.unpack(self.lm)
+
+
 class _Tracked:
-    """A nonzero basis element with its leading term and its sugar.
+    """A nonzero basis element of the cofactor route: poly, with rep its
+    expression over the original gens, (exp, lc) its leading term and lm the
+    packed exp."""
 
-    On the integer route (QQ, no cofactors) the element is `ints`, its
-    primitive integer form (exponent -> int, coefficients with gcd 1); lc is
-    then an int and poly is None.  Otherwise it is `poly`, ints is None, and
-    rep is its expression over the original gens when cofactors are tracked
-    (else None)."""
+    __slots__ = ("poly", "rep", "sugar", "lm", "lc", "exp")
 
-    __slots__ = ("poly", "ints", "rep", "sugar", "lm", "lc")
-
-    def __init__(self, poly: Poly | None, rep: list | None, sugar: int, order: MonomialOrder,
-                 ints: dict | None = None):
+    def __init__(self, poly: Poly, rep: list, sugar: int, order: MonomialOrder, pk: Packing):
         self.poly = poly
-        self.ints = ints
         self.rep = rep
         self.sugar = sugar
-        if ints is None:
-            self.lm, self.lc = leading(poly, order)
-        else:
-            self.lm = max(ints, key=order.key)
-            self.lc = ints[self.lm]
+        self.exp, self.lc = leading(poly, order)
+        self.lm = pk.pack(self.exp)
 
 
-def _reduce_field(poly: Poly, rep: list | None, sugar: int, G: list, order: MonomialOrder):
+def _reduce_field(poly: Poly, rep: list, sugar: int, G: list, order: MonomialOrder):
     """Divide poly by the basis G: returns (remainder, rep, sugar).
 
-    Sugar grows with every quotient; rep, when tracked, is rewritten along."""
-    r, quots = divide(poly, [t.poly for t in G], order, [(t.lm, t.lc) for t in G])
-    if rep is not None:
-        rep = list(rep)
+    Sugar grows with every quotient; rep is rewritten along."""
+    r, quots = divide(poly, [t.poly for t in G], order, [(t.exp, t.lc) for t in G])
+    rep = list(rep)
     for q, t in zip(quots, G):
         if q.is_zero():
             continue
         sugar = max(sugar, q.total_degree() + t.sugar)
-        if rep is not None:
-            for j in range(len(rep)):
-                if not t.rep[j].is_zero():
-                    rep[j] = rep[j] - q * t.rep[j]
+        for j in range(len(rep)):
+            if not t.rep[j].is_zero():
+                rep[j] = rep[j] - q * t.rep[j]
     return r, rep, sugar
 
 
-def _integer_form(poly: Poly) -> dict:
-    """The primitive integer form of a nonzero polynomial over QQ."""
-    den = lcm(*(c.denominator for c in poly.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+def _packed_form(poly: Poly, pk: Packing, p: int) -> dict:
+    """The packed form of a nonzero polynomial over F_p (p > 0) or QQ (p ==
+    0), as a _Packed holds it."""
+    cmask = pk.cmask
+    terms = sorted(
+        ((pk.pack(e), c) for e, c in poly.terms.items()), key=lambda t: t[0] ^ cmask, reverse=True
+    )
+    if p:
+        inv = pow(terms[0][1], -1, p)
+        return {m: c * inv % p for m, c in terms}
+    den = lcm(*(c.denominator for _, c in terms))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms}
     _remove_content(ints)
     return ints
 
@@ -264,23 +293,27 @@ def _remove_content(*parts: dict):
                 part[e] //= g
 
 
-def _s_poly_ints(gi: _Tracked, gj: _Tracked, L) -> dict:
-    """The S-polynomial of two integer forms with lcm L of their leading
-    monomials, times lc_i lc_j / gcd(lc_i, lc_j), so that it stays integral."""
+def _s_poly(gi: _Packed, gj: _Packed, L: int, pk: Packing) -> dict:
+    """The S-polynomial of two packed elements with lcm L of their leading
+    monomials, times lc_i lc_j / gcd(lc_i, lc_j), so that it stays integral
+    (over F_p the elements are monic and the factor is 1)."""
     g = gcd(gi.lc, gj.lc)
     a, b = gj.lc // g, gi.lc // g
-    mi, mj = exp_sub(L, gi.lm), exp_sub(L, gj.lm)
+    mi, mj = L - gi.lm, L - gj.lm
     # the leading terms cancel: a * lc_i == b * lc_j
-    s = {exp_add(e, mi): a * c for e, c in gi.ints.items() if e != gi.lm}
-    for e, c in gj.ints.items():
-        if e == gj.lm:
-            continue
-        te = exp_add(e, mj)
+    s = {e + mi: a * c for e, c in gi.tail}
+    for e, c in gj.tail:
+        te = e + mj
         v = s.get(te, 0) - b * c
         if v:
             s[te] = v
         else:
             del s[te]
+    # a sum of two valid monomials never carries out of a field, so a term
+    # that overflowed and then cancelled was still summed exactly
+    guard = pk.guard
+    if any(te & guard for te in s):
+        raise pk.overflow()
     return s
 
 
@@ -289,54 +322,63 @@ def _s_poly_ints(gi: _Tracked, gj: _Tracked, L) -> dict:
 _CONTENT_EVERY = 8
 
 
-def _reduce(f: dict, sugar: int, G: list, order: MonomialOrder):
-    """Fraction-free division of the integer form f by the integer forms of
-    the basis G: returns (remainder, sugar), the remainder primitive.
+def _reduce_packed(f: dict, sugar: int, G: list, pk: Packing, p: int):
+    """Division of the packed form f by the packed basis G over F_p (p > 0)
+    or QQ (p == 0): returns (remainder, sugar), the remainder in the form a
+    _Packed holds.
 
     The steps are those of divide(): terms are taken largest first from a
-    heap, and each is reduced by the first element of G whose leading
-    monomial divides it.  Where divide() subtracts (c / lc) x^q g, this step
-    scales the working terms and the remainder by m = lc / gcd(c, lc) and
-    subtracts (c m / lc) x^q g.  So both stay nonzero multiples of divide()'s,
-    with the same monomials, and the remainder is a nonzero multiple of the
-    field remainder.  Sugar grows with every quotient term, as in
-    _reduce_field.
+    heap of negated order keys, and each is reduced by the first element of
+    G whose leading monomial divides it.  Over QQ the division is
+    fraction-free: where divide() subtracts (c / lc) x^q g, this step scales
+    the working terms and the remainder by m = lc / gcd(c, lc) and subtracts
+    (c m / lc) x^q g, so both stay nonzero multiples of divide()'s, with the
+    same monomials.  Over F_p every lc is 1, and coefficients are reduced
+    mod p when their term is taken, not at every update.  Sugar grows with
+    every quotient term, as in _reduce_field.
     """
-    key = order.key
+    guard, cmask, low = pk.guard, pk.cmask, pk.low
     rem: dict = {}
     work = dict(f)
-    heap = [(_neg_key(key(e)), e) for e in work]
+    heap = [-(m ^ cmask) for m in work]
     heapq.heapify(heap)
     scalings = 0
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = -heapq.heappop(heap) ^ cmask
         c = work.pop(e, None)
         if c is None:  # cancelled after it was queued
             continue
-        for t in G:
-            le = t.lm
-            if not exp_divides(le, e):
+        if p:
+            c %= p
+            if not c:
                 continue
-            g = gcd(c, t.lc)
-            m, q = t.lc // g, c // g
-            if m < 0:
-                m, q = -m, -q
-            if m != 1:
-                work = {te: v * m for te, v in work.items()}
-                rem = {re: v * m for re, v in rem.items()}
-                scalings += 1
-            q_exp = exp_sub(e, le)
-            sugar = max(sugar, sum(q_exp) + t.sugar)
-            # work -= q * x^q_exp * g (the leading term cancels by construction);
-            # every new term is smaller than e
-            for ge, gc in t.ints.items():
-                if ge == le:
-                    continue
-                te = exp_add(ge, q_exp)
+        for t in G:
+            q_exp = e - t.lm
+            if q_exp & guard:  # t.lm does not divide e
+                continue
+            lc = t.lc
+            if lc == 1:
+                q = c
+            else:
+                g = gcd(c, lc)
+                m, q = lc // g, c // g
+                if m < 0:
+                    m, q = -m, -q
+                if m != 1:
+                    work = {te: v * m for te, v in work.items()}
+                    rem = {re: v * m for re, v in rem.items()}
+                    scalings += 1
+            sugar = max(sugar, (q_exp & low) + t.sugar)
+            # work -= q * x^q_exp * t (the leading term cancels by
+            # construction); every new term is smaller than e
+            for ge, gc in t.tail:
+                te = ge + q_exp
                 old = work.get(te)
                 if old is None:
+                    if te & guard:
+                        raise pk.overflow()
                     work[te] = -q * gc
-                    heapq.heappush(heap, (_neg_key(key(te)), te))
+                    heapq.heappush(heap, -(te ^ cmask))
                     continue
                 v = old - q * gc
                 if v:
@@ -349,47 +391,50 @@ def _reduce(f: dict, sugar: int, G: list, order: MonomialOrder):
             break
         else:
             rem[e] = c
+    if rem and p:
+        inv = pow(next(iter(rem.values())), -1, p)
+        return {re: v * inv % p for re, v in rem.items()}, sugar
     _remove_content(rem)
     return rem, sugar
 
 
-def _update_pairs(G: list, P: dict, heap: list, t: _Tracked, order: MonomialOrder):
-    """Gebauer-Möller pair update when t joins the basis G.
+def _update_pairs(G: list, P: dict, heap: list, t, pk: Packing):
+    """Gebauer-Möller pair update when t (a _Packed or a _Tracked) joins the
+    basis G.
 
-    P maps each live pair (i, j) to the lcm of its leading monomials; heap
-    holds (sugar, order key of the lcm, pair) for every pair ever created, and
-    pruned pairs stay in it until they are popped and skipped.
+    P maps each live pair (i, j) to the packed lcm of its leading monomials;
+    heap holds (sugar, order key of the lcm, pair) for every pair ever
+    created, and pruned pairs stay in it until they are popped and skipped.
     """
     lmf = t.lm
+    guard, cmask, low = pk.guard, pk.cmask, pk.low
     k = len(G)
+    lcms = [pk.pack(exp_lcm(u.exp, t.exp)) for u in G]
 
     for p in [
         p
         for p, L in P.items()
-        if exp_divides(lmf, L)
-        and L != exp_lcm(G[p[0]].lm, lmf)
-        and L != exp_lcm(G[p[1]].lm, lmf)
+        if not (L - lmf) & guard and L != lcms[p[0]] and L != lcms[p[1]]
     ]:
         del P[p]
 
     lcm_groups: dict = {}
-    for i in range(k):
-        lcm_groups.setdefault(exp_lcm(G[i].lm, lmf), []).append(i)
-    keys = {L: order.key(L) for L in lcm_groups}
+    for i, L in enumerate(lcms):
+        lcm_groups.setdefault(L, []).append(i)
     kept = []
-    for L in sorted(lcm_groups, key=keys.__getitem__):
-        if all(not exp_divides(L2, L) for L2 in kept):
+    for L in sorted(lcm_groups, key=lambda L: L ^ cmask):
+        if all((L - L2) & guard for L2 in kept):
             kept.append(L)
-    degf = sum(lmf)
+    degf = lmf & low
     for L in kept:
         # product criterion: skip coprime leading monomials
-        if any(L == exp_add(G[i].lm, lmf) for i in lcm_groups[L]):
+        if any(L == G[i].lm + lmf for i in lcm_groups[L]):
             continue
         i = min(lcm_groups[L])
-        degL = sum(L)
-        sugar = max(G[i].sugar + degL - sum(G[i].lm), t.sugar + degL - degf)
+        degL = L & low
+        sugar = max(G[i].sugar + degL - (G[i].lm & low), t.sugar + degL - degf)
         P[(i, k)] = L
-        heapq.heappush(heap, (sugar, keys[L], (i, k)))
+        heapq.heappush(heap, (sugar, L ^ cmask, (i, k)))
 
     G.append(t)
 
@@ -501,10 +546,10 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
     budget = _scoped_budget.get()
     ring = I.ring
     fld = ring.field
+    p = fld.characteristic
+    pk = packing(order)
     ngens = len(I.gens)
 
-    # the integer route: plain bases over QQ run on primitive integer forms
-    integral = fld.characteristic == 0 and not cofactors
     G: list = []
     P: dict = {}
     heap: list = []
@@ -512,52 +557,50 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
         if g.is_zero():
             continue
         sugar = max(g.total_degree(), 0)
-        if integral:
-            ints = _integer_form(g)
-            if G:
-                ints, sugar = _reduce(ints, sugar, G, order)
-                if not ints:
-                    continue
-            t = _Tracked(None, None, sugar, order, ints)
-        else:
-            rep = [ring.one() if j == i else ring.zero() for j in range(ngens)] if cofactors else None
+        if cofactors:
+            rep = [ring.one() if j == i else ring.zero() for j in range(ngens)]
             if G:
                 g, rep, sugar = _reduce_field(g, rep, sugar, G, order)
                 if g.is_zero():
                     continue
-            t = _Tracked(g, rep, sugar, order)
-        _update_pairs(G, P, heap, t, order)
+            t = _Tracked(g, rep, sugar, order, pk)
+        else:
+            f = _packed_form(g, pk, p)
+            if G:
+                f, sugar = _reduce_packed(f, sugar, G, pk, p)
+                if not f:
+                    continue
+            t = _Packed(f, sugar, pk)
+        _update_pairs(G, P, heap, t, pk)
 
     processed = 0
     while P:
-        sugar, _, p = heapq.heappop(heap)
-        L = P.pop(p, None)
+        sugar, _, pair = heapq.heappop(heap)
+        L = P.pop(pair, None)
         if L is None:  # pruned by Gebauer-Möller after it was queued
             continue
         processed += 1
         budget.check_pairs(processed)
-        budget.check_degree(sum(L))
+        budget.check_degree(L & pk.low)
 
-        gi, gj = G[p[0]], G[p[1]]
-        if integral:
-            r, sugar = _reduce(_s_poly_ints(gi, gj, L), sugar, G, order)
+        gi, gj = G[pair[0]], G[pair[1]]
+        if not cofactors:
+            r, sugar = _reduce_packed(_s_poly(gi, gj, L, pk), sugar, G, pk, p)
             if r:
-                _update_pairs(G, P, heap, _Tracked(None, None, sugar, order, r), order)
+                _update_pairs(G, P, heap, _Packed(r, sugar, pk), pk)
             continue
-        mi, mj = exp_sub(L, gi.lm), exp_sub(L, gj.lm)
+        mi, mj = pk.unpack(L - gi.lm), pk.unpack(L - gj.lm)
         ci, cj = fld.inv(gi.lc), fld.inv(gj.lc)
         s_poly = _mul_monomial(gi.poly, mi, ci) - _mul_monomial(gj.poly, mj, cj)
-        rep = None
-        if cofactors:
-            rep = [
-                _mul_monomial(a, mi, ci) - _mul_monomial(b, mj, cj)
-                if not (a.is_zero() and b.is_zero())
-                else ring.zero()
-                for a, b in zip(gi.rep, gj.rep)
-            ]
+        rep = [
+            _mul_monomial(a, mi, ci) - _mul_monomial(b, mj, cj)
+            if not (a.is_zero() and b.is_zero())
+            else ring.zero()
+            for a, b in zip(gi.rep, gj.rep)
+        ]
         r, rep, sugar = _reduce_field(s_poly, rep, sugar, G, order)
         if not r.is_zero():
-            _update_pairs(G, P, heap, _Tracked(r, rep, sugar, order), order)
+            _update_pairs(G, P, heap, _Tracked(r, rep, sugar, order, pk), pk)
 
     gb = _finalize(I, order, G, cofactors)
     _gb_cache[key] = gb
@@ -572,11 +615,14 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
 def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasis:
     ring = I.ring
     fld = ring.field
+    p = fld.characteristic
+    pk = packing(order)
+    guard = pk.guard
 
     # minimalize: drop elements whose LM is divisible by another LM
     minimal: list = []
-    for t in sorted(G, key=lambda t: order.key(t.lm)):
-        if all(not exp_divides(u.lm, t.lm) for u in minimal):
+    for t in sorted(G, key=lambda t: t.lm ^ pk.cmask):
+        if all((t.lm - u.lm) & guard for u in minimal):
             minimal.append(t)
 
     # interreduce and normalize to monic; no leading term is reducible by
@@ -585,19 +631,18 @@ def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasi
     reps: list | None = [] if cofactors else None
     for i, t in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        if t.ints is not None:
+        if not cofactors:
             # a fraction-free reduction may scale t: divide by r's own
-            # leading coefficient, not t.lc
-            r, _ = _reduce(t.ints, t.sugar, others, order)
+            # leading coefficient, not t.lc (over F_p both are 1)
+            r, _ = _reduce_packed(t.terms, t.sugar, others, pk, p)
             lc = r[t.lm]
-            basis.append(Poly(ring, {e: Fraction(c, lc) for e, c in r.items()}))
+            basis.append(Poly(ring, {pk.unpack(e): c if p else Fraction(c, lc) for e, c in r.items()}))
             continue
         r, rep, _ = _reduce_field(t.poly, t.rep, t.sugar, others, order)
         inv = fld.inv(t.lc)
         basis.append(r.scale(inv))
-        if cofactors:
-            reps.append([c.scale(inv) for c in rep])
-    return GBasis(I, order, basis, reps, [(t.lm, fld.one) for t in minimal])
+        reps.append([c.scale(inv) for c in rep])
+    return GBasis(I, order, basis, reps, [(t.exp, fld.one) for t in minimal])
 
 
 # ---------------------------------------------------------------------------

@@ -186,15 +186,15 @@ def reference_divide(f: Poly, basis, order, leads=None):
     return Poly(ring, rem), [Poly(ring, q) for q in quots]
 
 
-def reference_reduce(poly: Poly, sugar: int, G, order):
-    """Divide poly by the basis elements G (each with .poly, .lm, .lc and
-    .sugar) over the field: returns (remainder, sugar), with sugar grown by
-    every nonzero quotient.  Over QQ, cyclecalc.groebner._reduce must return
-    a nonzero multiple of this remainder, with the same sugar."""
-    r, quots = reference_divide(poly, [t.poly for t in G], order, [(t.lm, t.lc) for t in G])
-    for q, t in zip(quots, G):
+def reference_reduce(poly: Poly, sugar: int, basis, sugars, order):
+    """Divide poly by `basis`, whose elements have the given sugars, over the
+    field: returns (remainder, sugar), with sugar grown by every nonzero
+    quotient.  cyclecalc.groebner._reduce_packed must return a nonzero
+    multiple of this remainder, with the same sugar."""
+    r, quots = reference_divide(poly, basis, order)
+    for q, s in zip(quots, sugars):
         if not q.is_zero():
-            sugar = max(sugar, q.total_degree() + t.sugar)
+            sugar = max(sugar, q.total_degree() + s)
     return r, sugar
 
 

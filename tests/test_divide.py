@@ -1,17 +1,31 @@
 """Heap-ordered multivariate division against the plain largest-term scan,
-and the fraction-free reduction over QQ against the Fraction reduction."""
+packed monomials against exponent tuples, and the packed reduction against
+the field reduction."""
 
+import importlib
+import json
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecalc.groebner import _integer_form, _reduce, _Tracked, divide, leading
-from cyclecalc.orders import block_order, degrevlex, lex
+from cyclecalc.errors import BudgetExceeded, EngineError
+from cyclecalc.groebner import Budget, Ideal, _packed_form, _Packed, budget_scope, divide, groebner, leading
+from cyclecalc.orders import FIELD_BITS, block_order, degrevlex, exp_add, exp_divides, lex, packing
 from cyclecalc.poly import ring_over
 
 from .oracles import reference_divide, reference_reduce
+
+# the module, not the function that `cyclecalc.groebner` names; the reducer
+# is looked up on it at call time, so that test_mutants' rewrites reach it
+groebner_mod = importlib.import_module("cyclecalc.groebner")
+orders_mod = importlib.import_module("cyclecalc.orders")
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 NAMES = ["dv_x", "dv_y", "dv_z"]
 RINGS = {char: ring_over(char, NAMES) for char in (0, 7, 32003)}
@@ -85,31 +99,118 @@ def _large_height_poly(draw, ring, min_terms):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fraction_free_reduce_matches_reference(data):
-    """Over QQ, _reduce on integer forms returns a primitive nonzero multiple
-    of the Fraction remainder, with the same sugar."""
-    ring = RINGS[0]
+    """_reduce_packed on packed forms returns a nonzero multiple of the field
+    remainder, leading term first and with the same sugar: over QQ, from
+    coefficients of height up to 10^6, a primitive integer one; over F_p a
+    monic one."""
+    char = data.draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[char]
+    fld = ring.field
     order = ORDERS[data.draw(st.sampled_from(sorted(ORDERS)))]
-    f = _large_height_poly(data.draw, ring, 0)
+    draw_poly = _poly if char else _large_height_poly
+    f = draw_poly(data.draw, ring, 0)
     polys = [
         g
-        for g in (_large_height_poly(data.draw, ring, 1) for _ in range(data.draw(st.integers(1, 4))))
+        for g in (draw_poly(data.draw, ring, 1) for _ in range(data.draw(st.integers(1, 4))))
         if not g.is_zero()
-    ] or [ring.var(0).scale(Fraction(-7, 3)) - ring.one()]
+    ] or [ring.var(0).scale(Fraction(-5, 3)) - ring.one()]
     sugars = [g.total_degree() + data.draw(st.integers(0, 2)) for g in polys]
     sugar = max(f.total_degree(), 0)
 
-    fields = [_Tracked(g, None, s, order) for g, s in zip(polys, sugars)]
-    ints = [_Tracked(None, None, s, order, _integer_form(g)) for g, s in zip(polys, sugars)]
-    want, want_sugar = reference_reduce(f, sugar, fields, order)
-    got, got_sugar = _reduce(_integer_form(f), sugar, ints, order)
+    pk = packing(order)
+    G = [_Packed(_packed_form(g, pk, char), s, pk) for g, s in zip(polys, sugars)]
+    want, want_sugar = reference_reduce(f, sugar, polys, sugars, order)
+    start = _packed_form(f, pk, char) if not f.is_zero() else {}
+    got, got_sugar = groebner_mod._reduce_packed(start, sugar, G, pk, char)
 
     assert got_sugar == want_sugar
-    assert got.keys() == want.terms.keys()
+    terms = {pk.unpack(m): fld.coerce(c) for m, c in got.items()}
+    assert terms.keys() == want.terms.keys()
     if got:
-        assert gcd(*got.values()) == 1
-        e = next(iter(got))
-        ratio = want.terms[e] / got[e]
-        assert all(want.terms[e] == ratio * c for e, c in got.items())
+        lead, lc = leading(want, order)
+        assert pk.unpack(next(iter(got))) == lead
+        assert (got[pk.pack(lead)] == 1) if char else (gcd(*got.values()) == 1)
+        ratio = fld.div(lc, terms[lead])
+        assert all(want.terms[e] == fld.mul(ratio, c) for e, c in terms.items())
+
+
+# one to three values of each size, so that fields tie and differ by little
+EXPONENTS = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2**28))] * 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.sampled_from(sorted(ORDERS)), a=EXPONENTS, b=EXPONENTS)
+def test_packing_matches_exponent_tuples(name, a, b):
+    """For degrevlex, lex and a two-block order: unpack inverts pack, packed
+    keys compare as order.key does, the guard test is exp_divides, pack is
+    linear, and the low field is the total degree."""
+    order = ORDERS[name]
+    pk = packing(order)
+    A, B = pk.pack(a), pk.pack(b)
+    assert pk.unpack(A) == a
+    assert ((A ^ pk.cmask) < (B ^ pk.cmask)) == (order.key(a) < order.key(b))
+    assert (((B - A) & pk.guard) == 0) == exp_divides(a, b)
+    assert A + B == pk.pack(exp_add(a, b))
+    assert A & pk.low == sum(a)
+
+
+def test_packing_table_is_bounded(monkeypatch):
+    """Equal orders share one packing; past _PACKINGS_MAX orders the table
+    starts over, and a packing built again packs as before."""
+    monkeypatch.setattr(orders_mod, "_PACKINGS_MAX", 2)
+    monkeypatch.setattr(orders_mod, "_packings", {})
+    first = packing(degrevlex(3))
+    assert packing(degrevlex(3)) is first
+    packing(lex(3))
+    packing(block_order([0, 1], [2]))
+    assert len(orders_mod._packings) <= 2
+    again = packing(degrevlex(3))
+    assert again.pack((1, 2, 3)) == first.pack((1, 2, 3))
+
+
+@pytest.mark.parametrize("char", [7, 0])
+def test_reduction_sees_a_failed_middle_field(char):
+    """x y does not divide x z, yet in degrevlex their packed difference is
+    positive: only the guard bit of the y field, which borrows from the z
+    field above it, shows it.  So x z is its own remainder by x y + y."""
+    ring = RINGS[char]
+    x, y, z = ring.gens()
+    pk = packing(ORDERS["degrevlex"])
+    g = _Packed(_packed_form(x * y + y, pk, char), 2, pk)
+    f = _packed_form(x * z, pk, char)
+    assert groebner_mod._reduce_packed(f, 2, [g], pk, char) == (f, 2)
+
+
+LIMIT = 2 ** (FIELD_BITS - 1)
+OVERFLOWS = {
+    # an input monomial at the limit
+    "input": (lambda x, y, z, m: [m(LIMIT, 0, 0) - 1], degrevlex(3)),
+    # inputs below it whose S-pair lcm reaches it
+    "lcm": (lambda x, y, z, m: [m(LIMIT // 2, 1, 0) - 1, m(1, LIMIT // 2, 0) - 1], degrevlex(3)),
+    # an S-polynomial term: z^(L/2) (x y - z^(L/2)) - y (x z^(L/2) - 1)
+    "s-poly": (lambda x, y, z, m: [x * y - m(0, 0, LIMIT // 2), x * m(0, 0, LIMIT // 2) - 1], lex(3)),
+    # a reduction term: x^2 by x - y^(L/2) gives x y^(L/2), then y^L
+    "reduction": (lambda x, y, z, m: [x - m(0, LIMIT // 2, 0), x**2], lex(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+@pytest.mark.parametrize("char", [7, 0])
+def test_packed_overflow_is_an_error(char, case):
+    """A monomial whose total degree reaches 2^(FIELD_BITS - 1) is refused
+    with an EngineError naming the packed width, wherever it first appears;
+    it is never truncated into a wrong basis.  The budget is lifted, so that
+    it does not stop the run first."""
+    ring = RINGS[char]
+
+    def m(*exp):
+        return ring.monomial(exp)
+
+    gens, order = OVERFLOWS[case]
+    with budget_scope(Budget(max_degree=4 * LIMIT)):
+        with pytest.raises(EngineError, match=f"{FIELD_BITS}-bit fields of a packed monomial") as err:
+            groebner(Ideal(ring, gens(*ring.gens(), m)), order)
+    assert not isinstance(err.value, BudgetExceeded)
 
 
 def test_cancelled_term_that_reappears(monkeypatch):
@@ -145,3 +246,24 @@ def test_degrevlex_key_matches_definition(exp):
     e = tuple(exp)
     want = (sum(e),) + tuple(-e[i] for i in range(len(e) - 1, -1, -1))
     assert degrevlex(len(e)).key(e) == want
+
+
+def test_shipped_work_stays_far_below_the_packed_limit(monkeypatch):
+    """Every corpus job (the shipped scenarios and the axiom harness) and
+    every groebner-kernel job of the benchmark still matches the benchmark's
+    references with 12-bit fields, whose limit is total degree 2^11, on a
+    fresh basis cache: none comes within a factor 2^20 of the 32-bit one."""
+    monkeypatch.setattr(orders_mod, "FIELD_BITS", 12)
+    monkeypatch.setattr(orders_mod, "_packings", {})
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from common import corpus_jobs
+    import jobs
+
+    assert packing(degrevlex(3)).bits == 12
+    refs = json.loads((PERFBENCH / "references.json").read_text())
+    for job in corpus_jobs():
+        _, _, report = jobs.run_corpus_job(job)
+        assert jobs.check_corpus(job, jobs.report_digest(report), refs["corpus"]) is None, job
+    for job in jobs.kernel_pass(1, 0):
+        assert job.check(job.run(), refs) is None, job.name

@@ -390,10 +390,10 @@ def _large_height_katsura3(rng, ring):
 def test_plain_and_cofactor_bases_agree(char, order, monkeypatch):
     """A plain request computes no cofactors; a cofactor request on the same
     key recomputes with them, gets the same basis, and replaces the cache
-    slot; a later plain request is a cache hit that reruns nothing.  Over QQ
-    the plain basis comes from the integer route and the tracked one from
-    Fractions; the last ideal there is katsura-3 rescaled by fractions of
-    height up to 10^6."""
+    slot; a later plain request is a cache hit that reruns nothing.  The
+    plain basis comes from the packed route and the tracked one from Polys
+    and divide(), so the two routes check each other; over QQ the last ideal
+    is katsura-3 rescaled by fractions of height up to 10^6."""
     rng = random.Random(31 + char)
     R = ring_over(char, ["pc_u", "pc_v", "pc_w"])
     cache = groebner_mod._gb_cache

@@ -21,7 +21,7 @@ import pytest
 from cyclecalc.orders import degrevlex
 from cyclecalc.scenario import run_scenario_text
 
-from . import test_corr, test_geometry, test_groebner, test_residues
+from . import test_corr, test_divide, test_geometry, test_groebner, test_residues
 
 corr_mod = importlib.import_module("cyclecalc.corr")
 geometry_mod = importlib.import_module("cyclecalc.geometry")
@@ -58,15 +58,21 @@ def _rewrite_groebner(monkeypatch, name: str, old: str, new: str):
 
 
 def monic_by_stored_lc(monkeypatch):
-    """_finalize makes an integer-route element monic by its stored leading
+    """_finalize makes a packed element over QQ monic by its stored leading
     coefficient, not by its interreduced remainder's."""
     _rewrite_groebner(monkeypatch, "_finalize", "lc = r[t.lm]", "lc = t.lc")
 
 
 def remainder_not_scaled(monkeypatch):
-    """A fraction-free step scales the working terms but not the remainder
-    built so far."""
-    _rewrite_groebner(monkeypatch, "_reduce", "rem = {re: v * m for re, v in rem.items()}", "pass")
+    """A fraction-free step of the packed reduction scales the working terms
+    but not the remainder built so far."""
+    _rewrite_groebner(monkeypatch, "_reduce_packed", "rem = {re: v * m for re, v in rem.items()}", "pass")
+
+
+def guard_dropped(monkeypatch):
+    """The packed reduction tests divisibility by the sign of the difference,
+    not by its guard bits, so a failed field under a larger one goes unseen."""
+    _rewrite_groebner(monkeypatch, "_reduce_packed", "if q_exp & guard:", "if q_exp < 0:")
 
 
 def remainder_keeps_zeros(monkeypatch):
@@ -145,9 +151,15 @@ property tf_proj = tf projection expect pass
 
 def qq_plain_and_cofactor_bases_agree():
     """test_groebner.test_plain_and_cofactor_bases_agree over QQ in degrevlex:
-    integer-route bases against Fraction cofactor-route ones."""
+    packed-route bases against Fraction cofactor-route ones."""
     with pytest.MonkeyPatch.context() as m:
         test_groebner.test_plain_and_cofactor_bases_agree(0, degrevlex(3), m)
+
+
+def failed_middle_field_seen():
+    """test_divide.test_reduction_sees_a_failed_middle_field over F_7 and QQ."""
+    for char in (7, 0):
+        test_divide.test_reduction_sees_a_failed_middle_field(char)
 
 
 def d2_trace_scenario_passes():
@@ -166,6 +178,7 @@ def d2_trace_scenario_passes():
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
+    (guard_dropped, failed_middle_field_seen),
     (remainder_keeps_zeros, test_residues.test_remainder_matches_the_oracle),
     (remainder_stops_at_n, test_residues.test_remainder_matches_the_oracle),
 ], ids=lambda v: v.__name__)
