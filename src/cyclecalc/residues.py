@@ -11,6 +11,12 @@ never used (it breaks at ramification).  The reduction is
 quotient; g is monic in x, so the remainder is unique.  The coefficient of
 x^{deg g - 1} is read straight off the remainder's terms.
 
+h -> Res[h det dx / g] is O_Y-linear and vanishes on (g), so it is a linear
+functional on the free O_Y-module k[x, y]/(g), with the box monomials x^a
+(a_i < deg_{x_i} g_i) as a basis (Scheja & Storch, J. reine angew. Math.
+278/279, 1975).  A residue therefore reduces only the terms of h outside the
+box, and reads the value at each box monomial from a table on the frame.
+
 A trace keeps each residue numerator and residue as a polynomial; the
 strings of `TraceResult.audit` are rendered only when it is read, which the
 trace property checks never do.
@@ -18,16 +24,20 @@ trace property checks never do.
 Everything that depends only on the presentation X = V(t) in Y x A^d, and
 not on the numerator or the form, is its frame, computed once per
 FinitePresentation and kept on it for as long as it lives:
-- `residue_frame`: the triangular eliminants g_i and the determinant of
-  their cofactor rows over (t);
+- `residue_frame`: the degrevlex basis of (t) with cofactors, which
+  trace_form reduces forms by; the triangular eliminants g_i and the
+  determinant of their cofactor rows over (t); the fiber and base index
+  maps and the base ring; and the box table, one residue per box monomial,
+  filled on first use and never larger than the box;
 - `dt_prefix`: the form dt_d ^ ... ^ dt_1 that trace_form wedges onto;
-- `staircase`: the module basis of O_X over O_Y.
+- `staircase`: the module basis of O_X over O_Y, with the block-order basis
+  of (t) that multiplication_trace reduces by.
 Each part is computed on first use, so a presentation that is not
-fiber-finite is still built without error and fails only where a residue or
-a basis is asked for.  A part is built under the budget scope of its first
-caller, and a later caller reuses it without running Buchberger, just as a
-`_gb_cache` hit runs no S-pair; a budget trip while building one leaves
-nothing behind.
+fiber-finite is still built without error and fails only where a residue, a
+trace or a basis is asked for.  A part is built under the budget scope of
+its first caller, and a later caller reuses it without running Buchberger,
+just as a `_gb_cache` hit runs no S-pair; a budget trip while building one
+leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EngineError, RingMismatch
-from .forms import Form, wedge_all
+from .forms import Form, _merge_tuples, wedge_all
 from .groebner import (
+    GBasis,
     Ideal,
     cofactor_lift,
     eliminate,
@@ -77,95 +88,142 @@ class FinitePresentation:
     def fiber_indices(self) -> list:
         return [self.ring.index(n) for n in self.fiber_names]
 
-    def base_ring(self) -> Ring:
+    @cached_property
+    def _base_ring(self) -> Ring:
         return Ring(self.base_names, self.ring.field)
+
+    @cached_property
+    def _base_index(self) -> dict:
+        """Ring index -> base-ring index, in base-ring order."""
+        return {self.ring.index(n): i for i, n in enumerate(self.base_names)}
+
+    def base_ring(self) -> Ring:
+        return self._base_ring
 
     def base_injection(self) -> dict:
         """Index map base-subring -> ring."""
-        base = self.base_ring()
-        return {i: self.ring.index(n) for i, n in enumerate(base.vars)}
+        return {i: j for j, i in self._base_index.items()}
 
     def to_base(self, p: Poly) -> Poly:
-        base = self.base_ring()
-        idx = {self.ring.index(n): i for i, n in enumerate(base.vars)}
+        idx = self._base_index
         for e in p.terms:
             for j, k in enumerate(e):
                 if k and j not in idx:
                     raise EngineError(f"{p} is not a base-ring element")
-        return p.inject(base, idx)
+        return p.inject(self._base_ring, idx)
 
     @cached_property
     def staircase(self) -> tuple:
-        """Monomial basis of O_X over O_Y (staircase in the fiber variables)."""
-        st = fiber_staircase(Ideal(self.ring, list(self.t)), self.fiber_indices())
+        """(exps, monomials, gb): the monomial basis of O_X over O_Y, the
+        staircase in the fiber variables, as sorted fiber exponents and as
+        monomials of P, and the block-order basis of (t) it is read from."""
+        I = Ideal(self.ring, list(self.t))
+        fiber_idx = self.fiber_indices()
+        st = fiber_staircase(I, fiber_idx)
         if st is None:
             raise EngineError("presentation is not fiber-finite")
         if st == []:
             raise EngineError("presentation is generically empty over the base")
-        fiber_idx = self.fiber_indices()
+        exps = tuple(sorted(st))
         monos = []
-        for exp in sorted(st):
+        for exp in exps:
             e = [0] * self.ring.nvars
             for pos, k in enumerate(exp):
                 e[fiber_idx[pos]] = k
             monos.append(self.ring.monomial(tuple(e)))
-        return tuple(monos)
+        order = block_order(fiber_idx, [i for i in range(self.ring.nvars) if i not in set(fiber_idx)])
+        return exps, tuple(monos), groebner(I, order)
 
     @cached_property
     def residue_frame(self) -> ResidueFrame:
-        """The eliminants and determinant every residue over (t) divides by."""
-        gs = tuple(_triangular_eliminants(self))
+        """The basis of (t), the eliminants and determinant every residue
+        over (t) divides by, and the index maps between P, its fiber and Y."""
         I = Ideal(self.ring, list(self.t))
-        return ResidueFrame(gs, _determinant([cofactor_lift(g, I) for g in gs], self.ring))
+        # the cofactor basis comes first: trace_form reduces by it, and the
+        # cofactor lifts below reuse it
+        basis = groebner(I, cofactors=True)
+        gs = tuple(_triangular_eliminants(self))
+        fiber_idx = self.fiber_indices()
+        return ResidueFrame(
+            basis,
+            gs,
+            _determinant([cofactor_lift(g, I) for g in gs], self.ring),
+            {i: pos for pos, i in enumerate(fiber_idx)},
+            tuple(_monic_tail(g, xi) for g, xi in zip(gs, fiber_idx)),
+            self._base_index,
+            self._base_ring,
+        )
 
     @cached_property
-    def dt_prefix(self) -> Form | None:
-        """dt_d ^ ... ^ dt_1, in exactly that order; None when d = 0."""
-        return wedge_all(Form.d(t) for t in reversed(self.t)) if self.d else None
+    def dt_prefix(self) -> Form:
+        """dt_d ^ ... ^ dt_1, in exactly that order; the 0-form 1 when d = 0."""
+        if not self.d:
+            return Form.from_poly(self.ring.one())
+        return wedge_all(Form.d(t) for t in reversed(self.t))
 
     def module_basis(self) -> list:
         """Monomial basis of O_X over O_Y (staircase in the fiber variables)."""
-        return list(self.staircase)
+        return list(self.staircase[1])
 
     def rank(self) -> int:
-        return len(self.staircase)
+        return len(self.staircase[0])
 
 
-@dataclass(frozen=True)
 class ResidueFrame:
-    """The numerator-free part of every residue over one presentation."""
+    """The numerator-free part of every residue and trace over one presentation.
 
-    gs: tuple  # monic eliminant g_i in x_i, one per fiber variable
-    det: Poly  # determinant of the cofactor rows of the g_i over (t)
+    `table` maps a box exponent a (a_i < n_i = deg_{x_i} g_i) to
+    Res[x^a det dx / g] as (base-ring exponent, coefficient) pairs.  It is
+    filled on first use and holds at most prod(n_i) entries.
+    """
+
+    __slots__ = ("basis", "gs", "det", "fiber_pos", "tails", "base_index", "base_ring", "table")
+
+    def __init__(
+        self, basis: GBasis, gs: tuple, det: Poly, fiber_pos: dict, tails: tuple, base_index: dict, base_ring: Ring
+    ):
+        self.basis = basis  # degrevlex basis of (t), with cofactors
+        self.gs = gs  # monic eliminant g_i in x_i, one per fiber variable
+        self.det = det  # determinant of the cofactor rows of the g_i over (t)
+        self.fiber_pos = fiber_pos  # ring index -> fiber position, in fiber order
+        self.tails = tails  # _monic_tail(g_i, x_i): (field, n_i, tail), one per fiber variable
+        self.base_index = base_index  # ring index -> base-ring index, in base-ring order
+        self.base_ring = base_ring
+        self.table: dict = {}
 
 
 def remainder_in_var(f: Poly, g: Poly, var_index: int) -> Poly:
     """The remainder of f on division by g, monic in one variable x
     (its coefficients may involve the others): the unique r = f mod g with
-    deg_x r < deg_x g.
+    deg_x r < deg_x g."""
+    return Poly(f.ring, _reduce_in_var(dict(f.terms), _monic_tail(g, var_index), var_index))
 
-    Works on one term dict.  Each step takes every term at the top x-degree
-    m >= n = deg_x g and subtracts (c / lc) * x^(m-n) * g for it in place;
-    the terms at degree m cancel exactly and the rest of g lands below m.
-    """
-    ring = f.ring
+
+def _monic_tail(g: Poly, var_index: int) -> tuple:
+    """(field, n, tail) for g monic in x = x_var_index: n = deg_x g, and tail
+    the rest of g scaled by -1/lc and shifted down by x^n, so that reducing
+    the term c at exponent e adds c * gc at exp_add(e, ge) for each (ge, gc)."""
+    ring = g.ring
     fld = ring.field
-    zero = fld.zero
-    add, mul = fld.add, fld.mul
     n = g.degree_in(var_index)
     lead = [(e, c) for e, c in g.terms.items() if e[var_index] == n]
     if len(lead) != 1 or sum(lead[0][0]) != n:
         raise EngineError(f"divisor is not monic in variable {ring.vars[var_index]}")
     minus_inv = fld.neg(fld.inv(lead[0][1]))
-    # the rest of g, scaled by -1/lc and shifted down by x^n: reducing the
-    # term c at exponent e adds c * gc at exp_add(e, ge) for each (ge, gc)
     shift = tuple(n if i == var_index else 0 for i in range(ring.nvars))
-    tail = [
-        (exp_sub(ge, shift), mul(gc, minus_inv))
-        for ge, gc in g.terms.items()
-        if ge[var_index] < n
-    ]
-    r = dict(f.terms)
+    return fld, n, [(exp_sub(ge, shift), fld.mul(gc, minus_inv)) for ge, gc in g.terms.items() if ge[var_index] < n]
+
+
+def _reduce_in_var(r: dict, monic_tail: tuple, var_index: int) -> dict:
+    """Reduce the term dict r in place by the g of `monic_tail` (see
+    _monic_tail) until its degree in x is below n, and return it.
+
+    Each step takes every term at the top x-degree m >= n and subtracts
+    (c / lc) * x^(m-n) * g for it; the terms at degree m cancel exactly and
+    the rest of g lands below m.  The remainder is unique, g being monic.
+    """
+    fld, n, tail = monic_tail
+    zero, add, mul = fld.zero, fld.add, fld.mul
     while r:
         m = -1
         top = []
@@ -187,7 +245,7 @@ def remainder_in_var(f: Poly, g: Poly, var_index: int) -> Poly:
                     del r[te]
                 else:
                     r[te] = v
-    return Poly(ring, r)
+    return r
 
 
 def _triangular_eliminants(pres: FinitePresentation) -> list:
@@ -229,22 +287,69 @@ class ResidueQuery:
 
 
 def residue(query: ResidueQuery) -> Poly:
-    """Res_{P/Y}[h dx_1...dx_d / t_1,...,t_d] as a base-ring element."""
+    """Res_{P/Y}[h dx_1...dx_d / t_1,...,t_d] as a base-ring element.
+
+    The residue is O_Y-linear and vanishes on (g_1..g_d).  So the terms of h
+    outside the box are first reduced by g_d, ..., g_1 in turn, which leaves
+    every term inside it, and each term c x^a y^b then adds c y^b table[a].
+    """
     pres = query.presentation
     ring = pres.ring
-    if query.numerator.ring != ring:
+    h = query.numerator
+    if h.ring != ring:
         raise RingMismatch("numerator in the wrong ring")
     frame = pres.residue_frame
-    cur = query.numerator * frame.det
-    fiber_idx = pres.fiber_indices()
-    for pos in range(pres.d - 1, -1, -1):
+    fiber_idx = tuple(frame.fiber_pos)
+    bounds = [(i, n) for i, (_, n, _) in zip(fiber_idx, frame.tails)]
+    terms, outside = [], {}
+    for e, c in h.terms.items():
+        if all(e[i] < n for i, n in bounds):
+            terms.append((e, c))
+        else:
+            outside[e] = c
+    if outside:
+        for pos in range(pres.d - 1, -1, -1):
+            _reduce_in_var(outside, frame.tails[pos], fiber_idx[pos])
+        terms.extend(outside.items())
+    base_idx = tuple(frame.base_index)
+    table = frame.table
+    fld = ring.field
+    zero, add, mul = fld.zero, fld.add, fld.mul
+    out: dict = {}
+    for e, c in terms:
+        a = tuple(e[i] for i in fiber_idx)
+        entry = table.get(a)
+        if entry is None:
+            entry = table[a] = _box_residue(frame, a)
+        b = tuple(e[i] for i in base_idx)
+        for be, v in entry:
+            k = exp_add(b, be)
+            s = add(out.get(k, zero), mul(c, v))
+            if s == zero:
+                del out[k]
+            else:
+                out[k] = s
+    return Poly(frame.base_ring, out)
+
+
+def _box_residue(frame: ResidueFrame, a: tuple) -> tuple:
+    """Res[x^a det dx / g] for a box exponent a, as (base-ring exponent,
+    coefficient) pairs: reduce x^a det by g_d, ..., g_1 in turn, keeping the
+    coefficient of x_i^(n_i - 1) each time."""
+    ring = frame.det.ring
+    fiber_idx = tuple(frame.fiber_pos)
+    shift = [0] * ring.nvars
+    for i, k in zip(fiber_idx, a):
+        shift[i] = k
+    cur = {exp_add(e, shift): c for e, c in frame.det.terms.items()}
+    for pos in range(len(a) - 1, -1, -1):
         xi = fiber_idx[pos]
-        g = frame.gs[pos]
-        below = g.degree_in(xi) - 1
-        r = remainder_in_var(cur, g, xi)
-        # the coefficient of x_i^(n-1): exponent i cleared, no two terms merge
-        cur = Poly(ring, {e[:xi] + (0,) + e[xi + 1 :]: c for e, c in r.terms.items() if e[xi] == below})
-    return pres.to_base(cur)
+        below = frame.tails[pos][1] - 1
+        r = _reduce_in_var(cur, frame.tails[pos], xi)
+        # the coefficient of x_i^(n_i - 1), exponent i cleared: no two terms merge
+        cur = {e[:xi] + (0,) + e[xi + 1 :]: c for e, c in r.items() if e[xi] == below}
+    base_idx = tuple(frame.base_index)
+    return tuple((tuple(e[i] for i in base_idx), c) for e, c in cur.items())
 
 
 @dataclass
@@ -266,44 +371,62 @@ class TraceResult:
 def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
     """tau_f(alpha) for f: X -> Y finite, X = V(t) in P = Y x A^d.
 
-    Writes dt_d ^ ... ^ dt_1 ^ alpha~ in the relative/base bigraded basis,
-    takes the residue of each top-relative piece, and sums with the
-    (-1)^{d(d-1)/2} prefactor.
+    Writes the top-relative part of dt_d ^ ... ^ dt_1 ^ alpha~ in the
+    relative/base bigraded basis, takes the residue of each piece, and sums
+    with the (-1)^{d(d-1)/2} prefactor.  Only the products of a component of
+    the prefix with k fiber differentials and one of alpha~ with d - k are
+    formed; no other product has a top-relative part.
     """
     ring = pres.ring
     if alpha.ring != ring:
         raise RingMismatch("form must be presented on the ambient ring")
     d = pres.d
-    # residue() lifts over this same ideal, so compute the cofactors now
-    # rather than a second basis there
-    gb = groebner(Ideal(ring, list(pres.t)), cofactors=True)
-    lifted = alpha.map_coefficients(gb.normal_form)
-    # dt_d ^ ... ^ dt_1 ^ alpha~, in exactly that order
-    omega = pres.dt_prefix.wedge(lifted) if d else lifted
+    frame = pres.residue_frame
+    lifted = alpha.map_coefficients(frame.basis.normal_form)
+    fiber_pos = frame.fiber_pos
+    parts = [(J, sum(i in fiber_pos for i in J), pb) for J, pb in lifted.components.items()]
+    # dt_d ^ ... ^ dt_1 ^ alpha~, in exactly that order and in Form.wedge's
+    # order of components
+    zero = ring.zero()
+    omega: dict = {}
+    for I, pa in pres.dt_prefix.components.items():
+        k = d - sum(i in fiber_pos for i in I)
+        for J, m, pb in parts:
+            if m != k:
+                continue
+            sign, idx = _merge_tuples(I, J)
+            if sign == 0:
+                continue
+            term = pa * pb
+            if sign < 0:
+                term = -term
+            s = omega.get(idx, zero) + term
+            if s.is_zero():
+                omega.pop(idx, None)
+            else:
+                omega[idx] = s
 
-    fiber_idx = pres.fiber_indices()
-    fiber_set = set(fiber_idx)
-    base_ring = pres.base_ring()
-    base_index = {ring.index(n): i for i, n in enumerate(base_ring.vars)}
-    out_degree = alpha.degree
-    result = Form.zero(base_ring, out_degree)
+    base_index = frame.base_index
+    base_zero = frame.base_ring.zero()
+    out: dict = {}
     terms = []
-    for idx, coeff in omega.components.items():
-        fib = tuple(i for i in idx if i in fiber_set)
-        base = tuple(i for i in idx if i not in fiber_set)
-        if len(fib) != d:
-            continue
+    for idx, coeff in omega.items():
+        fib = tuple(i for i in idx if i in fiber_pos)
+        base = tuple(i for i in idx if i not in fiber_pos)
         # sign of reordering idx -> (fib..., base...)
-        perm = list(fib) + list(base)
-        sign = _permutation_sign_from_sorted(idx, perm)
+        sign = _permutation_sign_from_sorted(idx, list(fib) + list(base))
         # residue numerator: coefficient against dx_1 ^ ... ^ dx_d in fiber order
-        fib_sign = _permutation_sign(tuple(fiber_idx.index(i) for i in fib))
+        fib_sign = _permutation_sign(tuple(fiber_pos[i] for i in fib))
         h = coeff.scale(sign * fib_sign)
         res = residue(ResidueQuery(pres, h))
         terms.append((idx, h, res))
         base_tuple = tuple(sorted(base_index[i] for i in base))
-        piece = Form(base_ring, out_degree, {base_tuple: res})
-        result = result + piece
+        s = out.get(base_tuple, base_zero) + res
+        if s.is_zero():
+            out.pop(base_tuple, None)
+        else:
+            out[base_tuple] = s
+    result = Form(frame.base_ring, alpha.degree, out)
     prefactor = (-1) ** (d * (d - 1) // 2)
     if prefactor < 0:
         result = -result
@@ -343,21 +466,16 @@ def multiplication_trace(pres: FinitePresentation, h: Poly) -> Poly:
     """Linear-algebra trace of multiplication by h on the module basis."""
     ring = pres.ring
     fiber_idx = pres.fiber_indices()
-    basis = pres.module_basis()
-    basis_exps = []
-    for m in basis:
-        (e,) = m.terms
-        basis_exps.append(tuple(e[i] for i in fiber_idx))
-    order = block_order(fiber_idx, [i for i in range(ring.nvars) if i not in set(fiber_idx)])
-    gb = groebner(Ideal(ring, list(pres.t)), order)
+    exps, monos, gb = pres.staircase
+    basis_exps = set(exps)
     total = ring.zero()
-    for col, m in enumerate(basis):
+    for m, exp in zip(monos, exps):
         nf = gb.normal_form(h * m)
         # pick out the coefficient (a base polynomial) of the same basis monomial
         diag = ring.zero()
         for e, c in nf.terms.items():
             fib = tuple(e[i] for i in fiber_idx)
-            if fib == basis_exps[col]:
+            if fib == exp:
                 be = list(e)
                 for i in fiber_idx:
                     be[i] = 0

@@ -21,7 +21,7 @@ import pytest
 from cyclecalc.orders import degrevlex
 from cyclecalc.scenario import run_scenario_text
 
-from . import test_corr, test_divide, test_geometry, test_groebner, test_residues
+from . import test_corr, test_divide, test_geometry, test_groebner, test_residue_frame, test_residues
 
 corr_mod = importlib.import_module("cyclecalc.corr")
 geometry_mod = importlib.import_module("cyclecalc.geometry")
@@ -77,14 +77,39 @@ def guard_dropped(monkeypatch):
 
 def remainder_keeps_zeros(monkeypatch):
     """The in-place remainder stores a cancelled coefficient as zero."""
-    mutant = _rewritten(residues_mod, "remainder_in_var", "del r[te]", "r[te] = v")
-    _replace_everywhere(monkeypatch, "remainder_in_var", mutant)
+    mutant = _rewritten(residues_mod, "_reduce_in_var", "del r[te]", "r[te] = v")
+    monkeypatch.setattr(residues_mod, "_reduce_in_var", mutant)
 
 
 def remainder_stops_at_n(monkeypatch):
     """The in-place remainder leaves the terms of x-degree n unreduced."""
-    mutant = _rewritten(residues_mod, "remainder_in_var", "if m < n:", "if m <= n:")
-    _replace_everywhere(monkeypatch, "remainder_in_var", mutant)
+    mutant = _rewritten(residues_mod, "_reduce_in_var", "if m < n:", "if m <= n:")
+    monkeypatch.setattr(residues_mod, "_reduce_in_var", mutant)
+
+
+def box_residue_without_det(monkeypatch):
+    """A box table entry is the residue of x^a, not of x^a * det."""
+    mutant = _rewritten(
+        residues_mod,
+        "_box_residue",
+        "cur = {exp_add(e, shift): c for e, c in frame.det.terms.items()}",
+        "cur = {tuple(shift): ring.field.one}",
+    )
+    monkeypatch.setattr(residues_mod, "_box_residue", mutant)
+
+
+def off_box_terms_dropped(monkeypatch):
+    """The terms of a numerator outside the box are reduced into it and then
+    dropped, not read from the table."""
+    mutant = _rewritten(residues_mod, "residue", "terms.extend(outside.items())", "pass")
+    _replace_everywhere(monkeypatch, "residue", mutant)
+
+
+def table_value_not_shifted(monkeypatch):
+    """A table value is added at its own base exponent, not shifted by the
+    numerator term's y^b."""
+    mutant = _rewritten(residues_mod, "residue", "k = exp_add(b, be)", "k = be")
+    _replace_everywhere(monkeypatch, "residue", mutant)
 
 
 def sign_always_plus(monkeypatch):
@@ -181,6 +206,9 @@ def d2_trace_scenario_passes():
     (guard_dropped, failed_middle_field_seen),
     (remainder_keeps_zeros, test_residues.test_remainder_matches_the_oracle),
     (remainder_stops_at_n, test_residues.test_remainder_matches_the_oracle),
+    (box_residue_without_det, test_residue_frame.test_residues_on_and_off_the_box),
+    (off_box_terms_dropped, test_residues.test_residue_sum_over_roots_30_queries),
+    (table_value_not_shifted, test_residues.test_residue_normalizes_to_matrix_trace),
 ], ids=lambda v: v.__name__)
 def test_mutant_is_caught(monkeypatch, mutant, check):
     mutant(monkeypatch)

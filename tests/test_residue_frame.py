@@ -3,6 +3,7 @@ route that rebuilds everything per call, built once, never shared between
 presentations, and never left half-built by a budget trip."""
 
 import importlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -45,36 +46,75 @@ def _cover(draw, char, d, deg):
     return FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), (t1, t2))
 
 
-def _poly(draw, R):
+def _poly(draw, pres):
+    """A numerator whose fiber exponents run up to twice the degree of each
+    t_i in its own fiber variable, so terms often lie outside the box."""
+    R = pres.ring
+    fiber = dict(zip(pres.fiber_indices(), pres.t))
     out = R.zero()
     for _ in range(draw(st.integers(1, 3))):
-        e = tuple(draw(st.integers(0, 2)) for _ in range(R.nvars))
+        e = tuple(
+            draw(st.integers(0, 2 * fiber[i].degree_in(i) if i in fiber else 2)) for i in range(R.nvars)
+        )
         out = out + R.monomial(e, R.field.coerce(draw(st.integers(-3, 3))))
     return out
+
+
+def _alpha(draw, pres):
+    """A 0-form or a 1-form, and for d = 2 also a 2-form with a base
+    differential, whose wedge with dt_2 ^ dt_1 has components with fewer than
+    two fiber differentials."""
+    R = pres.ring
+    h = _poly(draw, pres)
+    fiber = [R.var(n) for n in pres.fiber_names]
+    base = [R.var(n) for n in pres.base_names]
+    choices = [Form.from_poly(h), Form.d(draw(st.sampled_from(fiber + base))).scale(h)]
+    if pres.d == 2:
+        u = draw(st.sampled_from(fiber + base))
+        v = draw(st.sampled_from([b for b in base if b != u]))
+        choices.append(Form.d(u).wedge(Form.d(v)).scale(h))
+    return draw(st.sampled_from(choices))
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_frame_matches_the_per_call_route(data):
     """Several numerators and forms through one presentation, so every call
-    after the first reuses its frame."""
+    after the first reuses its frame and its box table."""
     char = data.draw(st.sampled_from(FIELDS))
     d = data.draw(st.sampled_from((1, 2)))
     pres = _cover(data.draw, char, d, data.draw(st.integers(2, 4)))
-    R = pres.ring
     for _ in range(3):
-        h = _poly(data.draw, R)
+        h = _poly(data.draw, pres)
         assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h), str(h)
-    fiber = [R.var(n) for n in pres.fiber_names]
-    base = [R.var(n) for n in pres.base_names]
     for _ in range(3):
-        h = _poly(data.draw, R)
-        one_form = Form.d(data.draw(st.sampled_from(fiber + base)))
-        alpha = data.draw(st.sampled_from((Form.from_poly(h), one_form.scale(h))))
+        alpha = _alpha(data.draw, pres)
         got = trace_form(pres, alpha)
         want_output, want_audit = reference_trace_form(pres, alpha)
         assert got.output == want_output, str(alpha)
         assert got.audit == want_audit, str(alpha)
+
+
+def _box_size(pres) -> int:
+    frame = pres.residue_frame
+    return math.prod(g.degree_in(i) for g, i in zip(frame.gs, pres.fiber_indices()))
+
+
+def test_residues_on_and_off_the_box():
+    """Every box monomial and monomials past the box, times base monomials,
+    on a d = 2 cover whose cofactor determinant is not constant, over each
+    field: the box table against the per-call route."""
+    for char in FIELDS:
+        R = RINGS[char, 2]
+        x1, x2, y1, y2 = R.gens()
+        pres = FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), (x1**2 + x2**2 - y1, x1 * x2 - 2 * y2))
+        assert not pres.residue_frame.det.is_constant()
+        for a1 in range(9):
+            for a2 in range(5):
+                for base in (R.one(), y1, y1 * y2**2):
+                    h = x1**a1 * x2**a2 * base
+                    assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h), (char, str(h))
+        assert len(pres.residue_frame.table) == _box_size(pres) == 8
 
 
 def _counting(monkeypatch, name):
@@ -101,6 +141,22 @@ def test_one_frame_per_presentation(monkeypatch):
         assert trace_property_check(pres, which) == "pass", which
     assert len(lifts) == pres.d
     assert len(staircases) == 1
+
+
+def test_box_table_is_bounded_by_the_box():
+    """After all three trace properties on one presentation, and residues of
+    numerators far outside the box, the table holds at most prod deg g_i
+    entries, each at a box exponent."""
+    R = RINGS[0, 2]
+    x1, x2, y1, y2 = R.gens()
+    pres = FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), (x1**3 - 2 * x1 - y1, x2**2 + x1 * x2 + y1 - y2))
+    for which in ("projection", "degree0", "degree"):
+        assert trace_property_check(pres, which) == "pass", which
+    for h in (x1**7 * x2**5 * y2, x1**4 + x2**6, y1**3):
+        residue(ResidueQuery(pres, h))
+    frame = pres.residue_frame
+    assert 0 < len(frame.table) <= _box_size(pres) == 6
+    assert all(a1 < 3 and a2 < 2 for a1, a2 in frame.table)
 
 
 def test_presentations_on_one_ring_keep_their_own_frames():

@@ -300,15 +300,19 @@ def test_fiber_finiteness_required():
 
 
 def test_trace_form_groebner_sees_the_budget():
-    """The basis of (t) in trace_form is computed under the caller's budget.
-    The variable names are this test's own: the cache ignores the budget."""
+    """The basis of (t) that trace_form reduces by is computed, by the
+    presentation's frame builder, under the caller's budget, and the trip
+    leaves no frame behind.  The variable names are this test's own: the
+    cache ignores the budget."""
     ring = ring_over(0, ["tfb", "tfs", "tft"])
     b, s, t = ring.gens()
     pres = FinitePresentation(ring, ("tfb",), ("tfs", "tft"), (s**2 + b * t, s * t + 1))
     with budget_scope(Budget(max_pairs=0)), pytest.raises(BudgetExceeded) as err:
         trace_form(pres, Form.from_poly(ring.one()))
     names = [entry.name for entry in err.traceback]
-    assert names[names.index("groebner") - 1] == "trace_form"
+    assert names[names.index("groebner") - 1] == "residue_frame"
+    assert "trace_form" in names[: names.index("groebner")]
+    assert "residue_frame" not in vars(pres)
 
 
 def test_trace_form_and_residue_share_one_basis(monkeypatch):
