@@ -45,7 +45,7 @@ class Form:
         for idx, p in components.items():
             if len(idx) != degree or list(idx) != sorted(idx) or len(set(idx)) != degree:
                 raise EngineError(f"bad index tuple {idx} for degree {degree}")
-            if p.ring != ring:
+            if p.ring is not ring and p.ring != ring:
                 raise RingMismatch("component in wrong ring")
             if not p.is_zero():
                 comps[tuple(idx)] = p

@@ -104,7 +104,7 @@ class Ideal:
         self.ring = ring
         cleaned = []
         for g in gens:
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise RingMismatch("generator in wrong ring")
             cleaned.append(g)
         self.gens = tuple(cleaned)

@@ -78,6 +78,8 @@ class Ring:
         return Ring([v for v in self.vars if v not in dropped], self.field)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Ring)
             and self.vars == other.vars

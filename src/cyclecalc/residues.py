@@ -17,6 +17,13 @@ functional on the free O_Y-module k[x, y]/(g), with the box monomials x^a
 278/279, 1975).  A residue therefore reduces only the terms of h outside the
 box, and reads the value at each box monomial from a table on the frame.
 
+The same transformation law holds for any triangular monic g = T t, not only
+for Gröbner eliminants.  So when t is already triangular, each t_j free of
+the later fiber variables with a single top term c x_i^n, the frame takes
+g_i = t_j / c and the row e_j / c of T straight off t, with no elimination
+and no cofactor lift.  Otherwise the g_i are the Gröbner eliminants of (t),
+each lifted over its cofactor basis.
+
 A trace keeps each residue numerator and residue as a polynomial; the
 strings of `TraceResult.audit` are rendered only when it is read, which the
 trace property checks never do.
@@ -24,11 +31,12 @@ trace property checks never do.
 Everything that depends only on the presentation X = V(t) in Y x A^d, and
 not on the numerator or the form, is its frame, computed once per
 FinitePresentation and kept on it for as long as it lives:
-- `residue_frame`: the degrevlex basis of (t) with cofactors, which
-  trace_form reduces forms by; the triangular eliminants g_i and the
-  determinant of their cofactor rows over (t); the fiber and base index
-  maps and the base ring; and the box table, one residue per box monomial,
-  filled on first use and never larger than the box;
+- `residue_frame`: the degrevlex basis of (t), which trace_form reduces
+  forms by (it carries cofactors only when the eliminants are lifted); the
+  triangular eliminants g_i and the determinant of their cofactor rows over
+  (t); the fiber and base index maps and the base ring; and the box table,
+  one residue per box monomial, filled on first use and never larger than
+  the box;
 - `dt_prefix`: the form dt_d ^ ... ^ dt_1 that trace_form wedges onto;
 - `staircase`: the module basis of O_X over O_Y, with the block-order basis
   of (t) that multiplication_trace reduces by.
@@ -78,7 +86,7 @@ class FinitePresentation:
         if len(self.t) != len(self.fiber_names):
             raise EngineError("need one denominator per fiber variable")
         for p in self.t:
-            if p.ring != self.ring:
+            if p.ring is not self.ring and p.ring != self.ring:
                 raise RingMismatch("sequence entry in the wrong ring")
 
     @property
@@ -139,15 +147,20 @@ class FinitePresentation:
         """The basis of (t), the eliminants and determinant every residue
         over (t) divides by, and the index maps between P, its fiber and Y."""
         I = Ideal(self.ring, list(self.t))
-        # the cofactor basis comes first: trace_form reduces by it, and the
-        # cofactor lifts below reuse it
-        basis = groebner(I, cofactors=True)
-        gs = tuple(_triangular_eliminants(self))
         fiber_idx = self.fiber_indices()
+        read_off = _triangular_from_t(self)
+        if read_off is None:
+            # the cofactor basis comes first: the lifts below reuse it
+            basis = groebner(I, cofactors=True)
+            gs = tuple(_triangular_eliminants(self))
+            rows = [cofactor_lift(g, I) for g in gs]
+        else:
+            basis = groebner(I)
+            gs, rows = read_off
         return ResidueFrame(
             basis,
             gs,
-            _determinant([cofactor_lift(g, I) for g in gs], self.ring),
+            _determinant(rows, self.ring),
             {i: pos for pos, i in enumerate(fiber_idx)},
             tuple(_monic_tail(g, xi) for g, xi in zip(gs, fiber_idx)),
             self._base_index,
@@ -182,9 +195,9 @@ class ResidueFrame:
     def __init__(
         self, basis: GBasis, gs: tuple, det: Poly, fiber_pos: dict, tails: tuple, base_index: dict, base_ring: Ring
     ):
-        self.basis = basis  # degrevlex basis of (t), with cofactors
+        self.basis = basis  # degrevlex basis of (t); with cofactors only on the lift route
         self.gs = gs  # monic eliminant g_i in x_i, one per fiber variable
-        self.det = det  # determinant of the cofactor rows of the g_i over (t)
+        self.det = det  # determinant of the cofactor rows of the g_i over (t), read off t or lifted
         self.fiber_pos = fiber_pos  # ring index -> fiber position, in fiber order
         self.tails = tails  # _monic_tail(g_i, x_i): (field, n_i, tail), one per fiber variable
         self.base_index = base_index  # ring index -> base-ring index, in base-ring order
@@ -199,17 +212,27 @@ def remainder_in_var(f: Poly, g: Poly, var_index: int) -> Poly:
     return Poly(f.ring, _reduce_in_var(dict(f.terms), _monic_tail(g, var_index), var_index))
 
 
+def _monic_lead(g: Poly, var_index: int) -> tuple | None:
+    """(n, c) when the part of g of top degree n in x = x_var_index is the
+    single term c * x^n, else None."""
+    n = g.degree_in(var_index)
+    lead = [(e, c) for e, c in g.terms.items() if e[var_index] == n]
+    if len(lead) != 1 or sum(lead[0][0]) != n:
+        return None
+    return n, lead[0][1]
+
+
 def _monic_tail(g: Poly, var_index: int) -> tuple:
     """(field, n, tail) for g monic in x = x_var_index: n = deg_x g, and tail
     the rest of g scaled by -1/lc and shifted down by x^n, so that reducing
     the term c at exponent e adds c * gc at exp_add(e, ge) for each (ge, gc)."""
     ring = g.ring
     fld = ring.field
-    n = g.degree_in(var_index)
-    lead = [(e, c) for e, c in g.terms.items() if e[var_index] == n]
-    if len(lead) != 1 or sum(lead[0][0]) != n:
+    lead = _monic_lead(g, var_index)
+    if lead is None:
         raise EngineError(f"divisor is not monic in variable {ring.vars[var_index]}")
-    minus_inv = fld.neg(fld.inv(lead[0][1]))
+    n, lc = lead
+    minus_inv = fld.neg(fld.inv(lc))
     shift = tuple(n if i == var_index else 0 for i in range(ring.nvars))
     return fld, n, [(exp_sub(ge, shift), fld.mul(gc, minus_inv)) for ge, gc in g.terms.items() if ge[var_index] < n]
 
@@ -246,6 +269,37 @@ def _reduce_in_var(r: dict, monic_tail: tuple, var_index: int) -> dict:
                 else:
                     r[te] = v
     return r
+
+
+def _triangular_from_t(pres: FinitePresentation) -> tuple | None:
+    """(gs, rows) read straight off t when it is already triangular and
+    monic, else None.
+
+    Fiber position i takes the entry t_j that has no later fiber variable
+    and whose top x_i-degree part is a single term c * x_i^n with n >= 1;
+    then g_i = t_j / c, and its cofactor row over (t) is e_j / c.  An entry
+    qualifies only at the position of its last fiber variable, so the t_j
+    are distinct and the rows are a scaled permutation matrix.
+    """
+    ring = pres.ring
+    fld = ring.field
+    zero = ring.zero()
+    fiber_idx = pres.fiber_indices()
+    gs, rows = [], []
+    for pos, xi in enumerate(fiber_idx):
+        later = fiber_idx[pos + 1 :]
+        for j, t in enumerate(pres.t):
+            if any(e[k] for e in t.terms for k in later):
+                continue
+            lead = _monic_lead(t, xi)
+            if lead is not None and lead[0] >= 1:
+                break
+        else:
+            return None
+        inv = fld.inv(lead[1])
+        gs.append(t.scale(inv))
+        rows.append([ring.const(inv) if k == j else zero for k in range(pres.d)])
+    return tuple(gs), rows
 
 
 def _triangular_eliminants(pres: FinitePresentation) -> list:

@@ -112,6 +112,26 @@ def table_value_not_shifted(monkeypatch):
     _replace_everywhere(monkeypatch, "residue", mutant)
 
 
+def triangular_test_ignores_later_variables(monkeypatch):
+    """The residue frame reads an eliminant off an entry of t that still has
+    a later fiber variable."""
+    mutant = _rewritten(
+        residues_mod, "_triangular_from_t", "if any(e[k] for e in t.terms for k in later):", "if False:"
+    )
+    monkeypatch.setattr(residues_mod, "_triangular_from_t", mutant)
+
+
+def unit_row_unscaled(monkeypatch):
+    """A cofactor row read off t is e_j, not e_j / c."""
+    mutant = _rewritten(
+        residues_mod,
+        "_triangular_from_t",
+        "rows.append([ring.const(inv) if k == j else zero for k in range(pres.d)])",
+        "rows.append([ring.one() if k == j else zero for k in range(pres.d)])",
+    )
+    monkeypatch.setattr(residues_mod, "_triangular_from_t", mutant)
+
+
 def sign_always_plus(monkeypatch):
     """Every permutation sign in trace_form reads +1."""
     monkeypatch.setattr(residues_mod, "_permutation_sign", lambda perm: 1)
@@ -209,6 +229,8 @@ def d2_trace_scenario_passes():
     (box_residue_without_det, test_residue_frame.test_residues_on_and_off_the_box),
     (off_box_terms_dropped, test_residues.test_residue_sum_over_roots_30_queries),
     (table_value_not_shifted, test_residues.test_residue_normalizes_to_matrix_trace),
+    (triangular_test_ignores_later_variables, test_residue_frame.test_triangular_frames_match_the_oracle),
+    (unit_row_unscaled, test_residue_frame.test_triangular_frames_match_the_oracle),
 ], ids=lambda v: v.__name__)
 def test_mutant_is_caught(monkeypatch, mutant, check):
     mutant(monkeypatch)

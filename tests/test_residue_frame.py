@@ -4,6 +4,7 @@ presentations, and never left half-built by a budget trip."""
 
 import importlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -103,11 +104,13 @@ def _box_size(pres) -> int:
 def test_residues_on_and_off_the_box():
     """Every box monomial and monomials past the box, times base monomials,
     on a d = 2 cover whose cofactor determinant is not constant, over each
-    field: the box table against the per-call route."""
+    field: the box table against the per-call route.  Neither entry of t is
+    free of x2, so the frame lifts Gröbner eliminants over (t)."""
     for char in FIELDS:
         R = RINGS[char, 2]
         x1, x2, y1, y2 = R.gens()
         pres = FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), (x1**2 + x2**2 - y1, x1 * x2 - 2 * y2))
+        assert residues_mod._triangular_from_t(pres) is None
         assert not pres.residue_frame.det.is_constant()
         for a1 in range(9):
             for a2 in range(5):
@@ -115,6 +118,50 @@ def test_residues_on_and_off_the_box():
                     h = x1**a1 * x2**a2 * base
                     assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h), (char, str(h))
         assert len(pres.residue_frame.table) == _box_size(pres) == 8
+
+
+def _seeded_covers(rng, char):
+    """d = 2 covers whose t is triangular with leading coefficients that need
+    not be 1, in fiber order and swapped, and one whose first entry has a
+    pure x1 power on top but also x2 below it, which is not triangular."""
+    R = RINGS[char, 2]
+    x1, x2, y1, y2 = R.gens()
+    units = (-3, -2, 2, 3) if char == 0 else range(2, char)
+    c1, c2 = R.field.coerce(rng.choice(units)), R.field.coerce(rng.choice((1, *units)))
+    a, b = rng.randint(1, 3), rng.randint(1, 2)
+    u = [R.field.coerce(rng.choice((1, *units))) for _ in range(3)]
+    t1 = (x1**a).scale(c1) + (x1 ** (a - 1) * y2).scale(u[0]) - y1
+    t2 = (x2**b).scale(c2) + (x1 * x2 ** (b - 1)).scale(u[1]) + y1.scale(u[2]) - y2
+    near = ((x1**2).scale(c1) + x2 - y1, (x2**2).scale(c2) + x1 - y2)
+    return [FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), t) for t in ((t1, t2), (t2, t1), near)]
+
+
+def _seeded_poly(rng, R):
+    out = R.zero()
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 4) for _ in range(R.nvars))
+        out = out + R.monomial(e, R.field.coerce(rng.randint(-3, 3)))
+    return out
+
+
+def test_triangular_frames_match_the_oracle():
+    """Residues and traces over frames read straight off t, and over the
+    lifted frame of a near miss, against the route that computes Gröbner
+    eliminants and cofactor lifts afresh, over QQ, F_3 and F_32003."""
+    for char in FIELDS:
+        rng = random.Random(9000 + char)
+        for _ in range(3):
+            for pres in _seeded_covers(rng, char):
+                R = pres.ring
+                x1, x2, y1, y2 = R.gens()
+                for h in (x1, x1 * x2, _seeded_poly(rng, R), _seeded_poly(rng, R)):
+                    assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h), (char, pres.t, str(h))
+                h = _seeded_poly(rng, R)
+                for alpha in (Form.from_poly(h), Form.d(x2).scale(h), Form.d(x1).wedge(Form.d(y2)).scale(h)):
+                    got = trace_form(pres, alpha)
+                    want_output, want_audit = reference_trace_form(pres, alpha)
+                    assert got.output == want_output, (char, pres.t, str(alpha))
+                    assert got.audit == want_audit, (char, pres.t, str(alpha))
 
 
 def _counting(monkeypatch, name):
@@ -130,17 +177,26 @@ def _counting(monkeypatch, name):
 
 
 def test_one_frame_per_presentation(monkeypatch):
-    """All three trace properties on one presentation lift each eliminant
-    once and enumerate the staircase once."""
+    """All three trace properties on one presentation build one frame and
+    enumerate the staircase once.  A cover whose t is already triangular and
+    monic takes its eliminants and cofactor rows straight off t, with no
+    elimination and no lift; one that is not lifts each eliminant once."""
     lifts = _counting(monkeypatch, "cofactor_lift")
+    eliminations = _counting(monkeypatch, "eliminate")
     staircases = _counting(monkeypatch, "fiber_staircase")
     R = RINGS[0, 2]
     x1, x2, y1, y2 = R.gens()
-    pres = FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), (x1**3 - 2 * x1 - y1, x2**2 + x1 * x2 + y1 - y2))
-    for which in ("projection", "degree0", "degree"):
-        assert trace_property_check(pres, which) == "pass", which
-    assert len(lifts) == pres.d
-    assert len(staircases) == 1
+    triangular = FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), (x1**3 - 2 * x1 - y1, x2**2 + x1 * x2 + y1 - y2))
+    lifted = FinitePresentation(R, ("y1", "y2"), ("x1", "x2"), (x1**2 + x2**2 - y1, x1 * x2 - 2 * y2))
+    for pres, want_lifts, want_eliminations in ((triangular, 0, 0), (lifted, 2, 1)):
+        lifts.clear()
+        eliminations.clear()
+        staircases.clear()
+        for which in ("projection", "degree0", "degree"):
+            assert trace_property_check(pres, which) == "pass", which
+        assert len(lifts) == want_lifts
+        assert len(eliminations) == want_eliminations
+        assert len(staircases) == 1
 
 
 def test_box_table_is_bounded_by_the_box():

@@ -316,15 +316,16 @@ def test_trace_form_groebner_sees_the_budget():
 
 
 def test_trace_form_and_residue_share_one_basis(monkeypatch):
-    """trace_form asks for the cofactors that residue's lifts need, so the
-    ideal (t) gets one Buchberger run in degrevlex, not a plain one and then
-    one with cofactors."""
+    """t = (y - x^2) is already triangular and monic, so the frame reads its
+    eliminant and cofactor row off t: the ideal (t) gets one plain
+    Buchberger run in degrevlex, which trace_form reduces by, and none with
+    cofactors."""
     monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
     runs = []
     finalize = groebner_mod._finalize
 
     def record(I, order, G, cofactors):
-        runs.append((I, order))
+        runs.append((I, order, cofactors))
         return finalize(I, order, G, cofactors)
 
     monkeypatch.setattr(groebner_mod, "_finalize", record)
@@ -332,5 +333,5 @@ def test_trace_form_and_residue_share_one_basis(monkeypatch):
     trace_form(pres, Form.d(X).scale(X))
     residue(ResidueQuery(pres, X))
     I, order = Ideal(R, [Y - X**2]), degrevlex(2)
-    assert runs.count((I, order)) == 1
-    assert groebner_mod._gb_cache[(R, I.gens, order)].reps is not None
+    assert [run for run in runs if run[:2] == (I, order)] == [(I, order, False)]
+    assert groebner_mod._gb_cache[(R, I.gens, order)].reps is None
