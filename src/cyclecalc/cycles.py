@@ -186,13 +186,13 @@ def degree_over_image(Z: PrimeComponent, f: Morphism) -> DegreeCertificate:
         cap = Z.closed_set.intersect(f.base_locus())
         if not cap.is_empty():
             raise EngineError("component meets the base locus of the map")
-    W = image_closure(f, Z.closed_set)
+    graph, prod = graph_closure(f, over=Z.closed_set)
+    W = image_closure(f, Z.closed_set, (graph, prod))
     if W.dim < Z.dim:
         return DegreeCertificate(Z, W, 0, "dimension-drop")
     if W.dim > Z.dim:
         raise EngineError("image dimension exceeds source dimension")
 
-    graph, prod = graph_closure(f, over=Z.closed_set)
     S_tgt = max_independent_set(W.ideal)
     tgt_ring = f.target.ring
     S_names_tgt = {tgt_ring.vars[i] for i in S_tgt}

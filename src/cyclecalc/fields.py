@@ -1,8 +1,13 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Every computation in the engine runs over exactly one of these; scalars are
-`Fraction` instances over QQ and plain ints in [0, p) over F_p.  Both are
-perfect fields, which is all the geometry downstream ever assumes.
+Every computation in the engine runs over exactly one of these.  A scalar
+over F_p is a plain int in [0, p).  A scalar over QQ is a plain int when it
+is integral and a `Fraction` with denominator > 1 otherwise, never a float:
+RationalField enforces this on every value it returns, so the common
+integral case never runs through `fractions.py`.  Since 2 == Fraction(2),
+hash(2) == hash(Fraction(2)) and str(2) == str(Fraction(2)), the split
+changes no comparison, cache key or printed form.  Both are perfect fields,
+which is all the geometry downstream ever assumes.
 """
 
 from __future__ import annotations
@@ -26,41 +31,57 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field QQ, characteristic 0, elements are Fraction."""
+    """The field QQ, characteristic 0.
+
+    Elements are ints when integral, else Fractions with denominator > 1.
+    Each operation returns that canonical form: a sum, difference or product
+    that is a Fraction with denominator 1 becomes its numerator, and every
+    quotient is taken as Fraction(a) / b, so int / int is never a float.
+    Operands in either form are accepted, so a stray Fraction(2, 1) from
+    outside the field is slower but never wrong.
+    """
 
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         raise EngineError(f"cannot coerce {x!r} into QQ")
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
-        return -a
+        r = -a
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return 1 / Fraction(a)
+        r = 1 / Fraction(a)
+        return r if r.denominator != 1 else r.numerator
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return a / b
+        r = Fraction(a) / b
+        return r if r.denominator != 1 else r.numerator
 
     def __repr__(self):
         return "QQ"

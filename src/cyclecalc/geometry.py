@@ -459,11 +459,14 @@ def graph_closure(
     return cs, prod
 
 
-def image_closure(f: Morphism, Z: ClosedSet) -> ClosedSet:
-    """Zariski closure of f(Z)."""
+def image_closure(f: Morphism, Z: ClosedSet, graph: tuple | None = None) -> ClosedSet:
+    """Zariski closure of f(Z).
+
+    `graph` is graph_closure(f, over=Z) when the caller has already built it.
+    """
     if Z.space != f.source:
         raise RingMismatch("Z not in the source of f")
-    graph, prod = graph_closure(f, over=Z)
+    graph, prod = graph or graph_closure(f, over=Z)
     src_names = [prod.space.ring.vars[i] for i in sorted(prod.factor_var_indices(0))]
     J = eliminate(graph.ideal, src_names)
     # re-interpret the eliminated ideal in the target space's ring

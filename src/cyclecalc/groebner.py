@@ -23,7 +23,8 @@ alike: input reduction, S-polynomials, reduction, the pair keys, and the
 minimalization and interreduction of the result.  Coefficients are ints:
 primitive integer forms over QQ, reduced fraction-free, and monic forms over
 F_p.  Exponent tuples and Polys appear only at entry and in the returned
-basis, whose Fractions over QQ are built once, when it is made monic.  A
+basis, whose QQ coefficients are built once, when it is made monic: c // lc
+where lc divides c, else one Fraction(c, lc), as RationalField keeps them.  A
 cofactor request keeps its elements as Polys and reduces them with divide(),
 sharing only the packed pair update and minimalization with the plain route;
 divide, leading, GBasis.normal_form and buchberger_audit stay on exponent
@@ -278,6 +279,7 @@ def _packed_form(poly: Poly, pk: Packing, p: int) -> dict:
     if p:
         inv = pow(terms[0][1], -1, p)
         return {m: c * inv % p for m, c in terms}
+    # ints and Fractions alike carry numerator and denominator
     den = lcm(*(c.denominator for _, c in terms))
     ints = {m: c.numerator * (den // c.denominator) for m, c in terms}
     _remove_content(ints)
@@ -633,10 +635,17 @@ def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasi
         others = minimal[:i] + minimal[i + 1 :]
         if not cofactors:
             # a fraction-free reduction may scale t: divide by r's own
-            # leading coefficient, not t.lc (over F_p both are 1)
+            # leading coefficient, not t.lc (over F_p both are 1); over QQ a
+            # quotient is an int when lc divides c, as RationalField keeps it
             r, _ = _reduce_packed(t.terms, t.sugar, others, pk, p)
-            lc = r[t.lm]
-            basis.append(Poly(ring, {pk.unpack(e): c if p else Fraction(c, lc) for e, c in r.items()}))
+            unpack = pk.unpack
+            if p:
+                basis.append(Poly(ring, {unpack(e): c for e, c in r.items()}))
+            else:
+                lc = r[t.lm]
+                basis.append(Poly(ring, {
+                    unpack(e): Fraction(c, lc) if c % lc else c // lc for e, c in r.items()
+                }))
             continue
         r, rep, _ = _reduce_field(t.poly, t.rep, t.sugar, others, order)
         inv = fld.inv(t.lc)

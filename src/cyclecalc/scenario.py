@@ -722,6 +722,8 @@ def _parse_point(ts: TokenStream) -> dict:
         sign = -1 if ts.accept("-") else 1
         num = ts.expect_number()
         if ts.accept("/"):
+            # kept as written, for the audit's witness record; every use
+            # evaluates it through field.coerce (point_by_name_to_index)
             return name, Fraction(sign * num, ts.expect_number())
         return name, sign * num
 

@@ -102,6 +102,8 @@ def _product(lead, polys, m: int) -> list:
 
 
 def _inv(c, m: int):
+    # over QQ a Fraction, never a float; dense coefficients reach a Poly only
+    # through _sparse, whose field.coerce makes an integral one an int again
     return pow(c, -1, m) if m else 1 / Fraction(c)
 
 

@@ -12,7 +12,8 @@ determinant and the dt-wedge on every call, the route the engine's
 per-presentation residue frame replaced, and the reduction oracle is the
 Fraction reduction the engine's fraction-free reduction over QQ replaced, and
 the one-variable division oracle rebuilds the remainder's coefficient split
-at every step, the route the engine's in-place remainder replaced.
+at every step, the route the engine's in-place remainder replaced, and the
+multivariate Gröbner oracle is sympy.groebner, outside the engine altogether.
 """
 
 from fractions import Fraction
@@ -304,3 +305,32 @@ def reference_trace_form(pres: FinitePresentation, alpha: Form) -> tuple:
     if (-1) ** (d * (d - 1) // 2) < 0:
         result = -result
     return result, {"terms": audit_terms, "lift": str(lifted)}
+
+
+def sympy_groebner(gens, order_name: str) -> list:
+    """The monic reduced Gröbner basis of the ideal of `gens` (Polys of one
+    ring over QQ or F_p) computed by sympy.groebner, as engine Polys;
+    order_name is sympy's "lex" or "grevlex", with the ring's variables
+    ranked in their ring order."""
+    ring = gens[0].ring
+    syms = sympy.symbols(ring.vars)
+    char = ring.characteristic
+    opts = {"modulus": char} if char else {"domain": sympy.QQ}
+    exprs = []
+    for g in gens:
+        expr = sympy.Integer(0)
+        for e, c in g.terms.items():
+            expr += sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+        exprs.append(expr)
+    fld = ring.field
+    out = []
+    for q in sympy.groebner(exprs, *syms, order=order_name, **opts).polys:
+        # sympy's basis is not monic over QQ, and Poly.monic() reads the lead
+        # in lex: divide by the leading coefficient in order_name instead
+        terms = [
+            (e, fld.coerce(int(c) if char else Fraction(int(sympy.numer(c)), int(sympy.denom(c)))))
+            for e, c in q.terms(order=order_name)
+        ]
+        lc = terms[0][1]
+        out.append(Poly(ring, {e: fld.div(c, lc) for e, c in terms}))
+    return out

@@ -4,9 +4,12 @@ radical membership, cofactor lifts — with independent oracles."""
 import importlib
 import random
 from collections import OrderedDict
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecalc.errors import BudgetExceeded, EngineError
 from cyclecalc.groebner import (
@@ -31,7 +34,7 @@ from cyclecalc.groebner import (
 from cyclecalc.orders import block_order, degrevlex, lex
 from cyclecalc.poly import Poly, ring_over
 
-from .oracles import sylvester_resultant
+from .oracles import sylvester_resultant, sympy_groebner
 
 # the module, not the function that `cyclecalc.groebner` names
 groebner_mod = importlib.import_module("cyclecalc.groebner")
@@ -474,3 +477,32 @@ def test_pair_selection_budget_is_exact(n, char, pairs):
     with budget_scope(Budget(max_pairs=pairs)):
         gb = groebner(I)
     assert buchberger_audit(gb)
+
+
+SYMPY_ORDERS = {"lex": lex(3), "grevlex": degrevlex(3)}
+# three variables, three generators of at most three terms and degree at most
+# 2 in each variable: sympy's side stays well under a second (four variables
+# have run past 600 s), and the deadline turns a stall into a failure
+_coefficients = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+_generators = st.lists(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _coefficients, min_size=1, max_size=3),
+    min_size=3,
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=20))
+@given(char=st.sampled_from([0, 32003]), order_name=st.sampled_from(sorted(SYMPY_ORDERS)), gens=_generators)
+def test_reduced_bases_match_sympy(char, order_name, gens):
+    """The engine's monic reduced basis equals sympy.groebner's, over QQ and
+    F_32003 in lex and grevlex.  Over QQ the coefficients have non-unit
+    numerators and denominators, so _finalize's int-or-Fraction split meets
+    both cases; each coefficient must be in RationalField's form."""
+    R = ring_over(char, ["sx", "sy", "sz"])
+    fld = R.field
+    polys = [Poly(R, {e: fld.coerce(c) for e, c in terms.items()}) for terms in gens]
+    basis = groebner(Ideal(R, polys), SYMPY_ORDERS[order_name]).basis
+    assert set(basis) == set(sympy_groebner(polys, order_name)), (polys, order_name)
+    for g in basis:
+        for c in g.terms.values():
+            assert type(c) is int or c.denominator > 1, f"{c!r} in {g}"

@@ -21,9 +21,18 @@ import pytest
 from cyclecalc.orders import degrevlex
 from cyclecalc.scenario import run_scenario_text
 
-from . import test_corr, test_divide, test_geometry, test_groebner, test_residue_frame, test_residues
+from . import (
+    test_corr,
+    test_divide,
+    test_fields,
+    test_geometry,
+    test_groebner,
+    test_residue_frame,
+    test_residues,
+)
 
 corr_mod = importlib.import_module("cyclecalc.corr")
+fields_mod = importlib.import_module("cyclecalc.fields")
 geometry_mod = importlib.import_module("cyclecalc.geometry")
 groebner_mod = importlib.import_module("cyclecalc.groebner")
 residues_mod = importlib.import_module("cyclecalc.residues")
@@ -38,10 +47,11 @@ def _replace_everywhere(monkeypatch, name: str, new):
             monkeypatch.setattr(mod, name, new)
 
 
-def _rewritten(module, name: str, old: str, new: str):
+def _rewritten(module, name: str, old: str, new: str, owner=None):
     """`module.<name>` compiled from its own source with the one line `old`
-    replaced by `new`."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    replaced by `new`; with `owner`, the method `owner.<name>` of a class
+    defined in `module`."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner or module, name)))
     assert source.count(old) == 1, f"{old!r} is not one line of {name}"
     scope: dict = {}
     exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), vars(module), scope)
@@ -130,6 +140,26 @@ def unit_row_unscaled(monkeypatch):
         "rows.append([ring.one() if k == j else zero for k in range(pres.d)])",
     )
     monkeypatch.setattr(residues_mod, "_triangular_from_t", mutant)
+
+
+def _rewrite_rational_field(monkeypatch, name: str, old: str, new: str):
+    """Rebind the method `RationalField.<name>`, and so QQ's, to its
+    rewritten source."""
+    field = fields_mod.RationalField
+    monkeypatch.setattr(field, name, _rewritten(fields_mod, name, old, new, owner=field))
+
+
+def div_as_float(monkeypatch):
+    """QQ division is a bare a / b, so int / int is a float."""
+    _rewrite_rational_field(monkeypatch, "div", "r = Fraction(a) / b", "return a / b")
+
+
+def coerce_keeps_integral_fractions(monkeypatch):
+    """QQ coerce returns an integral Fraction such as Fraction(2, 1) as it
+    is, not as the int 2."""
+    _rewrite_rational_field(
+        monkeypatch, "coerce", "return x.numerator if x.denominator == 1 else x", "return x"
+    )
 
 
 def sign_always_plus(monkeypatch):
@@ -231,6 +261,8 @@ def d2_trace_scenario_passes():
     (table_value_not_shifted, test_residues.test_residue_normalizes_to_matrix_trace),
     (triangular_test_ignores_later_variables, test_residue_frame.test_triangular_frames_match_the_oracle),
     (unit_row_unscaled, test_residue_frame.test_triangular_frames_match_the_oracle),
+    (div_as_float, test_fields.test_division_matches_fraction_arithmetic),
+    (coerce_keeps_integral_fractions, test_fields.test_coerce_is_canonical),
 ], ids=lambda v: v.__name__)
 def test_mutant_is_caught(monkeypatch, mutant, check):
     mutant(monkeypatch)
