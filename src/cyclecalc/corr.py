@@ -33,7 +33,7 @@ from .geometry import (
     Space,
     empty_set,
     evaluate_matrix,
-    graph_relations,
+    graph_closure,
     identity_morphism,
     jacobian_matrix,
     lies_on,
@@ -137,17 +137,7 @@ class Correspondence:
             )
         emb = (self.prod.embeddings[side], self.prod.embeddings[1 - side])
         flipped = ProductStructure(self.prod.space, (f.source, f.target), emb)
-        ring = self.prod.space.ring
-        gens = list(graph_relations(f, flipped))
-        gens += [g.inject(ring, emb[0]) for g in over.closed_set.ideal.gens]
-        if f.domain is not None:
-            gens += [g.inject(ring, emb[0]) for g in f.domain.ideal.gens]
-        gens += [g.inject(ring, emb[1]) for g in other.closed_set.ideal.gens]
-        I = Ideal(ring, gens)
-        bl = f.base_locus()
-        if not bl.is_empty():
-            I = saturate(I, flipped.inject_ideal(0, bl.ideal))
-        return ClosedSet(self.prod.space, I)
+        return graph_closure(f, over.closed_set, flipped, other.closed_set)[0]
 
     def attach_graph(self, comp: PrimeComponent, data: GraphData, verify: bool = True):
         target = self._resolve(comp)

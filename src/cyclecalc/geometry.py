@@ -429,8 +429,10 @@ def graph_closure(
     f: Morphism,
     over: ClosedSet | None = None,
     prod: ProductStructure | None = None,
+    target: ClosedSet | None = None,
 ):
-    """Closure of the graph of f over `over` (default: the whole source).
+    """Closure of the graph of f over `over` (default: the whole source),
+    cut by `target` in the target (default: none).
 
     Components over the base locus / outside the domain are saturated away, so
     this is the right construction for rational maps as well.
@@ -449,6 +451,8 @@ def graph_closure(
         gens += [g.inject(ring, src_emb) for g in over.ideal.gens]
     if f.domain is not None:
         gens += [g.inject(ring, src_emb) for g in f.domain.ideal.gens]
+    if target is not None:
+        gens += [g.inject(ring, prod.embeddings[1]) for g in target.ideal.gens]
     I = Ideal(ring, gens)
     bl = f.base_locus()
     if not bl.is_empty():

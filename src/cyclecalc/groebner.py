@@ -3,32 +3,32 @@
 Provides reduced bases, normal forms, cofactor lifts, elimination,
 saturation, Krull dimension, and radical membership.  Pair selection uses the
 sugar strategy with Gebauer-Möller pruning.  Cofactors (each basis element
-written over the generators) are tracked only when asked for, which only
-cofactor_lift does.
+written over the generators) are computed the first time a basis's reps are
+read, which only cofactor_lift does.
 
 Resource limits live in one budget scope, not in arguments: `with
 budget_scope(Budget(...)):` bounds every Buchberger run started inside it,
 however deep in geometry, cycles or symbols the call is made, and
 current_budget() reads it back.  Outside any scope the limits are Budget().
-groebner() reads the scope once per cache miss and is the only place a budget
-is checked; exceeding it raises BudgetExceeded, never a silent truncation.
+A Buchberger run reads the scope once, in the one loop that checks a budget;
+exceeding it raises BudgetExceeded, never a silent truncation.
 
 The reduced basis for a fixed (generator tuple, order) is unique, so every
 result here is reproducible across runs; results are memoized on that key,
 in a cache that drops the least recently used basis once it is full.
 
-A plain request (cofactors=False) runs the whole Buchberger loop on packed
-monomials (orders.packing: one int per exponent tuple), over QQ and F_p
-alike: input reduction, S-polynomials, reduction, the pair keys, and the
-minimalization and interreduction of the result.  Coefficients are ints:
-primitive integer forms over QQ, reduced fraction-free, and monic forms over
-F_p.  Exponent tuples and Polys appear only at entry and in the returned
-basis, whose QQ coefficients are built once, when it is made monic: c // lc
-where lc divides c, else one Fraction(c, lc), as RationalField keeps them.  A
-cofactor request keeps its elements as Polys and reduces them with divide(),
-sharing only the packed pair update and minimalization with the plain route;
-divide, leading, GBasis.normal_form and buchberger_audit stay on exponent
-tuples, so the audit checks every packed basis independently.
+groebner() runs the whole Buchberger loop on packed monomials
+(orders.packing: one int per exponent tuple), over QQ and F_p alike: input
+reduction, S-polynomials, reduction, the pair keys, and the minimalization
+and interreduction of the result.  Coefficients are ints: primitive integer
+forms over QQ, reduced fraction-free, and monic forms over F_p.  Exponent
+tuples and Polys appear only at entry and in the returned basis, whose QQ
+coefficients are built once, when it is made monic: c // lc where lc divides
+c, else one Fraction(c, lc), as RationalField keeps them.  The cofactor route
+of GBasis.reps reduces Polys with divide(), sharing only the pair loop with
+the packed route, and must reach the same basis; divide, leading,
+GBasis.normal_form and buchberger_audit stay on exponent tuples, so the
+audit checks every packed basis independently.
 
 A monomial whose total degree reaches 2^(FIELD_BITS - 1) does not fit a
 packed field: it raises EngineError wherever it first appears (an input, an
@@ -217,10 +217,10 @@ def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence
 
 
 # ---------------------------------------------------------------------------
-# Buchberger, with cofactor tracking on request
+# Buchberger: the packed route, and the cofactor route that GBasis.reps runs
 
 class _Packed:
-    """A nonzero basis element of the plain route, in packed form.
+    """A nonzero basis element of the packed route, in packed form.
 
     terms maps packed monomials to int coefficients, leading term first:
     primitive integers over QQ, monic (lc == 1) over F_p.  tail lists the
@@ -442,25 +442,33 @@ def _update_pairs(G: list, P: dict, heap: list, t, pk: Packing):
 
 
 class GBasis:
-    """A reduced Gröbner basis with its leading terms and, on request, its
-    cofactor matrix.
+    """A reduced Gröbner basis with its leading terms and cofactor matrix.
 
     leads[i] is the (exponent, coefficient) of basis[i]'s leading term, and
-    lead_exps[i] its exponent.  reps is None unless the basis was computed
-    with cofactors; when it is not None, basis[i] == sum_j reps[i][j] *
-    ideal.gens[j] holds exactly.  The basis is monic, auto-reduced, and
-    canonically sorted, hence unique for (ideal.gens, order).
+    lead_exps[i] its exponent.  basis[i] == sum_j reps[i][j] * ideal.gens[j]
+    holds exactly.  The basis is monic, auto-reduced, and canonically
+    sorted, hence unique for (ideal.gens, order).
     """
 
-    __slots__ = ("ideal", "order", "basis", "reps", "leads", "lead_exps")
+    __slots__ = ("ideal", "order", "basis", "leads", "lead_exps", "_reps")
 
-    def __init__(self, ideal_: Ideal, order: MonomialOrder, basis, reps, leads):
+    def __init__(self, ideal_: Ideal, order: MonomialOrder, basis, leads):
         self.ideal = ideal_
         self.order = order
         self.basis = list(basis)
-        self.reps = None if reps is None else [list(r) for r in reps]
         self.leads = list(leads)
         self.lead_exps = [e for e, _ in self.leads]
+        self._reps = None
+
+    @property
+    def reps(self) -> list:
+        """Computed on first read, and kept only if the cofactor route agrees."""
+        if self._reps is None:
+            basis, reps = _cofactor_basis(self.ideal, self.order)
+            if basis != self.basis:
+                raise EngineError(f"the cofactor route's basis of {self.ideal} differs from {self}")
+            self._reps = reps
+        return self._reps
 
     @property
     def ring(self) -> Ring:
@@ -482,9 +490,8 @@ class GBasis:
         return f"GBasis[{', '.join(map(str, self.basis))}]"
 
 
-# One basis per (ring, gens, order); a basis with cofactors also answers
-# plain requests, and a cofactor request replaces a basis without them.  The
-# key ignores the budget: a hit runs no S-pair, so there is nothing to bound.
+# One basis per (ring, gens, order), keeping its reps once read.  The key
+# ignores the budget: a hit runs no S-pair, so there is nothing to bound.
 # Least recently used bases are evicted past _GB_CACHE_MAX entries, far above
 # what the shipped scenarios fill in one process (394).
 _GB_CACHE_MAX = 4096
@@ -530,50 +537,20 @@ def buchberger_audit(gb: GBasis) -> bool:
     return True
 
 
-def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = False) -> GBasis:
-    """Reduced Gröbner basis of I; deterministic for (gens, order).
-
-    With cofactors=True the result also carries reps, the expression of each
-    basis element over I.gens (see GBasis); otherwise reps may be None.  A
-    basis not already cached is computed under current_budget().
-    """
-    if order is None:
-        order = degrevlex(I.ring.nvars)
-    key = (I.ring, I.gens, order)
-    hit = _gb_cache.get(key)
-    if hit is not None and (hit.reps is not None or not cofactors):
-        _gb_cache.move_to_end(key)
-        return hit
-
+def _buchberger(seeds: list, pk: Packing, s_poly, reduce) -> list:
+    """The elements of a minimal Gröbner basis, sorted by leading monomial,
+    by either route.  seeds are the (form, sugar) of the nonzero generators;
+    reduce(form, sugar, G) returns the new element, or None when the form
+    reduces to zero by G; s_poly(gi, gj, L, pk) is the form of a pair's
+    S-polynomial.  The pairs are bounded by current_budget()."""
     budget = _scoped_budget.get()
-    ring = I.ring
-    fld = ring.field
-    p = fld.characteristic
-    pk = packing(order)
-    ngens = len(I.gens)
-
     G: list = []
     P: dict = {}
     heap: list = []
-    for i, g in enumerate(I.gens):
-        if g.is_zero():
-            continue
-        sugar = max(g.total_degree(), 0)
-        if cofactors:
-            rep = [ring.one() if j == i else ring.zero() for j in range(ngens)]
-            if G:
-                g, rep, sugar = _reduce_field(g, rep, sugar, G, order)
-                if g.is_zero():
-                    continue
-            t = _Tracked(g, rep, sugar, order, pk)
-        else:
-            f = _packed_form(g, pk, p)
-            if G:
-                f, sugar = _reduce_packed(f, sugar, G, pk, p)
-                if not f:
-                    continue
-            t = _Packed(f, sugar, pk)
-        _update_pairs(G, P, heap, t, pk)
+    for f, sugar in seeds:
+        t = reduce(f, sugar, G)
+        if t is not None:
+            _update_pairs(G, P, heap, t, pk)
 
     processed = 0
     while P:
@@ -584,29 +561,42 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
         processed += 1
         budget.check_pairs(processed)
         budget.check_degree(L & pk.low)
+        t = reduce(s_poly(G[pair[0]], G[pair[1]], L, pk), sugar, G)
+        if t is not None:
+            _update_pairs(G, P, heap, t, pk)
 
-        gi, gj = G[pair[0]], G[pair[1]]
-        if not cofactors:
-            r, sugar = _reduce_packed(_s_poly(gi, gj, L, pk), sugar, G, pk, p)
-            if r:
-                _update_pairs(G, P, heap, _Packed(r, sugar, pk), pk)
-            continue
-        mi, mj = pk.unpack(L - gi.lm), pk.unpack(L - gj.lm)
-        ci, cj = fld.inv(gi.lc), fld.inv(gj.lc)
-        s_poly = _mul_monomial(gi.poly, mi, ci) - _mul_monomial(gj.poly, mj, cj)
-        rep = [
-            _mul_monomial(a, mi, ci) - _mul_monomial(b, mj, cj)
-            if not (a.is_zero() and b.is_zero())
-            else ring.zero()
-            for a, b in zip(gi.rep, gj.rep)
-        ]
-        r, rep, sugar = _reduce_field(s_poly, rep, sugar, G, order)
-        if not r.is_zero():
-            _update_pairs(G, P, heap, _Tracked(r, rep, sugar, order, pk), pk)
+    guard = pk.guard
+    minimal: list = []
+    for t in sorted(G, key=lambda t: t.lm ^ pk.cmask):
+        if all((t.lm - u.lm) & guard for u in minimal):
+            minimal.append(t)
+    return minimal
 
-    gb = _finalize(I, order, G, cofactors)
+
+def groebner(I: Ideal, order: MonomialOrder | None = None) -> GBasis:
+    """Reduced Gröbner basis of I; deterministic for (gens, order).
+
+    A basis not already cached is computed under current_budget(); its
+    cofactors are computed when its reps are first read (see GBasis).
+    """
+    if order is None:
+        order = degrevlex(I.ring.nvars)
+    key = (I.ring, I.gens, order)
+    hit = _gb_cache.get(key)
+    if hit is not None:
+        _gb_cache.move_to_end(key)
+        return hit
+
+    p = I.ring.field.characteristic
+    pk = packing(order)
+
+    def reduce(f: dict, sugar: int, G: list):
+        f, sugar = _reduce_packed(f, sugar, G, pk, p)
+        return _Packed(f, sugar, pk) if f else None
+
+    seeds = [(_packed_form(g, pk, p), max(g.total_degree(), 0)) for g in I.nonzero_gens()]
+    gb = _finalize(I, order, _buchberger(seeds, pk, _s_poly, reduce))
     _gb_cache[key] = gb
-    _gb_cache.move_to_end(key)
     if len(_gb_cache) > _GB_CACHE_MAX:
         _gb_cache.popitem(last=False)
     if _audit_enabled:
@@ -614,44 +604,66 @@ def groebner(I: Ideal, order: MonomialOrder | None = None, cofactors: bool = Fal
     return gb
 
 
-def _finalize(I: Ideal, order: MonomialOrder, G: list, cofactors: bool) -> GBasis:
+def _finalize(I: Ideal, order: MonomialOrder, G: list) -> GBasis:
     ring = I.ring
-    fld = ring.field
-    p = fld.characteristic
+    p = ring.field.characteristic
     pk = packing(order)
-    guard = pk.guard
-
-    # minimalize: drop elements whose LM is divisible by another LM
-    minimal: list = []
-    for t in sorted(G, key=lambda t: t.lm ^ pk.cmask):
-        if all((t.lm - u.lm) & guard for u in minimal):
-            minimal.append(t)
+    unpack = pk.unpack
 
     # interreduce and normalize to monic; no leading term is reducible by
     # another, so each survives and the basis stays sorted by it
     basis: list = []
-    reps: list | None = [] if cofactors else None
-    for i, t in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        if not cofactors:
-            # a fraction-free reduction may scale t: divide by r's own
-            # leading coefficient, not t.lc (over F_p both are 1); over QQ a
-            # quotient is an int when lc divides c, as RationalField keeps it
-            r, _ = _reduce_packed(t.terms, t.sugar, others, pk, p)
-            unpack = pk.unpack
-            if p:
-                basis.append(Poly(ring, {unpack(e): c for e, c in r.items()}))
-            else:
-                lc = r[t.lm]
-                basis.append(Poly(ring, {
-                    unpack(e): Fraction(c, lc) if c % lc else c // lc for e, c in r.items()
-                }))
-            continue
-        r, rep, _ = _reduce_field(t.poly, t.rep, t.sugar, others, order)
+    for i, t in enumerate(G):
+        # a fraction-free reduction may scale t: divide by r's own leading
+        # coefficient, not t.lc (over F_p both are 1); over QQ a quotient is
+        # an int when lc divides c, as RationalField keeps it
+        r, _ = _reduce_packed(t.terms, t.sugar, G[:i] + G[i + 1 :], pk, p)
+        if p:
+            basis.append(Poly(ring, {unpack(e): c for e, c in r.items()}))
+        else:
+            lc = r[t.lm]
+            basis.append(Poly(ring, {
+                unpack(e): Fraction(c, lc) if c % lc else c // lc for e, c in r.items()
+            }))
+    return GBasis(I, order, basis, [(t.exp, ring.field.one) for t in G])
+
+
+def _cofactor_basis(I: Ideal, order: MonomialOrder) -> tuple:
+    """(basis, reps) with basis[i] == sum_j reps[i][j] * I.gens[j]: the
+    reduced basis of I by Polys and divide(), not the packed reducer."""
+    ring = I.ring
+    fld = ring.field
+    pk = packing(order)
+
+    def reduce(f: tuple, sugar: int, G: list):
+        poly, rep, sugar = _reduce_field(*f, sugar, G, order)
+        return None if poly.is_zero() else _Tracked(poly, rep, sugar, order, pk)
+
+    def s_poly(gi: _Tracked, gj: _Tracked, L: int, pk: Packing) -> tuple:
+        mi, mj = pk.unpack(L - gi.lm), pk.unpack(L - gj.lm)
+        ci, cj = fld.inv(gi.lc), fld.inv(gj.lc)
+        rep = [
+            _mul_monomial(a, mi, ci) - _mul_monomial(b, mj, cj)
+            if not (a.is_zero() and b.is_zero())
+            else ring.zero()
+            for a, b in zip(gi.rep, gj.rep)
+        ]
+        return _mul_monomial(gi.poly, mi, ci) - _mul_monomial(gj.poly, mj, cj), rep
+
+    seeds = [
+        ((g, [ring.one() if j == i else ring.zero() for j in range(len(I.gens))]), max(g.total_degree(), 0))
+        for i, g in enumerate(I.gens)
+        if not g.is_zero()
+    ]
+    G = _buchberger(seeds, pk, s_poly, reduce)
+    basis: list = []
+    reps: list = []
+    for i, t in enumerate(G):
+        r, rep, _ = _reduce_field(t.poly, t.rep, t.sugar, G[:i] + G[i + 1 :], order)
         inv = fld.inv(t.lc)
         basis.append(r.scale(inv))
         reps.append([c.scale(inv) for c in rep])
-    return GBasis(I, order, basis, reps, [(t.exp, fld.one) for t in minimal])
+    return basis, reps
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +679,7 @@ def member(f: Poly, I: Ideal) -> bool:
 
 def cofactor_lift(f: Poly, I: Ideal) -> list:
     """Write f = sum(c_j * I.gens[j]); error if f is not in I."""
-    gb = groebner(I, cofactors=True)
-    if not gb.basis:
-        if f.is_zero():
-            return [I.ring.zero() for _ in I.gens]
-        raise EngineError(f"{f} is not a member of the zero ideal")
+    gb = groebner(I)
     r, quots = divide(f, gb.basis, gb.order, gb.leads)
     if not r.is_zero():
         raise EngineError(f"{f} is not a member of the ideal")

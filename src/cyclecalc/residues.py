@@ -32,7 +32,7 @@ Everything that depends only on the presentation X = V(t) in Y x A^d, and
 not on the numerator or the form, is its frame, computed once per
 FinitePresentation and kept on it for as long as it lives:
 - `residue_frame`: the degrevlex basis of (t), which trace_form reduces
-  forms by (it carries cofactors only when the eliminants are lifted); the
+  forms by (its reps are read only when the eliminants are lifted); the
   triangular eliminants g_i and the determinant of their cofactor rows over
   (t); the fiber and base index maps and the base ring; and the box table,
   one residue per box monomial, filled on first use and never larger than
@@ -149,13 +149,11 @@ class FinitePresentation:
         I = Ideal(self.ring, list(self.t))
         fiber_idx = self.fiber_indices()
         read_off = _triangular_from_t(self)
+        basis = groebner(I)
         if read_off is None:
-            # the cofactor basis comes first: the lifts below reuse it
-            basis = groebner(I, cofactors=True)
             gs = tuple(_triangular_eliminants(self))
             rows = [cofactor_lift(g, I) for g in gs]
         else:
-            basis = groebner(I)
             gs, rows = read_off
         return ResidueFrame(
             basis,
@@ -195,7 +193,7 @@ class ResidueFrame:
     def __init__(
         self, basis: GBasis, gs: tuple, det: Poly, fiber_pos: dict, tails: tuple, base_index: dict, base_ring: Ring
     ):
-        self.basis = basis  # degrevlex basis of (t); with cofactors only on the lift route
+        self.basis = basis  # degrevlex basis of (t); its reps are read only on the lift route
         self.gs = gs  # monic eliminant g_i in x_i, one per fiber variable
         self.det = det  # determinant of the cofactor rows of the g_i over (t), read off t or lifted
         self.fiber_pos = fiber_pos  # ring index -> fiber position, in fiber order

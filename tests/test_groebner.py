@@ -221,6 +221,16 @@ def test_cofactor_examples():
     assert c2 == -(X**2 + Y)
 
 
+def test_cofactor_lift_over_the_zero_ideal():
+    """Division by the empty basis leaves f itself: 0 lifts to zeros over
+    any zero ideal, and a nonzero f is refused."""
+    for gens in ([], [R2.zero(), R2.zero()]):
+        I = Ideal(R2, gens)
+        assert cofactor_lift(R2.zero(), I) == [R2.zero()] * len(gens)
+        with pytest.raises(EngineError):
+            cofactor_lift(X + 1, I)
+
+
 def test_membership_cofactor_agreement():
     """NF(f)=0 iff the cofactor lift succeeds, on 100 random pairs."""
     rng = random.Random(17)
@@ -391,12 +401,12 @@ def _large_height_katsura3(rng, ring):
     "order", [degrevlex(3), lex(3), block_order([0], [1, 2])], ids=["degrevlex", "lex", "block"]
 )
 def test_plain_and_cofactor_bases_agree(char, order, monkeypatch):
-    """A plain request computes no cofactors; a cofactor request on the same
-    key recomputes with them, gets the same basis, and replaces the cache
-    slot; a later plain request is a cache hit that reruns nothing.  The
-    plain basis comes from the packed route and the tracked one from Polys
-    and divide(), so the two routes check each other; over QQ the last ideal
-    is katsura-3 rescaled by fractions of height up to 10^6."""
+    """The cofactor route reaches the packed route's basis, and each row of
+    reps writes its basis element over the generators; once read, reps is
+    kept, so a repeat request and read rerun nothing.  The packed basis
+    comes from ints on packed monomials and the cofactor one from Polys and
+    divide(), so the two routes check each other; over QQ the last ideal is
+    katsura-3 rescaled by fractions of height up to 10^6."""
     rng = random.Random(31 + char)
     R = ring_over(char, ["pc_u", "pc_v", "pc_w"])
     cache = groebner_mod._gb_cache
@@ -404,18 +414,12 @@ def test_plain_and_cofactor_bases_agree(char, order, monkeypatch):
     if char == 0:
         ideals.append(_large_height_katsura3(rng, R))
     for I in ideals:
-        key = (R, I.gens, order)
-        cache.pop(key, None)
-        entries = len(cache)
-
-        plain = groebner(I, order)
-        assert plain.reps is None
-        tracked = groebner(I, order, cofactors=True)
-        assert tracked is not plain and tracked.reps is not None
-        assert tracked.basis == plain.basis and tracked.lead_exps == plain.lead_exps
-        assert len(cache) == entries + 1 and cache[key] is tracked
-
-        for g, row in zip(tracked.basis, tracked.reps):
+        cache.pop((R, I.gens, order), None)
+        gb = groebner(I, order)
+        basis, reps = groebner_mod._cofactor_basis(I, order)
+        assert basis == gb.basis
+        assert gb.reps == reps
+        for g, row in zip(gb.basis, gb.reps):
             assert sum((c * h for c, h in zip(row, I.gens)), R.zero()) == g
 
         def no_rerun(*args):
@@ -423,9 +427,47 @@ def test_plain_and_cofactor_bases_agree(char, order, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(groebner_mod, "_finalize", no_rerun)
-            assert groebner(I, order) is tracked
-            assert groebner(I, order, cofactors=True) is tracked
-        assert len(cache) == entries + 1
+            m.setattr(groebner_mod, "_cofactor_basis", no_rerun)
+            assert groebner(I, order) is gb
+            assert gb.reps is gb.reps
+
+
+def _lift_ideal(stem):
+    """(x^2 - y, xy - 1) over QQ in variables of the caller's own, so the
+    basis cache holds no basis of it: its routes run at least one S-pair."""
+    R = ring_over(0, [f"{stem}_x", f"{stem}_y"])
+    x, y = R.gens()
+    return Ideal(R, [x**2 - y, x * y - R.one()])
+
+
+def test_reps_refused_when_the_routes_disagree(monkeypatch):
+    """A cofactor route whose basis differs from the packed one raises
+    EngineError on reading reps, and keeps no reps."""
+    gb = groebner(_lift_ideal("rd"))
+    cofactor_basis = groebner_mod._cofactor_basis
+
+    def perturbed(I, order):
+        basis, reps = cofactor_basis(I, order)
+        return [basis[0] + I.ring.one()] + basis[1:], reps
+
+    monkeypatch.setattr(groebner_mod, "_cofactor_basis", perturbed)
+    with pytest.raises(EngineError):
+        gb.reps
+    assert gb._reps is None
+    with pytest.raises(EngineError):
+        cofactor_lift(gb.basis[0], gb.ideal)
+
+
+def test_reps_budget_trip_keeps_no_reps():
+    """A budget trip while reading reps leaves none, and a later read under
+    the default budget computes them."""
+    I = _lift_ideal("rb")
+    gb = groebner(I)
+    with budget_scope(Budget(max_pairs=0)), pytest.raises(BudgetExceeded):
+        gb.reps
+    assert gb._reps is None
+    for g, row in zip(gb.basis, gb.reps):
+        assert sum((c * h for c, h in zip(row, I.gens)), I.ring.zero()) == g
 
 
 def test_basis_cache_evicts_least_recently_used(monkeypatch):

@@ -18,7 +18,9 @@ from collections import OrderedDict
 
 import pytest
 
+from cyclecalc.groebner import Ideal, buchberger_audit, groebner
 from cyclecalc.orders import degrevlex
+from cyclecalc.poly import ring_over
 from cyclecalc.scenario import run_scenario_text
 
 from . import (
@@ -29,6 +31,7 @@ from . import (
     test_groebner,
     test_residue_frame,
     test_residues,
+    test_zz_suite_audit,
 )
 
 corr_mod = importlib.import_module("cyclecalc.corr")
@@ -83,6 +86,21 @@ def guard_dropped(monkeypatch):
     """The packed reduction tests divisibility by the sign of the difference,
     not by its guard bits, so a failed field under a larger one goes unseen."""
     _rewrite_groebner(monkeypatch, "_reduce_packed", "if q_exp & guard:", "if q_exp < 0:")
+
+
+def reps_not_rewritten(monkeypatch):
+    """The cofactor route's reduction divides an element but leaves its
+    cofactors as they were."""
+    _rewrite_groebner(monkeypatch, "_reduce_field", "rep[j] = rep[j] - q * t.rep[j]", "pass")
+
+
+def generator_tail_dropped(monkeypatch):
+    """The packed form of a generator with three or more terms loses its
+    last term, so the packed route returns a Gröbner basis of another
+    ideal."""
+    _rewrite_groebner(
+        monkeypatch, "_packed_form", "if p:", "terms = terms[:-1] if len(terms) >= 3 else terms\n    if p:"
+    )
 
 
 def remainder_keeps_zeros(monkeypatch):
@@ -231,6 +249,22 @@ def qq_plain_and_cofactor_bases_agree():
         test_groebner.test_plain_and_cofactor_bases_agree(0, degrevlex(3), m)
 
 
+def _three_quadrics():
+    """x^2 + yz + 1, y^2 - xz + z, z^2 + x + y over QQ."""
+    R = ring_over(0, ["tq_x", "tq_y", "tq_z"])
+    x, y, z = R.gens()
+    return Ideal(R, [x**2 + y * z + R.one(), y**2 - x * z + z, z**2 + x + y])
+
+
+def three_quadrics_hold_their_generators():
+    """test_zz_suite_audit.test_every_logged_basis_holds_its_generators over
+    a log that holds the basis of _three_quadrics()."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groebner_mod, "_audit_enabled", True)
+        groebner(_three_quadrics())
+    test_zz_suite_audit.test_every_logged_basis_holds_its_generators()
+
+
 def failed_middle_field_seen():
     """test_divide.test_reduction_sees_a_failed_middle_field over F_7 and QQ."""
     for char in (7, 0):
@@ -253,6 +287,8 @@ def d2_trace_scenario_passes():
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
+    (reps_not_rewritten, qq_plain_and_cofactor_bases_agree),
+    (generator_tail_dropped, three_quadrics_hold_their_generators),
     (guard_dropped, failed_middle_field_seen),
     (remainder_keeps_zeros, test_residues.test_remainder_matches_the_oracle),
     (remainder_stops_at_n, test_residues.test_remainder_matches_the_oracle),
@@ -272,3 +308,17 @@ def test_mutant_is_caught(monkeypatch, mutant, check):
 
 def test_d2_trace_scenario_passes_unmutated():
     d2_trace_scenario_passes()
+
+
+def test_three_quadrics_hold_their_generators_unmutated(monkeypatch):
+    monkeypatch.setattr(groebner_mod, "_audit_log", [])
+    three_quadrics_hold_their_generators()
+
+
+def test_generator_tail_dropped_escapes_the_buchberger_audit(monkeypatch):
+    """Why the suite audit needs its second half: the basis of the wrong
+    ideal still meets the Buchberger criterion."""
+    generator_tail_dropped(monkeypatch)
+    gb = groebner(_three_quadrics())
+    assert buchberger_audit(gb)
+    assert not all(gb.contains(g) for g in gb.ideal.gens)

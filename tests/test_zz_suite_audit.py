@@ -1,5 +1,6 @@
-"""Runs last (alphabetically): the suite-wide Buchberger zero-reduction audit
-over every reduced basis recorded during the whole pytest session."""
+"""Runs last (alphabetically): the suite-wide Buchberger zero-reduction audit,
+and the check that each basis holds its input generators, over every reduced
+basis recorded during the whole pytest session."""
 
 from cyclecalc.groebner import audit_log, buchberger_audit
 
@@ -10,3 +11,13 @@ def test_every_basis_emitted_by_the_suite_passes_the_audit():
     failures = [gb for gb in bases if not buchberger_audit(gb)]
     assert not failures, f"{len(failures)} bases fail the Buchberger criterion"
     print(f"suite audit: {len(bases)} reduced bases, all S-polynomials reduce to zero")
+
+
+def test_every_logged_basis_holds_its_generators():
+    """The other half of the ideal check: the audit above shows each basis
+    is a Gröbner basis of the ideal it generates, and this shows that ideal
+    holds the input ideal, every nonzero generator reducing to zero."""
+    bases = audit_log()
+    assert bases, "the suite should have recorded bases"
+    failures = [gb for gb in bases if not all(gb.contains(g) for g in gb.ideal.nonzero_gens())]
+    assert not failures, f"{len(failures)} bases miss a generator of their ideal, first {failures[:1]}"
