@@ -36,9 +36,7 @@ from .geometry import (
     Space,
     affine,
     closed_set,
-    evaluate_matrix,
-    jacobian_matrix,
-    matrix_rank,
+    jacobian_rank,
     point_set,
     preimage,
     proj,
@@ -342,11 +340,8 @@ def _transversal_cup(prime_comp: PrimeComponent, other: Cycle) -> Cycle:
             raise EngineError("cup configuration is not transversal (dimension)")
         gens = list(prime_comp.closed_set.ideal.gens) + list(comp.closed_set.ideal.gens)
         witness = _some_rational_point(inter)
-        if witness is not None:
-            ring = space.ring
-            mat = evaluate_matrix(jacobian_matrix(gens, ring), witness, ring)
-            if matrix_rank(mat, ring.field) != inter.cone_codim():
-                raise EngineError("cup configuration is not transversal (rank)")
+        if witness is not None and jacobian_rank(gens, witness, space.ring) != inter.cone_codim():
+            raise EngineError("cup configuration is not transversal (rank)")
         pc = PrimeComponent(inter, label=f"{prime_comp.label}.{comp.label}", screen=False)
         out[pc] = out.get(pc, 0) + mult
     return Cycle(space, {c: m for c, m in out.items() if m})

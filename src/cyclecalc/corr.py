@@ -32,12 +32,10 @@ from .geometry import (
     ProductStructure,
     Space,
     empty_set,
-    evaluate_matrix,
     graph_closure,
     identity_morphism,
-    jacobian_matrix,
+    jacobian_rank,
     lies_on,
-    matrix_rank,
     point_by_name_to_index,
     product_space,
     projection_proper_certificate,
@@ -280,19 +278,9 @@ class CompositionResult:
         out = {}
         if self.error_support.is_empty():
             return {"pr1": None, "pr2": None}
-        ring = self.pair.space.ring
         for k, name in ((0, "pr1"), (1, "pr2")):
-            keep = self.pair.factor_var_indices(k)
-            drop_names = [ring.vars[i] for i in range(ring.nvars) if i not in keep]
-            J = eliminate(self.error_support.ideal, drop_names)
-            factor = self.pair.factors[k]
-            back = {}
-            for local, prod_i in self.pair.embeddings[k].items():
-                back[J.ring.index(ring.vars[prod_i])] = local
-            gens = [g.inject(factor.ring, back) for g in J.gens]
-            img = ClosedSet(factor, Ideal(factor.ring, gens))
             variety_dim = (self.src_variety if k == 0 else self.tgt_variety).dim
-            out[name] = variety_dim - img.dim
+            out[name] = variety_dim - self.pair.project(self.error_support, k).dim
         return out
 
 
@@ -510,19 +498,14 @@ def _pull_route(
                 continue
         if witness is None:
             raise EngineError(f"no transversality witness lies on component {pc.label}")
-        if not _witness_rank_ok(list(J0.gens), pc, witness, out_ring):
+        pt = point_by_name_to_index(out_ring, witness)
+        if jacobian_rank(J0.gens, pt, out_ring) != pc.closed_set.cone_codim():
             raise EngineError(
                 f"transversality witness fails the Jacobian rank check on {pc.label}"
             )
         audit["witness_checks"].append((pc.label, dict(witness)))
         out[pc] = mult
     return Cycle(out_pair.space, out)
-
-
-def _witness_rank_ok(gens: Sequence, comp: PrimeComponent, point: dict, ring) -> bool:
-    pt = point_by_name_to_index(ring, point)
-    mat = evaluate_matrix(jacobian_matrix(gens, ring), pt, ring)
-    return matrix_rank(mat, ring.field) == comp.closed_set.cone_codim()
 
 
 # ---------------------------------------------------------------------------

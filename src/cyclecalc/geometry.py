@@ -143,6 +143,15 @@ class ProductStructure:
             [g.inject(self.space.ring, emb) for g in I.gens],
         )
 
+    def project(self, cs: ClosedSet, k: int) -> ClosedSet:
+        """Closure of the projection of `cs` (in the product) to factor k."""
+        ring = self.space.ring
+        keep = self.factor_var_indices(k)
+        J = eliminate(cs.ideal, [ring.vars[i] for i in range(ring.nvars) if i not in keep])
+        back = {J.ring.index(ring.vars[i]): local for local, i in self.embeddings[k].items()}
+        factor = self.factors[k]
+        return ClosedSet(factor, Ideal(factor.ring, [g.inject(factor.ring, back) for g in J.gens]))
+
 
 def product_space(
     spaces: Sequence[Space], tags: Sequence[str] | None = None, force_tags: bool = False
@@ -471,17 +480,7 @@ def image_closure(f: Morphism, Z: ClosedSet, graph: tuple | None = None) -> Clos
     if Z.space != f.source:
         raise RingMismatch("Z not in the source of f")
     graph, prod = graph or graph_closure(f, over=Z)
-    src_names = [prod.space.ring.vars[i] for i in sorted(prod.factor_var_indices(0))]
-    J = eliminate(graph.ideal, src_names)
-    # re-interpret the eliminated ideal in the target space's ring
-    tgt_emb = prod.embeddings[1]
-    tgt_ring = f.target.ring
-    back = {}
-    for tgt_i, prod_i in tgt_emb.items():
-        name = prod.space.ring.vars[prod_i]
-        back[J.ring.index(name)] = tgt_i
-    gens = [g.inject(tgt_ring, back) for g in J.gens]
-    return ClosedSet(f.target, Ideal(tgt_ring, gens))
+    return prod.project(graph, 1)
 
 
 def pullback_form(f: Morphism, w):
@@ -600,12 +599,10 @@ def morphism_proper_on(f: Morphism, Z: ClosedSet) -> bool:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def jacobian_matrix(gens: Sequence[Poly], ring: Ring) -> list:
-    return [[g.derivative(i) for i in range(ring.nvars)] for g in gens]
-
-
-def evaluate_matrix(mat, point_by_index: Mapping[int, object], ring: Ring):
-    return [[p.eval_point(point_by_index) for p in row] for row in mat]
+def jacobian_rank(gens: Sequence[Poly], point_by_index: Mapping[int, object], ring: Ring) -> int:
+    """Rank of the Jacobian matrix of `gens` at a point of `ring`, given by variable index."""
+    mat = [[g.derivative(i).eval_point(point_by_index) for i in range(ring.nvars)] for g in gens]
+    return matrix_rank(mat, ring.field)
 
 
 def matrix_rank(rows, field) -> int:
@@ -654,8 +651,7 @@ def smooth_at(cs: ClosedSet, point: Mapping[str, object]) -> bool:
     if not lies_on(cs, point):
         raise EngineError("witness point does not lie on the closed set")
     pt = point_by_name_to_index(ring, point)
-    mat = evaluate_matrix(jacobian_matrix(cs.ideal.gens, ring), pt, ring)
-    return matrix_rank(mat, ring.field) == cs.cone_codim()
+    return jacobian_rank(cs.ideal.gens, pt, ring) == cs.cone_codim()
 
 
 # ---------------------------------------------------------------------------

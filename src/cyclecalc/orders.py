@@ -13,6 +13,7 @@ one subtraction and one mask, and comparison one xor.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, le, mul, neg, sub
 from typing import Sequence
 
@@ -102,7 +103,10 @@ def _degrevlex_fields(block) -> list:
     return [(tuple(block), False)] + [((i,), True) for i in reversed(block)]
 
 
+@lru_cache(maxsize=64)
 def degrevlex(nvars: int) -> MonomialOrder:
+    """One shared order per `nvars`, so a Gröbner cache hit on the default
+    order finds the key's own object and skips `MonomialOrder.__eq__`."""
     return _Degrevlex(nvars)
 
 

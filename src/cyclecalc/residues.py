@@ -466,9 +466,9 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
         fib = tuple(i for i in idx if i in fiber_pos)
         base = tuple(i for i in idx if i not in fiber_pos)
         # sign of reordering idx -> (fib..., base...)
-        sign = _permutation_sign_from_sorted(idx, list(fib) + list(base))
+        sign, _ = _merge_tuples(fib, base)
         # residue numerator: coefficient against dx_1 ^ ... ^ dx_d in fiber order
-        fib_sign = _permutation_sign(tuple(fiber_pos[i] for i in fib))
+        fib_sign, _ = _merge_tuples(tuple(fiber_pos[i] for i in fib), ())
         h = coeff.scale(sign * fib_sign)
         res = residue(ResidueQuery(pres, h))
         terms.append((idx, h, res))
@@ -483,29 +483,6 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
     if prefactor < 0:
         result = -result
     return TraceResult(alpha.degree, result, terms, lifted)
-
-
-def _permutation_sign_from_sorted(sorted_tuple: tuple, arrangement: list) -> int:
-    """Sign of the permutation taking `sorted_tuple` to `arrangement`."""
-    order = [sorted_tuple.index(v) for v in arrangement]
-    return _permutation_sign(tuple(order))
-
-
-def _permutation_sign(perm: tuple) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def pullback_to_total(pres: FinitePresentation, beta: Form) -> Form:

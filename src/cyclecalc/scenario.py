@@ -7,7 +7,9 @@ trace, assert, vanish, push, divisor) queue checks whose verdicts end up in
 the report.
 
 Grammar sketch (statements end at newline or ';' outside brackets; '#' starts
-a comment):
+a comment).  Each statement head and the separator after its declared name
+('=', ':' or none) live in `_STATEMENTS`; `parse_scenario` reads the
+`NAME separator` prelude and hands the name to the statement's handler:
 
     char 0
     space X = space(affine(x, y), proj(u, v))
@@ -221,21 +223,20 @@ class TokenStream:
 # ---------------------------------------------------------------------------
 # expression parsing
 
-def parse_poly(ts: TokenStream, ring: Ring) -> Poly:
-    """Read one polynomial in `ring` from `ts` (the literal syntax in the module docstring)."""
-    sign = 1
-    if ts.accept("-"):
-        sign = -1
-    elif ts.accept("+"):
-        pass
-    out = _poly_term(ts, ring)
-    if sign < 0:
-        out = -out
+def _signed_sum(ts: TokenStream, term):
+    """`[+|-] TERM {+|- TERM}`, each TERM read by `term(ts)`, summed left to right."""
+    neg = not ts.accept("+") and ts.accept("-")
+    out = -term(ts) if neg else term(ts)
     while ts.at("+") or ts.at("-"):
         neg = ts.next().text == "-"
-        term = _poly_term(ts, ring)
-        out = out - term if neg else out + term
+        t = term(ts)
+        out = out - t if neg else out + t
     return out
+
+
+def parse_poly(ts: TokenStream, ring: Ring) -> Poly:
+    """Read one polynomial in `ring` from `ts` (the literal syntax in the module docstring)."""
+    return _signed_sum(ts, lambda ts: _poly_term(ts, ring))
 
 
 def _starts_poly_atom(ts: TokenStream) -> bool:
@@ -288,19 +289,7 @@ def _poly_atom(ts: TokenStream, ring: Ring) -> Poly:
 
 def parse_form(ts: TokenStream, ring: Ring) -> Form:
     """Read one differential form with coefficients in `ring` from `ts`."""
-    sign = 1
-    if ts.accept("-"):
-        sign = -1
-    elif ts.accept("+"):
-        pass
-    out = _form_term(ts, ring)
-    if sign < 0:
-        out = -out
-    while ts.at("+") or ts.at("-"):
-        neg = ts.next().text == "-"
-        term = _form_term(ts, ring)
-        out = out - term if neg else out + term
-    return out
+    return _signed_sum(ts, lambda ts: _form_term(ts, ring))
 
 
 def _form_term(ts: TokenStream, ring: Ring) -> Form:
@@ -402,11 +391,15 @@ def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:
     for tokens in statements:
         ts = TokenStream(tokens)
         head = ts.expect_ident()
-        handler = _STATEMENTS.get(head.text)
-        if handler is None:
+        if head.text not in _STATEMENTS:
             raise ScenarioError(f"unknown statement {head.text!r}", head.line, head.col)
+        handler, separator = _STATEMENTS[head.text]
+        name = None
+        if separator is not None:
+            name = ts.expect_ident().text
+            ts.expect(separator)
         try:
-            handler(env, ts)
+            handler(env, name, ts)
         except (ScenarioError, BudgetExceeded):
             raise
         except EngineError as exc:
@@ -450,6 +443,14 @@ def _ref(ts: TokenStream, table, what: str):
     return table[tok.text]
 
 
+def _one_of(ts: TokenStream, choices: tuple, message: str) -> str:
+    """Read a keyword that must be one of `choices`; any other name is `message`, at the name."""
+    tok = ts.expect_ident()
+    if tok.text not in choices:
+        raise ScenarioError(message, tok.line, tok.col)
+    return tok.text
+
+
 def _comma_list(group: TokenStream, read, allow_empty: bool = False) -> list:
     """The comma-separated items filling `group` (from `_bracketed`), each read by `read(group)`."""
     items = []
@@ -485,7 +486,7 @@ def _closed_literal(env: Scenario, ts: TokenStream) -> ClosedSet:
 # ---------------------------------------------------------------------------
 # statement handlers
 
-def _stmt_char(env: Scenario, ts: TokenStream):
+def _stmt_char(env: Scenario, _name: None, ts: TokenStream):
     if env.spaces or env.pairs:
         tok = ts.peek()
         raise ScenarioError("char must precede all declarations", tok.line, tok.col)
@@ -496,40 +497,30 @@ def _stmt_char(env: Scenario, ts: TokenStream):
 
 def _parse_blocks(ts: TokenStream) -> list:
     def one_block(ts: TokenStream) -> Block:
-        kind_tok = ts.expect_ident()
-        if kind_tok.text not in ("affine", "proj"):
-            raise ScenarioError("expected affine(...) or proj(...)", kind_tok.line, kind_tok.col)
+        kind = _one_of(ts, ("affine", "proj"), "expected affine(...) or proj(...)")
         names = _comma_list(_bracketed(ts, "(", ")"), lambda g: g.expect_ident().text)
-        return Block(kind_tok.text, tuple(names))
+        return Block(kind, tuple(names))
 
     if ts.accept("space"):
         return _comma_list(_bracketed(ts, "(", ")"), one_block)
     return [one_block(ts)]
 
 
-def _stmt_space(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_space(env: Scenario, name: str, ts: TokenStream):
     env.spaces[name] = Space(_parse_blocks(ts), env.characteristic)
 
 
-def _stmt_pair(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_pair(env: Scenario, name: str, ts: TokenStream):
     a = _ref(ts, env.space_table, "space")
     ts.expect("**")
     env.pairs[name] = pair_product(a, _ref(ts, env.space_table, "space"))
 
 
-def _stmt_closed(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_closed(env: Scenario, name: str, ts: TokenStream):
     env.closeds[name] = _closed_literal(env, ts)
 
 
-def _stmt_prime(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_prime(env: Scenario, name: str, ts: TokenStream):
     if ts.at("{"):
         cs = _closed_literal(env, ts)
     else:
@@ -539,9 +530,7 @@ def _stmt_prime(env: Scenario, ts: TokenStream):
     env.primes[name] = PrimeComponent(cs, label=name, screen=screen)
 
 
-def _stmt_open(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_open(env: Scenario, name: str, ts: TokenStream):
     space = _ref(ts, env.space_table, "space")
     ts.expect("minus")
     bad_tok = ts.peek()
@@ -551,26 +540,19 @@ def _stmt_open(env: Scenario, ts: TokenStream):
     env.opens[name] = bad
 
 
-def _stmt_chart(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
-    kw = ts.expect_ident()
-    if kw.text == "full":
+def _stmt_chart(env: Scenario, name: str, ts: TokenStream):
+    if _one_of(ts, ("invert", "full"), "expected invert(...) or full") == "full":
         ts.expect("on")
         _ref(ts, env.space_table, "space")
         env.charts[name] = NO_CHART
         return
-    if kw.text != "invert":
-        raise ScenarioError("expected invert(...) or full", kw.line, kw.col)
     denoms = _bracketed(ts, "(", ")")
     ts.expect("on")
     space = _ref(ts, env.space_table, "space")
     env.charts[name] = Chart(tuple(_poly_list(denoms, space.ring, allow_empty=True)))
 
 
-def _stmt_morphism(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect(":")
+def _stmt_morphism(env: Scenario, name: str, ts: TokenStream):
     src = _ref(ts, env.space_table, "space")
     ts.expect("->")
     tgt = _ref(ts, env.space_table, "space")
@@ -587,16 +569,11 @@ def _stmt_morphism(env: Scenario, ts: TokenStream):
     env.morphisms[name] = Morphism(src, tgt, coords, domain)
 
 
-def _stmt_support(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
-    kw = ts.expect_ident()
-    if kw.text == "full":
+def _stmt_support(env: Scenario, name: str, ts: TokenStream):
+    if _one_of(ts, ("family", "full"), "expected family(...) or full") == "full":
         ts.expect("on")
         env.families[name] = SupportFamily.full(_ref(ts, env.space_table, "space"))
         return
-    if kw.text != "family":
-        raise ScenarioError("expected family(...) or full", kw.line, kw.col)
     members = _comma_list(
         _bracketed(ts, "(", ")"), lambda g: _ref(g, env.closed_table, "closed set"), allow_empty=True
     )
@@ -638,9 +615,7 @@ def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None
         sign = -1 if ts.next().text == "-" else 1
 
 
-def _stmt_cycle(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_cycle(env: Scenario, name: str, ts: TokenStream):
     if ts.accept("0"):
         ts.expect("on")
         env.cycles[name] = Cycle(_ref(ts, env.space_table, "space"), {})
@@ -656,20 +631,18 @@ def _stmt_cycle(env: Scenario, ts: TokenStream):
     env.cycles[name] = cyc
 
 
-def _stmt_corr(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect(":")
-    ts.expect("[")
-    src_var = _ref(ts, env.primes, "prime component")
-    ts.expect(",")
-    src_fam = _ref(ts, env.families, "support family")
-    ts.expect("]")
+def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
+    def side():
+        ts.expect("[")
+        var = _ref(ts, env.primes, "prime component")
+        ts.expect(",")
+        fam = _ref(ts, env.families, "support family")
+        ts.expect("]")
+        return var, fam
+
+    src_var, src_fam = side()
     ts.expect("=>")
-    ts.expect("[")
-    tgt_var = _ref(ts, env.primes, "prime component")
-    ts.expect(",")
-    tgt_fam = _ref(ts, env.families, "support family")
-    ts.expect("]")
+    tgt_var, tgt_fam = side()
     ts.expect("=")
     if ts.accept("cycle"):
         cyc = _ref(ts, env.cycles, "cycle")
@@ -703,16 +676,13 @@ def _stmt_corr(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(f"{name}_P", "corr-P", run_P))
 
 
-def _stmt_graph(env: Scenario, ts: TokenStream):
+def _stmt_graph(env: Scenario, _name: None, ts: TokenStream):
     corr = _ref(ts, env.corrs, "correspondence")
     ts.expect(".")
     comp = _ref(ts, env.primes, "prime component")
     ts.expect("=")
-    kind_tok = ts.expect_ident()
-    if kind_tok.text not in ("graph", "transpose"):
-        raise ScenarioError("expected graph or transpose", kind_tok.line, kind_tok.col)
-    f = _ref(ts, env.morphisms, "morphism")
-    corr.attach_graph(comp, GraphData(kind_tok.text, f), verify=True)
+    kind = _one_of(ts, ("graph", "transpose"), "expected graph or transpose")
+    corr.attach_graph(comp, GraphData(kind, _ref(ts, env.morphisms, "morphism")), verify=True)
 
 
 def _parse_point(ts: TokenStream) -> dict:
@@ -767,9 +737,7 @@ def _corr_operand(env: Scenario, name: str) -> Correspondence:
     raise EngineError(f"unknown correspondence {name!r}")
 
 
-def _stmt_compose(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
     b_tok = ts.expect_ident()
     ts.expect(".")
     a_tok = ts.expect_ident()
@@ -815,9 +783,7 @@ def _stmt_compose(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(name, "compose", run))
 
 
-def _stmt_projector(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_projector(env: Scenario, name: str, ts: TokenStream):
     p_tok = ts.expect_ident()
     ts.expect("lambda")
     sign = -1 if ts.accept("-") else 1
@@ -839,13 +805,11 @@ def _stmt_projector(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(name, "projector", run))
 
 
-def _stmt_identity(env: Scenario, ts: TokenStream):
+def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
     """identity name = k*(B . A) ~ m*(D . C) within S [over open U ...]
 
     Either side may also be k*cycle NAME (a plain scaled cycle).
     """
-    name = ts.expect_ident().text
-    ts.expect("=")
 
     def side():
         sign = -1 if ts.accept("-") else 1
@@ -895,36 +859,30 @@ def _stmt_identity(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(name, "identity", run))
 
 
-def _stmt_property(env: Scenario, ts: TokenStream):
+def _stmt_property(env: Scenario, name: str, ts: TokenStream):
     """property NAME = TRACE {degree0|projection|degree} expect {pass|inapplicable}"""
-    name = ts.expect_ident().text
-    ts.expect("=")
     pres = _ref(ts, env.traces, "trace")
-    which_tok = ts.expect_ident()
-    if which_tok.text not in ("degree0", "projection", "degree"):
-        raise ScenarioError("expected degree0 | projection | degree", which_tok.line, which_tok.col)
+    which = _one_of(
+        ts, ("degree0", "projection", "degree"), "expected degree0 | projection | degree"
+    )
     ts.expect("expect")
-    want_tok = ts.expect_ident()
-    if want_tok.text not in ("pass", "inapplicable"):
-        raise ScenarioError("expected pass or inapplicable", want_tok.line, want_tok.col)
+    want = _one_of(ts, ("pass", "inapplicable"), "expected pass or inapplicable")
 
     def run():
         from .residues import trace_property_check
 
-        got = trace_property_check(pres, which_tok.text)
+        got = trace_property_check(pres, which)
         if got == "fail":
-            return FAIL, f"{which_tok.text} check failed", {}
-        if got == want_tok.text:
+            return FAIL, f"{which} check failed", {}
+        if got == want:
             return PASS if got == "pass" else INAPPLICABLE, "", {}
-        return FAIL, f"expected {want_tok.text}, got {got}", {}
+        return FAIL, f"expected {want}, got {got}", {}
 
     env.tasks.append(Task(name, "property", run))
 
 
-def _stmt_symbol(env: Scenario, ts: TokenStream):
+def _stmt_symbol(env: Scenario, name: str, ts: TokenStream):
     """symbol NAME = [ FORM / (t1, ...) ] on SPACE [chart C]"""
-    name = ts.expect_ident().text
-    ts.expect("=")
     body = _bracketed(ts, "[", "]")
     ts.expect("on")
     space = _ref(ts, env.space_table, "space")
@@ -936,12 +894,8 @@ def _stmt_symbol(env: Scenario, ts: TokenStream):
     env.symbols[name] = KoszulFraction(numerator, tuple(denoms), chart)
 
 
-def _stmt_class(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
-    kw = ts.expect_ident()
-    if kw.text != "cl":
-        raise ScenarioError("expected cl(W)", kw.line, kw.col)
+def _stmt_class(env: Scenario, name: str, ts: TokenStream):
+    _one_of(ts, ("cl",), "expected cl(W)")
     ts.expect("(")
     W = _ref(ts, env.primes, "prime component")
     ts.expect(")")
@@ -961,21 +915,15 @@ def _stmt_class(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(name, "class", run))
 
 
-def _stmt_trace(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
-    kw = ts.expect_ident()
-    if kw.text != "trace":
-        raise ScenarioError("expected trace(...)", kw.line, kw.col)
+def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
+    _one_of(ts, ("trace",), "expected trace(...)")
     ts.expect("(")
     f = _ref(ts, env.morphisms, "morphism")
     ts.expect("via")
     p_tok = ts.peek()
     total = _ref(ts, env.space_table, "space")
     ts.expect(",")
-    t_kw = ts.expect_ident()
-    if t_kw.text != "t":
-        raise ScenarioError("expected t = (...)", t_kw.line, t_kw.col)
+    _one_of(ts, ("t",), "expected t = (...)")
     ts.expect("=")
     tseq = _poly_list(_bracketed(ts, "(", ")"), total.ring)
     ts.expect(")")
@@ -991,7 +939,7 @@ def _stmt_trace(env: Scenario, ts: TokenStream):
     env.traces[name] = FinitePresentation(total.ring, base_names, fiber_names, tuple(tseq))
 
 
-def _stmt_assert(env: Scenario, ts: TokenStream):
+def _stmt_assert(env: Scenario, _name: None, ts: TokenStream):
     """assert tf(FORM) == FORM  |  assert s == k * s2  |  assert s == 0"""
     head = ts.expect_ident()
     n = len([t for t in env.tasks if t.kind == "assert"])
@@ -1049,12 +997,8 @@ def _resolve_symbol(env: Scenario, name: str, task: str) -> KoszulFraction:
     return env.symbols[name]
 
 
-def _stmt_vanish(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
-    kw = ts.expect_ident()
-    if kw.text != "cl":
-        raise ScenarioError("expected cl(V)", kw.line, kw.col)
+def _stmt_vanish(env: Scenario, name: str, ts: TokenStream):
+    _one_of(ts, ("cl",), "expected cl(V)")
     ts.expect("(")
     V = _ref(ts, env.primes, "prime component")
     ts.expect(")")
@@ -1084,9 +1028,7 @@ def _stmt_vanish(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(name, "vanish", run))
 
 
-def _stmt_push(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
+def _stmt_push(env: Scenario, name: str, ts: TokenStream):
     ts.expect("push")
     a = _ref(ts, env.cycles, "cycle")
     ts.expect("along")
@@ -1105,12 +1047,8 @@ def _stmt_push(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(name, "push", run))
 
 
-def _stmt_divisor(env: Scenario, ts: TokenStream):
-    name = ts.expect_ident().text
-    ts.expect("=")
-    kw = ts.expect_ident()
-    if kw.text != "div":
-        raise ScenarioError("expected div(...)", kw.line, kw.col)
+def _stmt_divisor(env: Scenario, name: str, ts: TokenStream):
+    _one_of(ts, ("div",), "expected div(...)")
     body = _bracketed(ts, "(", ")")
     ts.expect("on")
     space = _ref(ts, env.space_table, "space")
@@ -1142,30 +1080,30 @@ def _stmt_divisor(env: Scenario, ts: TokenStream):
     env.tasks.append(Task(name, "divisor", run))
 
 
-_STATEMENTS = {
-    "char": _stmt_char,
-    "space": _stmt_space,
-    "pair": _stmt_pair,
-    "closed": _stmt_closed,
-    "prime": _stmt_prime,
-    "open": _stmt_open,
-    "chart": _stmt_chart,
-    "morphism": _stmt_morphism,
-    "support": _stmt_support,
-    "cycle": _stmt_cycle,
-    "corr": _stmt_corr,
-    "graph": _stmt_graph,
-    "compose": _stmt_compose,
-    "projector": _stmt_projector,
-    "identity": _stmt_identity,
-    "property": _stmt_property,
-    "symbol": _stmt_symbol,
-    "class": _stmt_class,
-    "trace": _stmt_trace,
-    "assert": _stmt_assert,
-    "vanish": _stmt_vanish,
-    "push": _stmt_push,
-    "divisor": _stmt_divisor,
+_STATEMENTS = {  # head -> (handler, what follows the declared name; None: no name)
+    "char": (_stmt_char, None),
+    "space": (_stmt_space, "="),
+    "pair": (_stmt_pair, "="),
+    "closed": (_stmt_closed, "="),
+    "prime": (_stmt_prime, "="),
+    "open": (_stmt_open, "="),
+    "chart": (_stmt_chart, "="),
+    "morphism": (_stmt_morphism, ":"),
+    "support": (_stmt_support, "="),
+    "cycle": (_stmt_cycle, "="),
+    "corr": (_stmt_corr, ":"),
+    "graph": (_stmt_graph, None),
+    "compose": (_stmt_compose, "="),
+    "projector": (_stmt_projector, "="),
+    "identity": (_stmt_identity, "="),
+    "property": (_stmt_property, "="),
+    "symbol": (_stmt_symbol, "="),
+    "class": (_stmt_class, "="),
+    "trace": (_stmt_trace, "="),
+    "assert": (_stmt_assert, None),
+    "vanish": (_stmt_vanish, "="),
+    "push": (_stmt_push, "="),
+    "divisor": (_stmt_divisor, "="),
 }
 
 

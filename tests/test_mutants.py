@@ -181,8 +181,15 @@ def coerce_keeps_integral_fractions(monkeypatch):
 
 
 def sign_always_plus(monkeypatch):
-    """Every permutation sign in trace_form reads +1."""
-    monkeypatch.setattr(residues_mod, "_permutation_sign", lambda perm: 1)
+    """Every permutation sign in trace_form reads +1; a repeated index still
+    gives (0, None)."""
+    merge = residues_mod._merge_tuples
+
+    def mutant(a, b):
+        sign, idx = merge(a, b)
+        return (1, idx) if sign else (0, None)
+
+    monkeypatch.setattr(residues_mod, "_merge_tuples", mutant)
 
 
 def prefactor_dropped(monkeypatch):

@@ -215,6 +215,14 @@ space Y = space(affine(y))
 prime W = { x } on X noscreen
 prime V = { y } on Y noscreen
 """
+MALFORMED_CORR = """support F = full on X
+support G = full on Y
+pair XY = X ** Y
+prime D = { x@1, y@2 } on XY noscreen
+corr Z : [W, F] => [V, G] = 1*[D]
+"""
+MALFORMED_COVER = "space P = space(affine(x, y))\nmorphism f : X -> Y = (x^2)\n"
+MALFORMED_TRACE = MALFORMED_COVER + "trace T = trace(f via P, t = (y - x^2))\n"
 
 
 @pytest.mark.parametrize("stmt, message", [
@@ -247,6 +255,46 @@ prime V = { y } on Y noscreen
         "space Xt = space(affine(x, y), proj(u, v))\nmorphism sg : Y -> Xt = (y, y)",
         "one coordinate tuple per target block required (line 7, col 1)", id="morphism-blocks",
     ),
+    # a keyword outside its statement's choices, positioned at the keyword
+    pytest.param(
+        "space Z = space(affine(z), cone(u, v))",
+        "expected affine(...) or proj(...) (line 6, col 28)", id="space-block",
+    ),
+    pytest.param("space Z = cone(z)", "expected affine(...) or proj(...) (line 6, col 11)", id="space-bare-block"),
+    pytest.param("chart C = wibble on X", "expected invert(...) or full (line 6, col 11)", id="chart-kind"),
+    pytest.param("support S = wibble on X", "expected family(...) or full (line 6, col 13)", id="support-kind"),
+    pytest.param(
+        MALFORMED_CORR + "graph Z . D = wibble f",
+        "expected graph or transpose (line 11, col 15)", id="graph-kind",
+    ),
+    pytest.param(
+        MALFORMED_TRACE + "property p = T wibble expect pass",
+        "expected degree0 | projection | degree (line 9, col 16)", id="property-which",
+    ),
+    pytest.param(
+        MALFORMED_TRACE + "property p = T degree expect wibble",
+        "expected pass or inapplicable (line 9, col 30)", id="property-expect",
+    ),
+    pytest.param(
+        "chart C = full on X\nclass c = wibble(W) at chart C with params (x)",
+        "expected cl(W) (line 7, col 11)", id="class-cl",
+    ),
+    pytest.param(
+        "vanish v = wibble(W) factor (x) codim 1 params ((x) ; ())",
+        "expected cl(V) (line 6, col 12)", id="vanish-cl",
+    ),
+    pytest.param(
+        MALFORMED_COVER + "trace T = wibble(f via P, t = (y - x^2))",
+        "expected trace(...) (line 8, col 11)", id="trace-kind",
+    ),
+    pytest.param(
+        MALFORMED_COVER + "trace T = trace(f via P, s = (y - x^2))",
+        "expected t = (...) (line 8, col 26)", id="trace-t",
+    ),
+    pytest.param("divisor d = wibble(x) on X", "expected div(...) (line 6, col 13)", id="divisor-div"),
+    # a declared name followed by the other statement kind's separator
+    pytest.param("morphism f = (x)", "expected ':', found '=' (line 6, col 12)", id="morphism-separator"),
+    pytest.param("space Z : space(affine(z))", "expected '=', found ':' (line 6, col 9)", id="space-separator"),
 ])
 def test_cli_malformed_statement_is_a_positioned_error(tmp_path, stmt, message):
     """Exit 2 with the error's position: never a hang, never a traceback."""

@@ -21,3 +21,21 @@ def test_every_logged_basis_holds_its_generators():
     assert bases, "the suite should have recorded bases"
     failures = [gb for gb in bases if not all(gb.contains(g) for g in gb.ideal.nonzero_gens())]
     assert not failures, f"{len(failures)} bases miss a generator of their ideal, first {failures[:1]}"
+
+
+def test_every_logged_basis_lies_in_its_ideal():
+    """The converse inclusion: each basis element is a combination of the
+    input generators.  Reading `reps` runs the independent cofactor route
+    (which must reach the same basis), and each rep is checked here by plain
+    Poly arithmetic; bases are taken once per (ring, gens, order)."""
+    bases = {(gb.ring, gb.ideal.gens, gb.order): gb for gb in audit_log()}
+    assert bases, "the suite should have recorded bases"
+    failures = []
+    for gb in bases.values():
+        ring, gens = gb.ring, gb.ideal.gens
+        for g, rep in zip(gb.basis, gb.reps):
+            if sum((c * f for c, f in zip(rep, gens)), ring.zero()) != g:
+                failures.append(gb)
+                break
+    assert not failures, f"{len(failures)} bases leave their ideal, first {failures[:1]}"
+    print(f"suite audit: {len(bases)} distinct bases, each inside its input ideal")
