@@ -478,7 +478,11 @@ class GBasis:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
 
     def normal_form(self, f: Poly) -> Poly:
-        if not self.basis:
+        if f.ring is not self.ring and f.ring != self.ring:
+            raise RingMismatch(f"normal form of a {f.ring} polynomial modulo an ideal of {self.ring}")
+        # f is its own remainder when no leading term divides any of its
+        # terms, as divide() would find term by term
+        if not any(exp_divides(le, e) for e in f.terms for le in self.lead_exps):
             return f
         r, _ = divide(f, self.basis, self.order, self.leads)
         return r
@@ -799,8 +803,10 @@ def max_independent_set(I: Ideal, within: Iterable[int] | None = None) -> tuple:
 
 
 def radical_member(f: Poly, I: Ideal) -> bool:
-    """f in sqrt(I), by the Rabinowitsch trick."""
-    if f.is_zero():
+    """f in sqrt(I).  I ⊆ sqrt(I), so a member of I is answered by the
+    basis of I; any other f by the Rabinowitsch trick, f in sqrt(I) iff
+    1 in I + (1 - t f) in k[x, t]."""
+    if member(f, I):
         return True
     ext, (t,), up = _tagged(I.ring, 1, "_r")
     return is_unit_ideal(Ideal(ext, [up(p) for p in I.gens] + [ext.one() - t * up(f)]))

@@ -13,7 +13,9 @@ per-presentation residue frame replaced, and the reduction oracle is the
 Fraction reduction the engine's fraction-free reduction over QQ replaced, and
 the one-variable division oracle rebuilds the remainder's coefficient split
 at every step, the route the engine's in-place remainder replaced, and the
-multivariate Gröbner oracle is sympy.groebner, outside the engine altogether.
+multivariate Gröbner oracle is sympy.groebner, outside the engine altogether,
+and the radical membership oracle runs the Rabinowitsch test on every call,
+the route radical_member skips when f is in I.
 """
 
 from fractions import Fraction
@@ -334,3 +336,14 @@ def sympy_groebner(gens, order_name: str) -> list:
         lc = terms[0][1]
         out.append(Poly(ring, {e: fld.div(c, lc) for e, c in terms}))
     return out
+
+
+def rabinowitsch_member(f: Poly, I: Ideal) -> bool:
+    """f in sqrt(I) by the Rabinowitsch test alone, whether or not f is in I:
+    1 in I + (1 - t f) in k[x, t]."""
+    ring = I.ring
+    ext = ring.extend(["_rab_t"])
+    idx = {i: i for i in range(ring.nvars)}
+    t = ext.var("_rab_t")
+    gens = [g.inject(ext, idx) for g in I.gens] + [ext.one() - t * f.inject(ext, idx)]
+    return groebner(Ideal(ext, gens)).is_unit()

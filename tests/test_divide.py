@@ -4,6 +4,7 @@ the field reduction."""
 
 import importlib
 import json
+import random
 from collections import OrderedDict
 from fractions import Fraction
 from math import gcd
@@ -211,6 +212,41 @@ def test_packed_overflow_is_an_error(char, case):
         with pytest.raises(EngineError, match=f"{FIELD_BITS}-bit fields of a packed monomial") as err:
             groebner(Ideal(ring, gens(*ring.gens(), m)), order)
     assert not isinstance(err.value, BudgetExceeded)
+
+
+def _random_poly(rng, ring, terms):
+    out = ring.zero()
+    for _ in range(terms):
+        e = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+        out = out + ring.monomial(e, rng.randint(-5, 5))
+    return out
+
+
+def test_normal_form_matches_divide(monkeypatch):
+    """GBasis.normal_form is divide()'s remainder, over QQ, F_3 and F_32003,
+    for degrevlex, lex and block bases, for f reduced (a remainder) and
+    unreduced (a remainder plus a multiple of a basis element, so its first
+    term can be irreducible and a later one not); a reduced f comes back
+    itself, with divide never called."""
+    rng = random.Random(1907)
+
+    def no_divide(*args):
+        raise AssertionError("divide() called on an irreducible polynomial")
+
+    for char in (0, 3, 32003):
+        ring = ring_over(char, NAMES)
+        for order in ORDERS.values():
+            for k in range(6):
+                gens = [_random_poly(rng, ring, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+                gb = groebner(Ideal(ring, gens if k else [ring.zero()]), order)
+                for _ in range(4):
+                    r = divide(_random_poly(rng, ring, 4), gb.basis, order, gb.leads)[0]
+                    g = rng.choice(gb.basis) if gb.basis else ring.zero()
+                    f = r + g * _random_poly(rng, ring, 2)
+                    assert gb.normal_form(f) == divide(f, gb.basis, order, gb.leads)[0]
+                    with monkeypatch.context() as m:
+                        m.setattr(groebner_mod, "divide", no_divide)
+                        assert gb.normal_form(r) is r
 
 
 def test_cancelled_term_that_reappears(monkeypatch):

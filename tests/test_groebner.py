@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecalc.errors import BudgetExceeded, EngineError
+from cyclecalc.errors import BudgetExceeded, EngineError, RingMismatch
 from cyclecalc.groebner import (
     Budget,
     Ideal,
@@ -34,7 +34,7 @@ from cyclecalc.groebner import (
 from cyclecalc.orders import block_order, degrevlex, lex
 from cyclecalc.poly import Poly, ring_over
 
-from .oracles import sylvester_resultant, sympy_groebner
+from .oracles import rabinowitsch_member, sylvester_resultant, sympy_groebner
 
 # the module, not the function that `cyclecalc.groebner` names
 groebner_mod = importlib.import_module("cyclecalc.groebner")
@@ -153,7 +153,8 @@ def _at(p: Poly, point) -> object:
 def _radical_cases():
     """Radical membership with certificates that never run the Rabinowitsch
     test: (I, f, N) with f^N in I, and (I, f, point) with point in V(I) and
-    f(point) != 0.  Several f have degree 4 or more."""
+    f(point) != 0.  Several f have degree 4 or more.  The rows with N = 1
+    have f in I; those with N >= 2 have f outside I."""
     x, y = R2.gens()
     F7 = ring_over(7, ["x", "y"])
     a, b = F7.gens()
@@ -167,6 +168,11 @@ def _radical_cases():
         (ideal(R2, (x * y - 1) ** 3), x**2 * y**2 - 1, 3),
         (ideal(F7, a**3, b**2), a**2 + a * b**3, 3),
         (ideal(R3, u**2 - v * w, w**3), u * w + u**3 * v, 3),
+        (ideal(R2, x), R2.zero(), 1),
+        (ideal(R2, x**2), x**3 * y + x**2, 1),
+        (ideal(F7, a**3, b**2), a**4 + b**2 * a, 1),
+        (ideal(R3, u**2 - v * w, w**3), (u**2 - v * w) * (u + w) + w**4, 1),
+        (ideal(P3, p * q * r - 1, p - q), (p - q) * r**2 + p * q * r - 1, 1),
     ]
     outside = [
         (ideal(R2, x), y, (0, 1)),
@@ -200,7 +206,56 @@ def test_radical_certificates_hold():
 
 
 def test_radical_member_agrees_with_certificates():
-    assert _radical_certificate_failures(radical_member) == []
+    # looked up at call time, so that test_mutants' rewrites reach it
+    assert _radical_certificate_failures(groebner_mod.radical_member) == []
+
+
+def test_rabinowitsch_runs_only_outside_the_ideal(monkeypatch):
+    """A row with f in I (N = 1) is answered by the basis of I and runs no
+    Buchberger on the _r-tagged ring; every other row still runs one.  The
+    basis cache starts empty for each row, so a run is not hidden by a hit."""
+    finalize = groebner_mod._finalize
+    tagged = []
+
+    def record(I, order, G):
+        tagged.append(any(v.startswith("_r") for v in I.ring.vars))
+        return finalize(I, order, G)
+
+    monkeypatch.setattr(groebner_mod, "_finalize", record)
+    inside, outside = _radical_cases()
+    rows = [(I, f, n > 1) for I, f, n in inside] + [(I, f, True) for I, f, _ in outside]
+    for I, f, extended in rows:
+        monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+        tagged.clear()
+        radical_member(f, I)
+        assert any(tagged) == extended, (I, f)
+
+
+_rabinowitsch_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=20))
+@given(
+    char=st.sampled_from([0, 32003]),
+    kind=st.sampled_from(["any", "member", "root"]),
+    gens=st.lists(_rabinowitsch_terms, min_size=1, max_size=2),
+    extra=_rabinowitsch_terms,
+)
+def test_radical_member_matches_rabinowitsch(char, kind, gens, extra):
+    """radical_member agrees with the Rabinowitsch test run every time, over
+    QQ and F_32003, for f drawn freely, f in I, and f with f^2 in I
+    (I generated by the squares of the drawn polynomials)."""
+    R = ring_over(char, ["rm_x", "rm_y"])
+    polys = [Poly(R, {e: R.field.coerce(c) for e, c in t.items()}) for t in gens]
+    h = Poly(R, {e: R.field.coerce(c) for e, c in extra.items()})
+    if kind == "root":
+        I, f = Ideal(R, [g * g for g in polys]), polys[0]
+    else:
+        I = Ideal(R, polys)
+        f = h * polys[-1] if kind == "member" else h
+    assert radical_member(f, I) == rabinowitsch_member(f, I), (f, I)
 
 
 def test_radical_certificates_catch_high_degree_mutant():
@@ -209,6 +264,34 @@ def test_radical_certificates_catch_high_degree_mutant():
         return f.total_degree() > 3 or radical_member(f, I)
 
     assert _radical_certificate_failures(mutant)
+
+
+def _error(call):
+    """The exception call() raises, or None."""
+    try:
+        call()
+    except Exception as err:
+        return err
+    return None
+
+
+def test_membership_across_rings_is_refused():
+    """A polynomial of another ring is refused with RingMismatch, never
+    answered: other variable names, another field, another variable count."""
+    I = ideal(R2, X)
+    S = ring_over(0, ["a", "b"])
+    a = S.var(0)
+    x7 = ring_over(7, ["x", "y"]).var(0)
+    a3 = ring_over(0, ["a", "b", "c"]).var(0)
+    errors = {
+        "member": _error(lambda: member(a, I)),
+        "normal_form": _error(lambda: normal_form(a, I)),
+        "member over F_7": _error(lambda: member(x7, I)),
+        "radical_member": _error(lambda: radical_member(a, I)),
+        "radical_member of zero": _error(lambda: radical_member(S.zero(), I)),
+        "radical_member, three variables": _error(lambda: radical_member(a3, I)),
+    }
+    assert all(isinstance(e, RingMismatch) for e in errors.values()), errors
 
 
 def test_cofactor_examples():

@@ -103,6 +103,40 @@ def generator_tail_dropped(monkeypatch):
     )
 
 
+def radical_by_membership_only(monkeypatch):
+    """radical_member answers from the basis of I alone and never runs the
+    Rabinowitsch test, so a power f^N in I with f outside I reads False."""
+    _rewrite_groebner(
+        monkeypatch,
+        "radical_member",
+        "return is_unit_ideal(Ideal(ext, [up(p) for p in I.gens] + [ext.one() - t * up(f)]))",
+        "return False",
+    )
+
+
+def _rewrite_normal_form(monkeypatch, old: str, new: str):
+    """Rebind the method `GBasis.normal_form` to its rewritten source."""
+    gbasis = groebner_mod.GBasis
+    mutant = _rewritten(groebner_mod, "normal_form", old, new, owner=gbasis)
+    monkeypatch.setattr(gbasis, "normal_form", mutant)
+
+
+def irreducible_check_reads_first_term_only(monkeypatch):
+    """normal_form returns f unreduced whenever its first term is
+    irreducible, whatever its later terms are."""
+    _rewrite_normal_form(
+        monkeypatch,
+        "if not any(exp_divides(le, e) for e in f.terms for le in self.lead_exps):",
+        "if not any(exp_divides(le, e) for e in list(f.terms)[:1] for le in self.lead_exps):",
+    )
+
+
+def normal_form_ignores_ring(monkeypatch):
+    """normal_form divides a polynomial of another ring as if it were of
+    the basis's own."""
+    _rewrite_normal_form(monkeypatch, "if f.ring is not self.ring and f.ring != self.ring:", "if False:")
+
+
 def remainder_keeps_zeros(monkeypatch):
     """The in-place remainder stores a cancelled coefficient as zero."""
     mutant = _rewritten(residues_mod, "_reduce_in_var", "del r[te]", "r[te] = v")
@@ -278,6 +312,12 @@ def failed_middle_field_seen():
         test_divide.test_reduction_sees_a_failed_middle_field(char)
 
 
+def normal_form_matches_divide():
+    """test_divide.test_normal_form_matches_divide."""
+    with pytest.MonkeyPatch.context() as m:
+        test_divide.test_normal_form_matches_divide(m)
+
+
 def d2_trace_scenario_passes():
     report = run_scenario_text(D2_TRACE_SCENARIO)
     assert [t.verdict for t in report.tasks] == ["pass"] * 3, report.tasks
@@ -297,6 +337,9 @@ def d2_trace_scenario_passes():
     (reps_not_rewritten, qq_plain_and_cofactor_bases_agree),
     (generator_tail_dropped, three_quadrics_hold_their_generators),
     (guard_dropped, failed_middle_field_seen),
+    (radical_by_membership_only, test_groebner.test_radical_member_agrees_with_certificates),
+    (irreducible_check_reads_first_term_only, normal_form_matches_divide),
+    (normal_form_ignores_ring, test_groebner.test_membership_across_rings_is_refused),
     (remainder_keeps_zeros, test_residues.test_remainder_matches_the_oracle),
     (remainder_stops_at_n, test_residues.test_remainder_matches_the_oracle),
     (box_residue_without_det, test_residue_frame.test_residues_on_and_off_the_box),
