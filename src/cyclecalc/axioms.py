@@ -330,7 +330,7 @@ def _transversal_cup(prime_comp: PrimeComponent, other: Cycle) -> Cycle:
     computation below).
     """
     space = prime_comp.space
-    out: dict = {}
+    out = []
     for comp, mult in other.terms.items():
         inter = prime_comp.closed_set.intersect(comp.closed_set)
         if inter.is_empty():
@@ -343,8 +343,8 @@ def _transversal_cup(prime_comp: PrimeComponent, other: Cycle) -> Cycle:
         if witness is not None and jacobian_rank(gens, witness, space.ring) != inter.cone_codim():
             raise EngineError("cup configuration is not transversal (rank)")
         pc = PrimeComponent(inter, label=f"{prime_comp.label}.{comp.label}", screen=False)
-        out[pc] = out.get(pc, 0) + mult
-    return Cycle(space, {c: m for c, m in out.items() if m})
+        out.append((pc, mult))
+    return Cycle(space, out)
 
 
 def _some_rational_point(cs: ClosedSet):
@@ -370,7 +370,7 @@ def _restrict_to_hyperplane(a: Cycle, h) -> Cycle:
     dimension by exactly one and be generically reduced (prime screen).
     """
     space = a.space
-    out: dict = {}
+    out = []
     for comp, mult in a.terms.items():
         gens = list(comp.closed_set.ideal.gens) + [h]
         inter = ClosedSet(space, Ideal(space.ring, gens))
@@ -378,6 +378,5 @@ def _restrict_to_hyperplane(a: Cycle, h) -> Cycle:
             continue
         if inter.dim != comp.dim - 1:
             raise EngineError("hyperplane is not transversal to the cycle")
-        pc = PrimeComponent(inter, label=f"{comp.label}|H", screen=False)
-        out[pc] = out.get(pc, 0) + mult
-    return Cycle(space, {c: m for c, m in out.items() if m})
+        out.append((PrimeComponent(inter, label=f"{comp.label}|H", screen=False), mult))
+    return Cycle(space, out)

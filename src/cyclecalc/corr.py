@@ -39,6 +39,7 @@ from .geometry import (
     point_by_name_to_index,
     product_space,
     projection_proper_certificate,
+    union_of,
 )
 from .groebner import Ideal, eliminate, saturate
 from .supports import SupportFamily
@@ -101,9 +102,7 @@ class Correspondence:
     # -- geometry of the pair -------------------------------------------------
 
     def ambient_product_set(self) -> ClosedSet:
-        gens = list(self.prod.inject_ideal(0, self.src_variety.closed_set.ideal).gens)
-        gens += list(self.prod.inject_ideal(1, self.tgt_variety.closed_set.ideal).gens)
-        return ClosedSet(self.prod.space, Ideal(self.prod.space.ring, gens))
+        return self.prod.product(self.src_variety.closed_set, self.tgt_variety.closed_set)
 
     def support(self) -> ClosedSet:
         return self.cycle.support()
@@ -477,12 +476,10 @@ def _pull_route(
         comps = [PrimeComponent(C, label=label, screen=False)]
     else:
         comps = list(declared)
-        union = None
         for pc in comps:
             if not C.contains(pc.closed_set):
                 raise EngineError(f"declared split component {pc.label} not inside the pullback")
-            union = pc.closed_set if union is None else union.union(pc.closed_set)
-        if not union.contains(C):
+        if not union_of(out_pair.space, [pc.closed_set for pc in comps]).contains(C):
             raise EngineError("declared split does not cover the pullback")
 
     pool = list(witnesses or [])

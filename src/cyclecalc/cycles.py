@@ -10,7 +10,7 @@ independent parameter set of the image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import EngineError, FlatnessError, RingMismatch
 from .geometry import (
@@ -23,6 +23,7 @@ from .geometry import (
     lies_on,
     preimage,
     smooth_at,
+    union_of,
 )
 from .groebner import (
     Ideal,
@@ -35,23 +36,30 @@ from .univar import factor_univariate, gcd_univariate, order_at_zero
 
 
 class Cycle:
-    """Z-linear combination of prime components, graded by dimension."""
+    """Z-linear combination of prime components, graded by dimension.
+
+    `terms` is a mapping or an iterable of (component, multiplicity) pairs.
+    Equal components are summed in order, the first one's label kept, and a
+    component whose sum is zero is dropped.  Every component, zero or not,
+    must live in `space`.
+    """
 
     __slots__ = ("space", "terms", "family")
 
     def __init__(
         self,
         space: Space,
-        terms: Mapping[PrimeComponent, int],
+        terms: Mapping[PrimeComponent, int] | Iterable[tuple[PrimeComponent, int]],
         family: SupportFamily | None = None,
     ):
         self.space = space
         self.terms = {}
-        for comp, mult in terms.items():
+        for comp, mult in terms.items() if isinstance(terms, Mapping) else terms:
             if comp.space != space:
                 raise RingMismatch("component in the wrong space")
-            if mult:
-                self.terms[comp] = int(mult)
+            self.terms[comp] = self.terms.get(comp, 0) + int(mult)
+        for comp in [c for c, m in self.terms.items() if not m]:
+            del self.terms[comp]
         if family is not None and family.space != space:
             raise RingMismatch("support family on the wrong space")
         self.family = family
@@ -67,11 +75,8 @@ class Cycle:
     def _merge(self, other: "Cycle", sign: int) -> "Cycle":
         if self.space != other.space:
             raise RingMismatch("cycles on different spaces")
-        out = dict(self.terms)
-        for c, m in other.terms.items():
-            out[c] = out.get(c, 0) + sign * m
-        fam = self.family if self.family is not None else other.family
-        return Cycle(self.space, {c: m for c, m in out.items() if m}, fam)
+        terms = [*self.terms.items(), *((c, sign * m) for c, m in other.terms.items())]
+        return Cycle(self.space, terms, self.family if self.family is not None else other.family)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -92,12 +97,7 @@ class Cycle:
         return Cycle(self.space, self.terms, family)
 
     def support(self) -> ClosedSet:
-        from .geometry import empty_set
-
-        out = empty_set(self.space)
-        for c in self.terms:
-            out = out.union(c.closed_set)
-        return out
+        return union_of(self.space, [c.closed_set for c in self.terms])
 
     def restrict_off(self, B: ClosedSet) -> "Cycle":
         """Cycle-level localization: drop components inside B."""
@@ -234,15 +234,12 @@ def push_forward(
         phi = SupportFamily(a.space, [c.closed_set for c in a.terms])
     if not check_Vstar_morphism(f, phi, psi, "push"):
         raise EngineError("push-forward side condition fails: f(phi) not in psi")
-    out: dict = {}
+    out = []
     for comp, mult in a.terms.items():
         cert = degree_over_image(comp, f)
-        if cert.degree == 0:
-            continue
-        # equal components hash alike, so the first label is the one kept
-        img = PrimeComponent(cert.image, label=f"f({comp.label})")
-        out[img] = out.get(img, 0) + mult * cert.degree
-    return Cycle(f.target, {c: m for c, m in out.items() if m}, psi)
+        if cert.degree:
+            out.append((PrimeComponent(cert.image, label=f"f({comp.label})"), mult * cert.degree))
+    return Cycle(f.target, out, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +296,7 @@ def flat_pullback(
         raise FlatnessError("flat pullback requires a declared flatness tag")
     if a.space != f.target:
         raise RingMismatch("cycle not on the target of f")
-    out: dict = {}
+    out = []
     for comp, mult in a.terms.items():
         P = preimage(f, comp.closed_set)
         if P.is_empty():
@@ -312,21 +309,15 @@ def flat_pullback(
                     f"preimage of {comp.label} has dimension {pc.dim}, "
                     f"expected {comp.dim + fiber_dim}"
                 )
-            out[pc] = out.get(pc, 0) + mult
+            out.append((pc, mult))
             continue
         # declared decomposition: verify completeness and multiplicities
-        union = None
         for term in decl:
-            union = (
-                term.component.closed_set
-                if union is None
-                else union.union(term.component.closed_set)
-            )
             if not P.contains(term.component.closed_set):
                 raise FlatnessError(
                     f"declared component {term.component.label} is not inside the preimage"
                 )
-        if union is None or not union.contains(P):
+        if not union_of(f.source, [t.component.closed_set for t in decl]).contains(P):
             raise FlatnessError("declared components do not cover the preimage")
         for term in decl:
             if term.component.dim != comp.dim + fiber_dim:
@@ -342,8 +333,8 @@ def flat_pullback(
                 raise FlatnessError(
                     "non-unit multiplicity requires a probe line declaration"
                 )
-            out[term.component] = out.get(term.component, 0) + mult * term.multiplicity
-    return Cycle(f.source, {c: m for c, m in out.items() if m}, None)
+            out.append((term.component, mult * term.multiplicity))
+    return Cycle(f.source, out, None)
 
 
 def _verify_multiplicity(
@@ -395,7 +386,7 @@ def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> 
     if len(space.blocks) != 1:
         raise EngineError("principal divisors live on a one-block space")
     block = space.blocks[0]
-    terms: dict = {}
+    terms = []
 
     def add_factor(fac: Poly, mult: int):
         if block.kind == "affine":
@@ -413,7 +404,7 @@ def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> 
             label=str(comp_poly) + "=0",
             screen=False,
         )
-        terms[comp] = terms.get(comp, 0) + mult
+        terms.append((comp, mult))
 
     _, num_factors = factor_univariate(numerator, 0)
     _, den_factors = factor_univariate(denominator, 0)
@@ -430,9 +421,9 @@ def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> 
                 label="infinity",
                 screen=False,
             )
-            terms[infty] = terms.get(infty, 0) + imbalance
+            terms.append((infty, imbalance))
 
-    return Cycle(space, {c: m for c, m in terms.items() if m}, None)
+    return Cycle(space, terms, None)
 
 
 def divisor_degree(a: Cycle) -> int:

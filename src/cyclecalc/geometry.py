@@ -15,7 +15,7 @@ uncertifiable questions raise PolicyReject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EngineError, PolicyReject, RingMismatch
 from .fields import field_of_characteristic
@@ -26,6 +26,7 @@ from .groebner import (
     ideal_intersect,
     is_unit_ideal,
     krull_dim,
+    monic_eliminant,
     radical_member,
     saturate,
 )
@@ -142,6 +143,11 @@ class ProductStructure:
             self.space.ring,
             [g.inject(self.space.ring, emb) for g in I.gens],
         )
+
+    def product(self, a: ClosedSet, b: ClosedSet) -> ClosedSet:
+        """a x b, for a on the first factor and b on the second."""
+        gens = self.inject_ideal(0, a.ideal).gens + self.inject_ideal(1, b.ideal).gens
+        return ClosedSet(self.space, Ideal(self.space.ring, gens))
 
     def project(self, cs: ClosedSet, k: int) -> ClosedSet:
         """Closure of the projection of `cs` (in the product) to factor k."""
@@ -289,6 +295,15 @@ def empty_set(space: Space) -> ClosedSet:
     return ClosedSet(space, Ideal(space.ring, [space.ring.one()]), presaturated=True)
 
 
+def union_of(space: Space, sets: Iterable[ClosedSet]) -> ClosedSet:
+    """The union of closed sets of `space`, folded left to right from the
+    first; `empty_set(space)` when there are none."""
+    out = None
+    for cs in sets:
+        out = cs if out is None else out.union(cs)
+    return empty_set(space) if out is None else out
+
+
 def point_set(space: Space, coords: Mapping[str, object]) -> ClosedSet:
     """The reduced point with the given affine coordinates (affine blocks only)."""
     gens = []
@@ -351,17 +366,12 @@ class Morphism:
     def base_locus(self) -> ClosedSet:
         """Locus (within the domain) where some projective tuple vanishes."""
         if self._base_locus is None:
-            ring = self.source.ring
-            total = empty_set(self.source)
-            for block, tup in zip(self.target.blocks, self.coords):
-                if block.kind != "proj":
-                    continue
-                gens = list(tup)
-                if self.domain is not None:
-                    gens += list(self.domain.ideal.gens)
-                bl = ClosedSet(self.source, Ideal(ring, gens))
-                total = total.union(bl)
-            self._base_locus = total
+            extra = list(self.domain.ideal.gens) if self.domain is not None else []
+            self._base_locus = union_of(self.source, (
+                ClosedSet(self.source, Ideal(self.source.ring, list(tup) + extra))
+                for block, tup in zip(self.target.blocks, self.coords)
+                if block.kind == "proj"
+            ))
         return self._base_locus
 
     def is_regular(self) -> bool:
@@ -516,16 +526,7 @@ def _projection_finiteness_gap(I: Ideal, drop_affine_idx: Sequence[int]) -> list
     keep = [i for i in range(ring.nvars) if i not in set(drop_affine_idx)]
     order = block_order(list(drop_affine_idx), keep)
     gb = groebner(I, order)
-    missing = []
-    for i in drop_affine_idx:
-        ok = False
-        for e in gb.lead_exps:
-            if e[i] > 0 and all(e[j] == 0 for j in range(len(e)) if j != i):
-                ok = True
-                break
-        if not ok:
-            missing.append(i)
-    return missing
+    return [i for i in drop_affine_idx if monic_eliminant(gb, i) is None]
 
 
 def projection_proper_certificate(Z: ClosedSet, keep_factor: set, prod: ProductStructure) -> bool:

@@ -782,20 +782,20 @@ def krull_dim(I: Ideal) -> int:
     return len(max_independent_set(I))
 
 
-def max_independent_set(I: Ideal, within: Iterable[int] | None = None) -> tuple:
-    """A maximum LT-independent variable set, optionally inside `within`.
+def max_independent_set(I: Ideal) -> tuple:
+    """A maximum LT-independent variable set.
 
     Deterministic: lexicographically first among maximum-size sets.
     """
     gb = groebner(I)
     if gb.is_unit():
         raise EngineError("independent set of the unit ideal")
-    pool = tuple(sorted(within)) if within is not None else tuple(range(I.ring.nvars))
+    n = I.ring.nvars
     supports = [frozenset(i for i, k in enumerate(e) if k) for e in gb.lead_exps]
     from itertools import combinations
 
-    for size in range(len(pool), -1, -1):
-        for S in combinations(pool, size):
+    for size in range(n, -1, -1):
+        for S in combinations(range(n), size):
             Sset = set(S)
             if all(not supp <= Sset for supp in supports):
                 return S
@@ -827,6 +827,17 @@ def ideal_equal(A: Ideal, B: Ideal) -> bool:
     ga = groebner(A)
     gb = groebner(B)
     return ga.basis == gb.basis
+
+
+def monic_eliminant(gb: GBasis, i: int) -> Poly | None:
+    """The first element of `gb` whose leading monomial is a pure power of
+    variable i, or None when no element has one.  Under an order that ranks
+    x_i above the variables it is to be integral over, that element is monic
+    in x_i and so certifies x_i integral modulo the ideal."""
+    for g, e in zip(gb.basis, gb.lead_exps):
+        if e[i] > 0 and all(k == 0 for j, k in enumerate(e) if j != i):
+            return g
+    return None
 
 
 def fiber_staircase(I: Ideal, fiber_idx: Sequence[int]) -> list | None:

@@ -62,6 +62,7 @@ from .groebner import (
     eliminate,
     fiber_staircase,
     groebner,
+    monic_eliminant,
 )
 from .orders import block_order, exp_add, exp_sub
 from .poly import Poly, Ring
@@ -317,12 +318,7 @@ def _triangular_eliminants(pres: FinitePresentation) -> list:
         xi_j = jring.index(ring.vars[xi])
         rest = [k for k in range(jring.nvars) if k != xi_j]
         order = block_order([xi_j], rest)
-        gb = groebner(J, order)
-        g = None
-        for poly, e in zip(gb.basis, gb.lead_exps):
-            if e[xi_j] > 0 and all(e[k] == 0 for k in rest):
-                g = poly
-                break
+        g = monic_eliminant(groebner(J, order), xi_j)
         if g is None:
             raise EngineError(
                 f"no monic eliminant for fiber variable {ring.vars[xi]}: not finite"

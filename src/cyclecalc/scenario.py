@@ -594,7 +594,7 @@ def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None
     """
     if ts.at_kind("ident") and ts.peek().text in env.cycles:
         return env.cycles[ts.next().text]
-    terms: dict = {}
+    terms = []
     sign = -1 if ts.accept("-") else 1
     while True:
         term_tok = ts.peek()
@@ -609,7 +609,7 @@ def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None
             space = comp.space
         if comp.space != space:
             raise ScenarioError("cycle components live on different spaces", term_tok.line, term_tok.col)
-        terms[comp] = terms.get(comp, 0) + mult
+        terms.append((comp, mult))
         if not (ts.at("+") or ts.at("-")):
             return Cycle(space, terms)
         sign = -1 if ts.next().text == "-" else 1

@@ -88,16 +88,9 @@ def product_family(phi: SupportFamily, psi: SupportFamily, prod: ProductStructur
     """Family on the product generated by pairwise products of generators."""
     if prod.factors[0] != phi.space or prod.factors[1] != psi.space:
         raise RingMismatch("product structure does not match the families")
-    gens = []
-    for a in phi.generators:
-        for b in psi.generators:
-            I = Ideal(
-                prod.space.ring,
-                list(prod.inject_ideal(0, a.ideal).gens)
-                + list(prod.inject_ideal(1, b.ideal).gens),
-            )
-            gens.append(ClosedSet(prod.space, I))
-    return SupportFamily(prod.space, gens)
+    return SupportFamily(
+        prod.space, [prod.product(a, b) for a in phi.generators for b in psi.generators]
+    )
 
 
 def in_P_family(

@@ -53,6 +53,10 @@ class Chart:
 
 NO_CHART = Chart()
 
+# The largest power of a denominator (and of the chart unit) that
+# `KoszulFraction.equal` tries when building a common refinement.
+POWER_CAP = 24
+
 
 def _localized(I: Ideal, chart: Chart) -> Ideal:
     d = chart.product(I.ring)
@@ -127,12 +131,7 @@ class KoszulFraction:
             or other.chart != self.chart
         ):
             raise EngineError("fractions must share denominators and chart to add directly")
-        return KoszulFraction(
-            self.numerator + other.numerator,
-            self.denominators,
-            self.chart,
-            _certificate=self.certificate,
-        )
+        return self._over_same(self.numerator + other.numerator)
 
     def __neg__(self):
         return self.scale(-1)
@@ -141,12 +140,12 @@ class KoszulFraction:
         return self + (-other)
 
     def scale(self, p) -> "KoszulFraction":
-        return KoszulFraction(
-            self.numerator.scale(p),
-            self.denominators,
-            self.chart,
-            _certificate=self.certificate,
-        )
+        return self._over_same(self.numerator.scale(p))
+
+    def _over_same(self, numerator) -> "KoszulFraction":
+        """[numerator / t] over this fraction's denominators and chart, reusing
+        its regularity certificate."""
+        return KoszulFraction(numerator, self.denominators, self.chart, _certificate=self.certificate)
 
     # -- rewriting rules ----------------------------------------------------------
 
@@ -182,7 +181,7 @@ class KoszulFraction:
 
     # -- equality across denominators ------------------------------------------------
 
-    def equal(self, other: "KoszulFraction", power_cap: int = 24) -> bool:
+    def equal(self, other: "KoszulFraction") -> bool:
         """Equality via a common refinement of the denominators.
 
         The refinement is built from powers of this fraction's denominators,
@@ -210,7 +209,7 @@ class KoszulFraction:
         refinement = []
         self_scalers = []
         for t in self.denominators:
-            n, k = _power_with_unit(t, B_raw, unit, power_cap)
+            n, k = _power_with_unit(t, B_raw, unit)
             refinement.append(unit**k * t**n)
             self_scalers.append(unit**k * t ** (n - 1))
         refinement = tuple(refinement)
@@ -271,13 +270,14 @@ def _determinant(rows: list, ring: Ring) -> Poly:
     return det
 
 
-def _power_with_unit(t: Poly, target: Ideal, unit: Poly, cap: int):
-    """Smallest (n, k) with unit^k * t^n in the (raw) target ideal."""
+def _power_with_unit(t: Poly, target: Ideal, unit: Poly):
+    """Smallest (n, k) with unit^k * t^n in the (raw) target ideal, both at
+    most POWER_CAP."""
     trivial_unit = unit.is_constant()
     p = t
-    for n in range(1, cap + 1):
+    for n in range(1, POWER_CAP + 1):
         q = p
-        for k in range(0, (0 if trivial_unit else cap) + 1):
+        for k in range(0, (0 if trivial_unit else POWER_CAP) + 1):
             if member(q, target):
                 return n, k
             q = q * unit
@@ -337,12 +337,7 @@ def split_and_project(
     frac: KoszulFraction, factor_indices: set, q: int
 ) -> KoszulFraction:
     """Bigraded component with exactly q differentials from the given factor."""
-    return KoszulFraction(
-        frac.numerator.bigrade_part(factor_indices, q),
-        frac.denominators,
-        frac.chart,
-        _certificate=frac.certificate,
-    )
+    return frac._over_same(frac.numerator.bigrade_part(factor_indices, q))
 
 
 @dataclass

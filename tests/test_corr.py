@@ -152,12 +152,17 @@ def _split_not_covering():
     return _compose_split([DIAG])
 
 
+def _split_empty():
+    return _compose_split([])
+
+
 @pytest.mark.parametrize("compose, message", [
     (_non_reduced_pullback, "fails the Jacobian rank check"),
     (_partial_graph_without_hint, "requires a good-open hint"),
     (_split_outside_pullback, "not inside the pullback"),
     (_split_not_covering, "does not cover the pullback"),
-], ids=["non-reduced", "partial-no-hint", "split-outside", "split-not-covering"])
+    (_split_empty, "does not cover the pullback"),
+], ids=["non-reduced", "partial-no-hint", "split-outside", "split-not-covering", "split-empty"])
 def test_pull_route_refusals(compose, message):
     with pytest.raises(EngineError, match=message):
         compose()

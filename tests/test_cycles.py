@@ -13,7 +13,7 @@ from cyclecalc.cycles import (
     principal_divisor_line,
     push_forward,
 )
-from cyclecalc.errors import EngineError, FlatnessError, PolicyReject
+from cyclecalc.errors import EngineError, FlatnessError, PolicyReject, RingMismatch
 from cyclecalc.geometry import (
     Morphism,
     PrimeComponent,
@@ -39,6 +39,30 @@ def _line():
 
 def _cover(n):
     return Morphism(A1, A1s, [(A1.ring.var("t") ** n,)])
+
+
+def test_cycle_sums_its_pairs():
+    """Equal components are summed in order under the first one's label, a
+    zero sum is dropped, and a component of another space is refused, even
+    with multiplicity zero."""
+    t = A1.ring.var("t")
+    p = PrimeComponent(closed_set(A1, t - 1), "p", screen=False)
+    p_again = PrimeComponent(closed_set(A1, 2 * t - 2), "p again", screen=False)
+    q = PrimeComponent(closed_set(A1, t), "q", screen=False)
+    r = PrimeComponent(closed_set(A1, t + 1), "r", screen=False)
+
+    z = Cycle(A1, [(q, 1), (p, 2), (r, 1), (p_again, 3), (q, -1)])
+    assert z.terms == {p: 5, r: 1}
+    assert [(c.label, m) for c, m in z.terms.items()] == [("p", 5), ("r", 1)]
+    assert repr(z) == "5*[p] + [r]"
+    assert z == Cycle(A1, {r: 1, p_again: 5})
+    assert Cycle(A1, [(p, 1), (p_again, -1)]).is_zero()
+    assert (z - z).is_zero() and repr(z + Cycle(A1, [(p_again, 1)])) == "6*[p] + [r]"
+
+    elsewhere = PrimeComponent(closed_set(A1s, A1s.ring.var("s")), "s", screen=False)
+    for terms in ([(p, 1), (elsewhere, 1)], [(elsewhere, 0)], {elsewhere: 2}):
+        with pytest.raises(RingMismatch, match="component in the wrong space"):
+            Cycle(A1, terms)
 
 
 def test_degree_certificates():

@@ -103,6 +103,27 @@ def generator_tail_dropped(monkeypatch):
     )
 
 
+def extra_generator_seeded(monkeypatch):
+    """Both Buchberger routes seed the ring's first variable after the input
+    generators, the cofactor route with a zero rep, so they agree on a
+    Gröbner basis of a larger ideal, one that still holds every input
+    generator."""
+    _rewrite_groebner(
+        monkeypatch,
+        "groebner",
+        "gb = _finalize(I, order, _buchberger(seeds, pk, _s_poly, reduce))",
+        "seeds.append((_packed_form(I.ring.var(0), pk, p), 1))\n"
+        "    gb = _finalize(I, order, _buchberger(seeds, pk, _s_poly, reduce))",
+    )
+    _rewrite_groebner(
+        monkeypatch,
+        "_cofactor_basis",
+        "G = _buchberger(seeds, pk, s_poly, reduce)",
+        "seeds.append(((ring.var(0), [ring.zero() for _ in I.gens]), 1))\n"
+        "    G = _buchberger(seeds, pk, s_poly, reduce)",
+    )
+
+
 def radical_by_membership_only(monkeypatch):
     """radical_member answers from the basis of I alone and never runs the
     Rabinowitsch test, so a power f^N in I with f outside I reads False."""
@@ -306,6 +327,23 @@ def three_quadrics_hold_their_generators():
     test_zz_suite_audit.test_every_logged_basis_holds_its_generators()
 
 
+def _twisted_cubic():
+    """y - x^2, z - x^3 over QQ."""
+    R = ring_over(0, ["tc_x", "tc_y", "tc_z"])
+    x, y, z = R.gens()
+    return Ideal(R, [y - x**2, z - x**3])
+
+
+def twisted_cubic_lies_in_its_ideal():
+    """test_zz_suite_audit.test_every_logged_basis_lies_in_its_ideal over a
+    log that holds the basis of _twisted_cubic(), computed by the module's
+    own `groebner`, which a mutant may rebind."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groebner_mod, "_audit_enabled", True)
+        groebner_mod.groebner(_twisted_cubic())
+    test_zz_suite_audit.test_every_logged_basis_lies_in_its_ideal()
+
+
 def failed_middle_field_seen():
     """test_divide.test_reduction_sees_a_failed_middle_field over F_7 and QQ."""
     for char in (7, 0):
@@ -336,6 +374,7 @@ def d2_trace_scenario_passes():
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
     (reps_not_rewritten, qq_plain_and_cofactor_bases_agree),
     (generator_tail_dropped, three_quadrics_hold_their_generators),
+    (extra_generator_seeded, twisted_cubic_lies_in_its_ideal),
     (guard_dropped, failed_middle_field_seen),
     (radical_by_membership_only, test_groebner.test_radical_member_agrees_with_certificates),
     (irreducible_check_reads_first_term_only, normal_form_matches_divide),
@@ -372,3 +411,24 @@ def test_generator_tail_dropped_escapes_the_buchberger_audit(monkeypatch):
     gb = groebner(_three_quadrics())
     assert buchberger_audit(gb)
     assert not all(gb.contains(g) for g in gb.ideal.gens)
+
+
+def test_twisted_cubic_lies_in_its_ideal_unmutated(monkeypatch):
+    monkeypatch.setattr(groebner_mod, "_audit_log", [])
+    twisted_cubic_lies_in_its_ideal()
+
+
+def test_extra_generator_escapes_the_other_two_audits(monkeypatch):
+    """Why the suite audit needs its third part: the basis of the larger
+    ideal meets the Buchberger criterion, holds every input generator, and
+    its reps read without refusal, since both routes reach it."""
+    true_basis = groebner(_twisted_cubic()).basis
+    extra_generator_seeded(monkeypatch)
+    gb = groebner_mod.groebner(_twisted_cubic())
+    assert gb.basis != true_basis and not gb.is_unit()
+    assert buchberger_audit(gb)
+    assert all(gb.contains(g) for g in gb.ideal.gens)
+    assert len(gb.reps) == len(gb.basis)
+    monkeypatch.setattr(groebner_mod, "_audit_log", [gb])
+    test_zz_suite_audit.test_every_basis_emitted_by_the_suite_passes_the_audit()
+    test_zz_suite_audit.test_every_logged_basis_holds_its_generators()
