@@ -45,7 +45,7 @@ def main() -> int:
         blow_down, Xt, SupportFamily.full(Xt_space), Yv, SupportFamily.full(Y_space)
     )
     (zc,) = Z.cycle.terms
-    Z.attach_graph(zc, GraphData("transpose", section), verify=True)
+    Z.attach_graph(zc, GraphData("transpose", section))
     Zt = Z.transpose()
 
     down = compose_localized(Zt, Z)

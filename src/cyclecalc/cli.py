@@ -2,11 +2,11 @@
 
     engine run <file> [--char p] [--budget-pairs N] [--budget-degree D]
                       [--json out.json] [--seed n]
-    engine axioms [--char p] [--mutate-sign] [--json out.json]
-    engine groebner <file> [--order lex|degrevlex] [--json out.json]
+    engine axioms [--char p] [--mutate-sign] [--json out.json] [--seed n]
+    engine groebner <file> [--order lex|degrevlex] [--json out.json] [--seed n]
 
 The groebner subcommand reads a plain ideal file: an optional `char p` line,
-a `vars x, y, z` line, then one polynomial per line.
+a `vars x, y, z` line, then the polynomials, one per line or `;`-separated.
 """
 
 from __future__ import annotations
@@ -28,10 +28,17 @@ def _budget(args) -> Budget:
     return Budget(max_pairs=args.budget_pairs, max_degree=args.budget_degree)
 
 
-def _emit(report: Report, args) -> int:
+def _write_json(report: Report, args):
+    """Write the machine report to `--json`, with `--seed` recorded in it."""
+    if args.seed is not None:
+        report.budgets["seed"] = args.seed
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
+
+
+def _emit(report: Report, args) -> int:
+    _write_json(report, args)
     print(report.render_text())
     return 0 if report.ok else 1
 
@@ -44,10 +51,7 @@ def cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(env)
-    if args.seed is not None:
-        report.budgets["seed"] = args.seed
-    return _emit(report, args)
+    return _emit(run_scenario(env), args)
 
 
 def cmd_axioms(args) -> int:
@@ -74,12 +78,10 @@ def cmd_groebner(args) -> int:
     ring = ring_over(char, vars_line)
     gens = []
     for src in polys:
-        stmts = tokenize(src)
-        if not stmts:
-            continue
-        ts = TokenStream(stmts[0])
-        gens.append(parse_poly(ts, ring))
-        ts.require_done()
+        for stmt in tokenize(src):
+            ts = TokenStream(stmt)
+            gens.append(parse_poly(ts, ring))
+            ts.require_done()
     order = lex(ring.nvars) if args.order == "lex" else degrevlex(ring.nvars)
     gb = groebner(Ideal(ring, gens), order)
     report = Report(characteristic=char, budgets=asdict(current_budget()))
@@ -93,9 +95,7 @@ def cmd_groebner(args) -> int:
     )
     for g in gb.basis:
         print(g)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+    _write_json(report, args)
     return 0 if audit_ok else 1
 
 

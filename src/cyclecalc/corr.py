@@ -82,7 +82,10 @@ class Correspondence:
         tgt_variety: PrimeComponent,
         tgt_family: SupportFamily,
         cycle: Cycle,
+        graphs: Sequence = (),
     ):
+        """`graphs` holds (component, GraphData) pairs already known to hold;
+        a pair whose component is not in `cycle` is dropped."""
         self.src_variety = src_variety
         self.src_family = src_family
         self.tgt_variety = tgt_variety
@@ -98,6 +101,9 @@ class Correspondence:
                     f"component {comp.label} is not inside the product of the varieties"
                 )
         self.graphs: dict = {comp: [] for comp in cycle.terms}
+        for comp, data in graphs:
+            if comp in self.graphs:
+                self.graphs[comp].append(data)
 
     # -- geometry of the pair -------------------------------------------------
 
@@ -122,29 +128,14 @@ class Correspondence:
                 return existing
         raise EngineError(f"{comp.label} is not a component of this correspondence")
 
-    def _graph_closed_set(self, data: GraphData) -> ClosedSet:
-        side = 0 if data.kind == "graph" else 1
-        f = data.morphism
-        varieties = (self.src_variety, self.tgt_variety)
-        over, other = varieties[side], varieties[1 - side]
-        if f.source != over.space or f.target != other.space:
-            raise RingMismatch(
-                "graph morphism spaces do not match" if side == 0
-                else "transpose-graph morphism spaces do not match"
-            )
-        emb = (self.prod.embeddings[side], self.prod.embeddings[1 - side])
-        flipped = ProductStructure(self.prod.space, (f.source, f.target), emb)
-        return graph_closure(f, over.closed_set, flipped, other.closed_set)[0]
-
-    def attach_graph(self, comp: PrimeComponent, data: GraphData, verify: bool = True):
+    def attach_graph(self, comp: PrimeComponent, data: GraphData):
+        """Declare `comp` the (transposed) graph in `data`, after checking
+        that the graph's closure is that component."""
         target = self._resolve(comp)
-        if verify:
-            cs = self._graph_closed_set(data)
-            if cs != target.closed_set:
-                raise EngineError(
-                    f"declared graph does not match component {target.label}"
-                )
-        self.graphs.setdefault(target, []).append(data)
+        varieties = (self.src_variety, self.tgt_variety)
+        if _graph_closed_set(self.prod, varieties, data) != target.closed_set:
+            raise EngineError(f"declared graph does not match component {target.label}")
+        self.graphs[target].append(data)
 
     def graph_of(self, comp: PrimeComponent, kind: str, require_total: bool):
         for data in self.graphs.get(comp, []):
@@ -166,26 +157,23 @@ class Correspondence:
         for local, old in self.prod.embeddings[1].items():
             swap[old] = new_prod.embeddings[0][local]
         terms = {}
-        graph_moves = []
+        graphs = []
         for comp, mult in self.cycle.terms.items():
             gens = [g.inject(ring, swap) for g in comp.closed_set.ideal.gens]
             cs = ClosedSet(new_prod.space, Ideal(ring, gens), presaturated=True)
             new_comp = PrimeComponent(cs, label=f"{comp.label}^t", screen=False)
             terms[new_comp] = mult
-            for data in self.graphs.get(comp, []):
-                graph_moves.append(
-                    (new_comp, GraphData("transpose" if data.kind == "graph" else "graph", data.morphism))
-                )
-        out = Correspondence(
+            for data in self.graphs[comp]:
+                kind = "transpose" if data.kind == "graph" else "graph"
+                graphs.append((new_comp, GraphData(kind, data.morphism)))
+        return Correspondence(
             self.tgt_variety,
             self.tgt_family,
             self.src_variety,
             self.src_family,
             Cycle(new_prod.space, terms),
+            graphs,
         )
-        for comp, data in graph_moves:
-            out.attach_graph(comp, data, verify=False)
-        return out
 
     def scale(self, k: int) -> "Correspondence":
         return self._with_cycle(self.cycle.scale(k))
@@ -193,27 +181,40 @@ class Correspondence:
     def _with_cycle(self, cycle: Cycle) -> "Correspondence":
         """The same varieties and families on `cycle`, keeping the graph data
         of every component that survives in it."""
-        out = Correspondence(
-            self.src_variety, self.src_family, self.tgt_variety, self.tgt_family, cycle
+        graphs = [(comp, data) for comp, datas in self.graphs.items() for data in datas]
+        return Correspondence(
+            self.src_variety, self.src_family, self.tgt_variety, self.tgt_family, cycle, graphs
         )
-        for comp, datas in self.graphs.items():
-            if comp in cycle.terms:
-                out.graphs[comp] = list(datas)
-        return out
 
     def __repr__(self):
         return f"Corr({self.cycle!r} : {self.src_variety.label} => {self.tgt_variety.label})"
+
+
+def _graph_closed_set(prod: ProductStructure, varieties: tuple, data: GraphData) -> ClosedSet:
+    """The closure of data's (transposed) graph on the pair `prod` of the
+    two `varieties`."""
+    side = 0 if data.kind == "graph" else 1
+    f = data.morphism
+    over, other = varieties[side], varieties[1 - side]
+    if f.source != over.space or f.target != other.space:
+        raise RingMismatch(
+            "graph morphism spaces do not match" if side == 0
+            else "transpose-graph morphism spaces do not match"
+        )
+    emb = (prod.embeddings[side], prod.embeddings[1 - side])
+    flipped = ProductStructure(prod.space, (f.source, f.target), emb)
+    return graph_closure(f, over.closed_set, flipped, other.closed_set)[0]
 
 
 def identity_corr(variety: PrimeComponent, family: SupportFamily) -> Correspondence:
     """The diagonal correspondence of (X, Phi): the graph of the identity,
     declared as its own transpose too."""
     ident = identity_morphism(variety.space)
-    corr = graph_correspondence(ident, variety, family, variety, family)
-    (comp,) = corr.cycle.terms
-    comp.label = f"diag({variety.label})"
-    corr.attach_graph(comp, GraphData("transpose", ident), verify=False)
-    return corr
+    prod = pair_product(variety.space, variety.space)
+    cs = _graph_closed_set(prod, (variety, variety), GraphData("graph", ident))
+    comp = PrimeComponent(cs, label=f"diag({variety.label})", screen=False)
+    graphs = [(comp, GraphData(kind, ident)) for kind in ("graph", "transpose")]
+    return Correspondence(variety, family, variety, family, Cycle(prod.space, {comp: 1}), graphs)
 
 
 def graph_correspondence(
@@ -224,16 +225,13 @@ def graph_correspondence(
     tgt_family: SupportFamily,
 ) -> Correspondence:
     """The correspondence [graph of f], with its graph data attached."""
-    corr = Correspondence(
-        src_variety, src_family, tgt_variety, tgt_family,
-        Cycle(pair_product(src_variety.space, tgt_variety.space).space, {}),
-    )
     data = GraphData("graph", f)
-    cs = corr._graph_closed_set(data)
-    comp = PrimeComponent(cs, label=f"graph", screen=False)
-    corr.cycle = Cycle(corr.prod.space, {comp: 1})
-    corr.graphs = {comp: [data]}
-    return corr
+    prod = pair_product(src_variety.space, tgt_variety.space)
+    cs = _graph_closed_set(prod, (src_variety, tgt_variety), data)
+    comp = PrimeComponent(cs, label="graph", screen=False)
+    return Correspondence(
+        src_variety, src_family, tgt_variety, tgt_family, Cycle(prod.space, {comp: 1}), [(comp, data)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,6 @@ class CompositionResult:
     main: Cycle
     error_support: ClosedSet
     supp: ClosedSet
-    good_open_hint: ClosedSet | None
     pair: ProductStructure
     src_variety: PrimeComponent
     src_family: SupportFamily
@@ -260,17 +257,21 @@ class CompositionResult:
     auto_graphs: list = field(default_factory=list)
 
     def to_correspondence(self) -> Correspondence:
-        corr = Correspondence(
+        return Correspondence(
             self.src_variety,
             self.src_family,
             self.tgt_variety,
             self.tgt_family,
             self.main,
+            self.auto_graphs,
         )
-        for comp, data in self.auto_graphs:
-            if comp in corr.cycle.terms:
-                corr.attach_graph(comp, data, verify=False)
-        return corr
+
+    def error_within(self, bound: ClosedSet | None) -> bool:
+        """Whether the error support lies in `bound`; with no bound, whether
+        it is empty."""
+        if bound is None:
+            return self.error_support.is_empty()
+        return bound.contains(self.error_support)
 
     def error_codim_certificates(self) -> dict:
         """Codimension of the two projections of the error support."""
@@ -399,12 +400,12 @@ def compose_localized(
     else:
         gens = list(supp.ideal.gens) + list(out_pair.inject_ideal(0, hint.ideal).gens)
         err = ClosedSet(out_pair.space, Ideal(out_ring, gens))
+    audit["error_support"] = repr(err.ideal)
 
     return CompositionResult(
         main=main,
         error_support=err,
         supp=supp,
-        good_open_hint=hint,
         pair=out_pair,
         src_variety=a.src_variety,
         src_family=a.src_family,
@@ -555,7 +556,7 @@ def _apply_redeclarations(corr: Correspondence, decls):
         attached = False
         for comp in list(corr.cycle.terms):
             try:
-                corr.attach_graph(comp, data, verify=True)
+                corr.attach_graph(comp, data)
                 attached = True
             except EngineError:
                 continue
@@ -576,12 +577,7 @@ def projector_check(
     Returns (bool, CompositionResult).
     """
     r = compose_localized(p, p, hint=hint, witnesses=witnesses, split=split)
-    ok = r.main == p.cycle.scale(lam)
-    if bound is not None:
-        ok = ok and bound.contains(r.error_support)
-    else:
-        ok = ok and r.error_support.is_empty()
-    return ok, r
+    return r.main == p.cycle.scale(lam) and r.error_within(bound), r
 
 
 def check_localized_supp(

@@ -81,9 +81,6 @@ class Form:
             raise EngineError("not a degree-0 form")
         return self.components.get((), self.ring.zero())
 
-    def coefficient(self, idx: tuple) -> Poly:
-        return self.components.get(tuple(idx), self.ring.zero())
-
     # -- algebra -----------------------------------------------------------
 
     def _check(self, other: "Form"):

@@ -440,10 +440,6 @@ def graph_relations(f: Morphism, prod: ProductStructure) -> list:
     return gens
 
 
-def graph_product(f: Morphism) -> ProductStructure:
-    return product_space([f.source, f.target], tags=("src", "tgt"))
-
-
 def graph_closure(
     f: Morphism,
     over: ClosedSet | None = None,
@@ -460,7 +456,7 @@ def graph_closure(
     structure for [source, target] may be supplied to control naming.
     """
     if prod is None:
-        prod = graph_product(f)
+        prod = product_space([f.source, f.target], tags=("src", "tgt"))
     ring = prod.space.ring
     gens = list(graph_relations(f, prod))
     src_emb = prod.embeddings[0]

@@ -682,7 +682,7 @@ def _stmt_graph(env: Scenario, _name: None, ts: TokenStream):
     comp = _ref(ts, env.primes, "prime component")
     ts.expect("=")
     kind = _one_of(ts, ("graph", "transpose"), "expected graph or transpose")
-    corr.attach_graph(comp, GraphData(kind, _ref(ts, env.morphisms, "morphism")), verify=True)
+    corr.attach_graph(comp, GraphData(kind, _ref(ts, env.morphisms, "morphism")))
 
 
 def _parse_point(ts: TokenStream) -> dict:
@@ -700,16 +700,16 @@ def _parse_point(ts: TokenStream) -> dict:
     return dict(_comma_list(_bracketed(ts, "(", ")"), coordinate))
 
 
-def _corr_compose_clauses(env: Scenario, ts: TokenStream):
-    hint = None
-    witnesses = []
-    split = {}
+def _corr_compose_clauses(env: Scenario, ts: TokenStream) -> dict:
+    """The `over open`, `witness` and `split` clauses, as the keywords of
+    `compose_localized`."""
+    clauses: dict = {"hint": None, "witnesses": [], "split": {}}
     while True:
         if ts.accept("over"):
             ts.expect("open")
-            hint = _ref(ts, env.opens, "open")
+            clauses["hint"] = _ref(ts, env.opens, "open")
         elif ts.accept("witness"):
-            witnesses.append(_parse_point(ts))
+            clauses["witnesses"].append(_parse_point(ts))
         elif ts.accept("split"):
             ts.expect("(")
             a_tok = ts.expect_ident()
@@ -717,11 +717,11 @@ def _corr_compose_clauses(env: Scenario, ts: TokenStream):
             b_tok = ts.expect_ident()
             ts.expect(")")
             ts.expect("into")
-            split[(a_tok.text, b_tok.text)] = _comma_list(
+            clauses["split"][(a_tok.text, b_tok.text)] = _comma_list(
                 _bracketed(ts, "[", "]"), lambda g: _ref(g, env.primes, "prime component")
             )
         else:
-            return hint, witnesses, split
+            return clauses
 
 
 def _corr_operand(env: Scenario, name: str) -> Correspondence:
@@ -741,7 +741,7 @@ def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
     b_tok = ts.expect_ident()
     ts.expect(".")
     a_tok = ts.expect_ident()
-    hint, witnesses, split = _corr_compose_clauses(env, ts)
+    clauses = _corr_compose_clauses(env, ts)
     expect_main = None
     expect_bound = None
     expect_main_zero = False
@@ -761,10 +761,9 @@ def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
     def run():
         a = _corr_operand(env, a_tok.text)
         b = _corr_operand(env, b_tok.text)
-        r = compose_localized(a, b, hint=hint, witnesses=witnesses, split=split or None)
+        r = compose_localized(a, b, **clauses)
         env.compositions[name] = r
         audit = dict(r.audit)
-        audit["error_support"] = repr(r.error_support.ideal)
         audit["codim_certificates"] = r.error_codim_certificates()
         verdict = PASS
         detail = ""
@@ -774,10 +773,9 @@ def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
         if expect_main is not None and r.main != expect_main:
             verdict = FAIL
             detail = f"main {r.main!r} != expected {expect_main!r}"
-        if verdict == PASS and expect_bound is not None:
-            if not expect_bound.contains(r.error_support):
-                verdict = FAIL
-                detail = "error support escapes the declared bound"
+        if verdict == PASS and expect_bound is not None and not r.error_within(expect_bound):
+            verdict = FAIL
+            detail = "error support escapes the declared bound"
         return verdict, detail, audit
 
     env.tasks.append(Task(name, "compose", run))
@@ -788,19 +786,15 @@ def _stmt_projector(env: Scenario, name: str, ts: TokenStream):
     ts.expect("lambda")
     sign = -1 if ts.accept("-") else 1
     lam = sign * ts.expect_number()
-    hint, witnesses, split = _corr_compose_clauses(env, ts)
+    clauses = _corr_compose_clauses(env, ts)
     bound = None
     if ts.accept("bound"):
         bound = _ref(ts, env.closed_table, "closed set")
 
     def run():
         p = _corr_operand(env, p_tok.text)
-        ok, r = projector_check(
-            p, lam, hint=hint, witnesses=witnesses, split=split or None, bound=bound
-        )
-        audit = dict(r.audit)
-        audit["error_support"] = repr(r.error_support.ideal)
-        return PASS if ok else FAIL, "" if ok else f"main {r.main!r} vs {lam} * {p.cycle!r}", audit
+        ok, r = projector_check(p, lam, bound=bound, **clauses)
+        return PASS if ok else FAIL, "" if ok else f"main {r.main!r} vs {lam} * {p.cycle!r}", r.audit
 
     env.tasks.append(Task(name, "projector", run))
 
@@ -832,7 +826,7 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
     k2, side2 = side()
     ts.expect("within")
     bound = _ref(ts, env.closed_table, "closed set")
-    hint, witnesses, split = _corr_compose_clauses(env, ts)
+    clauses = _corr_compose_clauses(env, ts)
 
     def run():
         results = []
@@ -842,7 +836,7 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
                 return env.cycles[side_spec[1]].scale(k)
             a = _corr_operand(env, side_spec[1])
             b = _corr_operand(env, side_spec[2])
-            r = compose_localized(a, b, hint=hint, witnesses=witnesses, split=split or None)
+            r = compose_localized(a, b, **clauses)
             results.append(r)
             return r.main.scale(k)
 
@@ -850,10 +844,9 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
         rhs = evaluate(side2, k2)
         ok = lhs == rhs
         detail = "" if ok else f"{lhs!r} != {rhs!r}"
-        for r in results:
-            if ok and not bound.contains(r.error_support):
-                ok = False
-                detail = "error support escapes the declared bound"
+        if ok and not all(r.error_within(bound) for r in results):
+            ok = False
+            detail = "error support escapes the declared bound"
         return PASS if ok else FAIL, detail, {"lhs": repr(lhs), "rhs": repr(rhs)}
 
     env.tasks.append(Task(name, "identity", run))
@@ -986,7 +979,7 @@ def _stmt_assert(env: Scenario, _name: None, ts: TokenStream):
         s1 = _resolve_symbol(env, lhs_name, task_name)
         s2 = _resolve_symbol(env, rhs_name, task_name).scale(scale * sign)
         ok = s1.equal(s2)
-        return PASS if ok else FAIL, "" if ok else f"{s1!r} != {scale}*{s2!r}", {}
+        return PASS if ok else FAIL, "" if ok else f"{s1!r} != {s2!r}", {}
 
     env.tasks.append(Task(task_name, "assert", run_cmp))
 

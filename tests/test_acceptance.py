@@ -58,7 +58,7 @@ def test_criterion_1_blowup_decomposition():
     sigma = Morphism(Y_space, Xt_space, [(RY.var("a"), RY.var("b")), (RY.var("a"), RY.var("b"))])
     Z = graph_correspondence(pi, Xt, SupportFamily.full(Xt_space), Yv, SupportFamily.full(Y_space))
     (zc,) = Z.cycle.terms
-    Z.attach_graph(zc, GraphData("transpose", sigma), verify=True)
+    Z.attach_graph(zc, GraphData("transpose", sigma))
     E = closed_set(Xt_space, RX.var("x"), RX.var("y"))
     r = compose_localized(
         Z, Z.transpose(), hint=E,

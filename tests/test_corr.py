@@ -28,6 +28,7 @@ from cyclecalc.geometry import (
     proj,
     whole_space,
 )
+from cyclecalc.scenario import parse_scenario, run_scenario_text
 from cyclecalc.supports import SupportFamily, in_P_family
 
 A1 = Space([affine("x")])
@@ -235,7 +236,7 @@ def _blowup_setup():
     sigma = Morphism(Y_space, Xt_space, [(RY.var("a"), RY.var("b")), (RY.var("a"), RY.var("b"))])
     Z = graph_correspondence(pi, Xt, SupportFamily.full(Xt_space), Yv, SupportFamily.full(Y_space))
     (zc,) = Z.cycle.terms
-    Z.attach_graph(zc, GraphData("transpose", sigma), verify=True)
+    Z.attach_graph(zc, GraphData("transpose", sigma))
     E = closed_set(Xt_space, RX.var("x"), RX.var("y"))
     return Xt_space, Y_space, Z, E
 
@@ -317,3 +318,68 @@ def test_identity_corr_of_blowup_surface():
     )
     (main_comp,) = r.main.terms
     assert dc.closed_set == main_comp.closed_set
+
+
+# The declarations of scenarios/blowup.scn without its two tasks, plus a
+# wrong graph swp, the diagonal as a cycle, and a bound Small that misses the
+# part of E x E off u@1 = 0.
+BLOWUP_TWIN = """
+char 0
+space Xt = space(affine(x, y), proj(u, v))
+space Y  = space(affine(a, b))
+closed XtSet = { x*v - y*u } on Xt
+prime  XtV   = closed XtSet noscreen
+prime  Yfull = { } on Y noscreen
+closed E = { x, y } on Xt
+open U = Xt minus E
+support PhiX = full on Xt
+support PhiY = full on Y
+morphism pi : Xt -> Y = (x, y)
+morphism sg : Y -> Xt = (a, b ; a, b)
+morphism swp : Xt -> Y = (y, x)
+pair XtY = Xt ** Y
+pair YXt = Y ** Xt
+pair XtXt = Xt ** Xt
+prime Zc  = { x@1*v@1 - y@1*u@1, a@2 - x@1, b@2 - y@1 } on XtY noscreen
+prime Ztc = { x@2*v@2 - y@2*u@2, a@1 - x@2, b@1 - y@2 } on YXt noscreen
+corr Z  : [XtV, PhiX] => [Yfull, PhiY] = 1*[Zc]
+corr Zt : [Yfull, PhiY] => [XtV, PhiX] = 1*[Ztc]
+graph Z . Zc   = graph pi
+graph Z . Zc   = transpose sg
+graph Zt . Ztc = graph sg
+graph Zt . Ztc = transpose pi
+prime DiagXt = { x@1 - x@2, y@1 - y@2, u@1*v@2 - v@1*u@2, \\
+                 x@1*v@1 - y@1*u@1, x@2*v@2 - y@2*u@2 } on XtXt noscreen
+cycle DiagC = 1*[DiagXt] on XtXt
+closed ExE = { x@1, y@1, x@2, y@2 } on XtXt
+closed Small = { x@1, y@1, x@2, y@2, u@1 } on XtXt
+"""
+UPSTAIRS = "over open U witness (x@1=1, y@1=0, u@1=1, v@1=0, x@2=1, y@2=0, u@2=1, v@2=0)"
+
+
+def test_blowup_error_bound_escapes_are_reported():
+    """The upstairs error support is E x E: a compose or identity task
+    bounded by Small fails on it, and the identity bounded by E x E passes."""
+    rep = run_scenario_text(BLOWUP_TWIN + f"""
+compose up = Zt . Z {UPSTAIRS} expect main = 1*[DiagXt], error within Small
+identity small = 1*(Zt . Z) ~ 1*cycle DiagC within Small {UPSTAIRS}
+identity exe = 1*(Zt . Z) ~ 1*cycle DiagC within ExE {UPSTAIRS}
+""")
+    tasks = {t.name: t for t in rep.tasks}
+    for name in ("up", "small"):
+        assert (tasks[name].verdict, tasks[name].detail) == (
+            "fail", "error support escapes the declared bound"
+        )
+    assert tasks["exe"].verdict == "pass"
+
+
+def test_blowup_wrong_graph_is_refused():
+    """swp's graph is not Zc, so declaring it is an error, never a route."""
+    # no pytest.raises: a mutant that accepts the declaration must fail this
+    # check with AssertionError, which is what test_mutants.py expects
+    try:
+        parse_scenario(BLOWUP_TWIN + "graph Z . Zc = graph swp\n")
+    except EngineError as exc:
+        assert str(exc).startswith("declared graph does not match component Zc")
+    else:
+        raise AssertionError("graph swp attached to Zc")

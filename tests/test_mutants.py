@@ -283,6 +283,25 @@ def push_degree_capped(monkeypatch):
     monkeypatch.setattr(corr_mod, "degree_over_image", mutant)
 
 
+def error_bound_always_holds(monkeypatch):
+    """Every composite's error support reads as inside any bound."""
+    monkeypatch.setattr(corr_mod.CompositionResult, "error_within", lambda self, bound: True)
+
+
+def graph_closure_unchecked(monkeypatch):
+    """attach_graph installs a declared graph without comparing its closure
+    with the component."""
+    corr = corr_mod.Correspondence
+    mutant = _rewritten(
+        corr_mod,
+        "attach_graph",
+        "if _graph_closed_set(self.prod, varieties, data) != target.closed_set:",
+        "if False:",
+        owner=corr,
+    )
+    monkeypatch.setattr(corr, "attach_graph", mutant)
+
+
 def properness_certifies_everything(monkeypatch):
     """The properness policy finds a monic eliminant for every variable."""
     monkeypatch.setattr(geometry_mod, "_projection_finiteness_gap", lambda I, drop: [])
@@ -369,6 +388,8 @@ def d2_trace_scenario_passes():
     (prefactor_dropped, d2_trace_scenario_passes),
     (determinant_of_diagonal, d2_trace_scenario_passes),
     (push_degree_capped, test_corr.test_composition_with_transpose_push),
+    (error_bound_always_holds, test_corr.test_blowup_error_bound_escapes_are_reported),
+    (graph_closure_unchecked, test_corr.test_blowup_wrong_graph_is_refused),
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),

@@ -193,6 +193,30 @@ def test_cli_groebner(tmp_path):
     assert "y^3 - z^2" in proc.stdout
 
 
+def test_cli_groebner_reads_every_statement_of_a_line(tmp_path):
+    """`;` separates polynomials on one line; none after the first is dropped."""
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("vars x, y\nx^2 - y; x*y - 1\n")
+    proc = _engine("groebner", str(ideal_file))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == ["y^2 - x", "x*y - 1", "x^2 - y"]
+
+
+@pytest.mark.parametrize("command", [
+    ("run", str(SCENARIOS / "covers.scn")),
+    ("axioms", "--char", "5"),
+    ("groebner", "IDEAL"),
+], ids=lambda c: c[0])
+def test_cli_seed_is_recorded_by_every_subcommand(tmp_path, command):
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("vars x, y\nx^2 - y\n")
+    out = tmp_path / "report.json"
+    args = [str(ideal_file) if a == "IDEAL" else a for a in command]
+    proc = _engine(*args, "--seed", "7", "--json", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["budgets"]["seed"] == 7
+
+
 def test_cli_budget_flags(tmp_path):
     ideal_file = tmp_path / "ideal.txt"
     ideal_file.write_text("vars x, y, z\nx^3 - y*z + x\ny^3 - x*z\nz^3 + x*y*z\n")
@@ -361,10 +385,12 @@ assert lhs == 3 * rhs
 
 
 def test_wrong_multiplicity_reports_fail():
+    """The detail prints the scaled right side once, not its scale again."""
     rep = run_scenario_text(FAILING_TANGENCY)
     assert not rep.ok
     (task,) = rep.tasks
-    assert task.verdict == "fail" and task.detail
+    assert task.verdict == "fail"
+    assert task.detail == "[2*x*d(x)^d(y) / (y, -x^2 + y)] != [3*d(x)^d(y) / (x, -x^2 + y)]"
 
 
 def test_wrong_expected_main_reports_fail():
