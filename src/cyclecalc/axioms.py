@@ -14,9 +14,6 @@ feature).
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict
-
 from .cycles import (
     Cycle,
     LineProbe,
@@ -28,6 +25,7 @@ from .cycles import (
     push_forward,
 )
 from .errors import EngineError
+from .fields import field_of_characteristic
 from .forms import Form, wedge_all
 from .geometry import (
     ClosedSet,
@@ -42,55 +40,54 @@ from .geometry import (
     proj,
     whole_space,
 )
-from .groebner import Ideal, current_budget
+from .groebner import Ideal
 from .poly import Ring
-from .report import (
-    FAIL,
-    INAPPLICABLE,
-    PASS,
-    Report,
-    run_check,
-)
+from .report import INAPPLICABLE, Report, compared, run_checks
 from .residues import FinitePresentation, trace_property_check
 from .supports import SupportFamily
 from .symbols import KoszulFraction, cycle_class_at_chart
 
 
 def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Report:
-    report = Report(characteristic=characteristic, budgets=asdict(current_budget()))
-    start = time.time()
-    char = characteristic
+    return run_checks(characteristic, _harness_checks(characteristic, mutate_sign))
+
+
+def _power_map(char: int, n: int) -> Morphism:
+    """x -> x^n from the x-line to the y-line."""
+    X = Space([affine("x")], char)
+    return Morphism(X, Space([affine("y")], char), [(X.ring.var("x") ** n,)])
+
+
+def _power_cover(char: int, n: int) -> FinitePresentation:
+    """The same degree-n cover as a finite presentation: x over y by y - x^n."""
+    R = Ring(("x", "y"), field_of_characteristic(char))
+    return FinitePresentation(R, ("y",), ("x",), (R.var("y") - R.var("x") ** n,))
+
+
+def _fundamental(space: Space, label: str = "X") -> Cycle:
+    """The fundamental class of `space`, supported in its full family."""
+    return cycle_of(PrimeComponent(whole_space(space), label, screen=False), SupportFamily.full(space))
+
+
+def _harness_checks(char: int, mutate_sign: bool):
+    """The harness's `(name, kind, check)` triples, in report order."""
 
     # ----- condition 1: finite push-forward of the fundamental class --------
-    covers = [("square", 2), ("cube", 3), ("sixth", 6)]
-    for label, n in covers:
+    for n in (2, 3, 6):
         def check(n=n):
-            X = Space([affine("x")], char)
-            Y = Space([affine("y")], char)
-            f = Morphism(X, Y, [(X.ring.var("x") ** n,)])
-            line = PrimeComponent(whole_space(X), "X", screen=False)
-            out = push_forward(cycle_of(line, SupportFamily.full(X)), f, SupportFamily.full(Y))
-            pres = FinitePresentation(
-                Ring(("x", "y"), X.ring.field), ("y",), ("x",),
-                (Ring(("x", "y"), X.ring.field).var("y") - Ring(("x", "y"), X.ring.field).var("x") ** n,),
-            )
-            deg_independent = pres.rank()
-            got = list(out.terms.values())
-            ok = got == [n] and deg_independent == n
-            return (PASS if ok else FAIL,
-                    "" if ok else f"push gave {got}, staircase rank {deg_independent}",
-                    {"degree": n})
-        report.add(run_check(f"cond1_push_deg{n}", "axiom-1", check))
+            f = _power_map(char, n)
+            out = push_forward(_fundamental(f.source), f, SupportFamily.full(f.target))
+            got = (list(out.terms.values()), _power_cover(char, n).rank())
+            return compared(got, ([n], n), {"degree": n})
+        yield f"cond1_push_deg{n}", "axiom-1", check
 
-    for label, n in [("square", 2), ("cube", 3)]:
+    for n in (2, 3):
         def check_trace(n=n):
-            R = Ring(("x", "y"), Space([affine("x")], char).ring.field)
-            pres = FinitePresentation(R, ("y",), ("x",), (R.var("y") - R.var("x") ** n,))
-            got = trace_property_check(pres, "degree")
+            got = trace_property_check(_power_cover(char, n), "degree")
             if got == "inapplicable":
                 return INAPPLICABLE, f"deg {n} not a unit in characteristic {char}", {}
-            return (PASS if got == "pass" else FAIL, "", {})
-        report.add(run_check(f"cond1_trace_deg{n}", "axiom-1", check_trace))
+            return compared(got, "pass")
+        yield f"cond1_trace_deg{n}", "axiom-1", check_trace
 
     # ----- condition 2: [0] - [infinity] is principal on P^1 ---------------
     def check_cond2():
@@ -99,9 +96,9 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         d = principal_divisor_line(T.var("t"), T.one(), P1)
         zero_pt = PrimeComponent(closed_set(P1, P1.ring.var("U")), "0", screen=False)
         inf_pt = PrimeComponent(closed_set(P1, P1.ring.var("V")), "inf", screen=False)
-        ok = d == Cycle(P1, {zero_pt: 1, inf_pt: -1}) and divisor_degree(d) == 0
-        return PASS if ok else FAIL, "" if ok else repr(d), {"divisor": repr(d)}
-    report.add(run_check("cond2_rational_equivalence", "axiom-2", check_cond2))
+        want = Cycle(P1, {zero_pt: 1, inf_pt: -1})
+        return compared((d, divisor_degree(d)), (want, 0), {"divisor": repr(d)})
+    yield "cond2_rational_equivalence", "axiom-2", check_cond2
 
     # ----- condition 3: tangency multiplicities at cycle level -------------
     for n in (2, 3):
@@ -119,13 +116,10 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
                 X_curve: [PullbackTerm(origin, n, probe=LineProbe({"x": 0}, {"x": 1}))]
             }
             out = flat_pullback(Cycle(A2, {X_curve: 1}), iota, -1, "transversal immersion", decl)
-            ok = out == Cycle(A1, {origin: n})
-            return PASS if ok else FAIL, "" if ok else repr(out), {"n": n}
-        report.add(run_check(f"cond3_tangency_n{n}", "axiom-3", check_mult))
+            return compared(out, Cycle(A1, {origin: n}), {"n": n})
+        yield f"cond3_tangency_n{n}", "axiom-3", check_mult
 
     # ----- condition 4: cycle class independence and trace-route consistency --
-    sign_flip = -1 if mutate_sign else 1
-
     def class_cases():
         A2 = Space([affine("x", "y")], char)
         R = A2.ring
@@ -143,38 +137,31 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         def check_class(W=W, t1=t1, t2=t2, wit=wit):
             c1 = cycle_class_at_chart(W, t1, witness=wit)
             c2 = cycle_class_at_chart(W, t2, witness=wit)
-            ok = c1.equal(c2)
-            return PASS if ok else FAIL, "" if ok else f"{c1!r} != {c2!r}", {}
-        report.add(run_check(f"cond4_class_params_{label}", "axiom-4", check_class))
+            return compared(c1, c2, same=KoszulFraction.equal)
+        yield f"cond4_class_params_{label}", "axiom-4", check_class
 
     for label, W, t1, _t2, wit in class_cases():
         def check_lci(W=W, t1=t1, wit=wit):
             # route A: the explicit cycle class (optionally sign-mutated)
             cl = cycle_class_at_chart(W, t1, witness=wit)
-            if sign_flip < 0:
+            if mutate_sign:
                 cl = -cl
             # route B: the regular-embedding trace symbol against the
             # reversed dt wedge, with its own sign
             c = len(t1)
-            ring = W.space.ring
             rev = wedge_all([Form.d(t) for t in reversed(t1)])
-            lci = KoszulFraction(rev, tuple(t1))
-            sign = (-1) ** (c * (c + 1) // 2)
-            lci = lci.scale(sign)
-            ok = cl.equal(lci)
-            return PASS if ok else FAIL, "" if ok else "sign routes disagree", {}
-        report.add(run_check(f"cond4_lci_route_{label}", "axiom-4", check_lci))
+            lci = KoszulFraction(rev, tuple(t1)).scale((-1) ** (c * (c + 1) // 2))
+            return compared(cl, lci, same=KoszulFraction.equal)
+        yield f"cond4_lci_route_{label}", "axiom-4", check_lci
 
     # ----- projection formula ------------------------------------------------
     def proj_formula_line():
-        X = Space([affine("x")], char)
-        Y = Space([affine("y")], char)
-        f = Morphism(X, Y, [(X.ring.var("x") ** 2,)])
-        fullX, fullY = SupportFamily.full(X), SupportFamily.full(Y)
+        f = _power_map(char, 2)
+        X, Y = f.source, f.target
+        fullY = SupportFamily.full(Y)
         q = PrimeComponent(point_set(Y, {"y": 4}), "q", screen=False)
         b = Cycle(Y, {q: 1})
         # lhs: f_*(1 cup f^* b) = f_*(f^* b)
-        pre = closed_set(X, X.ring.var("x") ** 2 - 4)
         if char == 2:
             return INAPPLICABLE, "preimage is non-reduced in characteristic 2", {}
         p1 = PrimeComponent(point_set(X, {"x": 2}), "p1", screen=False)
@@ -186,12 +173,9 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         fb = flat_pullback(b, f, 0, "finite flat", decl)
         lhs = push_forward(fb, f, fullY)
         # rhs: f_*(1_X) cup b = 2 [Y] cup b = 2 b
-        push1 = push_forward(cycle_of(PrimeComponent(whole_space(X), "X", screen=False), fullX), f, fullY)
-        (mult,) = set(push1.terms.values())
-        rhs = b.scale(mult)
-        ok = lhs == rhs
-        return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    report.add(run_check("projection_formula_line", "axiom-pf", proj_formula_line))
+        (mult,) = set(push_forward(_fundamental(X), f, fullY).terms.values())
+        return compared(lhs, b.scale(mult))
+    yield "projection_formula_line", "axiom-pf", proj_formula_line
 
     def proj_formula_plane():
         X = Space([affine("x", "y")], char)
@@ -212,14 +196,11 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         ]}
         fb = flat_pullback(b, f, 0, "finite flat", decl)
         # a cup f^2*(b): transversal intersections, multiplicity 1
-        inter = _transversal_cup(a, fb)
-        lhs = push_forward(inter, f, fullY)
+        lhs = push_forward(_transversal_cup(a, fb), f, fullY)
         # rhs: f_*[a] cup b
-        fa = push_forward(Cycle(X, {a: 1}), f, fullY)
-        rhs = _transversal_cup(bq, fa)
-        ok = lhs == rhs
-        return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    report.add(run_check("projection_formula_plane", "axiom-pf", proj_formula_plane))
+        rhs = _transversal_cup(bq, push_forward(Cycle(X, {a: 1}), f, fullY))
+        return compared(lhs, rhs)
+    yield "projection_formula_plane", "axiom-pf", proj_formula_plane
 
     def proj_formula_immersion():
         A1 = Space([affine("x")], char)
@@ -232,76 +213,53 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         decl = {bq: [PullbackTerm(x1, 1, witness={"x": 1})]}
         fb = flat_pullback(b, iota, -1, "transversal immersion", decl)
         lhs = push_forward(fb, iota, fullY)
-        fa = push_forward(
-            cycle_of(PrimeComponent(whole_space(A1), "A1", screen=False), SupportFamily.full(A1)),
-            iota, fullY,
-        )
-        rhs = _transversal_cup(bq, fa)
-        ok = lhs == rhs
-        return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    report.add(run_check("projection_formula_immersion", "axiom-pf", proj_formula_immersion))
+        rhs = _transversal_cup(bq, push_forward(_fundamental(A1, "A1"), iota, fullY))
+        return compared(lhs, rhs)
+    yield "projection_formula_immersion", "axiom-pf", proj_formula_immersion
 
     # ----- base-change squares ------------------------------------------------
-    def square_open_restriction():
-        X = Space([affine("x")], char)
-        Y = Space([affine("y")], char)
-        f = Morphism(X, Y, [(X.ring.var("x") ** 2,)])
-        fullY = SupportFamily.full(Y)
-        a = cycle_of(PrimeComponent(whole_space(X), "X", screen=False), SupportFamily.full(X))
-        B = point_set(Y, {"y": 0})
-        lhs = push_forward(a, f, fullY).restrict_off(B)
-        rhs = push_forward(a.restrict_off(preimage(f, B)), f, fullY)
-        ok = lhs == rhs
-        return PASS if ok else FAIL, "", {}
-    report.add(run_check("base_change_open_square", "axiom-bc", square_open_restriction))
+    # push-forward along x -> x^n commutes with restriction off y = 0, for the
+    # fundamental class of the square cover and a point of the cube cover
+    def point_one(X):
+        return Cycle(X, {PrimeComponent(point_set(X, {"x": 1}), "p", screen=False): 1}, SupportFamily.full(X))
 
-    def square_open_cube():
-        X = Space([affine("x")], char)
-        Y = Space([affine("y")], char)
-        f = Morphism(X, Y, [(X.ring.var("x") ** 3,)])
-        fullY = SupportFamily.full(Y)
-        p = PrimeComponent(point_set(X, {"x": 1}), "p", screen=False)
-        a = Cycle(X, {p: 1}, SupportFamily.full(X))
-        B = point_set(Y, {"y": 0})
-        lhs = push_forward(a, f, fullY).restrict_off(B)
-        rhs = push_forward(a.restrict_off(preimage(f, B)), f, fullY)
-        ok = lhs == rhs
-        return PASS if ok else FAIL, "", {}
-    report.add(run_check("base_change_open_cube", "axiom-bc", square_open_cube))
+    for label, n, source in (("square", 2, _fundamental), ("cube", 3, point_one)):
+        def square_open(n=n, source=source):
+            f = _power_map(char, n)
+            fullY = SupportFamily.full(f.target)
+            a = source(f.source)
+            B = point_set(f.target, {"y": 0})
+            lhs = push_forward(a, f, fullY).restrict_off(B)
+            return compared(lhs, push_forward(a.restrict_off(preimage(f, B)), f, fullY))
+        yield f"base_change_open_{label}", "axiom-bc", square_open
 
     def square_flat_projection():
         # finite cover times the line, pulled back along the projection
-        X = Space([affine("x")], char)
-        Y = Space([affine("y")], char)
+        f = _power_map(char, 2)
+        X, Y = f.source, f.target
         XT = Space([affine("x", "s")], char)
         YT = Space([affine("y", "t")], char)
-        f = Morphism(X, Y, [(X.ring.var("x") ** 2,)])
         fxid = Morphism(XT, YT, [(XT.ring.var("x") ** 2, XT.ring.var("s"))])
         prY = Morphism(YT, Y, [(YT.ring.var("y"),)])
         prX = Morphism(XT, X, [(XT.ring.var("x"),)])
-        fullYT = SupportFamily.full(YT)
-        a = cycle_of(PrimeComponent(whole_space(X), "X", screen=False), SupportFamily.full(X))
-        fa = push_forward(a, f, SupportFamily.full(Y))
-        lhs = flat_pullback(fa, prY, 1, "projection", None)
+        a = _fundamental(X)
+        lhs = flat_pullback(push_forward(a, f, SupportFamily.full(Y)), prY, 1, "projection", None)
         ga = flat_pullback(a, prX, 1, "projection", None)
-        rhs = push_forward(ga.with_family(SupportFamily.full(XT)), fxid, fullYT)
-        ok = lhs == rhs
-        return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    report.add(run_check("base_change_flat_projection", "axiom-bc", square_flat_projection))
+        rhs = push_forward(ga.with_family(SupportFamily.full(XT)), fxid, SupportFamily.full(YT))
+        return compared(lhs, rhs)
+    yield "base_change_flat_projection", "axiom-bc", square_flat_projection
 
     def square_hyperplane():
         X = Space([affine("x", "y")], char)
         Y = Space([affine("u", "v")], char)
         RX, RY = X.ring, Y.ring
         f = Morphism(X, Y, [(RX.var("x") ** 2, RX.var("y"))])
-        a = cycle_of(PrimeComponent(whole_space(X), "X", screen=False), SupportFamily.full(X))
-        fa = push_forward(a, f, SupportFamily.full(Y))
-        lhs = _restrict_to_hyperplane(fa, RY.var("v"))
+        a = _fundamental(X)
+        lhs = _restrict_to_hyperplane(push_forward(a, f, SupportFamily.full(Y)), RY.var("v"))
         aX = _restrict_to_hyperplane(a, RX.var("y"))
         rhs = push_forward(aX.with_family(SupportFamily.full(X)), f, SupportFamily.full(Y))
-        ok = lhs == rhs
-        return PASS if ok else FAIL, "" if ok else f"{lhs!r} != {rhs!r}", {}
-    report.add(run_check("base_change_hyperplane", "axiom-bc", square_hyperplane))
+        return compared(lhs, rhs)
+    yield "base_change_hyperplane", "axiom-bc", square_hyperplane
 
     def square_empty_fiber():
         # transversal immersion missing the pushed cycle: both routes are zero
@@ -311,14 +269,9 @@ def run_axiom_harness(characteristic: int = 0, mutate_sign: bool = False) -> Rep
         p = PrimeComponent(point_set(X, {"x": 3}), "p", screen=False)
         a = Cycle(X, {p: 1}, SupportFamily.full(X))
         fa = push_forward(a, iota, SupportFamily.full(Y))
-        lhs = _restrict_to_hyperplane(fa, Y.ring.var("v") - 1)
         # the hyperplane v=1 misses iota(X) entirely
-        ok = lhs.is_zero()
-        return PASS if ok else FAIL, "" if ok else repr(lhs), {}
-    report.add(run_check("base_change_empty_intersection", "axiom-bc", square_empty_fiber))
-
-    report.timing_seconds = time.time() - start
-    return report
+        return compared(_restrict_to_hyperplane(fa, Y.ring.var("v") - 1), Cycle(Y, {}))
+    yield "base_change_empty_intersection", "axiom-bc", square_empty_fiber
 
 
 def _transversal_cup(prime_comp: PrimeComponent, other: Cycle) -> Cycle:

@@ -7,21 +7,21 @@
 
 The groebner subcommand reads a plain ideal file: an optional `char p` line,
 a `vars x, y, z` line, then the polynomials, one per line or `;`-separated.
+It is read with the scenario tokenizer, so every error in it is positioned.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from .axioms import run_axiom_harness
 from .errors import EngineError, ScenarioError
-from .groebner import Budget, Ideal, budget_scope, buchberger_audit, current_budget, groebner
+from .groebner import Budget, Ideal, budget_scope, buchberger_audit, groebner
 from .orders import degrevlex, lex
 from .poly import ring_over
-from .report import Report, TaskResult
-from .scenario import TokenStream, parse_poly, parse_scenario, run_scenario, tokenize
+from .report import FAIL, PASS, Report, run_checks
+from .scenario import TokenStream, _comma_list, parse_poly, parse_scenario, run_scenario, tokenize
 
 
 def _budget(args) -> Budget:
@@ -59,44 +59,46 @@ def cmd_axioms(args) -> int:
     return _emit(report, args)
 
 
+def _read_ideal(text: str) -> Ideal:
+    """The ideal of a groebner file; its `char` and `vars` statements may
+    stand anywhere in it, and every polynomial is read after them."""
+    char, names, polys = 0, None, []
+    for tokens in tokenize(text):
+        ts = TokenStream(tokens)
+        if ts.accept("char"):
+            char = ts.expect_number()
+            ts.require_done()
+        elif ts.accept("vars"):
+            names = _comma_list(ts, lambda ts: ts.expect_ident().text)
+        else:
+            polys.append(ts)
+    if names is None:
+        raise ScenarioError("groebner file needs a 'vars x, y, ...' line")
+    ring = ring_over(char, names)
+    gens = []
+    for ts in polys:
+        gens.append(parse_poly(ts, ring))
+        ts.require_done()
+    return Ideal(ring, gens)
+
+
 def cmd_groebner(args) -> int:
     with open(args.file) as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
-    char = 0
-    vars_line = None
-    polys = []
-    for line in lines:
-        if line.startswith("char "):
-            char = int(line.split()[1])
-        elif line.startswith("vars "):
-            vars_line = [v.strip() for v in line[5:].split(",")]
-        else:
-            polys.append(line)
-    if not vars_line:
-        print("groebner file needs a 'vars x, y, ...' line", file=sys.stderr)
-        return 2
-    ring = ring_over(char, vars_line)
-    gens = []
-    for src in polys:
-        for stmt in tokenize(src):
-            ts = TokenStream(stmt)
-            gens.append(parse_poly(ts, ring))
-            ts.require_done()
+        ideal = _read_ideal(fh.read())
+    ring = ideal.ring
     order = lex(ring.nvars) if args.order == "lex" else degrevlex(ring.nvars)
-    gb = groebner(Ideal(ring, gens), order)
-    report = Report(characteristic=char, budgets=asdict(current_budget()))
-    audit_ok = buchberger_audit(gb)
-    report.add(
-        TaskResult(
-            "groebner", "groebner", "pass" if audit_ok else "fail",
-            f"{len(gb.basis)} basis elements",
-            {"basis": [str(g) for g in gb.basis], "order": args.order},
-        )
-    )
+    # outside the check, so a tripped budget ends the command with exit code 2
+    gb = groebner(ideal, order)
+
+    def check():
+        verdict = PASS if buchberger_audit(gb) else FAIL
+        return verdict, f"{len(gb.basis)} basis elements", {"basis": [str(g) for g in gb.basis], "order": args.order}
+
+    report = run_checks(ring.field.characteristic, [("groebner", "groebner", check)])
     for g in gb.basis:
         print(g)
     _write_json(report, args)
-    return 0 if audit_ok else 1
+    return 0 if report.ok else 1
 
 
 def main(argv=None) -> int:

@@ -4,17 +4,27 @@ Verdicts are five-valued: pass / fail / policy-reject / inapplicable / error.
 The machine rendering is deterministic (timing lives outside the comparable
 payload), and both renderings always carry identical verdicts.
 
-`run_check` is the one place where an exception becomes a verdict: inside the
-engine a side condition the properness policy cannot certify is a
-`PolicyReject` and nothing else, and it turns into `policy-reject` only here.
+Each runner-layer decision has one owner here:
+
+- `compared` is a comparison's verdict: pass when what a check got equals what
+  it wants, else fail with `got != want` as the detail.
+- `run_check` is the one place where an exception becomes a verdict: inside
+  the engine a side condition the properness policy cannot certify is a
+  `PolicyReject` and nothing else, and it turns into `policy-reject` only here.
+- `run_checks` is a run's report: it runs `(name, kind, check)` triples in
+  order, timed, under the budget in scope, which the report records.  The
+  scenario runner, the axiom harness and `engine groebner` all report through
+  it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 
 from .errors import EngineError, PolicyReject
+from .groebner import current_budget
 
 ENGINE_VERSION = "0.1.0"
 
@@ -63,6 +73,29 @@ def run_check(name: str, kind: str, check) -> TaskResult:
     except EngineError as exc:
         return TaskResult(name, kind, ERROR, str(exc))
     return TaskResult(name, kind, verdict, detail, audit)
+
+
+def compared(got, want, audit: dict | None = None, same=None) -> tuple:
+    """The `(verdict, detail, audit)` of a check that `got` equals `want`.
+
+    Equality is `==`, or `same(got, want)` when given (`KoszulFraction.equal`,
+    say); a mismatch fails with both sides' reprs as the detail.
+    """
+    audit = {} if audit is None else audit
+    if same(got, want) if same is not None else got == want:
+        return PASS, "", audit
+    return FAIL, f"{got!r} != {want!r}", audit
+
+
+def run_checks(characteristic: int, checks) -> "Report":
+    """Run `(name, kind, check)` triples in order, each through `run_check`,
+    as one timed report that records the budget in scope."""
+    report = Report(characteristic=characteristic, budgets=asdict(current_budget()))
+    start = time.time()
+    for name, kind, check in checks:
+        report.add(run_check(name, kind, check))
+    report.timing_seconds = time.time() - start
+    return report
 
 
 def _jsonable(value):

@@ -44,9 +44,8 @@ and bracketed subforms wedged with '^'.
 from __future__ import annotations
 
 import re
-import time
 from collections import ChainMap
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .corr import (
@@ -74,7 +73,8 @@ from .report import (
     PASS,
     POLICY_REJECT,
     Report,
-    run_check,
+    compared,
+    run_checks,
 )
 from .residues import FinitePresentation, trace_form
 from .supports import SupportFamily, in_P_family
@@ -340,15 +340,6 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
 # environment
 
 @dataclass
-class Task:
-    name: str
-    kind: str
-    # callable -> (verdict, detail, audit); `report.run_check` runs it and turns
-    # an EngineError it raises into a policy-reject or error verdict
-    run: object
-
-
-@dataclass
 class Scenario:
     characteristic: int = 0
     char_locked: bool = False
@@ -367,6 +358,7 @@ class Scenario:
     traces: dict = field(default_factory=dict)  # name -> FinitePresentation
     symbols: dict = field(default_factory=dict)
     compositions: dict = field(default_factory=dict)
+    # (name, kind, check) triples; `report.run_checks` runs them in order
     tasks: list = field(default_factory=list)
 
     @property
@@ -673,7 +665,7 @@ def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
             return POLICY_REJECT, f"properness not certifiable: {rejected}", {"verdicts": verdicts}
         return PASS, f"waived: {sorted(waive)}" if waive else "", {"verdicts": verdicts}
 
-    env.tasks.append(Task(f"{name}_P", "corr-P", run_P))
+    env.tasks.append((f"{name}_P", "corr-P", run_P))
 
 
 def _stmt_graph(env: Scenario, _name: None, ts: TokenStream):
@@ -737,48 +729,54 @@ def _corr_operand(env: Scenario, name: str) -> Correspondence:
     raise EngineError(f"unknown correspondence {name!r}")
 
 
-def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
-    b_tok = ts.expect_ident()
+def _operands(env: Scenario, ts: TokenStream):
+    """`B . A`, the composite of A then B: a function that resolves both names
+    at run time (see `_corr_operand`) and returns the pair (A, B)."""
+    b = ts.expect_ident().text
     ts.expect(".")
-    a_tok = ts.expect_ident()
+    a = ts.expect_ident().text
+    return lambda: (_corr_operand(env, a), _corr_operand(env, b))
+
+
+def _within_bound(verdict: tuple, results: list, bound: ClosedSet | None) -> tuple:
+    """`verdict`, made a fail when a composite's error support escapes `bound`.
+
+    The failure's audit records each composite's error support under
+    `error_support`, unless the audit has that key already (a compose or
+    projector audit is its composite's own, which records it).
+    """
+    if verdict[0] != PASS or all(r.error_within(bound) for r in results):
+        return verdict
+    supports = [r.audit["error_support"] for r in results]
+    return FAIL, "error support escapes the declared bound", {"error_support": supports, **verdict[2]}
+
+
+def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
+    operands = _operands(env, ts)
     clauses = _corr_compose_clauses(env, ts)
-    expect_main = None
-    expect_bound = None
-    expect_main_zero = False
+    expect = lambda main: main  # the main term the task wants, given the one it got
+    bound = None
     if ts.accept("expect"):
         ts.expect("main")
         ts.expect("=")
-        if ts.at("0"):
-            ts.next()
-            expect_main_zero = True
+        if ts.accept("0"):
+            expect = lambda main: Cycle(main.space, {})
         else:
-            expect_main = _parse_cycle_body(env, ts)
+            cyc = _parse_cycle_body(env, ts)
+            expect = lambda main: cyc
         if ts.accept(","):
             ts.expect("error")
             ts.expect("within")
-            expect_bound = _ref(ts, env.closed_table, "closed set")
+            bound = _ref(ts, env.closed_table, "closed set")
 
     def run():
-        a = _corr_operand(env, a_tok.text)
-        b = _corr_operand(env, b_tok.text)
-        r = compose_localized(a, b, **clauses)
+        r = compose_localized(*operands(), **clauses)
         env.compositions[name] = r
-        audit = dict(r.audit)
-        audit["codim_certificates"] = r.error_codim_certificates()
-        verdict = PASS
-        detail = ""
-        if expect_main_zero and not r.main.is_zero():
-            verdict = FAIL
-            detail = f"main {r.main!r} is not zero"
-        if expect_main is not None and r.main != expect_main:
-            verdict = FAIL
-            detail = f"main {r.main!r} != expected {expect_main!r}"
-        if verdict == PASS and expect_bound is not None and not r.error_within(expect_bound):
-            verdict = FAIL
-            detail = "error support escapes the declared bound"
-        return verdict, detail, audit
+        audit = {**r.audit, "codim_certificates": r.error_codim_certificates()}
+        verdict = compared(r.main, expect(r.main), audit)
+        return verdict if bound is None else _within_bound(verdict, [r], bound)
 
-    env.tasks.append(Task(name, "compose", run))
+    env.tasks.append((name, "compose", run))
 
 
 def _stmt_projector(env: Scenario, name: str, ts: TokenStream):
@@ -793,10 +791,10 @@ def _stmt_projector(env: Scenario, name: str, ts: TokenStream):
 
     def run():
         p = _corr_operand(env, p_tok.text)
-        ok, r = projector_check(p, lam, bound=bound, **clauses)
-        return PASS if ok else FAIL, "" if ok else f"main {r.main!r} vs {lam} * {p.cycle!r}", r.audit
+        _, r = projector_check(p, lam, bound=bound, **clauses)
+        return _within_bound(compared(r.main, p.cycle.scale(lam), r.audit), [r], bound)
 
-    env.tasks.append(Task(name, "projector", run))
+    env.tasks.append((name, "projector", run))
 
 
 def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
@@ -806,6 +804,7 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
     """
 
     def side():
+        """A function returning the side's cycle and the composites it took."""
         sign = -1 if ts.accept("-") else 1
         k = sign * (ts.expect_number() if ts.at_kind("number") else 1)
         ts.accept("*")
@@ -813,43 +812,29 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
             # checked now, read at run time: a task may have replaced it by then
             ref = ts.peek()
             _ref(ts, env.cycles, "cycle")
-            return k, ("cycle", ref.text)
+            return lambda: (env.cycles[ref.text].scale(k), [])
         ts.expect("(")
-        b_tok = ts.expect_ident()
-        ts.expect(".")
-        a_tok = ts.expect_ident()
+        operands = _operands(env, ts)
         ts.expect(")")
-        return k, ("compose", a_tok.text, b_tok.text)
 
-    k1, side1 = side()
+        def composite():
+            r = compose_localized(*operands(), **clauses)
+            return r.main.scale(k), [r]
+
+        return composite
+
+    side1 = side()
     ts.expect("~")
-    k2, side2 = side()
+    side2 = side()
     ts.expect("within")
     bound = _ref(ts, env.closed_table, "closed set")
     clauses = _corr_compose_clauses(env, ts)
 
     def run():
-        results = []
+        (lhs, r1), (rhs, r2) = side1(), side2()
+        return _within_bound(compared(lhs, rhs, {"lhs": repr(lhs), "rhs": repr(rhs)}), r1 + r2, bound)
 
-        def evaluate(side_spec, k):
-            if side_spec[0] == "cycle":
-                return env.cycles[side_spec[1]].scale(k)
-            a = _corr_operand(env, side_spec[1])
-            b = _corr_operand(env, side_spec[2])
-            r = compose_localized(a, b, **clauses)
-            results.append(r)
-            return r.main.scale(k)
-
-        lhs = evaluate(side1, k1)
-        rhs = evaluate(side2, k2)
-        ok = lhs == rhs
-        detail = "" if ok else f"{lhs!r} != {rhs!r}"
-        if ok and not all(r.error_within(bound) for r in results):
-            ok = False
-            detail = "error support escapes the declared bound"
-        return PASS if ok else FAIL, detail, {"lhs": repr(lhs), "rhs": repr(rhs)}
-
-    env.tasks.append(Task(name, "identity", run))
+    env.tasks.append((name, "identity", run))
 
 
 def _stmt_property(env: Scenario, name: str, ts: TokenStream):
@@ -871,7 +856,7 @@ def _stmt_property(env: Scenario, name: str, ts: TokenStream):
             return PASS if got == "pass" else INAPPLICABLE, "", {}
         return FAIL, f"expected {want}, got {got}", {}
 
-    env.tasks.append(Task(name, "property", run))
+    env.tasks.append((name, "property", run))
 
 
 def _stmt_symbol(env: Scenario, name: str, ts: TokenStream):
@@ -905,7 +890,7 @@ def _stmt_class(env: Scenario, name: str, ts: TokenStream):
         env.symbols[name] = frac
         return PASS, "", {"symbol": repr(frac)}
 
-    env.tasks.append(Task(name, "class", run))
+    env.tasks.append((name, "class", run))
 
 
 def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
@@ -935,7 +920,7 @@ def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
 def _stmt_assert(env: Scenario, _name: None, ts: TokenStream):
     """assert tf(FORM) == FORM  |  assert s == k * s2  |  assert s == 0"""
     head = ts.expect_ident()
-    n = len([t for t in env.tasks if t.kind == "assert"])
+    n = len([kind for _, kind, _ in env.tasks if kind == "assert"])
     task_name = f"assert_{n + 1}"
     if head.text in env.traces and ts.at("("):
         pres = env.traces[head.text]
@@ -951,37 +936,34 @@ def _stmt_assert(env: Scenario, _name: None, ts: TokenStream):
 
         def run():
             out = trace_form(pres, arg)
-            ok = out.output.is_zero() if rhs is None else out.output == rhs
-            return PASS if ok else FAIL, "" if ok else f"{out.output} != {rhs}", {"audit": out.audit}
+            want = Form.zero(out.output.ring, out.output.degree) if rhs is None else rhs
+            return compared(out.output, want, {"audit": out.audit})
 
-        env.tasks.append(Task(task_name, "assert", run))
+        env.tasks.append((task_name, "assert", run))
         return
     # otherwise a symbol comparison; symbols may be produced later by class
     # tasks, so names resolve at run time
     lhs_name = head.text
     ts.expect("==")
     scale = 1
+    rhs_name = None
     if ts.at_kind("number"):
         scale = ts.expect_number()
         if scale == 0 and ts.done():
-            def run_zero():
-                s = _resolve_symbol(env, lhs_name, task_name)
-                ok = s.is_zero()
-                return PASS if ok else FAIL, "" if ok else f"{s!r} is not zero", {}
-            env.tasks.append(Task(task_name, "assert", run_zero))
-            return
-        ts.accept("*")
-    sign = -1 if ts.accept("-") else 1
-    rhs_tok = ts.expect_ident()
-    rhs_name = rhs_tok.text
+            rhs_name = lhs_name  # s == 0 is s == 0 * s
+        else:
+            ts.accept("*")
+    if rhs_name is None:
+        if ts.accept("-"):
+            scale = -scale
+        rhs_name = ts.expect_ident().text
 
     def run_cmp():
         s1 = _resolve_symbol(env, lhs_name, task_name)
-        s2 = _resolve_symbol(env, rhs_name, task_name).scale(scale * sign)
-        ok = s1.equal(s2)
-        return PASS if ok else FAIL, "" if ok else f"{s1!r} != {s2!r}", {}
+        s2 = _resolve_symbol(env, rhs_name, task_name).scale(scale)
+        return compared(s1, s2, same=KoszulFraction.equal)
 
-    env.tasks.append(Task(task_name, "assert", run_cmp))
+    env.tasks.append((task_name, "assert", run_cmp))
 
 
 def _resolve_symbol(env: Scenario, name: str, task: str) -> KoszulFraction:
@@ -1011,14 +993,10 @@ def _stmt_vanish(env: Scenario, name: str, ts: TokenStream):
 
     def run():
         rep = vanishing_check(V, factor_indices, r, pf, pr, chart, witness)
-        ok = rep.all_vanish
-        return (
-            PASS if ok else FAIL,
-            "" if ok else f"non-vanishing components: {[q for q, v in rep.verdicts if not v]}",
-            {"verdicts": rep.verdicts},
-        )
+        # the components that do not vanish, of which there must be none
+        return compared([q for q, v in rep.verdicts if not v], [], {"verdicts": rep.verdicts})
 
-    env.tasks.append(Task(name, "vanish", run))
+    env.tasks.append((name, "vanish", run))
 
 
 def _stmt_push(env: Scenario, name: str, ts: TokenStream):
@@ -1034,10 +1012,9 @@ def _stmt_push(env: Scenario, name: str, ts: TokenStream):
     def run():
         out = push_forward(a, f, psi)
         env.cycles[name] = out
-        ok = out == expected
-        return PASS if ok else FAIL, "" if ok else f"{out!r} != {expected!r}", {}
+        return compared(out, expected)
 
-    env.tasks.append(Task(name, "push", run))
+    env.tasks.append((name, "push", run))
 
 
 def _stmt_divisor(env: Scenario, name: str, ts: TokenStream):
@@ -1062,15 +1039,9 @@ def _stmt_divisor(env: Scenario, name: str, ts: TokenStream):
     def run():
         out = principal_divisor_line(num, den, space)
         env.cycles[name] = out
-        ok = True
-        detail = ""
-        if expected is not None:
-            ok = out == expected
-            if not ok:
-                detail = f"{out!r} != {expected!r}"
-        return PASS if ok else FAIL, detail, {"divisor": repr(out)}
+        return compared(out, out if expected is None else expected, {"divisor": repr(out)})
 
-    env.tasks.append(Task(name, "divisor", run))
+    env.tasks.append((name, "divisor", run))
 
 
 _STATEMENTS = {  # head -> (handler, what follows the declared name; None: no name)
@@ -1104,13 +1075,8 @@ _STATEMENTS = {  # head -> (handler, what follows the declared name; None: no na
 # runner
 
 def run_scenario(env: Scenario) -> Report:
-    report = Report(characteristic=env.characteristic, budgets=asdict(env.budget))
-    start = time.time()
     with budget_scope(env.budget):
-        for task in env.tasks:
-            report.add(run_check(task.name, task.kind, task.run))
-    report.timing_seconds = time.time() - start
-    return report
+        return run_checks(env.characteristic, env.tasks)
 
 
 def run_scenario_text(text: str, characteristic: int | None = None) -> Report:

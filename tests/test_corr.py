@@ -359,7 +359,8 @@ UPSTAIRS = "over open U witness (x@1=1, y@1=0, u@1=1, v@1=0, x@2=1, y@2=0, u@2=1
 
 def test_blowup_error_bound_escapes_are_reported():
     """The upstairs error support is E x E: a compose or identity task
-    bounded by Small fails on it, and the identity bounded by E x E passes."""
+    bounded by Small fails on it, and the identity bounded by E x E passes.
+    Each failure's audit records the error support that escaped."""
     rep = run_scenario_text(BLOWUP_TWIN + f"""
 compose up = Zt . Z {UPSTAIRS} expect main = 1*[DiagXt], error within Small
 identity small = 1*(Zt . Z) ~ 1*cycle DiagC within Small {UPSTAIRS}
@@ -371,6 +372,11 @@ identity exe = 1*(Zt . Z) ~ 1*cycle DiagC within ExE {UPSTAIRS}
             "fail", "error support escapes the declared bound"
         )
     assert tasks["exe"].verdict == "pass"
+    # the identity's one composite is the compose task's
+    escaped = tasks["up"].audit["error_support"]
+    assert escaped != "Ideal(1)"
+    assert tasks["small"].audit["error_support"] == [escaped]
+    assert set(tasks["exe"].audit) == {"lhs", "rhs"}
 
 
 def test_blowup_wrong_graph_is_refused():

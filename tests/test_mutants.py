@@ -31,6 +31,8 @@ from . import (
     test_groebner,
     test_residue_frame,
     test_residues,
+    test_scenario_cli,
+    test_small_primes,
     test_zz_suite_audit,
 )
 
@@ -38,13 +40,14 @@ corr_mod = importlib.import_module("cyclecalc.corr")
 fields_mod = importlib.import_module("cyclecalc.fields")
 geometry_mod = importlib.import_module("cyclecalc.geometry")
 groebner_mod = importlib.import_module("cyclecalc.groebner")
+report_mod = importlib.import_module("cyclecalc.report")
 residues_mod = importlib.import_module("cyclecalc.residues")
 
 
-def _replace_everywhere(monkeypatch, name: str, new):
+def _replace_everywhere(monkeypatch, module, name: str, new):
     """Rebind `name` to `new` in every module that binds the engine's own
-    `cyclecalc.residues.<name>`, tests included."""
-    orig = getattr(residues_mod, name)
+    `module.<name>`, tests included."""
+    orig = getattr(module, name)
     for modname, mod in list(sys.modules.items()):
         if modname.startswith(("cyclecalc", "tests")) and getattr(mod, name, None) is orig:
             monkeypatch.setattr(mod, name, new)
@@ -185,14 +188,14 @@ def off_box_terms_dropped(monkeypatch):
     """The terms of a numerator outside the box are reduced into it and then
     dropped, not read from the table."""
     mutant = _rewritten(residues_mod, "residue", "terms.extend(outside.items())", "pass")
-    _replace_everywhere(monkeypatch, "residue", mutant)
+    _replace_everywhere(monkeypatch, residues_mod, "residue", mutant)
 
 
 def table_value_not_shifted(monkeypatch):
     """A table value is added at its own base exponent, not shifted by the
     numerator term's y^b."""
     mutant = _rewritten(residues_mod, "residue", "k = exp_add(b, be)", "k = be")
-    _replace_everywhere(monkeypatch, "residue", mutant)
+    _replace_everywhere(monkeypatch, residues_mod, "residue", mutant)
 
 
 def triangular_test_ignores_later_variables(monkeypatch):
@@ -257,7 +260,7 @@ def prefactor_dropped(monkeypatch):
             out.output = -out.output
         return out
 
-    _replace_everywhere(monkeypatch, "trace_form", mutant)
+    _replace_everywhere(monkeypatch, residues_mod, "trace_form", mutant)
 
 
 def determinant_of_diagonal(monkeypatch):
@@ -300,6 +303,15 @@ def graph_closure_unchecked(monkeypatch):
         owner=corr,
     )
     monkeypatch.setattr(corr, "attach_graph", mutant)
+
+
+def comparison_always_passes(monkeypatch):
+    """A comparison's verdict is pass whatever it compares."""
+
+    def mutant(got, want, audit=None, same=None):
+        return report_mod.PASS, "", {} if audit is None else audit
+
+    _replace_everywhere(monkeypatch, report_mod, "compared", mutant)
 
 
 def properness_certifies_everything(monkeypatch):
@@ -375,6 +387,12 @@ def normal_form_matches_divide():
         test_divide.test_normal_form_matches_divide(m)
 
 
+def cycle_basics_small_primes_move_only_the_pinned_verdicts():
+    """test_small_primes.test_small_primes_move_only_the_pinned_verdicts on
+    cycle_basics.scn, whose divisor check d3 fails at p = 2 and p = 5."""
+    test_small_primes.test_small_primes_move_only_the_pinned_verdicts("cycle_basics.scn")
+
+
 def d2_trace_scenario_passes():
     report = run_scenario_text(D2_TRACE_SCENARIO)
     assert [t.verdict for t in report.tasks] == ["pass"] * 3, report.tasks
@@ -390,6 +408,8 @@ def d2_trace_scenario_passes():
     (push_degree_capped, test_corr.test_composition_with_transpose_push),
     (error_bound_always_holds, test_corr.test_blowup_error_bound_escapes_are_reported),
     (graph_closure_unchecked, test_corr.test_blowup_wrong_graph_is_refused),
+    (comparison_always_passes, test_scenario_cli.test_wrong_multiplicity_reports_fail),
+    (comparison_always_passes, cycle_basics_small_primes_move_only_the_pinned_verdicts),
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),

@@ -119,6 +119,13 @@ def test_report_schema_golden_file(path):
     assert got == golden
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_axiom_harness_golden_file(char):
+    got = json.loads(run_axiom_harness(char).to_json(with_timing=False))
+    golden = json.loads((GOLDEN / f"axioms_char{char}_report.json").read_text())
+    assert got == golden
+
+
 def test_every_groebner_run_sees_the_run_budget(monkeypatch):
     """Every Buchberger run of a scenario (declarations and tasks) and of the
     axiom harness is bounded by the scope's budget, not the default.  The
@@ -215,6 +222,18 @@ def test_cli_seed_is_recorded_by_every_subcommand(tmp_path, command):
     proc = _engine(*args, "--seed", "7", "--json", str(out))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["budgets"]["seed"] == 7
+
+
+@pytest.mark.parametrize("text, error", [
+    ("vars x, y\nx^2 - q\n", "error: unknown variable 'q' (line 2, col 7)"),
+    ("char x\nvars x\nx\n", "error: expected a number, found 'x' (line 1, col 6)"),
+], ids=["variable", "char"])
+def test_cli_groebner_errors_are_positioned(tmp_path, text, error):
+    """The ideal file is read as one text, so a position is the file's own."""
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text(text)
+    proc = _engine("groebner", str(ideal_file))
+    assert (proc.returncode, proc.stderr.strip()) == (2, error)
 
 
 def test_cli_budget_flags(tmp_path):
@@ -419,6 +438,60 @@ compose p = Gf . Gft expect main = 3*[D]
     by_name = {t.name: t for t in rep.tasks}
     assert by_name["p"].verdict == "fail"
     assert "3" in by_name["p"].detail
+
+
+# B . A1 is the graph of x -> 0; B . A is that graph minus itself, through
+# y = x and through y = x^2
+ZERO_MAIN = """
+char 0
+space X = space(affine(x))
+space Y = space(affine(y))
+prime XV = { } on X noscreen
+prime YV = { } on Y noscreen
+support FX = full on X
+support FY = full on Y
+pair XY = X ** Y
+pair YX = Y ** X
+morphism id : X -> Y = (x)
+morphism sq : X -> Y = (x^2)
+morphism zero : Y -> X = (0)
+prime G1 = { y@2 - x@1 } on XY noscreen
+prime G2 = { y@2 - x@1^2 } on XY noscreen
+prime H = { x@2 } on YX noscreen
+corr A : [XV, FX] => [YV, FY] = 1*[G1] - 1*[G2]
+graph A . G1 = graph id
+graph A . G2 = graph sq
+corr A1 : [XV, FX] => [YV, FY] = 1*[G1]
+graph A1 . G1 = graph id
+corr B : [YV, FY] => [XV, FX] = 1*[H] waive P(H)
+graph B . H = graph zero
+"""
+
+
+@pytest.mark.parametrize("operands, verdict, detail", [
+    ("B . A", "pass", ""),
+    ("B . A1", "fail", "[(H)o(G1)] != 0"),
+], ids=["pass", "fail"])
+def test_compose_expects_a_zero_main_term(operands, verdict, detail):
+    rep = run_scenario_text(ZERO_MAIN + f"compose c = {operands} expect main = 0\n")
+    task = rep.tasks[-1]
+    assert (task.name, task.verdict, task.detail) == ("c", verdict, detail)
+
+
+@pytest.mark.parametrize("numerator, verdict, detail", [
+    ("0", "pass", ""),
+    ("x*d(x)", "pass", ""),
+    ("d(x)", "fail", "[d(x) / (x)] != [0 / (x)]"),
+], ids=["zero", "in-the-ideal", "fail"])
+def test_assert_symbol_is_zero(numerator, verdict, detail):
+    rep = run_scenario_text(f"""
+char 0
+space X = space(affine(x))
+symbol s = [ {numerator} / (x) ] on X
+assert s == 0
+""")
+    (task,) = rep.tasks
+    assert (task.name, task.kind, task.verdict, task.detail) == ("assert_1", "assert", verdict, detail)
 
 
 @pytest.mark.parametrize(
