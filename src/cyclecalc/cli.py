@@ -91,8 +91,8 @@ def cmd_groebner(args) -> int:
     gb = groebner(ideal, order)
 
     def check():
-        verdict = PASS if buchberger_audit(gb) else FAIL
-        return verdict, f"{len(gb.basis)} basis elements", {"basis": [str(g) for g in gb.basis], "order": args.order}
+        audit = {"basis": [str(g) for g in gb.basis], "order": args.order}
+        return PASS if buchberger_audit(gb) else FAIL, f"{len(gb.basis)} basis elements", audit
 
     report = run_checks(ring.field.characteristic, [("groebner", "groebner", check)])
     for g in gb.basis:

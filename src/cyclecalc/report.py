@@ -82,9 +82,8 @@ def compared(got, want, audit: dict | None = None, same=None) -> tuple:
     say); a mismatch fails with both sides' reprs as the detail.
     """
     audit = {} if audit is None else audit
-    if same(got, want) if same is not None else got == want:
-        return PASS, "", audit
-    return FAIL, f"{got!r} != {want!r}", audit
+    ok = got == want if same is None else same(got, want)
+    return (PASS, "", audit) if ok else (FAIL, f"{got!r} != {want!r}", audit)
 
 
 def run_checks(characteristic: int, checks) -> "Report":
