@@ -818,6 +818,7 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
         ts.expect(")")
 
         def composite():
+            # `clauses` are read after both sides, so this runs after they are set
             r = compose_localized(*operands(), **clauses)
             return r.main.scale(k), [r]
 
