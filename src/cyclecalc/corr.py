@@ -541,12 +541,7 @@ def compose_assoc_check(
 
     if r_left.main != r_right.main:
         return False
-    e1, e2 = r_left.error_support, r_right.error_support
-    if e1.is_empty() != e2.is_empty():
-        return False
-    if not e1.is_empty() and not (e1.contains(e2) and e2.contains(e1)):
-        return False
-    return True
+    return r_left.error_support.same_locus(r_right.error_support)
 
 
 def _apply_redeclarations(corr: Correspondence, decls):

@@ -232,7 +232,7 @@ def push_forward(
     phi = a.family
     if phi is None:
         phi = SupportFamily(a.space, [c.closed_set for c in a.terms])
-    if not check_Vstar_morphism(f, phi, psi, "push"):
+    if not check_Vstar_morphism(f, phi, psi):
         raise EngineError("push-forward side condition fails: f(phi) not in psi")
     out = []
     for comp, mult in a.terms.items():

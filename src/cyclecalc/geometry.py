@@ -268,11 +268,7 @@ class ClosedSet:
     def __eq__(self, other):
         if not isinstance(other, ClosedSet):
             return NotImplemented
-        if self.space != other.space:
-            return False
-        from .groebner import ideal_equal
-
-        return ideal_equal(self.ideal, other.ideal)
+        return self.space == other.space and self.gb().basis == other.gb().basis
 
     def __hash__(self):
         # hash by reduced GB so equal closed sets collide
@@ -531,8 +527,11 @@ def projection_proper_certificate(Z: ClosedSet, keep_factor: set, prod: ProductS
     keep_factor: indices of prod factors retained by the projection.  The
     eliminated projective blocks are universally proper; eliminated affine
     variables must be integral along Z (after eliminating the projective
-    directions).  Returns True when certified; raises PolicyReject otherwise.
+    directions).  The empty set is proper.  Returns True when certified;
+    raises PolicyReject otherwise.
     """
+    if Z.is_empty():
+        return True
     space = Z.space
     keep_vars: set = set()
     for k in keep_factor:
@@ -583,14 +582,6 @@ def is_finite_over(Z: ClosedSet, f: Morphism) -> bool:
     drop = sorted(prod.factor_var_indices(0))
     missing = _projection_finiteness_gap(graph.ideal, drop)
     return not missing
-
-
-def morphism_proper_on(f: Morphism, Z: ClosedSet) -> bool:
-    """Certify f|Z proper via the graph projection.  True or PolicyReject."""
-    if Z.is_empty():
-        return True
-    graph, prod = graph_closure(f, over=Z)
-    return projection_proper_certificate(graph, {1}, prod)
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EngineError, RingMismatch
+from .errors import RingMismatch
 from .geometry import (
     ClosedSet,
     Morphism,
     ProductStructure,
     Space,
     empty_set,
+    graph_closure,
     image_closure,
-    morphism_proper_on,
     preimage,
     projection_proper_certificate,
     whole_space,
@@ -66,8 +66,6 @@ class SupportFamily:
         """Z in the family, i.e. Z inside the union of the generators."""
         if Z.space != self.space:
             raise RingMismatch("membership test across spaces")
-        if Z.is_empty():
-            return True
         return self.union_set().contains(Z)
 
     def subfamily_of(self, other: "SupportFamily") -> bool:
@@ -107,8 +105,6 @@ def in_P_family(
     """
     if Z.space != prod.space:
         raise RingMismatch("Z not on the product space")
-    if Z.is_empty():
-        return True
     projection_proper_certificate(Z, {1}, prod)
 
     # pr2^{-1}(psi) is generated by X x V
@@ -132,29 +128,18 @@ def in_P_family(
     return True
 
 
-def check_Vstar_morphism(
-    f: Morphism,
-    phi: SupportFamily,
-    psi: SupportFamily,
-    variance: str,
-) -> bool:
-    """Side conditions for f to act on supported classes.
-
-    variance='push': f restricted to each generator of phi is proper (policy)
-    and its image lies in psi; raises PolicyReject when the policy cannot
-    certify f proper on a generator.  variance='pull': the preimage family of
-    psi is contained in phi.
+def check_Vstar_morphism(f: Morphism, phi: SupportFamily, psi: SupportFamily) -> bool:
+    """Side condition for f to push supported classes forward: f restricted
+    to each generator of phi is proper (policy) and its image lies in psi.
+    Raises PolicyReject when the policy cannot certify f proper on a
+    generator.  The condition to pull back is
+    `preimage_family(f, psi).subfamily_of(phi)`.
     """
-    if variance == "push":
-        if phi.space != f.source or psi.space != f.target:
-            raise RingMismatch("families do not match the morphism")
-        for w in phi.generators:
-            morphism_proper_on(f, w)
-            if not psi.member(image_closure(f, w)):
-                return False
-        return True
-    if variance == "pull":
-        if phi.space != f.source or psi.space != f.target:
-            raise RingMismatch("families do not match the morphism")
-        return preimage_family(f, psi).subfamily_of(phi)
-    raise EngineError(f"unknown variance {variance!r}")
+    if phi.space != f.source or psi.space != f.target:
+        raise RingMismatch("families do not match the morphism")
+    for w in phi.generators:
+        graph, prod = graph_closure(f, over=w)
+        projection_proper_certificate(graph, {1}, prod)
+        if not psi.member(image_closure(f, w, (graph, prod))):
+            return False
+    return True

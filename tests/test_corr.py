@@ -379,6 +379,22 @@ identity exe = 1*(Zt . Z) ~ 1*cycle DiagC within ExE {UPSTAIRS}
     assert set(tasks["exe"].audit) == {"lhs", "rhs"}
 
 
+def test_composing_through_zero_is_a_verdict():
+    """Zt . Z0 composes through the zero correspondence, whose support is
+    empty and so proper: the composite is 0, and comparing it is a pass or a
+    fail, never a policy reject."""
+    rep = run_scenario_text(BLOWUP_TWIN + """
+cycle z0 = 0 on XtY
+corr Z0 : [XtV, PhiX] => [Yfull, PhiY] = cycle z0
+compose zero = Zt . Z0 expect main = 0
+compose diag = Zt . Z0 expect main = 1*[DiagXt]
+""")
+    tasks = {t.name: t for t in rep.tasks}
+    assert (tasks["zero"].verdict, tasks["diag"].verdict) == ("pass", "fail"), (
+        tasks["zero"], tasks["diag"]
+    )
+
+
 def test_blowup_wrong_graph_is_refused():
     """swp's graph is not Zc, so declaring it is an error, never a route."""
     # no pytest.raises: a mutant that accepts the declaration must fail this

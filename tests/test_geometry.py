@@ -16,7 +16,6 @@ from cyclecalc.geometry import (
     identity_morphism,
     image_closure,
     is_finite_over,
-    morphism_proper_on,
     point_set,
     preimage,
     proj,
@@ -24,6 +23,7 @@ from cyclecalc.geometry import (
     whole_space,
 )
 from cyclecalc.groebner import Ideal, ideal_equal
+from cyclecalc.supports import SupportFamily, check_Vstar_morphism
 
 A1 = Space([affine("t")])
 A1s = Space([affine("s")])
@@ -141,7 +141,7 @@ def test_properness_policy_projective_factor():
         BlSpace.ring.var("x") * BlSpace.ring.var("v") - BlSpace.ring.var("y") * BlSpace.ring.var("u"),
     )
     pr1 = Morphism(BlSpace, A2, [(BlSpace.ring.var("x"), BlSpace.ring.var("y"))])
-    assert morphism_proper_on(pr1, B)
+    assert check_Vstar_morphism(pr1, SupportFamily(BlSpace, [B]), SupportFamily.full(A2))
 
 
 def test_properness_policy_reject():
@@ -150,7 +150,7 @@ def test_properness_policy_reject():
     prS = Morphism(TS, A1s, [(rt.var("s"),)])
     horizontal = closed_set(TS, rt.var("s"))
     with pytest.raises(PolicyReject):
-        morphism_proper_on(prS, horizontal)
+        check_Vstar_morphism(prS, SupportFamily(TS, [horizontal]), SupportFamily.full(A1s))
 
 
 def test_contains_examples():

@@ -319,6 +319,40 @@ def properness_certifies_everything(monkeypatch):
     monkeypatch.setattr(geometry_mod, "_projection_finiteness_gap", lambda I, drop: [])
 
 
+def empty_set_not_certified_proper(monkeypatch):
+    """projection_proper_certificate asks the empty set for monic
+    eliminants instead of certifying it proper."""
+    mutant = _rewritten(geometry_mod, "projection_proper_certificate", "if Z.is_empty():", "if False:")
+    _replace_everywhere(monkeypatch, geometry_mod, "projection_proper_certificate", mutant)
+
+
+def divide_by_last_divisor(monkeypatch):
+    """divide reduces each term by the last basis element whose leading term
+    divides it, not the first.  The basis cache and the audit log are fresh
+    for the rest of the test, as in _rewrite_groebner."""
+    mutant = _rewritten(
+        groebner_mod,
+        "divide",
+        "for i, (le, lc) in enumerate(lead):",
+        "for i, (le, lc) in reversed(list(enumerate(lead))):",
+    )
+    _replace_everywhere(monkeypatch, groebner_mod, "divide", mutant)
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    monkeypatch.setattr(groebner_mod, "_audit_log", [])
+
+
+def staircase_is_the_whole_box(monkeypatch):
+    """fiber_staircase returns every monomial under the pure-power bounds,
+    ignoring the leading exponents that are not pure powers."""
+    mutant = _rewritten(
+        groebner_mod,
+        "fiber_staircase",
+        "if all(any(m < f for m, f in zip(mono, fp)) for fp in fparts):",
+        "if True:",
+    )
+    _replace_everywhere(monkeypatch, groebner_mod, "fiber_staircase", mutant)
+
+
 # A d = 2 cover of the (y1, y2)-plane by the roots of T^2 - y1*T + y2, on a
 # ring that lists a base variable first and the fiber variables out of
 # order, so the reordering sign, the (-1)^{d(d-1)/2} prefactor and the 2 x 2
@@ -411,6 +445,9 @@ def d2_trace_scenario_passes():
     (comparison_always_passes, test_scenario_cli.test_wrong_multiplicity_reports_fail),
     (comparison_always_passes, cycle_basics_small_primes_move_only_the_pinned_verdicts),
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
+    (empty_set_not_certified_proper, test_corr.test_composing_through_zero_is_a_verdict),
+    (divide_by_last_divisor, test_divide.test_divide_matches_reference),
+    (staircase_is_the_whole_box, test_residues.test_trace_signs_with_base_variables_first),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
     (reps_not_rewritten, qq_plain_and_cofactor_bases_agree),

@@ -107,13 +107,15 @@ def test_check_Vstar_morphism():
     f = Morphism(A1, A1y, [(A1.ring.var("x") ** 2,)])
     phi0 = SupportFamily(A1, [point_set(A1, {"x": 0})])
     psi0 = SupportFamily(A1y, [point_set(A1y, {"y": 0})])
-    assert check_Vstar_morphism(f, phi0, psi0, "push") is True
-    assert check_Vstar_morphism(f, preimage_family(f, psi0), psi0, "pull") is True
+    assert check_Vstar_morphism(f, phi0, psi0) is True
     psi1 = SupportFamily(A1y, [point_set(A1y, {"y": 1})])
-    assert check_Vstar_morphism(f, phi0, psi1, "push") is False
+    assert check_Vstar_morphism(f, phi0, psi1) is False
+    # the pull condition: x^2 = 0 lies over the origin, x^2 = 1 does not
+    assert preimage_family(f, psi0).subfamily_of(phi0)
+    assert not preimage_family(f, psi1).subfamily_of(phi0)
     # diagonal inside a product is finite over either factor
     prod = product_space([A1, A1y])
     rp = prod.space.ring
     pr2 = Morphism(prod.space, A1y, [(rp.var("y"),)])
     diag_fam = SupportFamily(prod.space, [closed_set(prod.space, rp.var("y") - rp.var("x"))])
-    assert check_Vstar_morphism(pr2, diag_fam, SupportFamily.full(A1y), "push") is True
+    assert check_Vstar_morphism(pr2, diag_fam, SupportFamily.full(A1y)) is True
