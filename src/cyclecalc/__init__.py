@@ -72,7 +72,7 @@ from .corr import (
     supp_of_composition,
 )
 from .symbols import Chart, KoszulFraction, cycle_class_at_chart, lci_trace_symbol
-from .residues import FinitePresentation, ResidueQuery, residue, trace_form, trace_property_check
+from .residues import FinitePresentation, residue, trace_form, trace_property_check
 from .report import Report, TaskResult
 from .scenario import parse_scenario, run_scenario, run_scenario_text
 from .axioms import run_axiom_harness

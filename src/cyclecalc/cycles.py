@@ -72,9 +72,12 @@ class Cycle:
 
     # -- algebra -------------------------------------------------------------
 
-    def _merge(self, other: "Cycle", sign: int) -> "Cycle":
+    def _same_space(self, other: "Cycle"):
         if self.space != other.space:
-            raise RingMismatch("cycles on different spaces")
+            raise RingMismatch(f"cycles on different spaces: {self.space} and {other.space}")
+
+    def _merge(self, other: "Cycle", sign: int) -> "Cycle":
+        self._same_space(other)
         terms = [*self.terms.items(), *((c, sign * m) for c, m in other.terms.items())]
         return Cycle(self.space, terms, self.family if self.family is not None else other.family)
 
@@ -107,9 +110,11 @@ class Cycle:
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):
+        """Equal terms; cycles on different spaces raise, as their sum does."""
         if not isinstance(other, Cycle):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        self._same_space(other)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.space, frozenset(self.terms.items())))

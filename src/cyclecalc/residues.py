@@ -109,10 +109,6 @@ class FinitePresentation:
     def base_ring(self) -> Ring:
         return self._base_ring
 
-    def base_injection(self) -> dict:
-        """Index map base-subring -> ring."""
-        return {i: j for j, i in self._base_index.items()}
-
     def to_base(self, p: Poly) -> Poly:
         idx = self._base_index
         for e in p.terms:
@@ -172,10 +168,6 @@ class FinitePresentation:
         if not self.d:
             return Form.from_poly(self.ring.one())
         return wedge_all(Form.d(t) for t in reversed(self.t))
-
-    def module_basis(self) -> list:
-        """Monomial basis of O_X over O_Y (staircase in the fiber variables)."""
-        return list(self.staircase[1])
 
     def rank(self) -> int:
         return len(self.staircase[0])
@@ -328,22 +320,15 @@ def _triangular_eliminants(pres: FinitePresentation) -> list:
     return out
 
 
-@dataclass
-class ResidueQuery:
-    presentation: FinitePresentation
-    numerator: Poly  # coefficient of dx_1 ^ ... ^ dx_d, in the fiber order
-
-
-def residue(query: ResidueQuery) -> Poly:
-    """Res_{P/Y}[h dx_1...dx_d / t_1,...,t_d] as a base-ring element.
+def residue(pres: FinitePresentation, h: Poly) -> Poly:
+    """Res_{P/Y}[h dx_1...dx_d / t_1,...,t_d] as a base-ring element, h the
+    coefficient of dx_1 ^ ... ^ dx_d in the fiber order.
 
     The residue is O_Y-linear and vanishes on (g_1..g_d).  So the terms of h
     outside the box are first reduced by g_d, ..., g_1 in turn, which leaves
     every term inside it, and each term c x^a y^b then adds c y^b table[a].
     """
-    pres = query.presentation
     ring = pres.ring
-    h = query.numerator
     if h.ring != ring:
         raise RingMismatch("numerator in the wrong ring")
     frame = pres.residue_frame
@@ -466,7 +451,7 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
         # residue numerator: coefficient against dx_1 ^ ... ^ dx_d in fiber order
         fib_sign, _ = _merge_tuples(tuple(fiber_pos[i] for i in fib), ())
         h = coeff.scale(sign * fib_sign)
-        res = residue(ResidueQuery(pres, h))
+        res = residue(pres, h)
         terms.append((idx, h, res))
         base_tuple = tuple(sorted(base_index[i] for i in base))
         s = out.get(base_tuple, base_zero) + res
@@ -483,8 +468,7 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
 
 def pullback_to_total(pres: FinitePresentation, beta: Form) -> Form:
     """f^* of a base form: reinterpret on the ambient ring of P."""
-    inj = pres.base_injection()
-    return beta.inject(pres.ring, inj)
+    return beta.inject(pres.ring, {i: j for j, i in pres._base_index.items()})
 
 
 def multiplication_trace(pres: FinitePresentation, h: Poly) -> Poly:
@@ -523,7 +507,7 @@ def trace_property_check(pres: FinitePresentation, which: str) -> str:
     """
     ring = pres.ring
     base_ring = pres.base_ring()
-    basis = pres.module_basis()
+    basis = pres.staircase[1]  # the monomial basis of O_X over O_Y
     if which == "degree0":
         sweep = list(basis)
         if len(sweep) > 1:

@@ -69,14 +69,13 @@ from .groebner import Budget, Ideal, budget_scope, current_budget
 from .poly import Poly, Ring
 from .report import (
     FAIL,
-    INAPPLICABLE,
     PASS,
     POLICY_REJECT,
     Report,
     compared,
     run_checks,
 )
-from .residues import FinitePresentation, trace_form
+from .residues import FinitePresentation, trace_form, trace_property_check
 from .supports import SupportFamily, in_P_family
 from .symbols import (
     Chart,
@@ -848,13 +847,12 @@ def _stmt_property(env: Scenario, name: str, ts: TokenStream):
     want = _one_of(ts, ("pass", "inapplicable"), "expected pass or inapplicable")
 
     def run():
-        from .residues import trace_property_check
-
         got = trace_property_check(pres, which)
         if got == "fail":
             return FAIL, f"{which} check failed", {}
         if got == want:
-            return PASS if got == "pass" else INAPPLICABLE, "", {}
+            # the check's results are the verdict strings PASS and INAPPLICABLE
+            return got, "", {}
         return FAIL, f"expected {want}, got {got}", {}
 
     env.tasks.append((name, "property", run))
@@ -993,9 +991,9 @@ def _stmt_vanish(env: Scenario, name: str, ts: TokenStream):
     witness = _parse_point(ts) if ts.accept("witness") else None
 
     def run():
-        rep = vanishing_check(V, factor_indices, r, pf, pr, chart, witness)
+        verdicts = vanishing_check(V, factor_indices, r, pf, pr, chart, witness)
         # the components that do not vanish, of which there must be none
-        return compared([q for q, v in rep.verdicts if not v], [], {"verdicts": rep.verdicts})
+        return compared([q for q, v in verdicts if not v], [], {"verdicts": verdicts})
 
     env.tasks.append((name, "vanish", run))
 

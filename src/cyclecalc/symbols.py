@@ -24,6 +24,7 @@ from .errors import EngineError, RegularityError, RingMismatch
 from .forms import Form, wedge_all
 from .geometry import PrimeComponent, smooth_at
 from .groebner import (
+    GBasis,
     Ideal,
     cofactor_lift,
     groebner,
@@ -77,12 +78,12 @@ class KoszulFraction:
     """[numerator / t1,...,tc] with a regularity certificate.
 
     Construction canonicalizes the numerator modulo the (chart-localized)
-    denominator ideal.  If the chart misses the cut locus entirely the
-    fraction is zero; if the sequence fails the stepwise dimension drop it is
-    rejected.
+    denominator ideal, by the reduced basis its certificate carries.  If the
+    chart misses the cut locus entirely the fraction is zero; if the sequence
+    fails the stepwise dimension drop it is rejected.
     """
 
-    __slots__ = ("ring", "numerator", "denominators", "chart", "certificate", "_gb")
+    __slots__ = ("ring", "numerator", "denominators", "chart", "certificate")
 
     def __init__(
         self,
@@ -102,13 +103,11 @@ class KoszulFraction:
         if _certificate is None:
             _certificate = verify_regular_sequence(self.ring, denominators, chart)
         self.certificate = _certificate
-        if _certificate.empty_in_chart:
+        basis = _certificate.basis
+        if basis is None:
             self.numerator = Form.zero(self.ring, num.degree)
-            self._gb = None
-            return
-        loc = _localized(Ideal(self.ring, list(denominators)), chart)
-        self._gb = groebner(loc)
-        self.numerator = num.map_coefficients(self._gb.normal_form)
+        else:
+            self.numerator = num.map_coefficients(basis.normal_form)
 
     # -- predicates ------------------------------------------------------------
 
@@ -197,13 +196,14 @@ class KoszulFraction:
             return True
         if self.denominators == other.denominators:
             return (self - other).is_zero()
-        A = _localized(self.denominator_ideal(), self.chart)
-        B = _localized(other.denominator_ideal(), other.chart)
-        # different loci can only agree at zero
-        if not all(radical_member(g, A) for g in B.gens) or not all(
-            radical_member(g, B) for g in A.gens
+        A, B = self.certificate.basis, other.certificate.basis
+        # a fraction over an empty locus is zero, and different loci can only
+        # agree at zero
+        if A is None or B is None or not (
+            all(radical_member(g, A.ideal) for g in B.ideal.gens)
+            and all(radical_member(g, B.ideal) for g in A.ideal.gens)
         ):
-            return self.is_zero() and other.is_zero()
+            return False
         unit = self.chart.product(self.ring) or self.ring.one()
         B_raw = other.denominator_ideal()
         refinement = []
@@ -227,10 +227,12 @@ class KoszulFraction:
         return f"[{self.numerator} / ({dens})]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularityCertificate:
-    dims: tuple
-    empty_in_chart: bool
+    """The reduced basis of the chart-localized ideal (t), which fractions
+    over t reduce their numerators by, or None when the chart misses V(t)."""
+
+    basis: GBasis | None
 
 
 def verify_regular_sequence(
@@ -242,18 +244,17 @@ def verify_regular_sequence(
     An empty locus inside the chart is legal and marks the fraction zero.
     """
     n = ring.nvars
-    dims = []
+    I = Ideal(ring, [])
     for i in range(1, len(ts) + 1):
         I = _localized(Ideal(ring, list(ts[:i])), chart)
         if is_unit_ideal(I):
-            return RegularityCertificate(tuple(dims), True)
+            return RegularityCertificate(None)
         d = krull_dim(I)
         if d != n - i:
             raise RegularityError(
                 f"sequence fails to drop dimension at step {i}: dim {d} != {n - i}"
             )
-        dims.append(d)
-    return RegularityCertificate(tuple(dims), False)
+    return RegularityCertificate(groebner(I))
 
 
 def _determinant(rows: list, ring: Ring) -> Poly:
@@ -340,18 +341,6 @@ def split_and_project(
     return frac._over_same(frac.numerator.bigrade_part(factor_indices, q))
 
 
-@dataclass
-class VanishingReport:
-    component: str
-    factor: str
-    codim_r: int
-    verdicts: list  # (q, vanished) for q in 0..r-1
-
-    @property
-    def all_vanish(self) -> bool:
-        return all(v for _, v in self.verdicts)
-
-
 def vanishing_check(
     V: PrimeComponent,
     factor_indices: set,
@@ -360,9 +349,9 @@ def vanishing_check(
     params_rest: Sequence[Poly],
     chart: Chart = NO_CHART,
     witness: dict | None = None,
-    factor_name: str = "factor",
-) -> VanishingReport:
-    """Projection-vanishing of the cycle class of V inside a product.
+) -> list:
+    """Projection-vanishing of the cycle class of V inside a product, as the
+    list of (q, vanished) for q in 0..r-1.
 
     params_factor must involve only variables of the projected factor (this is
     verified) and witness the codimension-r image there; the full parameter
@@ -379,8 +368,4 @@ def vanishing_check(
                 f"parameter {t} uses variables outside the projected factor"
             )
     cl = cycle_class_at_chart(V, list(params_factor) + list(params_rest), chart, witness)
-    verdicts = []
-    for q in range(r):
-        part = split_and_project(cl, factor_indices, q)
-        verdicts.append((q, part.is_zero()))
-    return VanishingReport(V.label, factor_name, r, verdicts)
+    return [(q, split_and_project(cl, factor_indices, q).is_zero()) for q in range(r)]

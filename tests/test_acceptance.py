@@ -25,7 +25,7 @@ from cyclecalc.geometry import (
 )
 from cyclecalc.groebner import Ideal, audit_log, buchberger_audit, eliminate, member, radical_member
 from cyclecalc.poly import ring_over
-from cyclecalc.residues import FinitePresentation, ResidueQuery, pullback_to_total, residue, trace_form, trace_property_check
+from cyclecalc.residues import FinitePresentation, pullback_to_total, residue, trace_form, trace_property_check
 from cyclecalc.scenario import run_scenario_text
 from cyclecalc.supports import SupportFamily
 from cyclecalc.symbols import KoszulFraction, vanishing_check
@@ -151,7 +151,7 @@ def test_criterion_4_residue_oracle_equivalence():
         if h.is_zero():
             continue
         pres = FinitePresentation(R, ("y",), ("x",), (g,))
-        got = residue(ResidueQuery(pres, h))
+        got = residue(pres, h)
         want = sum_over_roots_residue(h, g)
         assert got == got.ring.const(want), (str(g), str(h))
         done += 1
@@ -183,14 +183,10 @@ def test_criterion_6_vanishing_checker():
     prod = Space([affine("x1"), affine("y1")])
     rp = prod.ring
     H = PrimeComponent(closed_set(prod, rp.var("y1")), "A1x0", screen=False)
-    target_side = vanishing_check(
-        H, {1}, 1, [rp.var("y1")], [], witness={"x1": 0, "y1": 0}, factor_name="target"
-    )
+    target_side = vanishing_check(H, {1}, 1, [rp.var("y1")], [], witness={"x1": 0, "y1": 0})
     V = PrimeComponent(closed_set(prod, rp.var("x1")), "0xA1", screen=False)
-    source_side = vanishing_check(
-        V, {0}, 1, [rp.var("x1")], [], witness={"x1": 0, "y1": 0}, factor_name="source"
-    )
-    ok = target_side.all_vanish and source_side.all_vanish
+    source_side = vanishing_check(V, {0}, 1, [rp.var("x1")], [], witness={"x1": 0, "y1": 0})
+    ok = target_side == source_side == [(0, True)]
     scen = run_scenario_text((SCENARIOS / "vanishing.scn").read_text())
     _report("6 (projection vanishing)", ok and scen.ok)
 

@@ -395,6 +395,26 @@ compose diag = Zt . Z0 expect main = 1*[DiagXt]
     )
 
 
+def test_expectation_on_the_wrong_space_is_an_error():
+    """An expected main term on another space than the composite's is a
+    declaration mistake: an error naming both spaces, never a fail.  Z . Zt
+    lives on Y x Y and Zt . Z0 on Xt x Xt."""
+    rep = run_scenario_text(BLOWUP_TWIN + """
+pair YY = Y ** Y
+prime DiagY = { a@1 - a@2, b@1 - b@2 } on YY noscreen
+cycle z0 = 0 on XtY
+corr Z0 : [XtV, PhiX] => [Yfull, PhiY] = cycle z0
+compose down = Z . Zt expect main = 1*[DiagXt]
+compose zero = Zt . Z0 expect main = 1*[DiagY]
+""")
+    tasks = {t.name: t for t in rep.tasks}
+    yy = "A(a@1,b@1) x A(a@2,b@2)"
+    xx = "A(x@1,y@1) x P(u@1,v@1) x A(x@2,y@2) x P(u@2,v@2)"
+    for name, got, want in (("down", yy, xx), ("zero", xx, yy)):
+        task = tasks[name]
+        assert (task.verdict, task.detail) == ("error", f"cycles on different spaces: {got} and {want}")
+
+
 def test_blowup_wrong_graph_is_refused():
     """swp's graph is not Zc, so declaring it is an error, never a route."""
     # no pytest.raises: a mutant that accepts the declaration must fail this

@@ -33,15 +33,19 @@ from . import (
     test_residues,
     test_scenario_cli,
     test_small_primes,
+    test_symbols,
     test_zz_suite_audit,
 )
 
 corr_mod = importlib.import_module("cyclecalc.corr")
+cycles_mod = importlib.import_module("cyclecalc.cycles")
 fields_mod = importlib.import_module("cyclecalc.fields")
+forms_mod = importlib.import_module("cyclecalc.forms")
 geometry_mod = importlib.import_module("cyclecalc.geometry")
 groebner_mod = importlib.import_module("cyclecalc.groebner")
 report_mod = importlib.import_module("cyclecalc.report")
 residues_mod = importlib.import_module("cyclecalc.residues")
+symbols_mod = importlib.import_module("cyclecalc.symbols")
 
 
 def _replace_everywhere(monkeypatch, module, name: str, new):
@@ -314,6 +318,30 @@ def comparison_always_passes(monkeypatch):
     _replace_everywhere(monkeypatch, report_mod, "compared", mutant)
 
 
+def form_eq_compares_degrees_only(monkeypatch):
+    """Two forms are equal when their degrees are."""
+    monkeypatch.setattr(
+        forms_mod.Form, "__eq__", lambda self, other: isinstance(other, forms_mod.Form) and self.degree == other.degree
+    )
+
+
+def fraction_equal_always_true(monkeypatch):
+    """Every two generalized fractions are equal."""
+    monkeypatch.setattr(symbols_mod.KoszulFraction, "equal", lambda self, other: True)
+
+
+def cycle_eq_compares_spaces_only(monkeypatch):
+    """Two cycles on one space are equal, whatever their terms."""
+    cycle = cycles_mod.Cycle
+    mutant = _rewritten(cycles_mod, "__eq__", "return self.terms == other.terms", "return True", owner=cycle)
+    monkeypatch.setattr(cycle, "__eq__", mutant)
+
+
+def contains_always_true(monkeypatch):
+    """Every closed set contains every other."""
+    monkeypatch.setattr(geometry_mod.ClosedSet, "contains", lambda self, other: True)
+
+
 def properness_certifies_everything(monkeypatch):
     """The properness policy finds a monic eliminant for every variable."""
     monkeypatch.setattr(geometry_mod, "_projection_finiteness_gap", lambda I, drop: [])
@@ -427,6 +455,28 @@ def cycle_basics_small_primes_move_only_the_pinned_verdicts():
     test_small_primes.test_small_primes_move_only_the_pinned_verdicts("cycle_basics.scn")
 
 
+def covers_trace_twin_fails():
+    test_scenario_cli.test_trace_assert_twin_reports_fail("covers.scn", "assert_3")
+
+
+def covers_f7_trace_twin_fails():
+    test_scenario_cli.test_trace_assert_twin_reports_fail("covers_f7.scn", "assert_2")
+
+
+def symbol_is_zero_twin_fails():
+    test_scenario_cli.test_assert_symbol_is_zero("d(x)", "fail", "[d(x) / (x)] != [0 / (x)]")
+
+
+def zero_main_twin_fails():
+    test_scenario_cli.test_compose_expects_a_zero_main_term("B . A1", "fail", "[(H)o(G1)] != 0")
+
+
+def policy_fail_twin_fails():
+    test_scenario_cli.test_policy_reject_surfaces_in_report(
+        "[XV, Phi0] => [YV, Psi1] = 1*[G]", "fail", "not in P(phi,psi): ['G']", {"G": "no"}
+    )
+
+
 def d2_trace_scenario_passes():
     report = run_scenario_text(D2_TRACE_SCENARIO)
     assert [t.verdict for t in report.tasks] == ["pass"] * 3, report.tasks
@@ -444,6 +494,16 @@ def d2_trace_scenario_passes():
     (graph_closure_unchecked, test_corr.test_blowup_wrong_graph_is_refused),
     (comparison_always_passes, test_scenario_cli.test_wrong_multiplicity_reports_fail),
     (comparison_always_passes, cycle_basics_small_primes_move_only_the_pinned_verdicts),
+    (form_eq_compares_degrees_only, covers_trace_twin_fails),
+    (form_eq_compares_degrees_only, covers_f7_trace_twin_fails),
+    (fraction_equal_always_true, test_symbols.test_multiplicity_identity),
+    (fraction_equal_always_true, test_scenario_cli.test_wrong_multiplicity_reports_fail),
+    (fraction_equal_always_true, symbol_is_zero_twin_fails),
+    (cycle_eq_compares_spaces_only, test_scenario_cli.test_wrong_expected_main_reports_fail),
+    (cycle_eq_compares_spaces_only, zero_main_twin_fails),
+    (cycle_eq_compares_spaces_only, test_corr.test_composing_through_zero_is_a_verdict),
+    (contains_always_true, test_geometry.test_contains_examples),
+    (contains_always_true, policy_fail_twin_fails),
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
     (empty_set_not_certified_proper, test_corr.test_composing_through_zero_is_a_verdict),
     (divide_by_last_divisor, test_divide.test_divide_matches_reference),

@@ -14,7 +14,7 @@ from cyclecalc.errors import BudgetExceeded
 from cyclecalc.forms import Form
 from cyclecalc.groebner import Budget, budget_scope
 from cyclecalc.poly import ring_over
-from cyclecalc.residues import FinitePresentation, ResidueQuery, residue, trace_form, trace_property_check
+from cyclecalc.residues import FinitePresentation, residue, trace_form, trace_property_check
 
 from .oracles import reference_residue, reference_trace_form
 
@@ -87,7 +87,7 @@ def test_frame_matches_the_per_call_route(data):
     pres = _cover(data.draw, char, d, data.draw(st.integers(2, 4)))
     for _ in range(3):
         h = _poly(data.draw, pres)
-        assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h), str(h)
+        assert residue(pres, h) == reference_residue(pres, h), str(h)
     for _ in range(3):
         alpha = _alpha(data.draw, pres)
         got = trace_form(pres, alpha)
@@ -116,7 +116,7 @@ def test_residues_on_and_off_the_box():
             for a2 in range(5):
                 for base in (R.one(), y1, y1 * y2**2):
                     h = x1**a1 * x2**a2 * base
-                    assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h), (char, str(h))
+                    assert residue(pres, h) == reference_residue(pres, h), (char, str(h))
         assert len(pres.residue_frame.table) == _box_size(pres) == 8
 
 
@@ -155,7 +155,7 @@ def test_triangular_frames_match_the_oracle():
                 R = pres.ring
                 x1, x2, y1, y2 = R.gens()
                 for h in (x1, x1 * x2, _seeded_poly(rng, R), _seeded_poly(rng, R)):
-                    assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h), (char, pres.t, str(h))
+                    assert residue(pres, h) == reference_residue(pres, h), (char, pres.t, str(h))
                 h = _seeded_poly(rng, R)
                 for alpha in (Form.from_poly(h), Form.d(x2).scale(h), Form.d(x1).wedge(Form.d(y2)).scale(h)):
                     got = trace_form(pres, alpha)
@@ -209,7 +209,7 @@ def test_box_table_is_bounded_by_the_box():
     for which in ("projection", "degree0", "degree"):
         assert trace_property_check(pres, which) == "pass", which
     for h in (x1**7 * x2**5 * y2, x1**4 + x2**6, y1**3):
-        residue(ResidueQuery(pres, h))
+        residue(pres, h)
     frame = pres.residue_frame
     assert 0 < len(frame.table) <= _box_size(pres) == 6
     assert all(a1 < 3 and a2 < 2 for a1, a2 in frame.table)
@@ -222,13 +222,13 @@ def test_presentations_on_one_ring_keep_their_own_frames():
     triple = FinitePresentation(R, ("y",), ("x",), (x**3 - y,))
     B = double.base_ring()
     for _ in range(2):
-        assert residue(ResidueQuery(double, x)) == B.one()
-        assert residue(ResidueQuery(triple, x)).is_zero()
-        assert residue(ResidueQuery(triple, x**2)) == B.one()
-        assert residue(ResidueQuery(double, x**3)) == B.var("y")
+        assert residue(double, x) == B.one()
+        assert residue(triple, x).is_zero()
+        assert residue(triple, x**2) == B.one()
+        assert residue(double, x**3) == B.var("y")
     for pres in (double, triple):
         for h in (x, x**2, x**3 * y):
-            assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h)
+            assert residue(pres, h) == reference_residue(pres, h)
 
 
 def test_budget_trip_leaves_no_frame():
@@ -240,7 +240,7 @@ def test_budget_trip_leaves_no_frame():
     pres = FinitePresentation(R, ("rfy", "rfz"), ("rfa", "rfb"), (a**2 + 2 * a - y, b**2 + a * b + y - z))
     h = a * b + b
     with budget_scope(Budget(max_pairs=0)), pytest.raises(BudgetExceeded):
-        residue(ResidueQuery(pres, h))
+        residue(pres, h)
     assert "residue_frame" not in vars(pres)
-    assert residue(ResidueQuery(pres, h)) == reference_residue(pres, h)
+    assert residue(pres, h) == reference_residue(pres, h)
     assert "residue_frame" in vars(pres)

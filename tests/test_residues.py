@@ -17,7 +17,6 @@ from cyclecalc.orders import degrevlex
 from cyclecalc.poly import Poly, ring_over
 from cyclecalc.residues import (
     FinitePresentation,
-    ResidueQuery,
     multiplication_trace,
     pullback_to_total,
     remainder_in_var,
@@ -70,15 +69,15 @@ def _sum_over_roots_oracle(h, g):
 def test_residue_monomial_rules():
     for n in range(1, 6):
         for a in range(0, 6):
-            val = residue(ResidueQuery(_pres(X**n), X**a))
+            val = residue(_pres(X**n), X**a)
             expect = 1 if a == n - 1 else 0
             assert val == val.ring.const(expect), (n, a)
 
 
 def test_residue_spec_values():
     p = _pres(X**2 - Y)
-    assert residue(ResidueQuery(p, X)) == p.base_ring().const(1)
-    assert residue(ResidueQuery(p, R.one())).is_zero()
+    assert residue(p, X) == p.base_ring().const(1)
+    assert residue(p, R.one()).is_zero()
 
 
 def test_residue_sum_over_roots_30_queries():
@@ -97,7 +96,7 @@ def test_residue_sum_over_roots_30_queries():
             h = h + (X**k).scale(rng.randint(-5, 5))
         if h.is_zero():
             continue
-        got = residue(ResidueQuery(_pres(g), h))
+        got = residue(_pres(g), h)
         want = _sum_over_roots_oracle(h, g)
         assert got == got.ring.const(want), (str(g), str(h), str(got), want)
         done += 1
@@ -110,7 +109,7 @@ def test_residue_transformation_law():
     t = (x1**2 - y1, x2**2 - y2 * x2 - 1)
     pres = FinitePresentation(R2, ("y1", "y2"), ("x1", "x2"), t)
     h = x1 * x2 + x2
-    base_val = residue(ResidueQuery(pres, h))
+    base_val = residue(pres, h)
     checked = 0
     while checked < 20:
         T = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
@@ -122,7 +121,7 @@ def test_residue_transformation_law():
             t[0].scale(T[1][0]) + t[1].scale(T[1][1]),
         )
         pres_new = FinitePresentation(R2, ("y1", "y2"), ("x1", "x2"), t_new)
-        val = residue(ResidueQuery(pres_new, h.scale(det)))
+        val = residue(pres_new, h.scale(det))
         assert val == base_val, (T, str(val), str(base_val))
         checked += 1
 
@@ -134,10 +133,10 @@ def test_residue_base_linearity():
         a = Y**rng.randint(0, 2)
         h1 = X**rng.randint(0, 3)
         h2 = (X**rng.randint(0, 3)).scale(rng.randint(-3, 3))
-        lhs = residue(ResidueQuery(pres, h1 * a.scale(1) + h2))
+        lhs = residue(pres, h1 * a.scale(1) + h2)
         base = pres.base_ring()
         a_base = pres.to_base(a)
-        rhs = a_base * residue(ResidueQuery(pres, h1)) + residue(ResidueQuery(pres, h2))
+        rhs = a_base * residue(pres, h1) + residue(pres, h2)
         assert lhs == rhs
 
 
@@ -148,7 +147,7 @@ def test_residue_normalizes_to_matrix_trace():
         pres = _pres(t)
         for h in (R.one(), X, X + R.one()):
             dt_dx = t.derivative(0)
-            got = residue(ResidueQuery(pres, h * dt_dx))
+            got = residue(pres, h * dt_dx)
             want = multiplication_trace(pres, h)
             assert got == want, (str(t), str(h))
 
@@ -296,7 +295,7 @@ def test_remainder_matches_the_oracle(data):
 
 def test_fiber_finiteness_required():
     with pytest.raises(EngineError):
-        residue(ResidueQuery(_pres(Y * X - 1), X))
+        residue(_pres(Y * X - 1), X)
 
 
 def test_trace_form_groebner_sees_the_budget():
@@ -335,6 +334,6 @@ def test_trace_form_and_residue_share_one_basis(monkeypatch):
     monkeypatch.setattr(groebner_mod, "_cofactor_basis", no_cofactors)
     pres = _pres(Y - X**2)
     trace_form(pres, Form.d(X).scale(X))
-    residue(ResidueQuery(pres, X))
+    residue(pres, X)
     I, order = Ideal(R, [Y - X**2]), degrevlex(2)
     assert runs.count((I, order)) == 1

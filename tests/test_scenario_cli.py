@@ -478,6 +478,23 @@ def test_compose_expects_a_zero_main_term(operands, verdict, detail):
     assert (task.name, task.verdict, task.detail) == ("c", verdict, detail)
 
 
+@pytest.mark.parametrize("scenario, task", [
+    ("covers.scn", "assert_3"),
+    ("covers_f7.scn", "assert_2"),
+])
+def test_trace_assert_twin_reports_fail(scenario, task):
+    """assert t2(x d(x)) == d(y) with its right side doubled: the task it
+    rewrites fails, and every other verdict stays as shipped."""
+    line = "assert t2(x d(x)) == d(y)\n"
+    text = (SCENARIOS / scenario).read_text()
+    assert text.count(line) == 1
+    shipped = {t.name: t.verdict for t in run_scenario_text(text).tasks}
+    twin = run_scenario_text(text.replace(line, "assert t2(x d(x)) == 2 d(y)\n"))
+    changed = {t.name: (t.verdict, t.detail) for t in twin.tasks if t.verdict != shipped[t.name]}
+    assert changed == {task: ("fail", "Form(d(y)) != Form(2*d(y))")}
+    assert len(twin.tasks) == len(shipped)
+
+
 @pytest.mark.parametrize("numerator, verdict, detail", [
     ("0", "pass", ""),
     ("x*d(x)", "pass", ""),

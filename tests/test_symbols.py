@@ -1,25 +1,29 @@
 """Generalized fractions: rewriting rules, zero tests, cycle classes,
 the multiplicity identity, and the projection-vanishing checker."""
 
+import importlib
 import random
+from collections import OrderedDict
 
 import pytest
 
 from cyclecalc.errors import BudgetExceeded, EngineError, RegularityError
 from cyclecalc.forms import Form
 from cyclecalc.geometry import PrimeComponent, Space, affine, closed_set
-from cyclecalc.groebner import Budget, Ideal, budget_scope, member
+from cyclecalc.groebner import Budget, Ideal, budget_scope, groebner, member
 from cyclecalc.poly import ring_over
 from cyclecalc.symbols import (
     Chart,
     KoszulFraction,
-    RegularityCertificate,
     cycle_class_at_chart,
     lci_trace_symbol,
     split_and_project,
     vanishing_check,
     verify_regular_sequence,
 )
+
+# the module, not the function that `cyclecalc.groebner` names
+groebner_mod = importlib.import_module("cyclecalc.groebner")
 
 A2 = Space([affine("x", "y")])
 R = A2.ring
@@ -195,23 +199,26 @@ def test_vanishing_checker():
     prod = Space([affine("x1"), affine("y1")])
     rp = prod.ring
     H = PrimeComponent(closed_set(prod, rp.var("y1")), "horizontal", screen=False)
-    rep = vanishing_check(H, {1}, 1, [rp.var("y1")], [], witness={"x1": 0, "y1": 0})
-    assert rep.all_vanish
+    assert vanishing_check(H, {1}, 1, [rp.var("y1")], [], witness={"x1": 0, "y1": 0}) == [(0, True)]
     V = PrimeComponent(closed_set(prod, rp.var("x1")), "vertical", screen=False)
-    rep2 = vanishing_check(V, {0}, 1, [rp.var("x1")], [], witness={"x1": 0, "y1": 0})
-    assert rep2.all_vanish
+    assert vanishing_check(V, {0}, 1, [rp.var("x1")], [], witness={"x1": 0, "y1": 0}) == [(0, True)]
     # diagonal: codim-0 projections, nothing asserted
     D = PrimeComponent(closed_set(prod, rp.var("x1") - rp.var("y1")), "diag", screen=False)
-    rep3 = vanishing_check(D, {1}, 0, [], [rp.var("x1") - rp.var("y1")], witness={"x1": 0, "y1": 0})
-    assert rep3.verdicts == []
+    assert vanishing_check(D, {1}, 0, [], [rp.var("x1") - rp.var("y1")], witness={"x1": 0, "y1": 0}) == []
     # parameters using the wrong factor are rejected
     with pytest.raises(EngineError):
         vanishing_check(H, {1}, 1, [rp.var("x1")], [rp.var("y1")])
 
 
 def test_regular_sequence_certificate():
-    cert = verify_regular_sequence(R, (X, Y))
-    assert cert.dims == (1, 0) and not cert.empty_in_chart
+    """The certificate carries the reduced basis of the localized ideal (t),
+    and no basis when the chart misses V(t)."""
+    cert = verify_regular_sequence(R, (X, Y - X**2))
+    assert cert.basis is groebner(Ideal(R, [X, Y - X**2]))
+    assert cert.basis.basis == [Y, X]
+    assert verify_regular_sequence(R, (X, Y), Chart((X,))).basis is None
+    # on the chart 1 + y != 0, (y(1 + y)) localizes to (y)
+    assert verify_regular_sequence(R, (Y * (R.one() + Y),), Chart((R.one() + Y,))).basis.basis == [Y]
 
 
 def test_cycle_class_independence_three_choices_each():
@@ -241,14 +248,22 @@ def test_cycle_class_independence_three_choices_each():
         assert base_p.equal(cycle_class_at_chart(par, params, chart_p))
 
 
-def test_fraction_groebner_sees_the_budget():
-    """With a certificate given, the only Gröbner call in the constructor is
-    the one on the denominator ideal, and it runs under the caller's budget.
-    The variable names are this test's own: the cache ignores the budget."""
+def test_fraction_groebner_sees_the_budget(monkeypatch):
+    """The constructor's Gröbner work runs in verify_regular_sequence, under
+    the caller's budget; given a certificate, construction does none.  The
+    variable names are this test's own: the cache ignores the budget."""
     ring = ring_over(0, ["kfa", "kfb"])
     a, b = ring.gens()
-    certificate = RegularityCertificate((1, 0), False)
+    ts = (a**2 + b, a * b + 1)
     with budget_scope(Budget(max_pairs=0)), pytest.raises(BudgetExceeded) as err:
-        KoszulFraction(ring.one(), (a**2 + b, a * b + 1), _certificate=certificate)
+        KoszulFraction(ring.one(), ts)
     names = [entry.name for entry in err.traceback]
-    assert names[names.index("groebner") - 1] == "__init__"
+    assert names[names.index("__init__") + 1] == "verify_regular_sequence"
+    assert "groebner" in names[names.index("verify_regular_sequence") :]
+    certificate = verify_regular_sequence(ring, ts)
+    # an empty cache: any Gröbner call would run Buchberger and trip
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    with budget_scope(Budget(max_pairs=0)):
+        f = KoszulFraction(a**3 + b * a, ts, _certificate=certificate)
+    assert f.certificate is certificate and f.numerator.as_poly() == certificate.basis.normal_form(a**3 + b * a)
+    assert len(groebner_mod._gb_cache) == 0
