@@ -13,8 +13,8 @@ Each runner-layer decision has one owner here:
   `PolicyReject` and nothing else, and it turns into `policy-reject` only here.
 - `run_checks` is a run's report: it runs `(name, kind, check)` triples in
   order, timed, under the budget in scope, which the report records.  The
-  scenario runner, the axiom harness and `engine groebner` all report through
-  it.
+  scenario runner (which feeds it one triple per task as its statements run),
+  the axiom harness and `engine groebner` all report through it.
 """
 
 from __future__ import annotations

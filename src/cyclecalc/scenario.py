@@ -1,10 +1,16 @@
 """Scenario files: a small declarative language for batch runs.
 
-Declarations (spaces, closed sets, declared-prime components, morphisms,
-support families, charts, correspondences with graph data) build the
-environment; task statements (compose, projector, identity, class, symbol,
-trace, assert, vanish, push, divisor) queue checks whose verdicts end up in
-the report.
+Statements run in file order, so a name means what the statements above it
+made.  Declarations (spaces, closed sets, declared-prime components,
+morphisms, support families, charts, correspondences with graph data) build
+the environment; each task (compose, projector, identity, class, property,
+assert, vanish, push, divisor, a correspondence's P check) is one report
+entry, and a compose, class, push or divisor task's value is a name too.
+
+Malformed text, or a name no statement above declared, ends the run with a
+positioned `ScenarioError`.  A budget trip while a statement builds, or a name
+whose statement made no value, is instead the statement's `error` entry, and
+then its own name has no value.
 
 Grammar sketch (statements end at newline or ';' outside brackets; '#' starts
 a comment).  Each statement head and the separator after its declared name
@@ -44,11 +50,13 @@ and bracketed subforms wedged with '^'.
 from __future__ import annotations
 
 import re
-from collections import ChainMap
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .corr import (
+    CompositionResult,
     Correspondence,
     GraphData,
     compose_localized,
@@ -65,7 +73,7 @@ from .geometry import (
     PrimeComponent,
     Space,
 )
-from .groebner import Budget, Ideal, budget_scope, current_budget
+from .groebner import Ideal
 from .poly import Poly, Ring
 from .report import (
     FAIL,
@@ -245,13 +253,9 @@ def _starts_poly_atom(ts: TokenStream) -> bool:
 
 def _poly_term(ts: TokenStream, ring: Ring) -> Poly:
     out = _poly_factor(ts, ring)
-    while True:
-        if ts.accept("*"):
-            out = out * _poly_factor(ts, ring)
-        elif _starts_poly_atom(ts):
-            out = out * _poly_factor(ts, ring)
-        else:
-            return out
+    while ts.accept("*") or _starts_poly_atom(ts):
+        out = out * _poly_factor(ts, ring)
+    return out
 
 
 def _poly_factor(ts: TokenStream, ring: Ring) -> Poly:
@@ -293,8 +297,7 @@ def parse_form(ts: TokenStream, ring: Ring) -> Form:
 
 def _form_term(ts: TokenStream, ring: Ring) -> Form:
     out = _form_primary(ts, ring)
-    while ts.at("^"):
-        ts.next()
+    while ts.accept("^"):
         out = out.wedge(_form_primary(ts, ring))
     return out
 
@@ -326,9 +329,7 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
         else:
             break
     if not saw_any:
-        raise ScenarioError(
-            f"expected a form, found {ts.peek().text!r}", ts.peek().line, ts.peek().col
-        )
+        raise ScenarioError(f"expected a form, found {tok.text!r}", tok.line, tok.col)
     out = Form.from_poly(coeff)
     for f in forms:
         out = out.wedge(f)
@@ -342,11 +343,8 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
 class Scenario:
     characteristic: int = 0
     char_locked: bool = False
-    # the budget in scope while the declarations were parsed; the tasks run under it too
-    budget: Budget = field(default_factory=current_budget)
-    spaces: dict = field(default_factory=dict)
-    pairs: dict = field(default_factory=dict)  # name -> ProductStructure
-    closeds: dict = field(default_factory=dict)
+    spaces: dict = field(default_factory=dict)  # a pair's name -> its product space
+    closeds: dict = field(default_factory=dict)  # a prime's name -> its closed set
     primes: dict = field(default_factory=dict)
     opens: dict = field(default_factory=dict)  # name -> bad-locus ClosedSet
     charts: dict = field(default_factory=dict)
@@ -357,47 +355,72 @@ class Scenario:
     traces: dict = field(default_factory=dict)  # name -> FinitePresentation
     symbols: dict = field(default_factory=dict)
     compositions: dict = field(default_factory=dict)
-    # (name, kind, check) triples; `report.run_checks` runs them in order
-    tasks: list = field(default_factory=list)
-
-    @property
-    def space_table(self) -> ChainMap:
-        """Space names: declared spaces first, then pairs (as their product spaces)."""
-        return ChainMap(self.spaces, {n: p.space for n, p in self.pairs.items()})
-
-    @property
-    def closed_table(self) -> ChainMap:
-        """Closed-set names: declared closed sets first, then prime components."""
-        return ChainMap(self.closeds, {n: p.closed_set for n, p in self.primes.items()})
+    # names whose statement made no value: a tripped declaration, or a task whose check raised
+    failed: set = field(default_factory=set)
+    report: Report | None = None
 
 
 def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:
-    """Parse a scenario; a caller-supplied characteristic overrides the file's
-    own `char` statement (so one file can be rerun over several fields)."""
+    """Run a scenario's statements in file order; `env.report` is the run's
+    report.  A caller-supplied characteristic overrides the file's own `char`
+    statement (so one file can be rerun over several fields)."""
     env = Scenario()
     if characteristic is not None:
         env.characteristic = characteristic
         env.char_locked = True
-    statements = tokenize(text)
-    for tokens in statements:
+    env.report = run_checks(env.characteristic, _statements(env, text))
+    env.report.characteristic = env.characteristic  # as a `char` statement left it
+    return env
+
+
+def _statements(env: Scenario, text: str):
+    """Do each statement, yielding the `(name, kind, check)` of its report
+    entry, if it has one, for `run_checks` to run before the next statement
+    is read.  A statement with no declared name is named by its head and
+    count (`assert_2`)."""
+    counts: Counter = Counter()
+    for tokens in tokenize(text):
         ts = TokenStream(tokens)
         head = ts.expect_ident()
         if head.text not in _STATEMENTS:
             raise ScenarioError(f"unknown statement {head.text!r}", head.line, head.col)
         handler, separator = _STATEMENTS[head.text]
-        name = None
+        counts[head.text] += 1
+        name = f"{head.text}_{counts[head.text]}"
         if separator is not None:
             name = ts.expect_ident().text
             ts.expect(separator)
+        env.failed.discard(name)
         try:
-            handler(env, name, ts)
-        except (ScenarioError, BudgetExceeded):
+            entry = handler(env, name, ts)
+        except ScenarioError:
             raise
+        except (BudgetExceeded, _NoValue) as exc:
+            entry = name, head.text, exc
         except EngineError as exc:
             # raised below the parser, so it carries no position: give it the statement's
             raise ScenarioError(str(exc), head.line, head.col) from exc
-        ts.require_done()
-    return env
+        else:
+            ts.require_done()
+            if entry is None:
+                continue
+        yield entry[0], entry[1], partial(_check, env, entry[0], entry[2])
+
+
+class _NoValue(EngineError):
+    """A reference to a name whose statement made no value."""
+
+
+def _check(env: Scenario, name: str, check):
+    """Run a report entry's check, or raise the error its statement raised;
+    either way an error leaves `name` without a value."""
+    try:
+        if isinstance(check, EngineError):
+            raise check
+        return check()
+    except EngineError:
+        env.failed.add(name)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +449,13 @@ def _bracketed(ts: TokenStream, open_: str, close: str) -> TokenStream:
     raise ScenarioError(f"unclosed {open_!r}", start.line, start.col)
 
 
-def _ref(ts: TokenStream, table, what: str):
-    """Read a name and look it up in `table`; an unknown name is a positioned error."""
+def _ref(env: Scenario, ts: TokenStream, table, what: str):
+    """Read a name and look it up in `table`.  A name that no statement above
+    declared is a positioned error; one whose statement made no value raises
+    `_NoValue`, so the statement reading it makes none either."""
     tok = ts.expect_ident()
+    if tok.text in env.failed:
+        raise _NoValue(f"{what} {tok.text!r} has no value: its statement failed")
     if tok.text not in table:
         raise ScenarioError(f"unknown {what} {tok.text!r}", tok.line, tok.col)
     return table[tok.text]
@@ -470,7 +497,7 @@ def _closed_literal(env: Scenario, ts: TokenStream) -> ClosedSet:
     """`{ p, ... } on SPACE`: the ring is named after the braces."""
     gens = _bracketed(ts, "{", "}")
     ts.expect("on")
-    space = _ref(ts, env.space_table, "space")
+    space = _ref(env, ts, env.spaces, "space")
     return ClosedSet(space, Ideal(space.ring, _poly_list(gens, space.ring, allow_empty=True)))
 
 
@@ -478,7 +505,7 @@ def _closed_literal(env: Scenario, ts: TokenStream) -> ClosedSet:
 # statement handlers
 
 def _stmt_char(env: Scenario, _name: None, ts: TokenStream):
-    if env.spaces or env.pairs:
+    if env.spaces:
         tok = ts.peek()
         raise ScenarioError("char must precede all declarations", tok.line, tok.col)
     value = ts.expect_number()
@@ -502,9 +529,9 @@ def _stmt_space(env: Scenario, name: str, ts: TokenStream):
 
 
 def _stmt_pair(env: Scenario, name: str, ts: TokenStream):
-    a = _ref(ts, env.space_table, "space")
+    a = _ref(env, ts, env.spaces, "space")
     ts.expect("**")
-    env.pairs[name] = pair_product(a, _ref(ts, env.space_table, "space"))
+    env.spaces[name] = pair_product(a, _ref(env, ts, env.spaces, "space")).space
 
 
 def _stmt_closed(env: Scenario, name: str, ts: TokenStream):
@@ -516,16 +543,17 @@ def _stmt_prime(env: Scenario, name: str, ts: TokenStream):
         cs = _closed_literal(env, ts)
     else:
         ts.accept("closed")
-        cs = _ref(ts, env.closed_table, "closed set")
+        cs = _ref(env, ts, env.closeds, "closed set")
     screen = not ts.accept("noscreen")
     env.primes[name] = PrimeComponent(cs, label=name, screen=screen)
+    env.closeds[name] = env.primes[name].closed_set
 
 
 def _stmt_open(env: Scenario, name: str, ts: TokenStream):
-    space = _ref(ts, env.space_table, "space")
+    space = _ref(env, ts, env.spaces, "space")
     ts.expect("minus")
     bad_tok = ts.peek()
-    bad = _ref(ts, env.closed_table, "closed set")
+    bad = _ref(env, ts, env.closeds, "closed set")
     if bad.space != space:
         raise ScenarioError("bad locus lives in the wrong space", bad_tok.line, bad_tok.col)
     env.opens[name] = bad
@@ -534,19 +562,19 @@ def _stmt_open(env: Scenario, name: str, ts: TokenStream):
 def _stmt_chart(env: Scenario, name: str, ts: TokenStream):
     if _one_of(ts, ("invert", "full"), "expected invert(...) or full") == "full":
         ts.expect("on")
-        _ref(ts, env.space_table, "space")
+        _ref(env, ts, env.spaces, "space")
         env.charts[name] = NO_CHART
         return
     denoms = _bracketed(ts, "(", ")")
     ts.expect("on")
-    space = _ref(ts, env.space_table, "space")
+    space = _ref(env, ts, env.spaces, "space")
     env.charts[name] = Chart(tuple(_poly_list(denoms, space.ring, allow_empty=True)))
 
 
 def _stmt_morphism(env: Scenario, name: str, ts: TokenStream):
-    src = _ref(ts, env.space_table, "space")
+    src = _ref(env, ts, env.spaces, "space")
     ts.expect("->")
-    tgt = _ref(ts, env.space_table, "space")
+    tgt = _ref(env, ts, env.spaces, "space")
     ts.expect("=")
     ts.expect("(")
     # one tuple per target block, the tuples separated by ';'
@@ -556,20 +584,20 @@ def _stmt_morphism(env: Scenario, name: str, ts: TokenStream):
             coords.append([])
         coords[-1].append(parse_poly(ts, src.ring))
     ts.expect(")")
-    domain = _ref(ts, env.closed_table, "closed set") if ts.accept("on") else None
+    domain = _ref(env, ts, env.closeds, "closed set") if ts.accept("on") else None
     env.morphisms[name] = Morphism(src, tgt, coords, domain)
 
 
 def _stmt_support(env: Scenario, name: str, ts: TokenStream):
     if _one_of(ts, ("family", "full"), "expected family(...) or full") == "full":
         ts.expect("on")
-        env.families[name] = SupportFamily.full(_ref(ts, env.space_table, "space"))
+        env.families[name] = SupportFamily.full(_ref(env, ts, env.spaces, "space"))
         return
     members = _comma_list(
-        _bracketed(ts, "(", ")"), lambda g: _ref(g, env.closed_table, "closed set"), allow_empty=True
+        _bracketed(ts, "(", ")"), lambda g: _ref(env, g, env.closeds, "closed set"), allow_empty=True
     )
     if ts.accept("on"):
-        space = _ref(ts, env.space_table, "space")
+        space = _ref(env, ts, env.spaces, "space")
     elif members:
         space = members[0].space
     else:
@@ -581,10 +609,10 @@ def _stmt_support(env: Scenario, name: str, ts: TokenStream):
 def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None) -> Cycle:
     """INT*[P] +- ... with P declared primes; space inferred from the first.
 
-    A bare identifier naming a declared cycle is also accepted.
+    A bare name, a cycle's, is also accepted.
     """
-    if ts.at_kind("ident") and ts.peek().text in env.cycles:
-        return env.cycles[ts.next().text]
+    if ts.at_kind("ident"):
+        return _ref(env, ts, env.cycles, "cycle")
     terms = []
     sign = -1 if ts.accept("-") else 1
     while True:
@@ -594,7 +622,7 @@ def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None
             mult = sign * ts.expect_number()
             ts.accept("*")
         ts.expect("[")
-        comp = _ref(ts, env.primes, "prime component")
+        comp = _ref(env, ts, env.primes, "prime component")
         ts.expect("]")
         if space is None:
             space = comp.space
@@ -609,25 +637,25 @@ def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None
 def _stmt_cycle(env: Scenario, name: str, ts: TokenStream):
     if ts.accept("0"):
         ts.expect("on")
-        env.cycles[name] = Cycle(_ref(ts, env.space_table, "space"), {})
+        env.cycles[name] = Cycle(_ref(env, ts, env.spaces, "space"), {})
         return
     cyc = _parse_cycle_body(env, ts)
     if ts.accept("on"):
         sp_tok = ts.peek()
-        if cyc.space != _ref(ts, env.space_table, "space"):
+        if cyc.space != _ref(env, ts, env.spaces, "space"):
             raise ScenarioError("cycle is not on the declared space", sp_tok.line, sp_tok.col)
     if ts.accept("with"):
         ts.expect("support")
-        cyc = cyc.with_family(_ref(ts, env.families, "support family"))
+        cyc = cyc.with_family(_ref(env, ts, env.families, "support family"))
     env.cycles[name] = cyc
 
 
 def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
     def side():
         ts.expect("[")
-        var = _ref(ts, env.primes, "prime component")
+        var = _ref(env, ts, env.primes, "prime component")
         ts.expect(",")
-        fam = _ref(ts, env.families, "support family")
+        fam = _ref(env, ts, env.families, "support family")
         ts.expect("]")
         return var, fam
 
@@ -636,7 +664,7 @@ def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
     tgt_var, tgt_fam = side()
     ts.expect("=")
     if ts.accept("cycle"):
-        cyc = _ref(ts, env.cycles, "cycle")
+        cyc = _ref(env, ts, env.cycles, "cycle")
     else:
         cyc = _parse_cycle_body(env, ts)
     waive = set()
@@ -664,16 +692,16 @@ def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
             return POLICY_REJECT, f"properness not certifiable: {rejected}", {"verdicts": verdicts}
         return PASS, f"waived: {sorted(waive)}" if waive else "", {"verdicts": verdicts}
 
-    env.tasks.append((f"{name}_P", "corr-P", run_P))
+    return f"{name}_P", "corr-P", run_P
 
 
 def _stmt_graph(env: Scenario, _name: None, ts: TokenStream):
-    corr = _ref(ts, env.corrs, "correspondence")
+    corr = _ref(env, ts, env.corrs, "correspondence")
     ts.expect(".")
-    comp = _ref(ts, env.primes, "prime component")
+    comp = _ref(env, ts, env.primes, "prime component")
     ts.expect("=")
     kind = _one_of(ts, ("graph", "transpose"), "expected graph or transpose")
-    corr.attach_graph(comp, GraphData(kind, _ref(ts, env.morphisms, "morphism")))
+    corr.attach_graph(comp, GraphData(kind, _ref(env, ts, env.morphisms, "morphism")))
 
 
 def _parse_point(ts: TokenStream) -> dict:
@@ -698,7 +726,7 @@ def _corr_compose_clauses(env: Scenario, ts: TokenStream) -> dict:
     while True:
         if ts.accept("over"):
             ts.expect("open")
-            clauses["hint"] = _ref(ts, env.opens, "open")
+            clauses["hint"] = _ref(env, ts, env.opens, "open")
         elif ts.accept("witness"):
             clauses["witnesses"].append(_parse_point(ts))
         elif ts.accept("split"):
@@ -709,32 +737,24 @@ def _corr_compose_clauses(env: Scenario, ts: TokenStream) -> dict:
             ts.expect(")")
             ts.expect("into")
             clauses["split"][(a_tok.text, b_tok.text)] = _comma_list(
-                _bracketed(ts, "[", "]"), lambda g: _ref(g, env.primes, "prime component")
+                _bracketed(ts, "[", "]"), lambda g: _ref(env, g, env.primes, "prime component")
             )
         else:
             return clauses
 
 
-def _corr_operand(env: Scenario, name: str) -> Correspondence:
-    """Resolve a correspondence by name, at run time.
-
-    Earlier composition results are usable as operands; their main terms
-    become correspondences carrying whatever graph data composed through.
-    """
-    if name in env.corrs:
-        return env.corrs[name]
-    if name in env.compositions:
-        return env.compositions[name].to_correspondence()
-    raise EngineError(f"unknown correspondence {name!r}")
+def _corr_ref(env: Scenario, ts: TokenStream) -> Correspondence:
+    """A correspondence's name, or an earlier composite's: its main term is
+    a correspondence carrying whatever graph data composed through."""
+    corr = _ref(env, ts, ChainMap(env.corrs, env.compositions), "correspondence")
+    return corr.to_correspondence() if isinstance(corr, CompositionResult) else corr
 
 
-def _operands(env: Scenario, ts: TokenStream):
-    """`B . A`, the composite of A then B: a function that resolves both names
-    at run time (see `_corr_operand`) and returns the pair (A, B)."""
-    b = ts.expect_ident().text
+def _operands(env: Scenario, ts: TokenStream) -> tuple:
+    """`B . A`, the composite of A then B, as the pair (A, B)."""
+    b = _corr_ref(env, ts)
     ts.expect(".")
-    a = ts.expect_ident().text
-    return lambda: (_corr_operand(env, a), _corr_operand(env, b))
+    return _corr_ref(env, ts), b
 
 
 def _within_bound(verdict: tuple, results: list, bound: ClosedSet | None) -> tuple:
@@ -766,34 +786,33 @@ def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
         if ts.accept(","):
             ts.expect("error")
             ts.expect("within")
-            bound = _ref(ts, env.closed_table, "closed set")
+            bound = _ref(env, ts, env.closeds, "closed set")
 
     def run():
-        r = compose_localized(*operands(), **clauses)
+        r = compose_localized(*operands, **clauses)
         env.compositions[name] = r
         audit = {**r.audit, "codim_certificates": r.error_codim_certificates()}
         verdict = compared(r.main, expect(r.main), audit)
         return verdict if bound is None else _within_bound(verdict, [r], bound)
 
-    env.tasks.append((name, "compose", run))
+    return name, "compose", run
 
 
 def _stmt_projector(env: Scenario, name: str, ts: TokenStream):
-    p_tok = ts.expect_ident()
+    p = _corr_ref(env, ts)
     ts.expect("lambda")
     sign = -1 if ts.accept("-") else 1
     lam = sign * ts.expect_number()
     clauses = _corr_compose_clauses(env, ts)
     bound = None
     if ts.accept("bound"):
-        bound = _ref(ts, env.closed_table, "closed set")
+        bound = _ref(env, ts, env.closeds, "closed set")
 
     def run():
-        p = _corr_operand(env, p_tok.text)
         _, r = projector_check(p, lam, bound=bound, **clauses)
         return _within_bound(compared(r.main, p.cycle.scale(lam), r.audit), [r], bound)
 
-    env.tasks.append((name, "projector", run))
+    return name, "projector", run
 
 
 def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
@@ -803,43 +822,40 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
     """
 
     def side():
-        """A function returning the side's cycle and the composites it took."""
+        """(k, the side's cycle or its composite's operand pair)."""
         sign = -1 if ts.accept("-") else 1
         k = sign * (ts.expect_number() if ts.at_kind("number") else 1)
         ts.accept("*")
         if ts.accept("cycle"):
-            # checked now, read at run time: a task may have replaced it by then
-            ref = ts.peek()
-            _ref(ts, env.cycles, "cycle")
-            return lambda: (env.cycles[ref.text].scale(k), [])
+            return k, _ref(env, ts, env.cycles, "cycle")
         ts.expect("(")
         operands = _operands(env, ts)
         ts.expect(")")
+        return k, operands
 
-        def composite():
-            # `clauses` are read after both sides, so this runs after they are set
-            r = compose_localized(*operands(), **clauses)
-            return r.main.scale(k), [r]
-
-        return composite
-
-    side1 = side()
+    sides = [side()]
     ts.expect("~")
-    side2 = side()
+    sides.append(side())
     ts.expect("within")
-    bound = _ref(ts, env.closed_table, "closed set")
+    bound = _ref(env, ts, env.closeds, "closed set")
     clauses = _corr_compose_clauses(env, ts)
 
     def run():
-        (lhs, r1), (rhs, r2) = side1(), side2()
-        return _within_bound(compared(lhs, rhs, {"lhs": repr(lhs), "rhs": repr(rhs)}), r1 + r2, bound)
+        cycles, results = [], []
+        for k, value in sides:
+            if not isinstance(value, Cycle):
+                results.append(compose_localized(*value, **clauses))
+                value = results[-1].main
+            cycles.append(value.scale(k))
+        lhs, rhs = cycles
+        return _within_bound(compared(lhs, rhs, {"lhs": repr(lhs), "rhs": repr(rhs)}), results, bound)
 
-    env.tasks.append((name, "identity", run))
+    return name, "identity", run
 
 
 def _stmt_property(env: Scenario, name: str, ts: TokenStream):
     """property NAME = TRACE {degree0|projection|degree} expect {pass|inapplicable}"""
-    pres = _ref(ts, env.traces, "trace")
+    pres = _ref(env, ts, env.traces, "trace")
     which = _one_of(
         ts, ("degree0", "projection", "degree"), "expected degree0 | projection | degree"
     )
@@ -855,15 +871,15 @@ def _stmt_property(env: Scenario, name: str, ts: TokenStream):
             return got, "", {}
         return FAIL, f"expected {want}, got {got}", {}
 
-    env.tasks.append((name, "property", run))
+    return name, "property", run
 
 
 def _stmt_symbol(env: Scenario, name: str, ts: TokenStream):
     """symbol NAME = [ FORM / (t1, ...) ] on SPACE [chart C]"""
     body = _bracketed(ts, "[", "]")
     ts.expect("on")
-    space = _ref(ts, env.space_table, "space")
-    chart = _ref(ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
+    space = _ref(env, ts, env.spaces, "space")
+    chart = _ref(env, ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
     numerator = parse_form(body, space.ring)
     body.expect("/")
     denoms = _poly_list(_bracketed(body, "(", ")"), space.ring)
@@ -874,11 +890,11 @@ def _stmt_symbol(env: Scenario, name: str, ts: TokenStream):
 def _stmt_class(env: Scenario, name: str, ts: TokenStream):
     _one_of(ts, ("cl",), "expected cl(W)")
     ts.expect("(")
-    W = _ref(ts, env.primes, "prime component")
+    W = _ref(env, ts, env.primes, "prime component")
     ts.expect(")")
     ts.expect("at")
     ts.expect("chart")
-    chart = _ref(ts, env.charts, "chart")
+    chart = _ref(env, ts, env.charts, "chart")
     ts.expect("with")
     ts.expect("params")
     params = _poly_list(_bracketed(ts, "(", ")"), W.space.ring)
@@ -889,16 +905,16 @@ def _stmt_class(env: Scenario, name: str, ts: TokenStream):
         env.symbols[name] = frac
         return PASS, "", {"symbol": repr(frac)}
 
-    env.tasks.append((name, "class", run))
+    return name, "class", run
 
 
 def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
     _one_of(ts, ("trace",), "expected trace(...)")
     ts.expect("(")
-    f = _ref(ts, env.morphisms, "morphism")
+    f = _ref(env, ts, env.morphisms, "morphism")
     ts.expect("via")
     p_tok = ts.peek()
-    total = _ref(ts, env.space_table, "space")
+    total = _ref(env, ts, env.spaces, "space")
     ts.expect(",")
     _one_of(ts, ("t",), "expected t = (...)")
     ts.expect("=")
@@ -916,13 +932,10 @@ def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
     env.traces[name] = FinitePresentation(total.ring, base_names, fiber_names, tuple(tseq))
 
 
-def _stmt_assert(env: Scenario, _name: None, ts: TokenStream):
+def _stmt_assert(env: Scenario, name: str, ts: TokenStream):
     """assert tf(FORM) == FORM  |  assert s == k * s2  |  assert s == 0"""
-    head = ts.expect_ident()
-    n = len([kind for _, kind, _ in env.tasks if kind == "assert"])
-    task_name = f"assert_{n + 1}"
-    if head.text in env.traces and ts.at("("):
-        pres = env.traces[head.text]
+    if [t.text for t in ts.tokens[ts.pos + 1 : ts.pos + 2]] == ["("]:
+        pres = _ref(env, ts, env.traces, "trace")
         ts.expect("(")
         arg = parse_form(ts, pres.ring)
         ts.expect(")")
@@ -938,43 +951,28 @@ def _stmt_assert(env: Scenario, _name: None, ts: TokenStream):
             want = Form.zero(out.output.ring, out.output.degree) if rhs is None else rhs
             return compared(out.output, want, {"audit": out.audit})
 
-        env.tasks.append((task_name, "assert", run))
-        return
-    # otherwise a symbol comparison; symbols may be produced later by class
-    # tasks, so names resolve at run time
-    lhs_name = head.text
+        return name, "assert", run
+    # otherwise a symbol comparison
+    s1 = _ref(env, ts, env.symbols, "symbol")
     ts.expect("==")
-    scale = 1
-    rhs_name = None
+    scale, s2 = 1, None
     if ts.at_kind("number"):
         scale = ts.expect_number()
         if scale == 0 and ts.done():
-            rhs_name = lhs_name  # s == 0 is s == 0 * s
+            s2 = s1  # s == 0 is s == 0 * s
         else:
             ts.accept("*")
-    if rhs_name is None:
+    if s2 is None:
         if ts.accept("-"):
             scale = -scale
-        rhs_name = ts.expect_ident().text
-
-    def run_cmp():
-        s1 = _resolve_symbol(env, lhs_name, task_name)
-        s2 = _resolve_symbol(env, rhs_name, task_name).scale(scale)
-        return compared(s1, s2, same=KoszulFraction.equal)
-
-    env.tasks.append((task_name, "assert", run_cmp))
-
-
-def _resolve_symbol(env: Scenario, name: str, task: str) -> KoszulFraction:
-    if name not in env.symbols:
-        raise EngineError(f"unknown symbol {name!r} (needed by {task})")
-    return env.symbols[name]
+        s2 = _ref(env, ts, env.symbols, "symbol")
+    return name, "assert", lambda: compared(s1, s2.scale(scale), same=KoszulFraction.equal)
 
 
 def _stmt_vanish(env: Scenario, name: str, ts: TokenStream):
     _one_of(ts, ("cl",), "expected cl(V)")
     ts.expect("(")
-    V = _ref(ts, env.primes, "prime component")
+    V = _ref(env, ts, env.primes, "prime component")
     ts.expect(")")
     ts.expect("factor")
     ring = V.space.ring
@@ -987,7 +985,7 @@ def _stmt_vanish(env: Scenario, name: str, ts: TokenStream):
     ts.expect(";")
     pr = _poly_list(_bracketed(ts, "(", ")"), ring, allow_empty=True)
     ts.expect(")")
-    chart = _ref(ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
+    chart = _ref(env, ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
     witness = _parse_point(ts) if ts.accept("witness") else None
 
     def run():
@@ -995,16 +993,16 @@ def _stmt_vanish(env: Scenario, name: str, ts: TokenStream):
         # the components that do not vanish, of which there must be none
         return compared([q for q, v in verdicts if not v], [], {"verdicts": verdicts})
 
-    env.tasks.append((name, "vanish", run))
+    return name, "vanish", run
 
 
 def _stmt_push(env: Scenario, name: str, ts: TokenStream):
     ts.expect("push")
-    a = _ref(ts, env.cycles, "cycle")
+    a = _ref(env, ts, env.cycles, "cycle")
     ts.expect("along")
-    f = _ref(ts, env.morphisms, "morphism")
+    f = _ref(env, ts, env.morphisms, "morphism")
     ts.expect("into")
-    psi = _ref(ts, env.families, "support family")
+    psi = _ref(env, ts, env.families, "support family")
     ts.expect("expect")
     expected = _parse_cycle_body(env, ts)
 
@@ -1013,14 +1011,14 @@ def _stmt_push(env: Scenario, name: str, ts: TokenStream):
         env.cycles[name] = out
         return compared(out, expected)
 
-    env.tasks.append((name, "push", run))
+    return name, "push", run
 
 
 def _stmt_divisor(env: Scenario, name: str, ts: TokenStream):
     _one_of(ts, ("div",), "expected div(...)")
     body = _bracketed(ts, "(", ")")
     ts.expect("on")
-    space = _ref(ts, env.space_table, "space")
+    space = _ref(env, ts, env.spaces, "space")
     if space.blocks[0].kind == "affine":
         ring = Ring((space.blocks[0].names[0],), space.ring.field)
     else:
@@ -1040,7 +1038,7 @@ def _stmt_divisor(env: Scenario, name: str, ts: TokenStream):
         env.cycles[name] = out
         return compared(out, out if expected is None else expected, {"divisor": repr(out)})
 
-    env.tasks.append((name, "divisor", run))
+    return name, "divisor", run
 
 
 _STATEMENTS = {  # head -> (handler, what follows the declared name; None: no name)
@@ -1074,9 +1072,9 @@ _STATEMENTS = {  # head -> (handler, what follows the declared name; None: no na
 # runner
 
 def run_scenario(env: Scenario) -> Report:
-    with budget_scope(env.budget):
-        return run_checks(env.characteristic, env.tasks)
+    """The report of a scenario that `parse_scenario` has run."""
+    return env.report
 
 
 def run_scenario_text(text: str, characteristic: int | None = None) -> Report:
-    return run_scenario(parse_scenario(text, characteristic))
+    return parse_scenario(text, characteristic).report

@@ -411,6 +411,14 @@ def _three_quadrics():
     return Ideal(R, [x**2 + y * z + R.one(), y**2 - x * z + z, z**2 + x + y])
 
 
+def basis_terms_stored_in_reverse(monkeypatch):
+    """Over QQ, `_finalize` stores each basis element's terms last to first."""
+    _rewrite_groebner(
+        monkeypatch, "_finalize",
+        "c // lc for e, c in r.items()", "c // lc for e, c in reversed(r.items())",
+    )
+
+
 def three_quadrics_hold_their_generators():
     """test_zz_suite_audit.test_every_logged_basis_holds_its_generators over
     a log that holds the basis of _three_quadrics()."""
@@ -418,6 +426,15 @@ def three_quadrics_hold_their_generators():
         m.setattr(groebner_mod, "_audit_enabled", True)
         groebner(_three_quadrics())
     test_zz_suite_audit.test_every_logged_basis_holds_its_generators()
+
+
+def three_quadrics_store_leading_terms_first():
+    """test_zz_suite_audit's leading-term-first check over a log that holds
+    the basis of _three_quadrics()."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groebner_mod, "_audit_enabled", True)
+        groebner(_three_quadrics())
+    test_zz_suite_audit.test_every_logged_basis_is_monic_and_stores_its_leading_term_first()
 
 
 def _twisted_cubic():
@@ -482,6 +499,13 @@ def d2_trace_scenario_passes():
     assert [t.verdict for t in report.tasks] == ["pass"] * 3, report.tasks
 
 
+# The census: each row is a mutant and a check that kills it.  One mutant is
+# not a row because it is equivalent: `eliminate` testing only each basis
+# element's first stored term for the dropped variables.  Under an
+# elimination order an element whose leading term lies in k[kept variables]
+# lies there wholly, and test_zz_suite_audit checks that every logged basis
+# element stores its leading term first, so that term is the one the
+# mutant reads; basis_terms_stored_in_reverse is caught by that check.
 @pytest.mark.parametrize("mutant, check", [
     (sign_always_plus, test_residues.test_trace_signs_with_base_variables_first),
     (prefactor_dropped, test_residues.test_trace_sign_conformance),
@@ -512,6 +536,7 @@ def d2_trace_scenario_passes():
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
     (reps_not_rewritten, qq_plain_and_cofactor_bases_agree),
     (generator_tail_dropped, three_quadrics_hold_their_generators),
+    (basis_terms_stored_in_reverse, three_quadrics_store_leading_terms_first),
     (extra_generator_seeded, twisted_cubic_lies_in_its_ideal),
     (guard_dropped, failed_middle_field_seen),
     (radical_by_membership_only, test_groebner.test_radical_member_agrees_with_certificates),
@@ -549,6 +574,12 @@ def test_generator_tail_dropped_escapes_the_buchberger_audit(monkeypatch):
     gb = groebner(_three_quadrics())
     assert buchberger_audit(gb)
     assert not all(gb.contains(g) for g in gb.ideal.gens)
+
+
+def test_three_quadrics_store_leading_terms_first_unmutated(monkeypatch):
+    monkeypatch.setattr(groebner_mod, "_audit_log", [])
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    three_quadrics_store_leading_terms_first()
 
 
 def test_twisted_cubic_lies_in_its_ideal_unmutated(monkeypatch):

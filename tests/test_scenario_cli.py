@@ -129,9 +129,9 @@ def test_axiom_harness_golden_file(char):
 def test_every_groebner_run_sees_the_run_budget(monkeypatch):
     """Every Buchberger run of a scenario (declarations and tasks) and of the
     axiom harness is bounded by the scope's budget, not the default.  The
-    cache is emptied first, since a hit runs no S-pair and checks nothing;
-    the scenarios are parsed inside the scope and run outside it, so the
-    tasks see the budget the declarations saw."""
+    cache is emptied first, since a hit runs no S-pair and checks nothing.
+    `parse_scenario` runs every statement, tasks included, inside the scope,
+    and `run_scenario` outside it only returns that run's report."""
     run_budget = Budget(max_pairs=49_999)
     checked = []
     check_pairs = Budget.check_pairs
@@ -154,6 +154,77 @@ def test_every_groebner_run_sees_the_run_budget(monkeypatch):
     for rep in reports:
         assert rep.ok
         assert rep.budgets == {"max_pairs": 49_999, "max_degree": 120}
+
+
+def _statement(task) -> str:
+    """The statement a report entry came from: a P check is its correspondence's."""
+    return task.name[: -len("_P")] if task.kind == "corr-P" else task.name
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 3, 20, 60])
+def test_a_budget_trip_leaves_a_complete_report(monkeypatch, pairs):
+    """Under any pair budget every shipped scenario runs to its end: each
+    statement with an entry at the default budget has one, in file order,
+    and each entry keeps its default verdict or is an `error`.  The extra
+    entries are the declarations that tripped or read a name with no value,
+    all `error`s."""
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        text = path.read_text()
+        default = {_statement(t): t.verdict for t in run_scenario_text(text).tasks}
+        monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+        with budget_scope(Budget(max_pairs=pairs)):
+            report = run_scenario_text(text)
+        got = [(_statement(t), t.verdict) for t in report.tasks]
+        assert [s for s, _ in got if s in default] == list(default), path.name
+        moved = [(s, v) for s, v in got if v not in ("error", default.get(s))]
+        assert not moved, f"{path.name}: {moved}"
+
+
+def test_a_declaration_trip_is_its_own_entry(monkeypatch):
+    """On blowup.scn at three pairs the prime DiagXt trips while it is
+    screened: it is an `error` entry, and so is `up`, which reads it."""
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    with budget_scope(Budget(max_pairs=3)):
+        report = run_scenario_text((SCENARIOS / "blowup.scn").read_text())
+    by_name = {t.name: t for t in report.tasks}
+    diag, up = by_name["DiagXt"], by_name["up"]
+    assert (diag.kind, diag.verdict, diag.detail) == ("prime", "error", "budget exceeded: S-pair count > 3")
+    assert (up.kind, up.verdict) == ("compose", "error")
+    assert up.detail == "prime component 'DiagXt' has no value: its statement failed"
+
+
+def test_cli_declaration_trip_writes_the_report(tmp_path):
+    out = tmp_path / "report.json"
+    proc = _engine("run", str(SCENARIOS / "blowup.scn"), "--budget-pairs", "3", "--json", str(out))
+    assert proc.returncode == 1, proc.stderr
+    tasks = {t["name"]: t for t in json.loads(out.read_text())["tasks"]}
+    assert tasks["DiagXt"]["verdict"] == "error"
+    assert tasks["DiagXt"]["detail"] == "budget exceeded: S-pair count > 3"
+    assert "DiagXt" in proc.stdout and "summary:" in proc.stdout
+
+
+def test_identity_reads_a_push_result_above_it():
+    """A push task's cycle is a name for the statements below it."""
+    text = (SCENARIOS / "cycle_basics.scn").read_text() + """
+cycle twice = 2*[lineY]
+closed origin = { y } on A1y
+identity i = 1*cycle p1 ~ 1*cycle twice within origin
+"""
+    task = run_scenario_text(text).tasks[-1]
+    assert (task.name, task.kind, task.verdict) == ("i", "identity", "pass")
+
+
+def test_assert_on_a_failed_class_is_an_error():
+    """The class task errs (its parameter does not cut the diagonal), so its
+    symbol has no value and the assert reading it is an `error` naming it."""
+    text = (SCENARIOS / "cycle_basics.scn").read_text() + """
+class bad = cl(diagp) at chart full2 with params (a^2 - b^2) witness (a=1, b=1)
+assert bad == clExpected
+"""
+    bad, check = run_scenario_text(text).tasks[-2:]
+    assert (bad.name, bad.verdict) == ("bad", "error")
+    assert (check.name, check.verdict) == ("assert_2", "error")
+    assert check.detail == "symbol 'bad' has no value: its statement failed"
 
 
 def test_report_counts_and_rejects():
@@ -281,8 +352,8 @@ MALFORMED_TRACE = MALFORMED_COVER + "trace T = trace(f via P, t = (y - x^2))\n"
     ),
     # the position is the unknown name's, not the token after it
     pytest.param(
-        "compose c = Z . Z split (a, b) into [W, Nope]",
-        "unknown prime component 'Nope' (line 6, col 41)", id="split-component",
+        MALFORMED_CORR + "compose c = Z . Z split (a, b) into [W, Nope]",
+        "unknown prime component 'Nope' (line 11, col 41)", id="split-component",
     ),
     pytest.param(
         "vanish v = cl(W) factor (zz) codim 1 params ((x) ; ())",
@@ -476,6 +547,16 @@ def test_compose_expects_a_zero_main_term(operands, verdict, detail):
     rep = run_scenario_text(ZERO_MAIN + f"compose c = {operands} expect main = 0\n")
     task = rep.tasks[-1]
     assert (task.name, task.verdict, task.detail) == ("c", verdict, detail)
+
+
+def test_compose_operand_declared_below_is_unknown():
+    """Names mean what the statements above made, so an operand declared
+    further down is an unknown name, positioned at the operand."""
+    line = ZERO_MAIN.count("\n", 0, ZERO_MAIN.index("corr B")) + 1
+    text = ZERO_MAIN.replace("corr B", "compose c = B . A1\ncorr B")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"unknown correspondence 'B' (line {line}, col 13)"
 
 
 @pytest.mark.parametrize("scenario, task", [

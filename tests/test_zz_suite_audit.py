@@ -1,8 +1,9 @@
 """Runs last (alphabetically): the suite-wide Buchberger zero-reduction audit,
-and the check that each basis holds its input generators, over every reduced
-basis recorded during the whole pytest session."""
+the check that each basis holds its input generators, and the check that
+each basis element is monic with its leading term stored first, over every
+reduced basis recorded during the whole pytest session."""
 
-from cyclecalc.groebner import audit_log, buchberger_audit
+from cyclecalc.groebner import audit_log, buchberger_audit, leading
 
 
 def test_every_basis_emitted_by_the_suite_passes_the_audit():
@@ -39,3 +40,20 @@ def test_every_logged_basis_lies_in_its_ideal():
                 break
     assert not failures, f"{len(failures)} bases leave their ideal, first {failures[:1]}"
     print(f"suite audit: {len(bases)} distinct bases, each inside its input ideal")
+
+
+def test_every_logged_basis_is_monic_and_stores_its_leading_term_first():
+    """`_reduce_packed` makes a remainder monic by its first stored
+    coefficient, and a reader of a basis may take an element's first stored
+    term for its leading term (the `eliminate` note in test_mutants.py): both
+    rest on this."""
+    bases = audit_log()
+    assert bases, "the suite should have recorded bases"
+    failures = []
+    for gb in bases:
+        for g in gb.basis:
+            first = next(iter(g.terms.items()))
+            if first != leading(g, gb.order) or first[1] != gb.ring.field.one:
+                failures.append(gb)
+                break
+    assert not failures, f"{len(failures)} bases store an element out of order or not monic, first {failures[:1]}"
