@@ -20,8 +20,7 @@ back along id x chi: one pull, told the factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .cycles import Cycle, degree_over_image
 from .errors import EngineError, RingMismatch
@@ -49,7 +48,6 @@ def pair_product(src: Space, tgt: Space) -> ProductStructure:
     return product_space([src, tgt], tags=("1", "2"), force_tags=True)
 
 
-@dataclass
 class GraphData:
     """Declares a component as the (transpose of the) graph of a morphism.
 
@@ -60,12 +58,19 @@ class GraphData:
     over the locus where the morphism is defined.
     """
 
-    kind: str
-    morphism: Morphism
+    def __init__(self, kind: str, morphism: Morphism):
+        if kind not in ("graph", "transpose"):
+            raise EngineError(f"unknown graph kind {kind}")
+        self.kind = kind
+        self.morphism = morphism
 
-    def __post_init__(self):
-        if self.kind not in ("graph", "transpose"):
-            raise EngineError(f"unknown graph kind {self.kind}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.morphism) == (other.kind, other.morphism)
+
+    def __repr__(self):
+        return f"GraphData(kind={self.kind!r}, morphism={self.morphism!r})"
 
     @property
     def partial(self) -> bool:
@@ -237,7 +242,6 @@ def graph_correspondence(
 # ---------------------------------------------------------------------------
 # composition
 
-@dataclass
 class CompositionResult:
     """Main term over a good open, plus a support bound for the rest.
 
@@ -245,16 +249,48 @@ class CompositionResult:
     the engine never computes the error multiplicities.
     """
 
-    main: Cycle
-    error_support: ClosedSet
-    supp: ClosedSet
-    pair: ProductStructure
-    src_variety: PrimeComponent
-    src_family: SupportFamily
-    tgt_variety: PrimeComponent
-    tgt_family: SupportFamily
-    audit: dict = field(default_factory=dict)
-    auto_graphs: list = field(default_factory=list)
+    def __init__(
+        self,
+        main: Cycle,
+        error_support: ClosedSet,
+        supp: ClosedSet,
+        pair: ProductStructure,
+        src_variety: PrimeComponent,
+        src_family: SupportFamily,
+        tgt_variety: PrimeComponent,
+        tgt_family: SupportFamily,
+        audit: dict | None = None,
+        auto_graphs: list | None = None,
+    ):
+        self.main = main
+        self.error_support = error_support
+        self.supp = supp
+        self.pair = pair
+        self.src_variety = src_variety
+        self.src_family = src_family
+        self.tgt_variety = tgt_variety
+        self.tgt_family = tgt_family
+        self.audit = {} if audit is None else audit
+        self.auto_graphs = [] if auto_graphs is None else auto_graphs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.main, self.error_support, self.supp, self.pair, self.src_variety,
+            self.src_family, self.tgt_variety, self.tgt_family, self.audit, self.auto_graphs,
+        ) == (
+            other.main, other.error_support, other.supp, other.pair, other.src_variety,
+            other.src_family, other.tgt_variety, other.tgt_family, other.audit, other.auto_graphs,
+        )
+
+    def __repr__(self):
+        return (
+            f"CompositionResult(main={self.main!r}, error_support={self.error_support!r}, "
+            f"supp={self.supp!r}, pair={self.pair!r}, src_variety={self.src_variety!r}, "
+            f"src_family={self.src_family!r}, tgt_variety={self.tgt_variety!r}, "
+            f"tgt_family={self.tgt_family!r}, audit={self.audit!r}, auto_graphs={self.auto_graphs!r})"
+        )
 
     def to_correspondence(self) -> Correspondence:
         return Correspondence(

@@ -9,7 +9,6 @@ independent parameter set of the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import EngineError, FlatnessError, RingMismatch
@@ -135,16 +134,43 @@ def cycle_of(comp: PrimeComponent, family: SupportFamily | None = None, mult: in
     return Cycle(comp.space, {comp: mult}, family)
 
 
-@dataclass
 class DegreeCertificate:
     """deg(Z / f(Z)) with the data that witnessed it."""
 
-    component: PrimeComponent
-    image: ClosedSet
-    degree: int
-    method: str
-    fiber_dim_over_params: int = 0
-    image_dim_over_params: int = 0
+    def __init__(
+        self,
+        component: PrimeComponent,
+        image: ClosedSet,
+        degree: int,
+        method: str,
+        fiber_dim_over_params: int = 0,
+        image_dim_over_params: int = 0,
+    ):
+        self.component = component
+        self.image = image
+        self.degree = degree
+        self.method = method
+        self.fiber_dim_over_params = fiber_dim_over_params
+        self.image_dim_over_params = image_dim_over_params
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.component, self.image, self.degree, self.method,
+            self.fiber_dim_over_params, self.image_dim_over_params,
+        ) == (
+            other.component, other.image, other.degree, other.method,
+            other.fiber_dim_over_params, other.image_dim_over_params,
+        )
+
+    def __repr__(self):
+        return (
+            f"DegreeCertificate(component={self.component!r}, image={self.image!r}, "
+            f"degree={self.degree!r}, method={self.method!r}, "
+            f"fiber_dim_over_params={self.fiber_dim_over_params!r}, "
+            f"image_dim_over_params={self.image_dim_over_params!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +276,26 @@ def push_forward(
 # ---------------------------------------------------------------------------
 # flat pullback
 
-@dataclass
 class LineProbe:
     """A parametrized line used for the multiplicity length check."""
 
-    point: dict
-    direction: dict
+    def __init__(self, point: dict, direction: dict):
+        self.point = point
+        self.direction = direction
 
 
-@dataclass
 class PullbackTerm:
-    component: PrimeComponent
-    multiplicity: int
-    probe: LineProbe | None = None
-    witness: dict | None = None
+    def __init__(
+        self,
+        component: PrimeComponent,
+        multiplicity: int,
+        probe: LineProbe | None = None,
+        witness: dict | None = None,
+    ):
+        self.component = component
+        self.multiplicity = multiplicity
+        self.probe = probe
+        self.witness = witness
 
 
 def _restrict_to_line(I: Ideal, probe: LineProbe, space: Space) -> Poly:

@@ -7,7 +7,7 @@ are absorbed into coefficients).  Degree-0 forms wrap plain polynomials.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import EngineError, RingMismatch
 from .poly import Poly, Ring

@@ -14,8 +14,7 @@ uncertifiable questions raise PolicyReject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import EngineError, PolicyReject, RingMismatch
 from .fields import field_of_characteristic
@@ -34,16 +33,31 @@ from .orders import block_order
 from .poly import Poly, Ring
 
 
-@dataclass(frozen=True)
 class Block:
-    kind: str  # 'affine' | 'proj'
-    names: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("affine", "proj"):
-            raise EngineError(f"unknown block kind {self.kind}")
-        if self.kind == "proj" and len(self.names) < 2:
+    def __init__(self, kind: str, names: tuple):
+        if kind not in ("affine", "proj"):
+            raise EngineError(f"unknown block kind {kind}")
+        if kind == "proj" and len(names) < 2:
             raise EngineError("projective block needs at least 2 coordinates")
+        object.__setattr__(self, "kind", kind)  # 'affine' | 'proj'
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.names) == (other.kind, other.names)
+
+    def __hash__(self):
+        return hash((self.kind, self.names))
+
+    def __repr__(self):
+        return f"Block(kind={self.kind!r}, names={self.names!r})"
 
     @property
     def dim(self) -> int:
@@ -126,13 +140,21 @@ class Space:
         return " x ".join(bits) if bits else "point"
 
 
-@dataclass
 class ProductStructure:
     """A product space plus the variable embeddings of its factors."""
 
-    space: Space
-    factors: tuple
-    embeddings: tuple  # per factor: dict factor var index -> product var index
+    def __init__(self, space: Space, factors: tuple, embeddings: tuple):
+        self.space = space
+        self.factors = factors
+        self.embeddings = embeddings  # per factor: dict factor var index -> product var index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.factors, self.embeddings) == (other.space, other.factors, other.embeddings)
+
+    def __repr__(self):
+        return f"ProductStructure(space={self.space!r}, factors={self.factors!r}, embeddings={self.embeddings!r})"
 
     def factor_var_indices(self, k: int) -> set:
         return set(self.embeddings[k].values())

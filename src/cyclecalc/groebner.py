@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, EngineError, RingMismatch
 from .orders import (
@@ -61,12 +60,29 @@ from .orders import (
 from .poly import Poly, Ring
 
 
-@dataclass(frozen=True)
 class Budget:
     """Resource limits for each Gröbner run; set them with budget_scope."""
 
-    max_pairs: int = 50_000
-    max_degree: int = 120
+    def __init__(self, max_pairs: int = 50_000, max_degree: int = 120):
+        object.__setattr__(self, "max_pairs", max_pairs)
+        object.__setattr__(self, "max_degree", max_degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_pairs, self.max_degree) == (other.max_pairs, other.max_degree)
+
+    def __hash__(self):
+        return hash((self.max_pairs, self.max_degree))
+
+    def __repr__(self):
+        return f"Budget(max_pairs={self.max_pairs!r}, max_degree={self.max_degree!r})"
 
     def check_pairs(self, n: int):
         if n > self.max_pairs:

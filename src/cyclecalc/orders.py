@@ -13,9 +13,9 @@ one subtraction and one mask, and comparison one xor.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import add, le, mul, neg, sub
-from typing import Sequence
 
 from .errors import EngineError
 

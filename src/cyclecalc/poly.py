@@ -7,8 +7,8 @@ structural; all values are immutable after construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import EngineError, RingMismatch
 from .fields import QQ, field_of_characteristic

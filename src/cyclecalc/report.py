@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
 
 from .errors import EngineError, PolicyReject
 from .groebner import current_budget
@@ -37,17 +36,28 @@ ERROR = "error"
 _VERDICTS = (PASS, FAIL, POLICY_REJECT, INAPPLICABLE, ERROR)
 
 
-@dataclass
 class TaskResult:
-    name: str
-    kind: str
-    verdict: str
-    detail: str = ""
-    audit: dict = field(default_factory=dict)
+    def __init__(self, name: str, kind: str, verdict: str, detail: str = "", audit: dict | None = None):
+        if verdict not in _VERDICTS:
+            raise ValueError(f"unknown verdict {verdict}")
+        self.name = name
+        self.kind = kind
+        self.verdict = verdict
+        self.detail = detail
+        self.audit = {} if audit is None else audit
 
-    def __post_init__(self):
-        if self.verdict not in _VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.kind, self.verdict, self.detail, self.audit) == (
+            other.name, other.kind, other.verdict, other.detail, other.audit,
+        )
+
+    def __repr__(self):
+        return (
+            f"TaskResult(name={self.name!r}, kind={self.kind!r}, verdict={self.verdict!r}, "
+            f"detail={self.detail!r}, audit={self.audit!r})"
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -89,11 +99,12 @@ def compared(got, want, audit: dict | None = None, same=None) -> tuple:
 def run_checks(characteristic: int, checks) -> "Report":
     """Run `(name, kind, check)` triples in order, each through `run_check`,
     as one timed report that records the budget in scope."""
-    report = Report(characteristic=characteristic, budgets=asdict(current_budget()))
-    start = time.time()
+    budget = current_budget()
+    report = Report(characteristic, {"max_pairs": budget.max_pairs, "max_degree": budget.max_degree})
+    start = time.perf_counter()
     for name, kind, check in checks:
         report.add(run_check(name, kind, check))
-    report.timing_seconds = time.time() - start
+    report.timing_seconds = time.perf_counter() - start
     return report
 
 
@@ -107,13 +118,33 @@ def _jsonable(value):
     return str(value)
 
 
-@dataclass
 class Report:
-    characteristic: int
-    budgets: dict = field(default_factory=dict)
-    tasks: list = field(default_factory=list)
-    timing_seconds: float | None = None
-    version: str = ENGINE_VERSION
+    def __init__(
+        self,
+        characteristic: int,
+        budgets: dict | None = None,
+        tasks: list | None = None,
+        timing_seconds: float | None = None,
+        version: str = ENGINE_VERSION,
+    ):
+        self.characteristic = characteristic
+        self.budgets = {} if budgets is None else budgets
+        self.tasks = [] if tasks is None else tasks
+        self.timing_seconds = timing_seconds
+        self.version = version
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.characteristic, self.budgets, self.tasks, self.timing_seconds, self.version) == (
+            other.characteristic, other.budgets, other.tasks, other.timing_seconds, other.version,
+        )
+
+    def __repr__(self):
+        return (
+            f"Report(characteristic={self.characteristic!r}, budgets={self.budgets!r}, "
+            f"tasks={self.tasks!r}, timing_seconds={self.timing_seconds!r}, version={self.version!r})"
+        )
 
     def add(self, task: TaskResult):
         self.tasks.append(task)

@@ -50,7 +50,6 @@ leaves nothing behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EngineError, RingMismatch
@@ -69,26 +68,47 @@ from .poly import Poly, Ring
 from .symbols import _determinant
 
 
-@dataclass(frozen=True)
 class FinitePresentation:
     """X inside P = Y x A^d, cut by a global sequence t, finite over Y.
 
     ring: the coordinate ring of P; base/fiber names partition its variables.
+    Immutable, so the cached properties below stay valid.
     """
 
-    ring: Ring
-    base_names: tuple
-    fiber_names: tuple
-    t: tuple
-
-    def __post_init__(self):
-        if set(self.base_names) | set(self.fiber_names) != set(self.ring.vars):
+    def __init__(self, ring: Ring, base_names: tuple, fiber_names: tuple, t: tuple):
+        if set(base_names) | set(fiber_names) != set(ring.vars):
             raise EngineError("base and fiber variables must partition the ring")
-        if len(self.t) != len(self.fiber_names):
+        if len(t) != len(fiber_names):
             raise EngineError("need one denominator per fiber variable")
-        for p in self.t:
-            if p.ring is not self.ring and p.ring != self.ring:
+        for p in t:
+            if p.ring is not ring and p.ring != ring:
                 raise RingMismatch("sequence entry in the wrong ring")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "base_names", base_names)
+        object.__setattr__(self, "fiber_names", fiber_names)
+        object.__setattr__(self, "t", t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.base_names, self.fiber_names, self.t) == (
+            other.ring, other.base_names, other.fiber_names, other.t,
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.base_names, self.fiber_names, self.t))
+
+    def __repr__(self):
+        return (
+            f"FinitePresentation(ring={self.ring!r}, base_names={self.base_names!r}, "
+            f"fiber_names={self.fiber_names!r}, t={self.t!r})"
+        )
 
     @property
     def d(self) -> int:
@@ -385,12 +405,12 @@ def _box_residue(frame: ResidueFrame, a: tuple) -> tuple:
     return tuple((tuple(e[i] for i in base_idx), c) for e, c in cur.items())
 
 
-@dataclass
 class TraceResult:
-    input_degree: int
-    output: Form  # on the base ring
-    terms: list  # (index tuple, residue numerator h, its residue), one per top-relative piece
-    lifted: Form  # the form with its coefficients reduced modulo (t)
+    def __init__(self, input_degree: int, output: Form, terms: list, lifted: Form):
+        self.input_degree = input_degree
+        self.output = output  # on the base ring
+        self.terms = terms  # (index tuple, residue numerator h, its residue), one per top-relative piece
+        self.lifted = lifted  # the form with its coefficients reduced modulo (t)
 
     @cached_property
     def audit(self) -> dict:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import re
 from collections import ChainMap, Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -110,12 +109,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
 class Token:
-    kind: str  # 'number' | 'ident' | 'op' | 'end'
-    text: str
-    line: int
-    col: int
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # 'number' | 'ident' | 'op' | 'end'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str):
@@ -339,25 +338,25 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
 # ---------------------------------------------------------------------------
 # environment
 
-@dataclass
 class Scenario:
-    characteristic: int = 0
-    char_locked: bool = False
-    spaces: dict = field(default_factory=dict)  # a pair's name -> its product space
-    closeds: dict = field(default_factory=dict)  # a prime's name -> its closed set
-    primes: dict = field(default_factory=dict)
-    opens: dict = field(default_factory=dict)  # name -> bad-locus ClosedSet
-    charts: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
-    cycles: dict = field(default_factory=dict)
-    corrs: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)  # name -> FinitePresentation
-    symbols: dict = field(default_factory=dict)
-    compositions: dict = field(default_factory=dict)
-    # names whose statement made no value: a tripped declaration, or a task whose check raised
-    failed: set = field(default_factory=set)
-    report: Report | None = None
+    def __init__(self):
+        self.characteristic = 0
+        self.char_locked = False
+        self.spaces = {}  # a pair's name -> its product space
+        self.closeds = {}  # a prime's name -> its closed set
+        self.primes = {}
+        self.opens = {}  # name -> bad-locus ClosedSet
+        self.charts = {}
+        self.morphisms = {}
+        self.families = {}
+        self.cycles = {}
+        self.corrs = {}
+        self.traces = {}  # name -> FinitePresentation
+        self.symbols = {}
+        self.compositions = {}
+        # names whose statement made no value: a tripped declaration, or a task whose check raised
+        self.failed = set()
+        self.report: Report | None = None
 
 
 def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:

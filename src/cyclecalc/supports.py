@@ -12,7 +12,7 @@ out of them; it is never folded into False.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import RingMismatch
 from .geometry import (

@@ -17,8 +17,7 @@ renormalization is performed anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import EngineError, RegularityError, RingMismatch
 from .forms import Form, wedge_all
@@ -37,11 +36,28 @@ from .groebner import (
 from .poly import Poly, Ring
 
 
-@dataclass(frozen=True)
 class Chart:
     """Localization data: polynomials declared invertible."""
 
-    denominators: tuple = ()
+    def __init__(self, denominators: tuple = ()):
+        object.__setattr__(self, "denominators", denominators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.denominators,) == (other.denominators,)
+
+    def __hash__(self):
+        return hash((self.denominators,))
+
+    def __repr__(self):
+        return f"Chart(denominators={self.denominators!r})"
 
     def product(self, ring: Ring) -> Poly | None:
         if not self.denominators:
@@ -227,12 +243,26 @@ class KoszulFraction:
         return f"[{self.numerator} / ({dens})]"
 
 
-@dataclass(frozen=True)
 class RegularityCertificate:
     """The reduced basis of the chart-localized ideal (t), which fractions
     over t reduce their numerators by, or None when the chart misses V(t)."""
 
-    basis: GBasis | None
+    def __init__(self, basis: GBasis | None):
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis,) == (other.basis,)
+
+    def __hash__(self):
+        return hash((self.basis,))
 
 
 def verify_regular_sequence(

@@ -9,7 +9,6 @@ presentation those checks build is fresh, so its residue frame is built
 under the mutant.
 """
 
-import dataclasses
 import importlib
 import inspect
 import sys
@@ -18,6 +17,7 @@ from collections import OrderedDict
 
 import pytest
 
+from cyclecalc.cycles import DegreeCertificate
 from cyclecalc.groebner import Ideal, buchberger_audit, groebner
 from cyclecalc.orders import degrevlex
 from cyclecalc.poly import ring_over
@@ -285,7 +285,14 @@ def push_degree_capped(monkeypatch):
 
     def mutant(Z, f):
         cert = degree_over_image(Z, f)
-        return dataclasses.replace(cert, degree=min(cert.degree, 1))
+        return DegreeCertificate(
+            cert.component,
+            cert.image,
+            min(cert.degree, 1),
+            cert.method,
+            cert.fiber_dim_over_params,
+            cert.image_dim_over_params,
+        )
 
     monkeypatch.setattr(corr_mod, "degree_over_image", mutant)
 

@@ -5,19 +5,23 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import OrderedDict
+from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from cyclecalc.axioms import run_axiom_harness
 from cyclecalc.errors import ScenarioError
 from cyclecalc.groebner import Budget, budget_scope, current_budget
-from cyclecalc.report import Report, TaskResult
+from cyclecalc.report import Report, TaskResult, compared, run_checks
 from cyclecalc.scenario import parse_scenario, run_scenario, run_scenario_text
 
 # the module, not the function that `cyclecalc.groebner` names
 groebner_mod = importlib.import_module("cyclecalc.groebner")
+report_mod = importlib.import_module("cyclecalc.report")
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -235,6 +239,17 @@ def test_report_counts_and_rejects():
     assert rep.ok  # policy-reject is not a failure
     with pytest.raises(ValueError):
         TaskResult("c", "compose", "maybe")
+
+
+def test_run_timing_survives_a_wall_clock_set_back(monkeypatch):
+    """A run is timed on a monotonic clock: the wall clock here is set back an
+    hour on every read, and the timing must still not be negative."""
+    set_back = count(1e9, -3600.0)
+    clock = SimpleNamespace(time=lambda: next(set_back), perf_counter=time.perf_counter)
+    monkeypatch.setattr(report_mod, "time", clock)
+    report = run_checks(0, [("a", "check", lambda: compared(1, 1))])
+    assert report.tasks[0].verdict == "pass"
+    assert 0 <= report.timing_seconds < 60
 
 
 def _engine(*args, timeout=None):
