@@ -64,14 +64,6 @@ class GraphData:
         self.kind = kind
         self.morphism = morphism
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.morphism) == (other.kind, other.morphism)
-
-    def __repr__(self):
-        return f"GraphData(kind={self.kind!r}, morphism={self.morphism!r})"
-
     @property
     def partial(self) -> bool:
         return not self.morphism.is_regular() or self.morphism.domain is not None
@@ -259,8 +251,8 @@ class CompositionResult:
         src_family: SupportFamily,
         tgt_variety: PrimeComponent,
         tgt_family: SupportFamily,
-        audit: dict | None = None,
-        auto_graphs: list | None = None,
+        audit: dict,
+        auto_graphs: list,
     ):
         self.main = main
         self.error_support = error_support
@@ -270,27 +262,8 @@ class CompositionResult:
         self.src_family = src_family
         self.tgt_variety = tgt_variety
         self.tgt_family = tgt_family
-        self.audit = {} if audit is None else audit
-        self.auto_graphs = [] if auto_graphs is None else auto_graphs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.main, self.error_support, self.supp, self.pair, self.src_variety,
-            self.src_family, self.tgt_variety, self.tgt_family, self.audit, self.auto_graphs,
-        ) == (
-            other.main, other.error_support, other.supp, other.pair, other.src_variety,
-            other.src_family, other.tgt_variety, other.tgt_family, other.audit, other.auto_graphs,
-        )
-
-    def __repr__(self):
-        return (
-            f"CompositionResult(main={self.main!r}, error_support={self.error_support!r}, "
-            f"supp={self.supp!r}, pair={self.pair!r}, src_variety={self.src_variety!r}, "
-            f"src_family={self.src_family!r}, tgt_variety={self.tgt_variety!r}, "
-            f"tgt_family={self.tgt_family!r}, audit={self.audit!r}, auto_graphs={self.auto_graphs!r})"
-        )
+        self.audit = audit
+        self.auto_graphs = auto_graphs
 
     def to_correspondence(self) -> Correspondence:
         return Correspondence(

@@ -153,25 +153,6 @@ class DegreeCertificate:
         self.fiber_dim_over_params = fiber_dim_over_params
         self.image_dim_over_params = image_dim_over_params
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.component, self.image, self.degree, self.method,
-            self.fiber_dim_over_params, self.image_dim_over_params,
-        ) == (
-            other.component, other.image, other.degree, other.method,
-            other.fiber_dim_over_params, other.image_dim_over_params,
-        )
-
-    def __repr__(self):
-        return (
-            f"DegreeCertificate(component={self.component!r}, image={self.image!r}, "
-            f"degree={self.degree!r}, method={self.method!r}, "
-            f"fiber_dim_over_params={self.fiber_dim_over_params!r}, "
-            f"image_dim_over_params={self.image_dim_over_params!r})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # generic fiber degrees

@@ -30,34 +30,18 @@ from .groebner import (
     saturate,
 )
 from .orders import block_order
-from .poly import Poly, Ring
+from .poly import Frozen, Poly, Ring
 
 
-class Block:
+class Block(Frozen):
+    _fields = ("kind", "names")  # kind: 'affine' | 'proj'
+
     def __init__(self, kind: str, names: tuple):
         if kind not in ("affine", "proj"):
             raise EngineError(f"unknown block kind {kind}")
         if kind == "proj" and len(names) < 2:
             raise EngineError("projective block needs at least 2 coordinates")
-        object.__setattr__(self, "kind", kind)  # 'affine' | 'proj'
-        object.__setattr__(self, "names", names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.names) == (other.kind, other.names)
-
-    def __hash__(self):
-        return hash((self.kind, self.names))
-
-    def __repr__(self):
-        return f"Block(kind={self.kind!r}, names={self.names!r})"
+        super().__init__(kind, names)
 
     @property
     def dim(self) -> int:
@@ -147,14 +131,6 @@ class ProductStructure:
         self.space = space
         self.factors = factors
         self.embeddings = embeddings  # per factor: dict factor var index -> product var index
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.factors, self.embeddings) == (other.space, other.factors, other.embeddings)
-
-    def __repr__(self):
-        return f"ProductStructure(space={self.space!r}, factors={self.factors!r}, embeddings={self.embeddings!r})"
 
     def factor_var_indices(self, k: int) -> set:
         return set(self.embeddings[k].values())

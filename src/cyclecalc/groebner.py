@@ -57,32 +57,16 @@ from .orders import (
     exp_sub,
     packing,
 )
-from .poly import Poly, Ring
+from .poly import Frozen, Poly, Ring
 
 
-class Budget:
+class Budget(Frozen):
     """Resource limits for each Gröbner run; set them with budget_scope."""
 
+    _fields = ("max_pairs", "max_degree")
+
     def __init__(self, max_pairs: int = 50_000, max_degree: int = 120):
-        object.__setattr__(self, "max_pairs", max_pairs)
-        object.__setattr__(self, "max_degree", max_degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_pairs, self.max_degree) == (other.max_pairs, other.max_degree)
-
-    def __hash__(self):
-        return hash((self.max_pairs, self.max_degree))
-
-    def __repr__(self):
-        return f"Budget(max_pairs={self.max_pairs!r}, max_degree={self.max_degree!r})"
+        super().__init__(max_pairs, max_degree)
 
     def check_pairs(self, n: int):
         if n > self.max_pairs:

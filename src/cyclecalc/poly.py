@@ -9,11 +9,47 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import EngineError, RingMismatch
 from .fields import QQ, field_of_characteristic
 
 Exponent = tuple  # tuple[int, ...], one entry per ring variable
+
+
+class Frozen:
+    """An immutable value named by the class's `_fields`: `__init__` sets them
+    once, in that order, and equality, hash and repr read them back."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the fields are read in C because Blocks are hashed on the hot path;
+        # a class with one field is keyed by its bare value, not a 1-tuple
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Ring:

@@ -46,19 +46,6 @@ class TaskResult:
         self.detail = detail
         self.audit = {} if audit is None else audit
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.kind, self.verdict, self.detail, self.audit) == (
-            other.name, other.kind, other.verdict, other.detail, other.audit,
-        )
-
-    def __repr__(self):
-        return (
-            f"TaskResult(name={self.name!r}, kind={self.kind!r}, verdict={self.verdict!r}, "
-            f"detail={self.detail!r}, audit={self.audit!r})"
-        )
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -119,32 +106,12 @@ def _jsonable(value):
 
 
 class Report:
-    def __init__(
-        self,
-        characteristic: int,
-        budgets: dict | None = None,
-        tasks: list | None = None,
-        timing_seconds: float | None = None,
-        version: str = ENGINE_VERSION,
-    ):
+    def __init__(self, characteristic: int, budgets: dict | None = None):
         self.characteristic = characteristic
         self.budgets = {} if budgets is None else budgets
-        self.tasks = [] if tasks is None else tasks
-        self.timing_seconds = timing_seconds
-        self.version = version
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.characteristic, self.budgets, self.tasks, self.timing_seconds, self.version) == (
-            other.characteristic, other.budgets, other.tasks, other.timing_seconds, other.version,
-        )
-
-    def __repr__(self):
-        return (
-            f"Report(characteristic={self.characteristic!r}, budgets={self.budgets!r}, "
-            f"tasks={self.tasks!r}, timing_seconds={self.timing_seconds!r}, version={self.version!r})"
-        )
+        self.tasks = []
+        self.timing_seconds = None
+        self.version = ENGINE_VERSION
 
     def add(self, task: TaskResult):
         self.tasks.append(task)

@@ -64,16 +64,18 @@ from .groebner import (
     monic_eliminant,
 )
 from .orders import block_order, exp_add, exp_sub
-from .poly import Poly, Ring
+from .poly import Frozen, Poly, Ring
 from .symbols import _determinant
 
 
-class FinitePresentation:
+class FinitePresentation(Frozen):
     """X inside P = Y x A^d, cut by a global sequence t, finite over Y.
 
     ring: the coordinate ring of P; base/fiber names partition its variables.
     Immutable, so the cached properties below stay valid.
     """
+
+    _fields = ("ring", "base_names", "fiber_names", "t")
 
     def __init__(self, ring: Ring, base_names: tuple, fiber_names: tuple, t: tuple):
         if set(base_names) | set(fiber_names) != set(ring.vars):
@@ -83,32 +85,7 @@ class FinitePresentation:
         for p in t:
             if p.ring is not ring and p.ring != ring:
                 raise RingMismatch("sequence entry in the wrong ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "base_names", base_names)
-        object.__setattr__(self, "fiber_names", fiber_names)
-        object.__setattr__(self, "t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.base_names, self.fiber_names, self.t) == (
-            other.ring, other.base_names, other.fiber_names, other.t,
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.base_names, self.fiber_names, self.t))
-
-    def __repr__(self):
-        return (
-            f"FinitePresentation(ring={self.ring!r}, base_names={self.base_names!r}, "
-            f"fiber_names={self.fiber_names!r}, t={self.t!r})"
-        )
+        super().__init__(ring, base_names, fiber_names, t)
 
     @property
     def d(self) -> int:

@@ -23,7 +23,6 @@ from .errors import EngineError, RegularityError, RingMismatch
 from .forms import Form, wedge_all
 from .geometry import PrimeComponent, smooth_at
 from .groebner import (
-    GBasis,
     Ideal,
     cofactor_lift,
     groebner,
@@ -33,31 +32,16 @@ from .groebner import (
     radical_member,
     saturate_poly,
 )
-from .poly import Poly, Ring
+from .poly import Frozen, Poly, Ring
 
 
-class Chart:
+class Chart(Frozen):
     """Localization data: polynomials declared invertible."""
 
+    _fields = ("denominators",)
+
     def __init__(self, denominators: tuple = ()):
-        object.__setattr__(self, "denominators", denominators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.denominators,) == (other.denominators,)
-
-    def __hash__(self):
-        return hash((self.denominators,))
-
-    def __repr__(self):
-        return f"Chart(denominators={self.denominators!r})"
+        super().__init__(denominators)
 
     def product(self, ring: Ring) -> Poly | None:
         if not self.denominators:
@@ -243,26 +227,11 @@ class KoszulFraction:
         return f"[{self.numerator} / ({dens})]"
 
 
-class RegularityCertificate:
+class RegularityCertificate(Frozen):
     """The reduced basis of the chart-localized ideal (t), which fractions
     over t reduce their numerators by, or None when the chart misses V(t)."""
 
-    def __init__(self, basis: GBasis | None):
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.basis,) == (other.basis,)
-
-    def __hash__(self):
-        return hash((self.basis,))
+    _fields = ("basis",)
 
 
 def verify_regular_sequence(

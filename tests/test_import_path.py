@@ -1,5 +1,6 @@
-"""What `import cyclecalc` loads from the standard library, and the value
-classes written out by hand so that it loads no `dataclasses`.
+"""What `import cyclecalc` loads from the standard library, and the
+immutable value classes, which share the `Frozen` base in place of
+`@dataclass(frozen=True)` so that it loads no `dataclasses`.
 
 Most shipped scenarios do a few milliseconds of algebra, so a cold
 `engine run` is mostly interpreter start-up and import.  `dataclasses`
@@ -55,6 +56,8 @@ def test_frozen_values_are_immutable_and_hash_by_their_fields():
     certificate = verify_regular_sequence(R, (x,))
     pairs.append((certificate, type(certificate)(certificate.basis)))
     for a, b in pairs:
+        # every attribute __init__ set is a field, so none drops out of == and hash
+        assert set(type(a)._fields) == set(vars(a))
         assert a == b and hash(a) == hash(b) and a is not b
         field = next(iter(vars(a)))
         with pytest.raises(AttributeError):

@@ -503,7 +503,7 @@ def policy_fail_twin_fails():
 
 def d2_trace_scenario_passes():
     report = run_scenario_text(D2_TRACE_SCENARIO)
-    assert [t.verdict for t in report.tasks] == ["pass"] * 3, report.tasks
+    assert [t.verdict for t in report.tasks] == ["pass"] * 3, [t.as_dict() for t in report.tasks]
 
 
 # The census: each row is a mutant and a check that kills it.  One mutant is
