@@ -104,10 +104,11 @@ def cmd_groebner(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="engine", description="exact cycle-calculus engine")
     sub = parser.add_subparsers(dest="command", required=True)
+    default = Budget()
 
     def common(p):
-        p.add_argument("--budget-pairs", type=int, default=50_000)
-        p.add_argument("--budget-degree", type=int, default=120)
+        p.add_argument("--budget-pairs", type=int, default=default.max_pairs)
+        p.add_argument("--budget-degree", type=int, default=default.max_degree)
         p.add_argument("--json", help="write the machine report to this path")
         p.add_argument("--seed", type=int, default=None, help="recorded in the report; runs are deterministic")
 

@@ -157,7 +157,7 @@ class Correspondence:
         graphs = []
         for comp, mult in self.cycle.terms.items():
             gens = [g.inject(ring, swap) for g in comp.closed_set.ideal.gens]
-            cs = ClosedSet(new_prod.space, Ideal(ring, gens), presaturated=True)
+            cs = ClosedSet(new_prod.space, Ideal(ring, gens))
             new_comp = PrimeComponent(cs, label=f"{comp.label}^t", screen=False)
             terms[new_comp] = mult
             for data in self.graphs[comp]:

@@ -418,7 +418,7 @@ def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> 
                 k = e[0]
                 comp_poly = comp_poly + (u ** k * v ** (d - k)).scale(c)
         comp = PrimeComponent(
-            ClosedSet(space, Ideal(space.ring, [comp_poly]), presaturated=True),
+            ClosedSet(space, Ideal(space.ring, [comp_poly])),
             label=str(comp_poly) + "=0",
             screen=False,
         )
@@ -435,7 +435,7 @@ def principal_divisor_line(numerator: Poly, denominator: Poly, space: Space) -> 
         imbalance = denominator.degree_in(0) - numerator.degree_in(0)
         if imbalance:
             infty = PrimeComponent(
-                ClosedSet(space, Ideal(space.ring, [space.ring.var(1)]), presaturated=True),
+                ClosedSet(space, Ideal(space.ring, [space.ring.var(1)])),
                 label="infinity",
                 screen=False,
             )

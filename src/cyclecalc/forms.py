@@ -170,9 +170,7 @@ class Form:
             out = out + term
         return out
 
-    def inject(self, target: Ring, index_map: Mapping[int, int] | None = None) -> "Form":
-        if index_map is None:
-            index_map = {i: target.index(v) for i, v in enumerate(self.ring.vars)}
+    def inject(self, target: Ring, index_map: Mapping[int, int]) -> "Form":
         out: dict = {}
         for idx, p in self.components.items():
             new_idx = tuple(index_map[i] for i in idx)

@@ -59,7 +59,7 @@ def proj(*names: str) -> Block:
 class Space:
     """Product of affine and projective blocks over one characteristic."""
 
-    __slots__ = ("blocks", "characteristic", "ring", "_block_index")
+    __slots__ = ("blocks", "characteristic", "ring", "_block_index", "_hash")
 
     def __init__(self, blocks: Sequence[Block], characteristic: int = 0):
         self.blocks = tuple(blocks)
@@ -71,6 +71,7 @@ class Space:
         for b in self.blocks:
             self._block_index.append(tuple(range(pos, pos + len(b.names))))
             pos += len(b.names)
+        self._hash = hash((self.blocks, characteristic))
 
     @property
     def dim(self) -> int:
@@ -87,11 +88,7 @@ class Space:
         return [self._block_index[k] for k, b in enumerate(self.blocks) if b.kind == "proj"]
 
     def irrelevant_ideals(self) -> list:
-        out = []
-        for k, b in enumerate(self.blocks):
-            if b.kind == "proj":
-                out.append(Ideal(self.ring, [self.ring.var(i) for i in self._block_index[k]]))
-        return out
+        return [Ideal(self.ring, [self.ring.var(i) for i in idx]) for idx in self.proj_block_indices()]
 
     def multidegree(self, p: Poly) -> tuple | None:
         """Per-projective-block degree when p is multihomogeneous, else None."""
@@ -103,9 +100,6 @@ class Space:
             degs.append(block_degs.pop() if block_degs else 0)
         return tuple(degs)
 
-    def is_multihomogeneous(self, p: Poly) -> bool:
-        return self.multidegree(p) is not None
-
     def __eq__(self, other):
         return (
             isinstance(other, Space)
@@ -114,7 +108,7 @@ class Space:
         )
 
     def __hash__(self):
-        return hash((self.blocks, self.characteristic))
+        return self._hash
 
     def __repr__(self):
         bits = []
@@ -187,23 +181,23 @@ def product_space(
 class ClosedSet:
     """A saturated multihomogeneous ideal in a Space."""
 
-    __slots__ = ("space", "ideal", "_dim", "_gb")
+    __slots__ = ("space", "ideal", "_dim", "_gb", "_hash")
 
-    def __init__(self, space: Space, I: Ideal, presaturated: bool = False):
+    def __init__(self, space: Space, I: Ideal):
         if I.ring != space.ring:
             raise RingMismatch("ideal not in the space's coordinate ring")
         for g in I.gens:
-            if not space.is_multihomogeneous(g):
+            if space.multidegree(g) is None:
                 raise EngineError(
                     f"generator not multihomogeneous in projective blocks: {g}"
                 )
-        if not presaturated:
-            for irr in space.irrelevant_ideals():
-                I = saturate(I, irr)
+        for irr in space.irrelevant_ideals():
+            I = saturate(I, irr)
         self.space = space
         self.ideal = I
         self._dim = None
         self._gb = None
+        self._hash = None
 
     # -- basics -------------------------------------------------------------
 
@@ -270,7 +264,9 @@ class ClosedSet:
 
     def __hash__(self):
         # hash by reduced GB so equal closed sets collide
-        return hash((self.space, tuple(self.gb().basis)))
+        if self._hash is None:
+            self._hash = hash((self.space, tuple(self.gb().basis)))
+        return self._hash
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal.gens) or "0"
@@ -282,11 +278,11 @@ def closed_set(space: Space, *gens: Poly) -> ClosedSet:
 
 
 def whole_space(space: Space) -> ClosedSet:
-    return ClosedSet(space, Ideal(space.ring, []), presaturated=True)
+    return ClosedSet(space, Ideal(space.ring, []))
 
 
 def empty_set(space: Space) -> ClosedSet:
-    return ClosedSet(space, Ideal(space.ring, [space.ring.one()]), presaturated=True)
+    return ClosedSet(space, Ideal(space.ring, [space.ring.one()]))
 
 
 def union_of(space: Space, sets: Iterable[ClosedSet]) -> ClosedSet:
@@ -307,7 +303,7 @@ def point_set(space: Space, coords: Mapping[str, object]) -> ClosedSet:
             raise EngineError("point_set supports affine blocks only; use ideals for projective points")
         for i in idxs:
             gens.append(ring.var(i) - ring.const(coords[ring.vars[i]]))
-    return ClosedSet(space, Ideal(ring, gens), presaturated=True)
+    return ClosedSet(space, Ideal(ring, gens))
 
 
 class Morphism:
@@ -338,17 +334,17 @@ class Morphism:
         for block, tup in zip(target.blocks, coords):
             if len(tup) != len(block.names):
                 raise EngineError(f"coordinate tuple arity mismatch for block {block}")
+            degs = set()
             for p in tup:
                 if p.ring != source.ring:
                     raise RingMismatch("coordinate polynomial not in source ring")
-                if not source.is_multihomogeneous(p):
+                deg = source.multidegree(p)
+                if deg is None:
                     raise EngineError(f"coordinate not multihomogeneous: {p}")
-            if block.kind == "proj":
-                degs = {source.multidegree(p) for p in tup if not p.is_zero()}
-                if len(degs) != 1:
-                    raise EngineError(
-                        "projective coordinates must share one multidegree"
-                    )
+                if not p.is_zero():
+                    degs.add(deg)
+            if block.kind == "proj" and len(degs) != 1:
+                raise EngineError("projective coordinates must share one multidegree")
         self.coords = coords
         if domain is not None and domain.space != source:
             raise RingMismatch("domain restriction lives in the wrong space")
@@ -373,13 +369,9 @@ class Morphism:
 
     def coordinate_images(self) -> dict:
         """Target ring var index -> Poly in source ring (all blocks)."""
-        images = {}
-        pos = 0
-        for block, tup in zip(self.target.blocks, self.coords):
-            for j, p in enumerate(tup):
-                images[pos + j] = p
-            pos += len(block.names)
-        return images
+        return {
+            i: p for k, tup in enumerate(self.coords) for i, p in zip(self.target.block_var_indices(k), tup)
+        }
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self ∘ other (apply other first).
@@ -405,9 +397,7 @@ class Morphism:
 
 
 def identity_morphism(space: Space) -> Morphism:
-    coords = []
-    for k, b in enumerate(space.blocks):
-        coords.append(tuple(space.ring.var(i) for i in space.block_var_indices(k)))
+    coords = [tuple(map(space.ring.var, space.block_var_indices(k))) for k in range(len(space.blocks))]
     return Morphism(space, space, coords)
 
 
@@ -419,18 +409,15 @@ def graph_relations(f: Morphism, prod: ProductStructure) -> list:
     ring = prod.space.ring
     src_emb, tgt_emb = prod.embeddings[0], prod.embeddings[1]
     gens = []
-    pos = 0
-    for block, tup in zip(f.target.blocks, f.coords):
-        n = len(block.names)
+    for k, (block, tup) in enumerate(zip(f.target.blocks, f.coords)):
         fs = [p.inject(ring, src_emb) for p in tup]
-        ys = [ring.var(tgt_emb[pos + j]) for j in range(n)]
+        ys = [ring.var(tgt_emb[i]) for i in f.target.block_var_indices(k)]
         if block.kind == "affine":
             gens += [y - fp for y, fp in zip(ys, fs)]
         else:
-            for i in range(n):
-                for j in range(i + 1, n):
+            for i in range(len(ys)):
+                for j in range(i + 1, len(ys)):
                     gens.append(ys[i] * fs[j] - ys[j] * fs[i])
-        pos += n
     return gens
 
 

@@ -673,8 +673,8 @@ def _cofactor_basis(I: Ideal, order: MonomialOrder) -> tuple:
 # ---------------------------------------------------------------------------
 # derived operations
 
-def normal_form(f: Poly, I: Ideal, order: MonomialOrder | None = None) -> Poly:
-    return groebner(I, order).normal_form(f)
+def normal_form(f: Poly, I: Ideal) -> Poly:
+    return groebner(I).normal_form(f)
 
 
 def member(f: Poly, I: Ideal) -> bool:
@@ -777,8 +777,6 @@ def ideal_intersect(A: Ideal, B: Ideal) -> Ideal:
 
 def krull_dim(I: Ideal) -> int:
     """Krull dimension of ring/I: the size of a maximal LT-independent variable set."""
-    if groebner(I).is_unit():
-        raise EngineError("dimension of the unit ideal")
     return len(max_independent_set(I))
 
 
@@ -799,7 +797,6 @@ def max_independent_set(I: Ideal) -> tuple:
             Sset = set(S)
             if all(not supp <= Sset for supp in supports):
                 return S
-    return ()
 
 
 def radical_member(f: Poly, I: Ideal) -> bool:

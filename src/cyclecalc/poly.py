@@ -270,15 +270,12 @@ class Poly:
                 del out[e2]
         return Poly(self.ring, out)
 
-    def substitute(self, images: Mapping[int, "Poly"], target: Ring | None = None) -> "Poly":
+    def substitute(self, images: Mapping[int, "Poly"], target: Ring) -> "Poly":
         """Evaluate with variable i replaced by images[i].
 
         Variables absent from `images` must exist (same name) in the target
         ring.  All images must live in the target ring.
         """
-        if target is None:
-            some = next(iter(images.values()), None)
-            target = some.ring if some is not None else self.ring
         if self.ring.field != target.field:
             raise RingMismatch("substitution across different fields")
         # identity images for untouched variables
@@ -304,16 +301,14 @@ class Poly:
             result = result + term
         return result
 
-    def inject(self, target: Ring, index_map: Mapping[int, int] | None = None) -> "Poly":
+    def inject(self, target: Ring, index_map: Mapping[int, int]) -> "Poly":
         """Reinterpret in a larger ring (variable renaming by index map).
 
         `index_map` sends each variable index of self.ring to an index of
-        `target`; defaults to matching by name.
+        `target`.
         """
         if target.field != self.ring.field:
             raise RingMismatch("injection across different fields")
-        if index_map is None:
-            index_map = {i: target.index(v) for i, v in enumerate(self.ring.vars)}
         n = target.nvars
         out: dict = {}
         for e, c in self.terms.items():

@@ -479,6 +479,14 @@ def _comma_list(group: TokenStream, read, allow_empty: bool = False) -> list:
     return items
 
 
+def _scale(ts: TokenStream) -> int:
+    """`[-] [INT] [*]`: a signed integer factor, 1 when the number is omitted."""
+    sign = -1 if ts.accept("-") else 1
+    k = sign * (ts.expect_number() if ts.at_kind("number") else 1)
+    ts.accept("*")
+    return k
+
+
 def _var_index(ts: TokenStream, ring: Ring) -> int:
     """Read a variable name and return its index in `ring`, positioned at the name."""
     tok = ts.expect_ident()
@@ -822,9 +830,7 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
 
     def side():
         """(k, the side's cycle or its composite's operand pair)."""
-        sign = -1 if ts.accept("-") else 1
-        k = sign * (ts.expect_number() if ts.at_kind("number") else 1)
-        ts.accept("*")
+        k = _scale(ts)
         if ts.accept("cycle"):
             return k, _ref(env, ts, env.cycles, "cycle")
         ts.expect("(")
@@ -932,7 +938,7 @@ def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
 
 
 def _stmt_assert(env: Scenario, name: str, ts: TokenStream):
-    """assert tf(FORM) == FORM  |  assert s == k * s2  |  assert s == 0"""
+    """assert tf(FORM) == FORM  |  assert s == [-] [k] [*] [-] s2  |  assert s == 0"""
     if [t.text for t in ts.tokens[ts.pos + 1 : ts.pos + 2]] == ["("]:
         pres = _ref(env, ts, env.traces, "trace")
         ts.expect("(")
@@ -954,16 +960,11 @@ def _stmt_assert(env: Scenario, name: str, ts: TokenStream):
     # otherwise a symbol comparison
     s1 = _ref(env, ts, env.symbols, "symbol")
     ts.expect("==")
-    scale, s2 = 1, None
-    if ts.at_kind("number"):
-        scale = ts.expect_number()
-        if scale == 0 and ts.done():
-            s2 = s1  # s == 0 is s == 0 * s
-        else:
-            ts.accept("*")
-    if s2 is None:
-        if ts.accept("-"):
-            scale = -scale
+    scale = _scale(ts)
+    if scale == 0 and ts.done():
+        s2 = s1  # s == 0 is s == 0 * s
+    else:
+        scale = -scale if ts.accept("-") else scale
         s2 = _ref(env, ts, env.symbols, "symbol")
     return name, "assert", lambda: compared(s1, s2.scale(scale), same=KoszulFraction.equal)
 

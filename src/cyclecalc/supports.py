@@ -20,14 +20,14 @@ from .geometry import (
     Morphism,
     ProductStructure,
     Space,
-    empty_set,
     graph_closure,
     image_closure,
     preimage,
     projection_proper_certificate,
+    union_of,
     whole_space,
 )
-from .groebner import Ideal, ideal_product
+from .groebner import Ideal
 
 
 class SupportFamily:
@@ -50,17 +50,8 @@ class SupportFamily:
         return SupportFamily(space, [whole_space(space)])
 
     def union_set(self) -> ClosedSet:
-        """The union of the generators, as one closed set.
-
-        Uses the product ideal: same locus as the intersection of the ideals,
-        cheaper to form, and only set-level questions are asked of it.
-        """
-        if not self.generators:
-            return empty_set(self.space)
-        I = self.generators[0].ideal
-        for g in self.generators[1:]:
-            I = ideal_product(I, g.ideal)
-        return ClosedSet(self.space, I, presaturated=True)
+        """The union of the generators, as one closed set."""
+        return union_of(self.space, self.generators)
 
     def member(self, Z: ClosedSet) -> bool:
         """Z in the family, i.e. Z inside the union of the generators."""

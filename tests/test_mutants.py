@@ -33,6 +33,7 @@ from . import (
     test_residues,
     test_scenario_cli,
     test_small_primes,
+    test_supports,
     test_symbols,
     test_zz_suite_audit,
 )
@@ -45,6 +46,7 @@ geometry_mod = importlib.import_module("cyclecalc.geometry")
 groebner_mod = importlib.import_module("cyclecalc.groebner")
 report_mod = importlib.import_module("cyclecalc.report")
 residues_mod = importlib.import_module("cyclecalc.residues")
+supports_mod = importlib.import_module("cyclecalc.supports")
 symbols_mod = importlib.import_module("cyclecalc.symbols")
 
 
@@ -349,6 +351,29 @@ def contains_always_true(monkeypatch):
     monkeypatch.setattr(geometry_mod.ClosedSet, "contains", lambda self, other: True)
 
 
+def closed_set_unsaturated(monkeypatch):
+    """A closed set keeps its ideal as given, unsaturated by the irrelevant
+    ideals of the projective blocks."""
+    closed = geometry_mod.ClosedSet
+    mutant = _rewritten(
+        geometry_mod, "__init__", "for irr in space.irrelevant_ideals():", "for irr in ():", owner=closed
+    )
+    monkeypatch.setattr(closed, "__init__", mutant)
+
+
+def union_set_of_first_generator(monkeypatch):
+    """A family's union set is its first generator alone."""
+    family = supports_mod.SupportFamily
+    mutant = _rewritten(
+        supports_mod,
+        "union_set",
+        "return union_of(self.space, self.generators)",
+        "return union_of(self.space, self.generators[:1])",
+        owner=family,
+    )
+    monkeypatch.setattr(family, "union_set", mutant)
+
+
 def properness_certifies_everything(monkeypatch):
     """The properness policy finds a monic eliminant for every variable."""
     monkeypatch.setattr(geometry_mod, "_projection_finiteness_gap", lambda I, drop: [])
@@ -536,6 +561,8 @@ def d2_trace_scenario_passes():
     (contains_always_true, test_geometry.test_contains_examples),
     (contains_always_true, policy_fail_twin_fails),
     (properness_certifies_everything, test_geometry.test_is_finite_over_examples),
+    (closed_set_unsaturated, test_geometry.test_saturation_idempotent),
+    (union_set_of_first_generator, test_supports.test_member_examples),
     (empty_set_not_certified_proper, test_corr.test_composing_through_zero_is_a_verdict),
     (divide_by_last_divisor, test_divide.test_divide_matches_reference),
     (staircase_is_the_whole_box, test_residues.test_trace_signs_with_base_variables_first),

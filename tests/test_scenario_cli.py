@@ -651,3 +651,101 @@ corr bad : {corr}
     assert (task.name, task.kind, task.verdict) == ("bad_P", "corr-P", verdict)
     assert task.detail == detail
     assert task.audit == {"verdicts": verdicts}
+
+
+SCALED_SYMBOLS = """
+char 0
+space X = space(affine(x))
+symbol s = [ -2 d(x) / (x) ] on X
+symbol s2 = [ d(x) / (x) ] on X
+"""
+
+
+@pytest.mark.parametrize("rhs, verdict, detail", [
+    ("-2 * s2", "pass", ""),
+    ("2 * -s2", "pass", ""),
+    ("2 * s2", "fail", "[-2*d(x) / (x)] != [2*d(x) / (x)]"),
+    ("-2 * -s2", "fail", "[-2*d(x) / (x)] != [2*d(x) / (x)]"),
+], ids=["signed-scale", "negated-symbol", "signed-scale-fail", "both-signs-fail"])
+def test_assert_reads_a_signed_scale(rhs, verdict, detail):
+    """An assert's scale is read as an identity side's, `[-] [INT] [*]`, and
+    a sign before the symbol negates it once more."""
+    (task,) = run_scenario_text(SCALED_SYMBOLS + f"assert s == {rhs}\n").tasks
+    assert (task.kind, task.verdict, task.detail) == ("assert", verdict, detail)
+
+
+# the statement forms that no shipped scenario uses: a one-block space, a
+# family with its space named, a chart that inverts something, a rational
+# witness coordinate, a cycle that names an earlier cycle and a projector
+# with an error bound
+RARE_FORMS = """char 0
+space X = space(affine(x, y))
+space L = affine(t)
+prime W = { x } on X
+closed Y0 = { y } on X
+support F = family(W, Y0) on X
+chart C = invert(1 + y) on X
+class c = cl(W) at chart C with params (x + x*y) witness (x=0, y=1/2)
+cycle a = 1*[W] on X
+cycle b = a with support F
+prime Lv = { } on L noscreen
+support FL = full on L
+pair LL = L ** L
+prime DiagL = { t@1 - t@2 } on LL noscreen
+morphism idL : L -> L = (t)
+corr P : [Lv, FL] => [Lv, FL] = 1*[DiagL]
+graph P . DiagL = graph idL
+closed S = { t@1 } on LL
+projector p = P lambda 1 bound S
+"""
+
+
+def test_rare_statement_forms_match_the_library():
+    from fractions import Fraction
+
+    from cyclecalc.corr import projector_check
+    from cyclecalc.errors import EngineError
+    from cyclecalc.geometry import Space, affine, closed_set
+    from cyclecalc.symbols import NO_CHART, Chart, cycle_class_at_chart
+
+    env = parse_scenario(RARE_FORMS)
+    X, W = env.spaces["X"], env.primes["W"]
+    x, y = X.ring.gens()
+    assert env.spaces["L"] == Space([affine("t")])
+    F = env.families["F"]
+    assert F.space == X and F.generators == (W.closed_set, env.closeds["Y0"])
+    assert F.member(closed_set(X, x * y)) and not F.member(closed_set(X, x + y))
+    assert env.charts["C"] == Chart((1 + y,))
+    witness = {"x": 0, "y": Fraction(1, 2)}
+    want = cycle_class_at_chart(W, [x + x * y], Chart((1 + y,)), witness)
+    assert env.symbols["c"].equal(want)
+    with pytest.raises(EngineError):  # off the chart, x + x*y does not cut W
+        cycle_class_at_chart(W, [x + x * y], NO_CHART, witness)
+    assert env.cycles["b"] == env.cycles["a"] and env.cycles["b"].family is F
+    assert projector_check(env.corrs["P"], 1, bound=env.closeds["S"])[0]
+    tasks = {t.name: t for t in env.report.tasks}
+    assert tasks["c"].verdict == "pass" and tasks["c"].audit == {"symbol": repr(want)}
+    assert tasks["p"].verdict == "pass"
+
+
+def test_an_empty_family_needs_its_space():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("char 0\nspace X = space(affine(x))\nsupport E = family()\n")
+    assert str(err.value) == "an empty family needs an 'on SPACE' clause (line 3, col 20)"
+    env = parse_scenario("char 0\nspace X = space(affine(x))\nsupport E = family() on X\n")
+    assert env.families["E"].generators == () and env.families["E"].space == env.spaces["X"]
+
+
+def test_a_run_without_budget_flags_records_the_default_budget(monkeypatch, tmp_path):
+    """The CLI's budget defaults are `Budget()`'s own: with other defaults
+    in `Budget`, a run with no budget flag records those."""
+    from cyclecalc import cli
+
+    class Other(Budget):
+        def __init__(self, max_pairs=40_000, max_degree=100):
+            super().__init__(max_pairs, max_degree)
+
+    monkeypatch.setattr(cli, "Budget", Other)
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(SCENARIOS / "covers.scn"), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["budgets"] == {"max_pairs": 40_000, "max_degree": 100}
