@@ -73,8 +73,8 @@ from .corr import (
 )
 from .symbols import Chart, KoszulFraction, cycle_class_at_chart, lci_trace_symbol
 from .residues import FinitePresentation, residue, trace_form, trace_property_check
-from .report import Report, TaskResult
+from .report import ENGINE_VERSION, Report, TaskResult
 from .scenario import parse_scenario, run_scenario, run_scenario_text
 from .axioms import run_axiom_harness
 
-__version__ = "0.1.0"
+__version__ = ENGINE_VERSION

@@ -64,12 +64,7 @@ class Form:
     @staticmethod
     def d(p: Poly) -> "Form":
         """Exterior derivative of a function."""
-        comps = {}
-        for i in range(p.ring.nvars):
-            dp = p.derivative(i)
-            if not dp.is_zero():
-                comps[(i,)] = dp
-        return Form(p.ring, 1, comps)
+        return Form(p.ring, 1, {(i,): p.derivative(i) for i in range(p.ring.nvars)})
 
     # -- queries -----------------------------------------------------------
 
@@ -93,11 +88,7 @@ class Form:
             raise EngineError("adding forms of different degrees")
         out = dict(self.components)
         for idx, p in other.components.items():
-            s = out.get(idx, self.ring.zero()) + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            out[idx] = out.get(idx, self.ring.zero()) + p
         return Form(self.ring, self.degree, out)
 
     def __neg__(self) -> "Form":
@@ -123,11 +114,7 @@ class Form:
                 term = pa * pb
                 if sign < 0:
                     term = -term
-                s = out.get(idx, self.ring.zero()) + term
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+                out[idx] = out.get(idx, self.ring.zero()) + term
         return Form(self.ring, self.degree + other.degree, out)
 
     def exterior_d(self) -> "Form":
@@ -150,24 +137,13 @@ class Form:
     def pullback(self, images: Mapping[int, Poly], target: Ring) -> "Form":
         """Substitute variables: coefficients via `images`, dx_i -> d(images[i]).
 
-        `images` must cover every variable appearing in this form (as an index
-        or inside a coefficient); missing variables default to the same-named
-        variable of the target ring.
+        Variables missing from `images` go to the same-named variable of the
+        target ring, as in Poly.substitute.
         """
-
-        def image(i: int) -> Poly:
-            if i in images:
-                return images[i]
-            return target.var(self.ring.vars[i])
-
         out = Form.zero(target, self.degree)
         for idx, p in self.components.items():
-            term = Form.from_poly(p.substitute(images, target))
-            for i in idx:
-                term = term.wedge(Form.d(image(i)))
-            if term.degree != self.degree:
-                raise EngineError("pullback degree mismatch")
-            out = out + term
+            dx = [Form.d(self.ring.var(i).substitute(images, target)) for i in idx]
+            out = out + wedge_all([Form.from_poly(p.substitute(images, target))] + dx)
         return out
 
     def inject(self, target: Ring, index_map: Mapping[int, int]) -> "Form":
@@ -181,7 +157,7 @@ class Form:
             if sign < 0:
                 q = -q
             out[sorted_idx] = out.get(sorted_idx, target.zero()) + q
-        return Form(target, self.degree, {i: p for i, p in out.items() if not p.is_zero()})
+        return Form(target, self.degree, out)
 
     def bigrade_part(self, second_factor: set, q: int) -> "Form":
         """Keep components with exactly q differentials indexed in `second_factor`."""

@@ -534,21 +534,13 @@ def projection_proper_certificate(Z: ClosedSet, keep_factor: set, prod: ProductS
         else:
             drop_affine += list(idxs)
 
-    ring = space.ring
-    if drop_proj:
-        names = [ring.vars[i] for i in drop_proj]
-        J = eliminate(Z.ideal, names)
-        work_ring = J.ring
-        drop_affine_work = [work_ring.index(ring.vars[i]) for i in drop_affine]
-    else:
-        J = Z.ideal
-        work_ring = ring
-        drop_affine_work = list(drop_affine)
-    missing = _projection_finiteness_gap(J, drop_affine_work)
+    names = space.ring.vars
+    J = eliminate(Z.ideal, [names[i] for i in drop_proj])
+    missing = _projection_finiteness_gap(J, [J.ring.index(names[i]) for i in drop_affine])
     if missing:
         raise PolicyReject(
             "no monic eliminant for eliminated affine variable(s): "
-            + ", ".join(work_ring.vars[i] for i in missing)
+            + ", ".join(J.ring.vars[i] for i in missing)
         )
     return True
 
@@ -583,7 +575,6 @@ def matrix_rank(rows, field) -> int:
     if not rows:
         return 0
     ncols = len(rows[0])
-    rank = 0
     r = 0
     for c in range(ncols):
         pivot = None
@@ -603,10 +594,9 @@ def matrix_rank(rows, field) -> int:
                     field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
                 ]
         r += 1
-        rank += 1
         if r == len(rows):
             break
-    return rank
+    return r
 
 
 def point_by_name_to_index(ring: Ring, point: Mapping[str, object]) -> dict:

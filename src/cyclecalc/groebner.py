@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 
 from .errors import BudgetExceeded, EngineError, RingMismatch
 from .orders import (
@@ -154,9 +155,9 @@ def _mul_monomial(p: Poly, exp, coeff) -> Poly:
 
 
 def _neg_key(k):
-    """An order key with every integer negated, nested (block) keys part by
-    part, so that a min-heap of negated keys pops the largest monomial first."""
-    return tuple([-x if type(x) is int else _neg_key(x) for x in k])
+    """An order key with every field negated, so that a min-heap of negated
+    keys pops the largest monomial first."""
+    return tuple(map(neg, k))
 
 
 def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence | None = None):
@@ -598,7 +599,7 @@ def groebner(I: Ideal, order: MonomialOrder | None = None) -> GBasis:
         f, sugar = _reduce_packed(f, sugar, G, pk, p)
         return _Packed(f, sugar, pk) if f else None
 
-    seeds = [(_packed_form(g, pk, p), max(g.total_degree(), 0)) for g in I.nonzero_gens()]
+    seeds = [(_packed_form(g, pk, p), g.total_degree()) for g in I.nonzero_gens()]
     gb = _finalize(I, order, _buchberger(seeds, pk, _s_poly, reduce))
     _gb_cache[key] = gb
     if len(_gb_cache) > _GB_CACHE_MAX:
@@ -655,7 +656,7 @@ def _cofactor_basis(I: Ideal, order: MonomialOrder) -> tuple:
         return _mul_monomial(gi.poly, mi, ci) - _mul_monomial(gj.poly, mj, cj), rep
 
     seeds = [
-        ((g, [ring.one() if j == i else ring.zero() for j in range(len(I.gens))]), max(g.total_degree(), 0))
+        ((g, [ring.one() if j == i else ring.zero() for j in range(len(I.gens))]), g.total_degree())
         for i, g in enumerate(I.gens)
         if not g.is_zero()
     ]
@@ -755,6 +756,11 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ring, [ring.one()])
     if len(gens) == 1 and gens[0].is_constant():
         return I
+    own = I.nonzero_gens()
+    if not own or any(g.is_constant() for g in own):
+        # (0) and (1) are their own saturations: the reduced bases [] and [1]
+        # that the elimination would leave
+        return Ideal(ring, [ring.one()] if own else [])
     ext, tags, up = _tagged(ring, len(gens), "_z")
     relation = ext.one() - sum((t * up(g) for t, g in zip(tags, gens)), ext.zero())
     return _untagged(ring, ext, [up(p) for p in I.gens] + [relation])

@@ -1,9 +1,11 @@
 """Monomial orders: degrevlex, lex, and block orders for elimination.
 
 An order is a key function on exponent tuples; larger key = larger monomial.
+A key is a flat tuple of ints, the fields of MonomialOrder.fields() in turn.
 Block orders compare one variable block at a time (degrevlex inside each
-block), which gives the elimination property: any monomial touching an
-earlier block beats every monomial that does not.
+block, its key the blocks' degrevlex keys run together), which gives the
+elimination property: any monomial touching an earlier block beats every
+monomial that does not.
 
 packing(order) encodes exponent tuples as single ints for that order, after
 Bachmann & Schönemann ("Monomial representations for Gröbner bases
@@ -62,7 +64,6 @@ class MonomialOrder:
 class _Degrevlex(MonomialOrder):
     def __init__(self, nvars: int):
         super().__init__("degrevlex", [tuple(range(nvars))])
-        self.nvars = nvars
 
     def key(self, exp):
         return (sum(exp), *map(neg, reversed(exp)))
@@ -89,11 +90,13 @@ class _Block(MonomialOrder):
         super().__init__("block", blocks)
 
     def key(self, exp):
-        parts = []
+        # each block's part has a fixed length, so the flat tuple compares as
+        # the blocks' keys would one after another
+        out = []
         for block in self.blocks:
             part = [exp[i] for i in block]
-            parts.append((sum(part), *map(neg, reversed(part))))
-        return tuple(parts)
+            out += (sum(part), *map(neg, reversed(part)))
+        return tuple(out)
 
     def fields(self):
         return [f for block in self.blocks for f in _degrevlex_fields(block)]

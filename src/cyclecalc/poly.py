@@ -86,16 +86,13 @@ class Ring:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = self.field.coerce(c)
-        if c == self.field.zero:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def var(self, name_or_index) -> "Poly":
         i = name_or_index if isinstance(name_or_index, int) else self.index(name_or_index)
         exp = [0] * self.nvars
         exp[i] = 1
-        return Poly(self, {tuple(exp): self.field.one})
+        return self.monomial(exp)
 
     def gens(self) -> list:
         return [self.var(i) for i in range(self.nvars)]
@@ -254,20 +251,13 @@ class Poly:
     def derivative(self, var) -> "Poly":
         i = var if isinstance(var, int) else self.ring.index(var)
         fld = self.ring.field
+        # e -> e - x_i is one to one on the terms with e_i > 0, so no two
+        # merge; the others, and those where p divides e_i, go to zero
         out: dict = {}
         for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            c2 = fld.mul(c, fld.coerce(k))
-            if c2 == fld.zero:
-                continue
-            e2 = list(e)
-            e2[i] = k - 1
-            e2 = tuple(e2)
-            out[e2] = fld.add(out.get(e2, fld.zero), c2)
-            if out[e2] == fld.zero:
-                del out[e2]
+            c = fld.mul(c, fld.coerce(e[i]))
+            if c != fld.zero:
+                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c
         return Poly(self.ring, out)
 
     def substitute(self, images: Mapping[int, "Poly"], target: Ring) -> "Poly":

@@ -451,11 +451,7 @@ def trace_form(pres: FinitePresentation, alpha: Form) -> TraceResult:
         res = residue(pres, h)
         terms.append((idx, h, res))
         base_tuple = tuple(sorted(base_index[i] for i in base))
-        s = out.get(base_tuple, base_zero) + res
-        if s.is_zero():
-            out.pop(base_tuple, None)
-        else:
-            out[base_tuple] = s
+        out[base_tuple] = out.get(base_tuple, base_zero) + res
     result = Form(frame.base_ring, alpha.degree, out)
     prefactor = (-1) ** (d * (d - 1) // 2)
     if prefactor < 0:

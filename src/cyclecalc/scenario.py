@@ -64,7 +64,7 @@ from .corr import (
 )
 from .cycles import Cycle, principal_divisor_line, push_forward
 from .errors import BudgetExceeded, EngineError, PolicyReject, ScenarioError
-from .forms import Form
+from .forms import Form, wedge_all
 from .geometry import (
     Block,
     ClosedSet,
@@ -174,9 +174,10 @@ class TokenStream:
             end = Token("end", "", last.line, last.col)
         self.end = end
 
-    def peek(self) -> Token:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> Token:
+        i = self.pos + ahead
+        if i < len(self.tokens):
+            return self.tokens[i]
         return self.end
 
     def next(self) -> Token:
@@ -270,7 +271,7 @@ def _poly_atom(ts: TokenStream, ring: Ring) -> Poly:
     if tok.kind == "number":
         ts.next()
         num = int(tok.text)
-        if ts.at("/") and ts.tokens[ts.pos + 1 : ts.pos + 2] and ts.tokens[ts.pos + 1].kind == "number":
+        if ts.at("/") and ts.peek(1).kind == "number":
             ts.next()
             den = ts.expect_number()
             return ring.const(Fraction(num, den))
@@ -314,7 +315,7 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
             ts.expect("]")
             forms.append(sub)
             saw_any = True
-        elif tok.kind == "ident" and tok.text == "d" and ts.tokens[ts.pos + 1 : ts.pos + 2] and ts.tokens[ts.pos + 1].text == "(":
+        elif tok.kind == "ident" and tok.text == "d" and ts.peek(1).text == "(":
             ts.next()
             ts.expect("(")
             inner = parse_poly(ts, ring)
@@ -329,10 +330,7 @@ def _form_primary(ts: TokenStream, ring: Ring) -> Form:
             break
     if not saw_any:
         raise ScenarioError(f"expected a form, found {tok.text!r}", tok.line, tok.col)
-    out = Form.from_poly(coeff)
-    for f in forms:
-        out = out.wedge(f)
-    return out
+    return wedge_all([Form.from_poly(coeff)] + forms)
 
 
 # ---------------------------------------------------------------------------
@@ -939,13 +937,13 @@ def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
 
 def _stmt_assert(env: Scenario, name: str, ts: TokenStream):
     """assert tf(FORM) == FORM  |  assert s == [-] [k] [*] [-] s2  |  assert s == 0"""
-    if [t.text for t in ts.tokens[ts.pos + 1 : ts.pos + 2]] == ["("]:
+    if ts.peek(1).text == "(":
         pres = _ref(env, ts, env.traces, "trace")
         ts.expect("(")
         arg = parse_form(ts, pres.ring)
         ts.expect(")")
         ts.expect("==")
-        if ts.at("0") and ts.tokens[ts.pos + 1 : ts.pos + 2] == []:
+        if ts.at("0") and ts.peek(1) is ts.end:
             ts.next()
             rhs = None
         else:

@@ -1,6 +1,8 @@
 """Spaces, closed sets, morphisms: closures, preimages, properness policy."""
 
+import importlib
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -12,6 +14,7 @@ from cyclecalc.geometry import (
     Space,
     affine,
     closed_set,
+    empty_set,
     graph_closure,
     identity_morphism,
     image_closure,
@@ -24,6 +27,8 @@ from cyclecalc.geometry import (
 )
 from cyclecalc.groebner import Ideal, ideal_equal
 from cyclecalc.supports import SupportFamily, check_Vstar_morphism
+
+groebner_mod = importlib.import_module("cyclecalc.groebner")
 
 A1 = Space([affine("t")])
 A1s = Space([affine("s")])
@@ -48,6 +53,24 @@ def test_saturation_idempotent():
     assert ideal_equal(cs.ideal, again.ideal)
     # the irrelevant component was removed: x generates after saturation
     assert ideal_equal(cs.ideal, Ideal(R, [R.var("x")]))
+
+
+def test_whole_and_empty_sets_run_no_buchberger(monkeypatch):
+    """(0) and (1) are their own saturations by the irrelevant ideal, so
+    neither needs an elimination, even with the basis cache empty."""
+    runs = []
+    buchberger = groebner_mod._buchberger
+
+    def record(seeds, *rest):
+        runs.append(len(seeds))
+        return buchberger(seeds, *rest)
+
+    monkeypatch.setattr(groebner_mod, "_buchberger", record)
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    R = BlSpace.ring
+    assert whole_space(BlSpace).ideal.gens == ()
+    assert empty_set(BlSpace).ideal.gens == (R.one(),)
+    assert runs == []
 
 
 def test_closed_set_equality_via_saturation():

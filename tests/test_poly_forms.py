@@ -1,9 +1,11 @@
 """Exact polynomial arithmetic and differential forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclecalc.errors import RingMismatch
@@ -66,6 +68,49 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+# the ring of each characteristic the derivative is checked in; exponents up
+# to 10 include multiples of 5 and 7, whose derivatives lose the term
+DIFF_RINGS = {char: ring_over(char, ["x", "y", "z"]) for char in (0, 5, 7)}
+DIFF_SYMBOLS = sympy.symbols("x y z")
+
+
+def _sympy_poly(p):
+    """p in sympy, over QQ or GF(p) as its ring is."""
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        mono = sympy.Mul(*[s**k for s, k in zip(DIFF_SYMBOLS, e)])
+        expr += sympy.Rational(c.numerator, c.denominator) * mono
+    char = p.ring.characteristic
+    if char:
+        return sympy.Poly(expr, *DIFF_SYMBOLS, modulus=char)
+    return sympy.Poly(expr, *DIFF_SYMBOLS, domain="QQ")
+
+
+def _engine_terms(sp, char):
+    """The nonzero terms of a sympy Poly as an engine term dict."""
+    if char:
+        out = {m: int(c) % char for m, c in sp.terms()}
+    else:
+        out = {m: Fraction(int(c.p), int(c.q)) for m, c in sp.terms()}
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(DIFF_RINGS)).flatmap(
+        lambda char: _poly_strategy(DIFF_RINGS[char], max_terms=6, max_deg=10)
+    ),
+    st.integers(0, 2),
+)
+@example(DIFF_RINGS[5].monomial((5, 1, 0), 2) + DIFF_RINGS[5].monomial((6, 0, 10), 3), 0)
+@example(DIFF_RINGS[7].monomial((0, 7, 14), 1) + DIFF_RINGS[7].monomial((1, 8, 0), -1), 1)
+@example(DIFF_RINGS[0].monomial((3, 0, 5), Fraction(-2, 3)), 2)
+def test_derivative_matches_sympy(p, i):
+    char = p.ring.characteristic
+    want = _engine_terms(_sympy_poly(p).diff(DIFF_SYMBOLS[i]), char)
+    assert p.derivative(i).terms == want
 
 
 def test_canonical_no_zero_terms():
@@ -165,6 +210,38 @@ def test_pullback_is_ring_map():
         lhs = alpha.wedge(beta).pullback(images, R)
         rhs = alpha.pullback(images, R).wedge(beta.pullback(images, R))
         assert lhs == rhs
+
+
+_PB_SOURCE = ring_over(0, ["a", "b", "c"])
+_PB_TARGET = ring_over(0, ["t", "c", "b", "a"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(lambda d: _form_strategy(_PB_SOURCE, d)),
+    st.sets(st.integers(0, 2)),
+    st.lists(_poly_strategy(_PB_TARGET, max_terms=3, max_deg=2), min_size=3, max_size=3),
+)
+def test_pullback_maps_missing_variables_to_their_names(w, mapped, polys):
+    """A variable left out of `images` goes to the target variable of the
+    same name, exactly as if it were mapped there explicitly."""
+    images = {i: polys[i] for i in mapped}
+    explicit = {i: images.get(i, _PB_TARGET.var(_PB_SOURCE.vars[i])) for i in range(3)}
+    assert w.pullback(images, _PB_TARGET) == w.pullback(explicit, _PB_TARGET)
+
+
+def test_cancelled_forms_hold_no_component():
+    R = ring_over(0, ["x", "y"])
+    x, y = R.gens()
+    dx, dy = Form.d(x), Form.d(y)
+    w = dx.scale(y) + dy.scale(x * x)
+    assert (w - w).components == {}
+    assert dx.wedge(dx).components == {}
+    # dx^dy from the first product cancels dy^dx from the second
+    assert (dx + dy).wedge(dx + dy).components == {}
+    assert Form.d(R.const(3)).components == {}
+    F5 = ring_over(5, ["x"])
+    assert Form.d(F5.var(0) ** 5).components == {}
 
 
 def test_exterior_derivative_square_zero():

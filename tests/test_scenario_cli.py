@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cyclecalc
 from cyclecalc.axioms import run_axiom_harness
 from cyclecalc.errors import ScenarioError
 from cyclecalc.groebner import Budget, budget_scope, current_budget
@@ -267,6 +268,24 @@ def test_cli_run_scenario(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["characteristic"] == 0
     assert {t["verdict"] for t in payload["tasks"]} == {"pass"}
+
+
+def test_blowup_walkthrough_golden_output():
+    """The narrated API walkthrough prints the same bytes on every run."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "blowup_walkthrough.py")],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "blowup_walkthrough.txt").read_text()
+
+
+def test_one_version_everywhere():
+    """The package, every report and the project metadata name one version."""
+    assert cyclecalc.__version__ == report_mod.ENGINE_VERSION
+    assert Report(0).version == report_mod.ENGINE_VERSION
+    metadata = (ROOT / "pyproject.toml").read_text()
+    assert f'\nversion = "{report_mod.ENGINE_VERSION}"\n' in metadata
 
 
 def test_cli_axioms():
