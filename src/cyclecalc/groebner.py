@@ -30,6 +30,16 @@ the packed route, and must reach the same basis; divide, leading,
 GBasis.normal_form and buchberger_audit stay on exponent tuples, so the
 audit checks every packed basis independently.
 
+Each groebner() call keeps a first-divisor table for its Buchberger run,
+and _finalize one for its interreduction: a dict keyed by packed monomial,
+holding either the first basis element whose leading monomial divides it or
+the number of elements already ruled out.  Within one table's calls the
+basis only grows at its end, so a found first divisor stays first and a
+later scan starts past the ruled-out elements: every term is reduced by the
+same element as a scan of the whole basis picks.  The table holds at most
+one entry per distinct monomial its run reduces, the run is bounded by the
+budget, and the table is dropped when the call returns.
+
 A monomial whose total degree reaches 2^(FIELD_BITS - 1) does not fit a
 packed field: it raises EngineError wherever it first appears (an input, an
 lcm, an S-polynomial or reduction term), never a wrong basis.
@@ -44,7 +54,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
+from operator import mul, neg
 
 from .errors import BudgetExceeded, EngineError, RingMismatch
 from .orders import (
@@ -114,6 +124,17 @@ class Ideal:
 
     def nonzero_gens(self) -> tuple:
         return tuple(g for g in self.gens if not g.is_zero())
+
+    def visible_basis(self) -> list | None:
+        """The reduced basis [] or [1] when the generators visibly present
+        (0) (no nonzero one) or (1) (a nonzero constant among them), else
+        None; it never runs Buchberger."""
+        gens = self.nonzero_gens()
+        if not gens:
+            return []
+        if any(g.is_constant() for g in gens):
+            return [self.ring.one()]
+        return None
 
     def __eq__(self, other):
         return (
@@ -325,7 +346,7 @@ def _s_poly(gi: _Packed, gj: _Packed, L: int, pk: Packing) -> dict:
 _CONTENT_EVERY = 8
 
 
-def _reduce_packed(f: dict, sugar: int, G: list, pk: Packing, p: int):
+def _reduce_packed(f: dict, sugar: int, G: list, pk: Packing, p: int, first: dict | None = None):
     """Division of the packed form f by the packed basis G over F_p (p > 0)
     or QQ (p == 0): returns (remainder, sugar), the remainder in the form a
     _Packed holds.
@@ -339,7 +360,13 @@ def _reduce_packed(f: dict, sugar: int, G: list, pk: Packing, p: int):
     same monomials.  Over F_p every lc is 1, and coefficients are reduced
     mod p when their term is taken, not at every update.  Sugar grows with
     every quotient term, as in _reduce_field.
+
+    first is a first-divisor table (see the module docstring), fresh when
+    not given; the calls that share one must pass G lists each of which
+    extends the one before.
     """
+    if first is None:
+        first = {}
     guard, cmask, low = pk.guard, pk.cmask, pk.low
     rem: dict = {}
     work = dict(f)
@@ -355,45 +382,49 @@ def _reduce_packed(f: dict, sugar: int, G: list, pk: Packing, p: int):
             c %= p
             if not c:
                 continue
-        for t in G:
-            q_exp = e - t.lm
-            if q_exp & guard:  # t.lm does not divide e
-                continue
-            lc = t.lc
-            if lc == 1:
-                q = c
+        t = first.get(e, 0)
+        if type(t) is int:  # no element of G[:t] divides e
+            for t in G[t:]:
+                if not (e - t.lm) & guard:
+                    first[e] = t
+                    break
             else:
-                g = gcd(c, lc)
-                m, q = lc // g, c // g
-                if m < 0:
-                    m, q = -m, -q
-                if m != 1:
-                    work = {te: v * m for te, v in work.items()}
-                    rem = {re: v * m for re, v in rem.items()}
-                    scalings += 1
-            sugar = max(sugar, (q_exp & low) + t.sugar)
-            # work -= q * x^q_exp * t (the leading term cancels by
-            # construction); every new term is smaller than e
-            for ge, gc in t.tail:
-                te = ge + q_exp
-                old = work.get(te)
-                if old is None:
-                    if te & guard:
-                        raise pk.overflow()
-                    work[te] = -q * gc
-                    heapq.heappush(heap, -(te ^ cmask))
-                    continue
-                v = old - q * gc
-                if v:
-                    work[te] = v
-                else:
-                    del work[te]
-            if scalings == _CONTENT_EVERY:
-                scalings = 0
-                _remove_content(work, rem)
-            break
+                first[e] = len(G)
+                rem[e] = c
+                continue
+        q_exp = e - t.lm
+        lc = t.lc
+        if lc == 1:
+            q = c
         else:
-            rem[e] = c
+            g = gcd(c, lc)
+            m, q = lc // g, c // g
+            if m < 0:
+                m, q = -m, -q
+            if m != 1:
+                work = {te: v * m for te, v in work.items()}
+                rem = {re: v * m for re, v in rem.items()}
+                scalings += 1
+        sugar = max(sugar, (q_exp & low) + t.sugar)
+        # work -= q * x^q_exp * t (the leading term cancels by construction);
+        # every new term is smaller than e
+        for ge, gc in t.tail:
+            te = ge + q_exp
+            old = work.get(te)
+            if old is None:
+                if te & guard:
+                    raise pk.overflow()
+                work[te] = -q * gc
+                heapq.heappush(heap, -(te ^ cmask))
+                continue
+            v = old - q * gc
+            if v:
+                work[te] = v
+            else:
+                del work[te]
+        if scalings == _CONTENT_EVERY:
+            scalings = 0
+            _remove_content(work, rem)
     if rem and p:
         inv = pow(next(iter(rem.values())), -1, p)
         return {re: v * inv % p for re, v in rem.items()}, sugar
@@ -409,10 +440,17 @@ def _update_pairs(G: list, P: dict, heap: list, t, pk: Packing):
     heap holds (sugar, order key of the lcm, pair) for every pair ever
     created, and pruned pairs stay in it until they are popped and skipped.
     """
-    lmf = t.lm
-    guard, cmask, low = pk.guard, pk.cmask, pk.low
+    if not G:
+        G.append(t)
+        return
+    lmf, texp = t.lm, t.exp
+    guard, cmask, low, weights = pk.guard, pk.cmask, pk.low, pk.weights
     k = len(G)
-    lcms = [pk.pack(exp_lcm(u.exp, t.exp)) for u in G]
+    lcms = [sum(map(mul, map(max, u.exp, texp), weights)) for u in G]
+    # pack's test: the total-degree field is the largest, so an lcm is too
+    # large iff some guard bit is set
+    if any(L & guard for L in lcms):
+        raise pk.overflow()
 
     for p in [
         p
@@ -595,8 +633,10 @@ def groebner(I: Ideal, order: MonomialOrder | None = None) -> GBasis:
     p = I.ring.field.characteristic
     pk = packing(order)
 
+    first: dict = {}
+
     def reduce(f: dict, sugar: int, G: list):
-        f, sugar = _reduce_packed(f, sugar, G, pk, p)
+        f, sugar = _reduce_packed(f, sugar, G, pk, p, first)
         return _Packed(f, sugar, pk) if f else None
 
     seeds = [(_packed_form(g, pk, p), g.total_degree()) for g in I.nonzero_gens()]
@@ -613,16 +653,21 @@ def _finalize(I: Ideal, order: MonomialOrder, G: list) -> GBasis:
     ring = I.ring
     p = ring.field.characteristic
     pk = packing(order)
-    unpack = pk.unpack
+    unpack, guard = pk.unpack, pk.guard
 
     # interreduce and normalize to monic; no leading term is reducible by
-    # another, so each survives and the basis stays sorted by it
+    # another, so each survives and the basis stays sorted by it.  A divisor
+    # is never larger than what it divides, so only G[:i] can reduce a term
+    # of G[i]; the prefixes grow, so they share one first-divisor table
+    first: dict = {}
     basis: list = []
     for i, t in enumerate(G):
+        r, prefix = t.terms, G[:i]
+        if any(not (e - u.lm) & guard for e, _ in t.tail for u in prefix):
+            r, _ = _reduce_packed(r, t.sugar, prefix, pk, p, first)
         # a fraction-free reduction may scale t: divide by r's own leading
         # coefficient, not t.lc (over F_p both are 1); over QQ a quotient is
         # an int when lc divides c, as RationalField keeps it
-        r, _ = _reduce_packed(t.terms, t.sugar, G[:i] + G[i + 1 :], pk, p)
         if p:
             basis.append(Poly(ring, {unpack(e): c for e, c in r.items()}))
         else:
@@ -699,10 +744,8 @@ def cofactor_lift(f: Poly, I: Ideal) -> list:
 
 
 def is_unit_ideal(I: Ideal) -> bool:
-    for g in I.gens:
-        if not g.is_zero() and g.is_constant():
-            return True
-    return groebner(I).is_unit()
+    seen = I.visible_basis()
+    return groebner(I).is_unit() if seen is None else bool(seen)
 
 
 def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
@@ -756,11 +799,11 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ring, [ring.one()])
     if len(gens) == 1 and gens[0].is_constant():
         return I
-    own = I.nonzero_gens()
-    if not own or any(g.is_constant() for g in own):
+    seen = I.visible_basis()
+    if seen is not None:
         # (0) and (1) are their own saturations: the reduced bases [] and [1]
         # that the elimination would leave
-        return Ideal(ring, [ring.one()] if own else [])
+        return Ideal(ring, seen)
     ext, tags, up = _tagged(ring, len(gens), "_z")
     relation = ext.one() - sum((t * up(g) for t, g in zip(tags, gens)), ext.zero())
     return _untagged(ring, ext, [up(p) for p in I.gens] + [relation])

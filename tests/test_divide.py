@@ -103,7 +103,8 @@ def test_fraction_free_reduce_matches_reference(data):
     """_reduce_packed on packed forms returns a nonzero multiple of the field
     remainder, leading term first and with the same sugar: over QQ, from
     coefficients of height up to 10^6, a primitive integer one; over F_p a
-    monic one."""
+    monic one.  Reducing by G[:1], G[:2], ... with one shared first-divisor
+    table ends in the same result as a fresh table."""
     char = data.draw(st.sampled_from(sorted(RINGS)))
     ring = RINGS[char]
     fld = ring.field
@@ -123,6 +124,10 @@ def test_fraction_free_reduce_matches_reference(data):
     want, want_sugar = reference_reduce(f, sugar, polys, sugars, order)
     start = _packed_form(f, pk, char) if not f.is_zero() else {}
     got, got_sugar = groebner_mod._reduce_packed(start, sugar, G, pk, char)
+    first: dict = {}
+    for k in range(1, len(G) + 1):
+        shared, shared_sugar = groebner_mod._reduce_packed(start, sugar, G[:k], pk, char, first)
+    assert (list(shared.items()), shared_sugar) == (list(got.items()), got_sugar)
 
     assert got_sugar == want_sugar
     terms = {pk.unpack(m): fld.coerce(c) for m, c in got.items()}
@@ -180,6 +185,35 @@ def test_reduction_sees_a_failed_middle_field(char):
     g = _Packed(_packed_form(x * y + y, pk, char), 2, pk)
     f = _packed_form(x * z, pk, char)
     assert groebner_mod._reduce_packed(f, 2, [g], pk, char) == (f, 2)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@pytest.mark.parametrize("char", [7, 0])
+def test_finalize_reduces_by_the_prefix(monkeypatch, char, name):
+    """_finalize reduces each element G[i] of the sorted minimal basis by
+    G[:i] alone, with one first-divisor table across its loop: the result
+    equals reduction by all the other elements with a fresh table, on a
+    basis where some element has a reducible tail term."""
+    seen = []
+    finalize = groebner_mod._finalize
+    monkeypatch.setattr(groebner_mod, "_finalize", lambda I, order, G: seen.append(G) or finalize(I, order, G))
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    ring = RINGS[char]
+    x, y, z = ring.gens()
+    # katsura-3
+    gens = [x + 2 * y + 2 * z - 1, x**2 + 2 * y**2 + 2 * z**2 - x, 2 * x * y + 2 * y * z - y]
+    order = ORDERS[name]
+    groebner(Ideal(ring, gens), order)
+    (G,) = seen
+    pk = packing(order)
+    first: dict = {}
+    reduced = 0
+    for i, t in enumerate(G):
+        prefix = groebner_mod._reduce_packed(t.terms, t.sugar, G[:i], pk, char, first)
+        others = groebner_mod._reduce_packed(t.terms, t.sugar, G[:i] + G[i + 1 :], pk, char)
+        assert (list(prefix[0].items()), prefix[1]) == (list(others[0].items()), others[1])
+        reduced += prefix[0] != t.terms
+    assert reduced
 
 
 LIMIT = 2 ** (FIELD_BITS - 1)

@@ -94,7 +94,14 @@ def remainder_not_scaled(monkeypatch):
 def guard_dropped(monkeypatch):
     """The packed reduction tests divisibility by the sign of the difference,
     not by its guard bits, so a failed field under a larger one goes unseen."""
-    _rewrite_groebner(monkeypatch, "_reduce_packed", "if q_exp & guard:", "if q_exp < 0:")
+    _rewrite_groebner(monkeypatch, "_reduce_packed", "if not (e - t.lm) & guard:", "if e - t.lm >= 0:")
+
+
+def ruled_out_count_overshoots(monkeypatch):
+    """The first-divisor table records one element more than a scan ruled
+    out, so a later call with a longer basis skips the element at that
+    count."""
+    _rewrite_groebner(monkeypatch, "_reduce_packed", "first[e] = len(G)", "first[e] = len(G) + 1")
 
 
 def reps_not_rewritten(monkeypatch):
@@ -492,6 +499,14 @@ def failed_middle_field_seen():
         test_divide.test_reduction_sees_a_failed_middle_field(char)
 
 
+def finalize_reduces_by_the_prefix():
+    """test_divide.test_finalize_reduces_by_the_prefix over F_7 and QQ, in
+    degrevlex."""
+    for char in (7, 0):
+        with pytest.MonkeyPatch.context() as m:
+            test_divide.test_finalize_reduces_by_the_prefix(m, char, "degrevlex")
+
+
 def normal_form_matches_divide():
     """test_divide.test_normal_form_matches_divide."""
     with pytest.MonkeyPatch.context() as m:
@@ -573,6 +588,7 @@ def d2_trace_scenario_passes():
     (basis_terms_stored_in_reverse, three_quadrics_store_leading_terms_first),
     (extra_generator_seeded, twisted_cubic_lies_in_its_ideal),
     (guard_dropped, failed_middle_field_seen),
+    (ruled_out_count_overshoots, finalize_reduces_by_the_prefix),
     (radical_by_membership_only, test_groebner.test_radical_member_agrees_with_certificates),
     (irreducible_check_reads_first_term_only, normal_form_matches_divide),
     (normal_form_ignores_ring, test_groebner.test_membership_across_rings_is_refused),
