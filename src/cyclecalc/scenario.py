@@ -7,10 +7,11 @@ the environment; each task (compose, projector, identity, class, property,
 assert, vanish, push, divisor, a correspondence's P check) is one report
 entry, and a compose, class, push or divisor task's value is a name too.
 
-Malformed text, or a name no statement above declared, ends the run with a
-positioned `ScenarioError`.  A budget trip while a statement builds, or a name
-whose statement made no value, is instead the statement's `error` entry, and
-then its own name has no value.
+Each statement is read to its end before any of its algebra runs.  Malformed
+text, or a name no statement above declared, ends the run with a positioned
+`ScenarioError` at any budget.  Else a name read whose statement made no value,
+and then a budget trip in the build, is the statement's `error` entry, and its
+own name then has no value.
 
 Grammar sketch (statements end at newline or ';' outside brackets; '#' starts
 a comment).  Each statement head and the separator after its declared name
@@ -53,6 +54,7 @@ import re
 from collections import ChainMap, Counter
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 from .corr import (
     CompositionResult,
@@ -269,13 +271,9 @@ def _poly_factor(ts: TokenStream, ring: Ring) -> Poly:
 def _poly_atom(ts: TokenStream, ring: Ring) -> Poly:
     tok = ts.peek()
     if tok.kind == "number":
-        ts.next()
-        num = int(tok.text)
-        if ts.at("/") and ts.peek(1).kind == "number":
-            ts.next()
-            den = ts.expect_number()
-            return ring.const(Fraction(num, den))
-        return ring.const(num)
+        if ts.peek(1).text == "/" and ts.peek(2).kind == "number":
+            return ring.const(_fraction(ts, ring.field.characteristic))
+        return ring.const(ts.expect_number())
     if tok.kind == "ident":
         ts.next()
         try:
@@ -288,6 +286,17 @@ def _poly_atom(ts: TokenStream, ring: Ring) -> Poly:
         ts.expect(")")
         return inner
     raise ScenarioError(f"expected a polynomial, found {tok.text!r}", tok.line, tok.col)
+
+
+def _fraction(ts: TokenStream, characteristic: int) -> Fraction:
+    """`INT / INT`; a denominator that is zero in `characteristic` is an error at it."""
+    num = ts.expect_number()
+    ts.expect("/")
+    tok = ts.peek()
+    den = ts.expect_number()
+    if den == 0 or characteristic and den % characteristic == 0:
+        raise ScenarioError(f"denominator {den} is zero in characteristic {characteristic}", tok.line, tok.col)
+    return Fraction(num, den)
 
 
 def parse_form(ts: TokenStream, ring: Ring) -> Form:
@@ -352,9 +361,12 @@ class Scenario:
         self.traces = {}  # name -> FinitePresentation
         self.symbols = {}
         self.compositions = {}
-        # names whose statement made no value: a tripped declaration, or a task whose check raised
-        self.failed = set()
+        self.failure: EngineError | None = None  # why the statement being done is an `error` entry
         self.report: Report | None = None
+
+
+class _Unbuilt(SimpleNamespace):
+    """A name's stand-in until its statement stores the value: what reading knows of it (its space, say)."""
 
 
 def parse_scenario(text: str, characteristic: int | None = None) -> Scenario:
@@ -374,7 +386,11 @@ def _statements(env: Scenario, text: str):
     """Do each statement, yielding the `(name, kind, check)` of its report
     entry, if it has one, for `run_checks` to run before the next statement
     is read.  A statement with no declared name is named by its head and
-    count (`assert_2`)."""
+    count (`assert_2`).
+
+    A handler reads its whole statement, starting no Gröbner run, and returns a
+    declaration's build or a task's `(name, kind, run)`.  A positioned error comes
+    first, then the first name read that has no value, then a trip in the build."""
     counts: Counter = Counter()
     for tokens in tokenize(text):
         ts = TokenStream(tokens)
@@ -387,37 +403,27 @@ def _statements(env: Scenario, text: str):
         if separator is not None:
             name = ts.expect_ident().text
             ts.expect(separator)
-        env.failed.discard(name)
+        env.failure = None
         try:
             entry = handler(env, name, ts)
+            ts.require_done()
+            if env.failure is None and callable(entry):
+                entry = entry()  # a declaration's build: None, or a correspondence's P task
         except ScenarioError:
             raise
-        except (BudgetExceeded, _NoValue) as exc:
-            entry = name, head.text, exc
+        except BudgetExceeded as exc:
+            env.failure = exc
         except EngineError as exc:
             # raised below the parser, so it carries no position: give it the statement's
             raise ScenarioError(str(exc), head.line, head.col) from exc
-        else:
-            ts.require_done()
-            if entry is None:
-                continue
-        yield entry[0], entry[1], partial(_check, env, entry[0], entry[2])
+        if env.failure is not None:
+            yield name, head.text, partial(_reraise, env.failure)
+        elif entry is not None:
+            yield entry
 
 
-class _NoValue(EngineError):
-    """A reference to a name whose statement made no value."""
-
-
-def _check(env: Scenario, name: str, check):
-    """Run a report entry's check, or raise the error its statement raised;
-    either way an error leaves `name` without a value."""
-    try:
-        if isinstance(check, EngineError):
-            raise check
-        return check()
-    except EngineError:
-        env.failed.add(name)
-        raise
+def _reraise(exc: EngineError):
+    raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +454,21 @@ def _bracketed(ts: TokenStream, open_: str, close: str) -> TokenStream:
 
 def _ref(env: Scenario, ts: TokenStream, table, what: str):
     """Read a name and look it up in `table`.  A name that no statement above
-    declared is a positioned error; one whose statement made no value raises
-    `_NoValue`, so the statement reading it makes none either."""
+    declared is a positioned error; one whose statement made no value gives its
+    stand-in, so the statement reads on, and the first such is `env.failure`."""
     tok = ts.expect_ident()
-    if tok.text in env.failed:
-        raise _NoValue(f"{what} {tok.text!r} has no value: its statement failed")
     if tok.text not in table:
         raise ScenarioError(f"unknown {what} {tok.text!r}", tok.line, tok.col)
-    return table[tok.text]
+    value = table[tok.text]
+    if isinstance(value, _Unbuilt) and env.failure is None:
+        env.failure = EngineError(f"{what} {tok.text!r} has no value: its statement failed")
+    return value
+
+
+def _declare(table: dict, name: str, make, **known):
+    """Put `name`'s stand-in, carrying `known`, in `table`; the build replaces it by `make()`."""
+    table[name] = _Unbuilt(**known)
+    return lambda: table.__setitem__(name, make())
 
 
 def _one_of(ts: TokenStream, choices: tuple, message: str) -> str:
@@ -498,12 +511,12 @@ def _poly_list(group: TokenStream, ring: Ring, allow_empty: bool = False) -> lis
     return _comma_list(group, lambda g: parse_poly(g, ring), allow_empty)
 
 
-def _closed_literal(env: Scenario, ts: TokenStream) -> ClosedSet:
-    """`{ p, ... } on SPACE`: the ring is named after the braces."""
+def _closed_literal(env: Scenario, ts: TokenStream) -> tuple:
+    """`{ p, ... } on SPACE` (the ring is named after the braces): the space and the set's build."""
     gens = _bracketed(ts, "{", "}")
     ts.expect("on")
     space = _ref(env, ts, env.spaces, "space")
-    return ClosedSet(space, Ideal(space.ring, _poly_list(gens, space.ring, allow_empty=True)))
+    return space, partial(ClosedSet, space, Ideal(space.ring, _poly_list(gens, space.ring, allow_empty=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +527,7 @@ def _stmt_char(env: Scenario, _name: None, ts: TokenStream):
         tok = ts.peek()
         raise ScenarioError("char must precede all declarations", tok.line, tok.col)
     value = ts.expect_number()
-    if not env.char_locked:
-        env.characteristic = value
+    return lambda: setattr(env, "characteristic", env.characteristic if env.char_locked else value)
 
 
 def _parse_blocks(ts: TokenStream) -> list:
@@ -530,28 +542,36 @@ def _parse_blocks(ts: TokenStream) -> list:
 
 
 def _stmt_space(env: Scenario, name: str, ts: TokenStream):
-    env.spaces[name] = Space(_parse_blocks(ts), env.characteristic)
+    return _declare(env.spaces, name, partial(Space, _parse_blocks(ts), env.characteristic))
 
 
 def _stmt_pair(env: Scenario, name: str, ts: TokenStream):
     a = _ref(env, ts, env.spaces, "space")
     ts.expect("**")
-    env.spaces[name] = pair_product(a, _ref(env, ts, env.spaces, "space")).space
+    prod = pair_product(a, _ref(env, ts, env.spaces, "space"))
+    return _declare(env.spaces, name, lambda: prod.space)
 
 
 def _stmt_closed(env: Scenario, name: str, ts: TokenStream):
-    env.closeds[name] = _closed_literal(env, ts)
+    space, make = _closed_literal(env, ts)
+    return _declare(env.closeds, name, make, space=space)
 
 
 def _stmt_prime(env: Scenario, name: str, ts: TokenStream):
     if ts.at("{"):
-        cs = _closed_literal(env, ts)
+        space, make = _closed_literal(env, ts)
     else:
         ts.accept("closed")
         cs = _ref(env, ts, env.closeds, "closed set")
+        space, make = cs.space, lambda: cs
     screen = not ts.accept("noscreen")
-    env.primes[name] = PrimeComponent(cs, label=name, screen=screen)
-    env.closeds[name] = env.primes[name].closed_set
+    env.primes[name] = env.closeds[name] = _Unbuilt(space=space)
+
+    def build():
+        env.primes[name] = PrimeComponent(make(), label=name, screen=screen)
+        env.closeds[name] = env.primes[name].closed_set
+
+    return build
 
 
 def _stmt_open(env: Scenario, name: str, ts: TokenStream):
@@ -561,19 +581,18 @@ def _stmt_open(env: Scenario, name: str, ts: TokenStream):
     bad = _ref(env, ts, env.closeds, "closed set")
     if bad.space != space:
         raise ScenarioError("bad locus lives in the wrong space", bad_tok.line, bad_tok.col)
-    env.opens[name] = bad
+    return _declare(env.opens, name, lambda: bad)
 
 
 def _stmt_chart(env: Scenario, name: str, ts: TokenStream):
     if _one_of(ts, ("invert", "full"), "expected invert(...) or full") == "full":
         ts.expect("on")
         _ref(env, ts, env.spaces, "space")
-        env.charts[name] = NO_CHART
-        return
+        return _declare(env.charts, name, lambda: NO_CHART)
     denoms = _bracketed(ts, "(", ")")
     ts.expect("on")
     space = _ref(env, ts, env.spaces, "space")
-    env.charts[name] = Chart(tuple(_poly_list(denoms, space.ring, allow_empty=True)))
+    return _declare(env.charts, name, partial(Chart, tuple(_poly_list(denoms, space.ring, allow_empty=True))))
 
 
 def _stmt_morphism(env: Scenario, name: str, ts: TokenStream):
@@ -590,14 +609,14 @@ def _stmt_morphism(env: Scenario, name: str, ts: TokenStream):
         coords[-1].append(parse_poly(ts, src.ring))
     ts.expect(")")
     domain = _ref(env, ts, env.closeds, "closed set") if ts.accept("on") else None
-    env.morphisms[name] = Morphism(src, tgt, coords, domain)
+    f = Morphism(src, tgt, coords, domain)
+    return _declare(env.morphisms, name, lambda: f, target=tgt)
 
 
 def _stmt_support(env: Scenario, name: str, ts: TokenStream):
     if _one_of(ts, ("family", "full"), "expected family(...) or full") == "full":
         ts.expect("on")
-        env.families[name] = SupportFamily.full(_ref(env, ts, env.spaces, "space"))
-        return
+        return _declare(env.families, name, partial(SupportFamily.full, _ref(env, ts, env.spaces, "space")))
     members = _comma_list(
         _bracketed(ts, "(", ")"), lambda g: _ref(env, g, env.closeds, "closed set"), allow_empty=True
     )
@@ -608,16 +627,17 @@ def _stmt_support(env: Scenario, name: str, ts: TokenStream):
     else:
         tok = ts.peek()
         raise ScenarioError("an empty family needs an 'on SPACE' clause", tok.line, tok.col)
-    env.families[name] = SupportFamily(space, members)
+    return _declare(env.families, name, partial(SupportFamily, space, members))
 
 
-def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None) -> Cycle:
+def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None) -> tuple:
     """INT*[P] +- ... with P declared primes; space inferred from the first.
 
-    A bare name, a cycle's, is also accepted.
+    A bare name, a cycle's, is also accepted.  Returns the space and the cycle's build.
     """
     if ts.at_kind("ident"):
-        return _ref(env, ts, env.cycles, "cycle")
+        cyc = _ref(env, ts, env.cycles, "cycle")
+        return cyc.space, lambda: cyc
     terms = []
     sign = -1 if ts.accept("-") else 1
     while True:
@@ -635,24 +655,25 @@ def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None
             raise ScenarioError("cycle components live on different spaces", term_tok.line, term_tok.col)
         terms.append((comp, mult))
         if not (ts.at("+") or ts.at("-")):
-            return Cycle(space, terms)
+            return space, partial(Cycle, space, terms)
         sign = -1 if ts.next().text == "-" else 1
 
 
 def _stmt_cycle(env: Scenario, name: str, ts: TokenStream):
     if ts.accept("0"):
         ts.expect("on")
-        env.cycles[name] = Cycle(_ref(env, ts, env.spaces, "space"), {})
-        return
-    cyc = _parse_cycle_body(env, ts)
+        space = _ref(env, ts, env.spaces, "space")
+        return _declare(env.cycles, name, partial(Cycle, space, {}), space=space)
+    space, make = _parse_cycle_body(env, ts)
     if ts.accept("on"):
         sp_tok = ts.peek()
-        if cyc.space != _ref(env, ts, env.spaces, "space"):
+        if space != _ref(env, ts, env.spaces, "space"):
             raise ScenarioError("cycle is not on the declared space", sp_tok.line, sp_tok.col)
+    family = None
     if ts.accept("with"):
         ts.expect("support")
-        cyc = cyc.with_family(_ref(env, ts, env.families, "support family"))
-    env.cycles[name] = cyc
+        family = _ref(env, ts, env.families, "support family")
+    return _declare(env.cycles, name, lambda: make() if family is None else make().with_family(family), space=space)
 
 
 def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
@@ -670,16 +691,20 @@ def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
     ts.expect("=")
     if ts.accept("cycle"):
         cyc = _ref(env, ts, env.cycles, "cycle")
+        make = lambda: cyc
     else:
-        cyc = _parse_cycle_body(env, ts)
+        _, make = _parse_cycle_body(env, ts)
     waive = set()
     if ts.accept("waive"):
         ts.expect("P")
         waive = set(_comma_list(_bracketed(ts, "(", ")"), lambda g: g.expect_ident().text))
-    corr = Correspondence(src_var, src_fam, tgt_var, tgt_fam, cyc)
-    env.corrs[name] = corr
+    env.corrs[name] = _Unbuilt()
 
-    def run_P():
+    def build():
+        corr = env.corrs[name] = Correspondence(src_var, src_fam, tgt_var, tgt_fam, make())
+        return f"{name}_P", "corr-P", partial(run_P, corr)
+
+    def run_P(corr):
         # caught per component: a waived component's reject must not reject the task
         verdicts = {}
         for comp in corr.cycle.terms:
@@ -697,7 +722,7 @@ def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
             return POLICY_REJECT, f"properness not certifiable: {rejected}", {"verdicts": verdicts}
         return PASS, f"waived: {sorted(waive)}" if waive else "", {"verdicts": verdicts}
 
-    return f"{name}_P", "corr-P", run_P
+    return build
 
 
 def _stmt_graph(env: Scenario, _name: None, ts: TokenStream):
@@ -706,20 +731,20 @@ def _stmt_graph(env: Scenario, _name: None, ts: TokenStream):
     comp = _ref(env, ts, env.primes, "prime component")
     ts.expect("=")
     kind = _one_of(ts, ("graph", "transpose"), "expected graph or transpose")
-    corr.attach_graph(comp, GraphData(kind, _ref(env, ts, env.morphisms, "morphism")))
+    data = GraphData(kind, _ref(env, ts, env.morphisms, "morphism"))
+    return lambda: corr.attach_graph(comp, data)
 
 
-def _parse_point(ts: TokenStream) -> dict:
+def _parse_point(ts: TokenStream, characteristic: int) -> dict:
     def coordinate(ts: TokenStream):
         name = ts.expect_ident().text
         ts.expect("=")
         sign = -1 if ts.accept("-") else 1
-        num = ts.expect_number()
-        if ts.accept("/"):
+        if ts.peek(1).text == "/":
             # kept as written, for the audit's witness record; every use
             # evaluates it through field.coerce (point_by_name_to_index)
-            return name, Fraction(sign * num, ts.expect_number())
-        return name, sign * num
+            return name, sign * _fraction(ts, characteristic)
+        return name, sign * ts.expect_number()
 
     return dict(_comma_list(_bracketed(ts, "(", ")"), coordinate))
 
@@ -733,7 +758,7 @@ def _corr_compose_clauses(env: Scenario, ts: TokenStream) -> dict:
             ts.expect("open")
             clauses["hint"] = _ref(env, ts, env.opens, "open")
         elif ts.accept("witness"):
-            clauses["witnesses"].append(_parse_point(ts))
+            clauses["witnesses"].append(_parse_point(ts, env.characteristic))
         elif ts.accept("split"):
             ts.expect("(")
             a_tok = ts.expect_ident()
@@ -748,18 +773,19 @@ def _corr_compose_clauses(env: Scenario, ts: TokenStream) -> dict:
             return clauses
 
 
-def _corr_ref(env: Scenario, ts: TokenStream) -> Correspondence:
-    """A correspondence's name, or an earlier composite's: its main term is
-    a correspondence carrying whatever graph data composed through."""
+def _corr_ref(env: Scenario, ts: TokenStream):
+    """A correspondence's name, or an earlier composite's (its main term, carrying
+    whatever graph data composed through), as the build of the correspondence."""
     corr = _ref(env, ts, ChainMap(env.corrs, env.compositions), "correspondence")
-    return corr.to_correspondence() if isinstance(corr, CompositionResult) else corr
+    return corr.to_correspondence if isinstance(corr, CompositionResult) else lambda: corr
 
 
-def _operands(env: Scenario, ts: TokenStream) -> tuple:
-    """`B . A`, the composite of A then B, as the pair (A, B)."""
+def _operands(env: Scenario, ts: TokenStream):
+    """`B . A`, the composite of A then B, as the build of the pair (A, B)."""
     b = _corr_ref(env, ts)
     ts.expect(".")
-    return _corr_ref(env, ts), b
+    a = _corr_ref(env, ts)
+    return lambda: (a(), b())
 
 
 def _within_bound(verdict: tuple, results: list, bound: ClosedSet | None) -> tuple:
@@ -786,19 +812,21 @@ def _stmt_compose(env: Scenario, name: str, ts: TokenStream):
         if ts.accept("0"):
             expect = lambda main: Cycle(main.space, {})
         else:
-            cyc = _parse_cycle_body(env, ts)
-            expect = lambda main: cyc
+            _, make = _parse_cycle_body(env, ts)
+            expect = lambda main: make()
         if ts.accept(","):
             ts.expect("error")
             ts.expect("within")
             bound = _ref(env, ts, env.closeds, "closed set")
+    env.compositions[name] = _Unbuilt()
 
     def run():
-        r = compose_localized(*operands, **clauses)
-        env.compositions[name] = r
+        r = compose_localized(*operands(), **clauses)
         audit = {**r.audit, "codim_certificates": r.error_codim_certificates()}
         verdict = compared(r.main, expect(r.main), audit)
-        return verdict if bound is None else _within_bound(verdict, [r], bound)
+        verdict = verdict if bound is None else _within_bound(verdict, [r], bound)
+        env.compositions[name] = r
+        return verdict
 
     return name, "compose", run
 
@@ -814,8 +842,9 @@ def _stmt_projector(env: Scenario, name: str, ts: TokenStream):
         bound = _ref(env, ts, env.closeds, "closed set")
 
     def run():
-        _, r = projector_check(p, lam, bound=bound, **clauses)
-        return _within_bound(compared(r.main, p.cycle.scale(lam), r.audit), [r], bound)
+        corr = p()
+        _, r = projector_check(corr, lam, bound=bound, **clauses)
+        return _within_bound(compared(r.main, corr.cycle.scale(lam), r.audit), [r], bound)
 
     return name, "projector", run
 
@@ -827,7 +856,7 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
     """
 
     def side():
-        """(k, the side's cycle or its composite's operand pair)."""
+        """(k, the side's cycle or the build of its composite's operand pair)."""
         k = _scale(ts)
         if ts.accept("cycle"):
             return k, _ref(env, ts, env.cycles, "cycle")
@@ -847,7 +876,7 @@ def _stmt_identity(env: Scenario, name: str, ts: TokenStream):
         cycles, results = [], []
         for k, value in sides:
             if not isinstance(value, Cycle):
-                results.append(compose_localized(*value, **clauses))
+                results.append(compose_localized(*value(), **clauses))
                 value = results[-1].main
             cycles.append(value.scale(k))
         lhs, rhs = cycles
@@ -887,7 +916,7 @@ def _stmt_symbol(env: Scenario, name: str, ts: TokenStream):
     body.expect("/")
     denoms = _poly_list(_bracketed(body, "(", ")"), space.ring)
     body.require_done()
-    env.symbols[name] = KoszulFraction(numerator, tuple(denoms), chart)
+    return _declare(env.symbols, name, partial(KoszulFraction, numerator, tuple(denoms), chart))
 
 
 def _stmt_class(env: Scenario, name: str, ts: TokenStream):
@@ -901,7 +930,8 @@ def _stmt_class(env: Scenario, name: str, ts: TokenStream):
     ts.expect("with")
     ts.expect("params")
     params = _poly_list(_bracketed(ts, "(", ")"), W.space.ring)
-    witness = _parse_point(ts) if ts.accept("witness") else None
+    witness = _parse_point(ts, env.characteristic) if ts.accept("witness") else None
+    env.symbols[name] = _Unbuilt()
 
     def run():
         frac = cycle_class_at_chart(W, params, chart, witness)
@@ -932,7 +962,8 @@ def _stmt_trace(env: Scenario, name: str, ts: TokenStream):
     fiber_names = tuple(n for n in total.ring.vars if n not in set(base_names))
     if any(b.kind != "affine" for b in total.blocks):
         raise ScenarioError("trace presentations must be affine", p_tok.line, p_tok.col)
-    env.traces[name] = FinitePresentation(total.ring, base_names, fiber_names, tuple(tseq))
+    pres = FinitePresentation(total.ring, base_names, fiber_names, tuple(tseq))
+    return _declare(env.traces, name, lambda: pres, ring=pres.ring, base_ring=pres.base_ring)
 
 
 def _stmt_assert(env: Scenario, name: str, ts: TokenStream):
@@ -984,7 +1015,7 @@ def _stmt_vanish(env: Scenario, name: str, ts: TokenStream):
     pr = _poly_list(_bracketed(ts, "(", ")"), ring, allow_empty=True)
     ts.expect(")")
     chart = _ref(env, ts, env.charts, "chart") if ts.accept("chart") else NO_CHART
-    witness = _parse_point(ts) if ts.accept("witness") else None
+    witness = _parse_point(ts, env.characteristic) if ts.accept("witness") else None
 
     def run():
         verdicts = vanishing_check(V, factor_indices, r, pf, pr, chart, witness)
@@ -1002,12 +1033,14 @@ def _stmt_push(env: Scenario, name: str, ts: TokenStream):
     ts.expect("into")
     psi = _ref(env, ts, env.families, "support family")
     ts.expect("expect")
-    expected = _parse_cycle_body(env, ts)
+    _, expected = _parse_cycle_body(env, ts)
+    env.cycles[name] = _Unbuilt(space=f.target)
 
     def run():
         out = push_forward(a, f, psi)
+        verdict = compared(out, expected())
         env.cycles[name] = out
-        return compared(out, expected)
+        return verdict
 
     return name, "push", run
 
@@ -1029,12 +1062,14 @@ def _stmt_divisor(env: Scenario, name: str, ts: TokenStream):
     body.require_done()
     expected = None
     if ts.accept("expect"):
-        expected = _parse_cycle_body(env, ts, space=space)
+        _, expected = _parse_cycle_body(env, ts, space=space)
+    env.cycles[name] = _Unbuilt(space=space)
 
     def run():
         out = principal_divisor_line(num, den, space)
+        verdict = compared(out, out if expected is None else expected(), {"divisor": repr(out)})
         env.cycles[name] = out
-        return compared(out, out if expected is None else expected, {"divisor": repr(out)})
+        return verdict
 
     return name, "divisor", run
 

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,11 +18,12 @@ from cyclecalc.axioms import run_axiom_harness
 from cyclecalc.errors import ScenarioError
 from cyclecalc.groebner import Budget, budget_scope, current_budget
 from cyclecalc.report import Report, TaskResult, compared, run_checks
-from cyclecalc.scenario import parse_scenario, run_scenario, run_scenario_text
+from cyclecalc.scenario import parse_scenario, run_scenario, run_scenario_text, tokenize
 
 # the module, not the function that `cyclecalc.groebner` names
 groebner_mod = importlib.import_module("cyclecalc.groebner")
 report_mod = importlib.import_module("cyclecalc.report")
+scenario_mod = importlib.import_module("cyclecalc.scenario")
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -196,6 +197,91 @@ def test_a_declaration_trip_is_its_own_entry(monkeypatch):
     assert (diag.kind, diag.verdict, diag.detail) == ("prime", "error", "budget exceeded: S-pair count > 3")
     assert (up.kind, up.verdict) == ("compose", "error")
     assert up.detail == "prime component 'DiagXt' has no value: its statement failed"
+
+
+def _with_stray_tokens(text: str):
+    """(head, text) for each statement of `text`, the text with ` wibble`
+    after that statement's last token."""
+    lines = text.split("\n")
+    for tokens in tokenize(text):
+        last = tokens[-1]
+        cut = last.col - 1 + len(last.text)
+        line = lines[last.line - 1]
+        yield tokens[0].text, "\n".join(
+            [*lines[: last.line - 1], line[:cut] + " wibble" + line[cut:], *lines[last.line :]]
+        )
+
+
+def _scenario_error(monkeypatch, text: str, budget: Budget) -> str:
+    """The message that ends a run of `text` under `budget`, with an empty
+    basis cache, as in a fresh process."""
+    monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+    with budget_scope(budget), pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    return str(err.value)
+
+
+def test_a_stray_token_is_the_same_error_at_every_budget(monkeypatch):
+    """Malformed text is a positioned error whatever the budget: with a stray
+    token after any statement of any shipped scenario, the runs at the
+    default budget and at 0, 1 and 3 S-pairs end with the same message,
+    though at the low budgets a statement above it, or one whose name it
+    reads, has tripped."""
+    heads, moved = set(), []
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        for head, text in _with_stray_tokens(path.read_text()):
+            heads.add(head)
+            want = _scenario_error(monkeypatch, text, Budget())
+            for pairs in (0, 1, 3):
+                got = _scenario_error(monkeypatch, text, Budget(max_pairs=pairs))
+                if got != want:
+                    moved.append((path.name, head, pairs, got, want))
+    assert heads == set(scenario_mod._STATEMENTS)
+    assert not moved
+
+
+def test_no_groebner_run_starts_while_a_statement_is_read(monkeypatch):
+    """A statement's handler only reads it: every Buchberger run of every
+    shipped scenario starts in a build or a task's run, after the read."""
+    reading, started = [], []
+    buchberger = groebner_mod._buchberger
+
+    def spy(*args):
+        started.append(reading[-1] if reading else None)  # the head being read, if any
+        return buchberger(*args)
+
+    def reader(head, handler):
+        def read(*args):
+            reading.append(head)
+            try:
+                return handler(*args)
+            finally:
+                reading.pop()
+
+        return read
+
+    monkeypatch.setattr(groebner_mod, "_buchberger", spy)
+    for head, (handler, separator) in list(scenario_mod._STATEMENTS.items()):
+        monkeypatch.setitem(scenario_mod._STATEMENTS, head, (reader(head, handler), separator))
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
+        assert run_scenario_text(path.read_text()).ok, path.name
+    during = Counter(head for head in started if head is not None)
+    assert started and not during, during
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget-pairs", "3"]], ids=["default", "pairs3"])
+def test_cli_stray_token_after_a_failed_name_is_a_positioned_error(tmp_path, budget):
+    """At three pairs `up` reads `DiagXt`, whose statement tripped; a stray
+    token at the end of `up` is still the run's positioned error."""
+    line = "expect main = 1*[DiagXt], error within ExE"
+    text = (SCENARIOS / "blowup.scn").read_text()
+    assert text.count(line) == 1
+    bad = tmp_path / "blowup_wibble.scn"
+    bad.write_text(text.replace(line, line + " wibble"))
+    proc = _engine("run", str(bad), *budget)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.strip() == "scenario error: unexpected trailing input 'wibble' (line 55, col 48)"
 
 
 def test_cli_declaration_trip_writes_the_report(tmp_path):
@@ -440,6 +526,19 @@ MALFORMED_TRACE = MALFORMED_COVER + "trace T = trace(f via P, t = (y - x^2))\n"
         "expected t = (...) (line 8, col 26)", id="trace-t",
     ),
     pytest.param("divisor d = wibble(x) on X", "expected div(...) (line 6, col 13)", id="divisor-div"),
+    # a denominator that is zero in the field, positioned at the denominator
+    pytest.param(
+        "closed B = { x - 1/0 } on X",
+        "denominator 0 is zero in characteristic 0 (line 6, col 20)", id="closed-zero-denominator",
+    ),
+    pytest.param(
+        "chart C = invert(1/0) on X",
+        "denominator 0 is zero in characteristic 0 (line 6, col 20)", id="chart-zero-denominator",
+    ),
+    pytest.param(
+        "vanish v = cl(W) factor (x) codim 1 params ((x) ; ()) witness (x=-1/0)",
+        "denominator 0 is zero in characteristic 0 (line 6, col 69)", id="witness-zero-denominator",
+    ),
     # a declared name followed by the other statement kind's separator
     pytest.param("morphism f = (x)", "expected ':', found '=' (line 6, col 12)", id="morphism-separator"),
     pytest.param("space Z : space(affine(z))", "expected '=', found ':' (line 6, col 9)", id="space-separator"),
@@ -451,6 +550,25 @@ def test_cli_malformed_statement_is_a_positioned_error(tmp_path, stmt, message):
     proc = _engine("run", str(bad), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.strip() == f"scenario error: {message}"
+
+
+def test_cli_denominator_divisible_by_the_characteristic(tmp_path):
+    """A denominator the characteristic divides is a positioned error, not a
+    crash in the middle of the run: in a witness read under `--char 5`
+    (the same file passes at char 0), and in a literal under `char 7`."""
+    text = (SCENARIOS / "cycle_basics.scn").read_text()
+    assert "witness (a=1, b=1)" in text
+    fifths = tmp_path / "fifths.scn"
+    fifths.write_text(text.replace("witness (a=1, b=1)", "witness (a=1/5, b=1/5)"))
+    assert _engine("run", str(fifths)).returncode == 0
+    proc = _engine("run", str(fifths), "--char", "5")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.strip() == "scenario error: denominator 5 is zero in characteristic 5 (line 35, col 71)"
+    sevenths = tmp_path / "sevenths.scn"
+    sevenths.write_text("char 7\nspace X = space(affine(x))\nclosed B = { x - 1/7 } on X\n")
+    proc = _engine("run", str(sevenths))
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.strip() == "scenario error: denominator 7 is zero in characteristic 7 (line 3, col 20)"
 
 
 def test_polynomial_literal_syntax():
