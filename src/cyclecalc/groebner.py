@@ -40,6 +40,21 @@ same element as a scan of the whole basis picks.  The table holds at most
 one entry per distinct monomial its run reduces, the run is bounded by the
 budget, and the table is dropped when the call returns.
 
+divide() stays on exponent tuples but computes with int coefficients.  Over
+F_p a coefficient is reduced mod p only when its term is popped, and a
+reducer's leading coefficient is inverted once per call, when the reducer is
+first used.  Over QQ it is fraction-free: the working terms W are integers
+under one running scale S, with S * f == Q + W + R at every step, where Q
+and R are S times the quotient sum and the remainder written so far; each
+term is written as its field value when it is produced, so nothing written
+is ever rescaled.  buchberger_audit makes one pair of divide() tables per
+audit and passes it to every S-pair's division: a first-divisor table (from
+an exponent tuple to the index of the first basis element whose leading
+exponent divides it, or -1) and a table of negated order keys.  Both depend
+only on the leading exponents and the order, which are fixed for the whole
+audit; they hold at most one entry per distinct monomial the audit's
+divisions meet, and are dropped when the audit returns.
+
 A monomial whose total degree reaches 2^(FIELD_BITS - 1) does not fit a
 packed field: it raises EngineError wherever it first appears (an input, an
 lcm, an S-polynomial or reduction term), never a wrong basis.
@@ -54,7 +69,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, neg
+from operator import add, le, mul, neg, sub
 
 from .errors import BudgetExceeded, EngineError, RingMismatch
 from .orders import (
@@ -181,7 +196,38 @@ def _neg_key(k):
     return tuple(map(neg, k))
 
 
-def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence | None = None):
+def _ratio(a: int, s: int):
+    """a / s as RationalField keeps it: an int when s divides a, else a Fraction."""
+    return a // s if a % s == 0 else Fraction(a, s)
+
+
+def _integer_form(terms) -> tuple:
+    """(d, ints) for QQ (key, coefficient) pairs: d the lcm of their
+    denominators and ints maps each key to d times its coefficient;
+    terms is read twice."""
+    # ints and Fractions alike carry numerator and denominator
+    d = lcm(*(c.denominator for _, c in terms))
+    return d, {k: c.numerator * (d // c.denominator) for k, c in terms}
+
+
+def _reducer(g: Poly, lead_exp: tuple, p: int) -> tuple:
+    """(tail, lc, d) for dividing by g, whose leading exponent is lead_exp:
+    tail lists g's other terms as (exponent, int coefficient).  Over F_p
+    (p > 0) lc is the inverse of g's leading coefficient and d is 1; over QQ
+    the coefficients are those of d * g, for d the lcm of g's denominators,
+    and lc is d times the leading coefficient."""
+    d, ints = _integer_form(g.terms.items()) if not p else (1, dict(g.terms))
+    lc = ints.pop(lead_exp)
+    return list(ints.items()), pow(lc, -1, p) if p else lc, d
+
+
+def divide(
+    f: Poly,
+    basis: Sequence[Poly],
+    order: MonomialOrder,
+    leads: Sequence | None = None,
+    tables: tuple | None = None,
+):
     """Multivariate division: f = sum(q_i * basis_i) + r.
 
     Returns (r, [q_i]); no term of r is divisible by any leading term of the
@@ -190,51 +236,106 @@ def divide(f: Poly, basis: Sequence[Poly], order: MonomialOrder, leads: Sequence
     `leads`, when given, holds leading(basis_i, order) for every i.
 
     The working terms sit in a heap of (negated order key, exponent), after
-    Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011):
-    a term's key is computed once, when it enters the working set.  A term
-    that cancels stays in the heap and is skipped when popped; one that
-    reappears later is pushed again.
+    Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
+    A term that cancels stays in the heap and is skipped when popped; one
+    that reappears later is pushed again.
+
+    The working coefficients are ints.  Over F_p they are reduced mod p when
+    their term is popped, not at every update, and each reducer's leading
+    coefficient is inverted once, the first time the reducer is used.  Over
+    QQ the division is fraction-free: f, and each reducer when first used,
+    are scaled to integer forms by the lcm d of their denominators, and the
+    working terms W carry one running scale S, so that S * f == Q + W + R at
+    every step, where Q = S * sum(q_i * basis_i) and R = S * r for the
+    quotients q_i and remainder r written so far.  A step whose quotient
+    c / lc is not integral scales W and S by lc / gcd(c, lc).  Each remainder
+    term and quotient term is written as its field value (c / S and q d / S)
+    when it is produced, so nothing written is rescaled, and a Fraction is
+    built only there, never while S is 1.
+
+    `tables`, when given, is (first_divisor, neg_keys): dicts from an
+    exponent to the index of the first basis element whose leading term
+    divides it (-1 for none) and to its negated order key.  Both depend only
+    on the basis's leading exponents and on the order, so calls that share
+    the tables must pass the same basis, leads and order, as buchberger_audit
+    does; they grow by at most one entry per distinct monomial the calls
+    meet.  Without tables the call makes its own, which die with it.
     """
     ring = f.ring
-    fld = ring.field
-    zero = fld.zero
+    p = ring.field.characteristic
     key = order.key
-    lead = [leading(g, order) for g in basis] if leads is None else leads
+    if leads is None:
+        leads = [leading(g, order) for g in basis]
+    lead_exps = [lead for lead, _ in leads]
+    first, neg_keys = tables or ({}, {})
+    reducers: dict = {}
     quots: list[dict] = [dict() for _ in basis]
     rem: dict = {}
-    work = dict(f.terms)
-    heap = [(_neg_key(key(e)), e) for e in work]
+    S, work = _integer_form(f.terms.items()) if not p else (1, dict(f.terms))
+    heap = []
+    for e in work:
+        k = neg_keys.get(e)
+        if k is None:
+            k = neg_keys[e] = _neg_key(key(e))
+        heap.append((k, e))
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = heappop(heap)[1]
         c = work.pop(e, None)
         if c is None:  # cancelled after it was queued
             continue
-        for i, (le, lc) in enumerate(lead):
-            if exp_divides(le, e):
-                q_exp = exp_sub(e, le)
-                q_coeff = fld.div(c, lc)
-                # each e is taken once, so q_exp is new to quots[i]
-                quots[i][q_exp] = q_coeff
-                # work -= q * g  (the leading term cancels by construction);
-                # every new term is smaller than e
-                for ge, gc in basis[i].terms.items():
-                    if ge == le:
-                        continue
-                    te = exp_add(ge, q_exp)
-                    old = work.get(te)
-                    if old is None:
-                        work[te] = fld.sub(zero, fld.mul(gc, q_coeff))
-                        heapq.heappush(heap, (_neg_key(key(te)), te))
-                        continue
-                    v = fld.sub(old, fld.mul(gc, q_coeff))
-                    if v == zero:
-                        del work[te]
-                    else:
-                        work[te] = v
-                break
+        if p:
+            c %= p
+            if not c:
+                continue
+        i = first.get(e)
+        if i is None:
+            for i, lead in enumerate(lead_exps):
+                if all(map(le, lead, e)):
+                    break
+            else:
+                i = -1
+            first[e] = i
+        if i < 0:
+            rem[e] = c if p else _ratio(c, S)
+            continue
+        reducer = reducers.get(i)
+        if reducer is None:
+            reducer = reducers[i] = _reducer(basis[i], lead_exps[i], p)
+        tail, lc, d = reducer
+        q_exp = tuple(map(sub, e, lead_exps[i]))
+        # each e is taken once, so q_exp is new to quots[i]
+        if p:
+            q = c * lc % p
+            quots[i][q_exp] = q
         else:
-            rem[e] = c
+            g = gcd(c, lc)
+            m, q = lc // g, c // g
+            if m < 0:
+                m, q = -m, -q
+            if m != 1:
+                for te in work:
+                    work[te] *= m
+                S *= m
+            quots[i][q_exp] = _ratio(q * d, S)
+        # work -= q * x^q_exp * tail (the leading term cancels by
+        # construction); every new term is smaller than e
+        for ge, gc in tail:
+            te = tuple(map(add, ge, q_exp))
+            old = work.get(te)
+            if old is None:
+                work[te] = -q * gc
+                k = neg_keys.get(te)
+                if k is None:
+                    k = neg_keys[te] = _neg_key(key(te))
+                heappush(heap, (k, te))
+                continue
+            v = old - q * gc
+            if v:
+                work[te] = v
+            else:
+                del work[te]
     return Poly(ring, rem), [Poly(ring, q) for q in quots]
 
 
@@ -301,9 +402,7 @@ def _packed_form(poly: Poly, pk: Packing, p: int) -> dict:
     if p:
         inv = pow(terms[0][1], -1, p)
         return {m: c * inv % p for m, c in terms}
-    # ints and Fractions alike carry numerator and denominator
-    den = lcm(*(c.denominator for _, c in terms))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms}
+    _, ints = _integer_form(terms)
     _remove_content(ints)
     return ints
 
@@ -561,12 +660,15 @@ def buchberger_audit(gb: GBasis) -> bool:
     """Post-hoc Buchberger criterion: every S-polynomial reduces to zero.
 
     The stored leading terms are first checked against the basis itself, so
-    the S-polynomials and reductions may then use them.
+    the S-polynomials and reductions may then use them.  Every S-polynomial
+    is divided by the same basis in the same order, so all the divisions
+    share one pair of divide() tables, made here and dropped on return.
     """
     if [leading(g, gb.order) for g in gb.basis] != gb.leads:
         return False
     n = len(gb.basis)
     fld = gb.ring.field
+    tables = ({}, {})
     for i in range(n):
         ei, ci = gb.leads[i]
         for j in range(i + 1, n):
@@ -575,7 +677,7 @@ def buchberger_audit(gb: GBasis) -> bool:
             s = _mul_monomial(gb.basis[i], exp_sub(L, ei), fld.inv(ci)) - _mul_monomial(
                 gb.basis[j], exp_sub(L, ej), fld.inv(cj)
             )
-            if not gb.normal_form(s).is_zero():
+            if not divide(s, gb.basis, gb.order, gb.leads, tables)[0].is_zero():
                 return False
     return True
 
@@ -673,7 +775,7 @@ def _finalize(I: Ideal, order: MonomialOrder, G: list) -> GBasis:
         else:
             lc = r[t.lm]
             basis.append(Poly(ring, {
-                unpack(e): Fraction(c, lc) if c % lc else c // lc for e, c in r.items()
+                unpack(e): _ratio(c, lc) for e, c in r.items()
             }))
     return GBasis(I, order, basis, [(t.exp, ring.field.one) for t in G])
 

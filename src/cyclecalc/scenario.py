@@ -616,18 +616,22 @@ def _stmt_morphism(env: Scenario, name: str, ts: TokenStream):
 def _stmt_support(env: Scenario, name: str, ts: TokenStream):
     if _one_of(ts, ("family", "full"), "expected family(...) or full") == "full":
         ts.expect("on")
-        return _declare(env.families, name, partial(SupportFamily.full, _ref(env, ts, env.spaces, "space")))
+        space = _ref(env, ts, env.spaces, "space")
+        return _declare(env.families, name, partial(SupportFamily.full, space), space=space)
     members = _comma_list(
-        _bracketed(ts, "(", ")"), lambda g: _ref(env, g, env.closeds, "closed set"), allow_empty=True
+        _bracketed(ts, "(", ")"), lambda g: (g.peek(), _ref(env, g, env.closeds, "closed set")), allow_empty=True
     )
     if ts.accept("on"):
         space = _ref(env, ts, env.spaces, "space")
     elif members:
-        space = members[0].space
+        space = members[0][1].space
     else:
         tok = ts.peek()
         raise ScenarioError("an empty family needs an 'on SPACE' clause", tok.line, tok.col)
-    return _declare(env.families, name, partial(SupportFamily, space, members))
+    for tok, member in members:
+        if member.space != space:
+            raise ScenarioError("family generator in the wrong space", tok.line, tok.col)
+    return _declare(env.families, name, partial(SupportFamily, space, [m for _, m in members]), space=space)
 
 
 def _parse_cycle_body(env: Scenario, ts: TokenStream, space: Space | None = None) -> tuple:
@@ -672,7 +676,10 @@ def _stmt_cycle(env: Scenario, name: str, ts: TokenStream):
     family = None
     if ts.accept("with"):
         ts.expect("support")
+        fam_tok = ts.peek()
         family = _ref(env, ts, env.families, "support family")
+        if family.space != space:
+            raise ScenarioError("support family on the wrong space", fam_tok.line, fam_tok.col)
     return _declare(env.cycles, name, lambda: make() if family is None else make().with_family(family), space=space)
 
 
@@ -689,11 +696,14 @@ def _stmt_corr(env: Scenario, name: str, ts: TokenStream):
     ts.expect("=>")
     tgt_var, tgt_fam = side()
     ts.expect("=")
+    cycle_tok = ts.peek()
     if ts.accept("cycle"):
         cyc = _ref(env, ts, env.cycles, "cycle")
-        make = lambda: cyc
+        space, make = cyc.space, lambda: cyc
     else:
-        _, make = _parse_cycle_body(env, ts)
+        space, make = _parse_cycle_body(env, ts)
+    if space != pair_product(src_var.space, tgt_var.space).space:
+        raise ScenarioError("correspondence cycle not on the pair space", cycle_tok.line, cycle_tok.col)
     waive = set()
     if ts.accept("waive"):
         ts.expect("P")

@@ -2,6 +2,7 @@
 packed monomials against exponent tuples, and the packed reduction against
 the field reduction."""
 
+import heapq
 import importlib
 import json
 import random
@@ -71,10 +72,35 @@ def test_divide_matches_reference(data):
 
     r, quots = divide(f, basis, order, leads)
     assert (r, quots) == reference_divide(f, basis, order, leads)
+    # Poly equality cannot tell 2 from Fraction(2, 1): a QQ scalar must be
+    # an int when it is integral
+    if not ring.characteristic:
+        for part in (r, *quots):
+            assert all(type(c) is int or c.denominator > 1 for c in part.terms.values()), part.terms
     total = r
     for q, g in zip(quots, basis):
         total = total + q * g
     assert total == f
+
+
+def test_scaled_division_writes_field_values():
+    """Over QQ, f = x^2/3 + y/5 by 2x + 1 runs with S = 15, then 30, then 60
+    (neither the x^2 step's quotient nor the constant step's is integral in
+    the scaled terms), and every remainder and quotient term is written
+    divided by S.  Over F_7, x^2 + 3y by 2x + 1
+    leaves the working coefficient -5 at 1, which must be written as 2."""
+    order = ORDERS["degrevlex"]
+    for char, f, want_r, want_q in [
+        (0, lambda x, y: x**2 * Fraction(1, 3) + y * Fraction(1, 5), lambda x, y: y * Fraction(1, 5) + Fraction(1, 12),
+         lambda x, y: x * Fraction(1, 6) - Fraction(1, 12)),
+        (7, lambda x, y: x**2 + 3 * y, lambda x, y: 3 * y + 2, lambda x, y: 4 * x + 5),
+    ]:
+        ring = RINGS[char]
+        x, y, _ = ring.gens()
+        basis = [2 * x + 1]
+        r, quots = divide(f(x, y), basis, order)
+        assert (r, quots) == (want_r(x, y), [want_q(x, y)])
+        assert (r, quots) == reference_divide(f(x, y), basis, order)
 
 
 def _large_height_poly(draw, ring, min_terms):
@@ -285,25 +311,34 @@ def test_normal_form_matches_divide(monkeypatch):
 
 def test_cancelled_term_that_reappears(monkeypatch):
     """f = -x^2*y + y^2 + y by [-y^2 + y, x*y - y] in degrevlex: reducing x*y
-    cancels y, reducing y^2 brings y back, so y is keyed twice and its first
-    heap entry is skipped when popped."""
+    cancels y, reducing y^2 brings y back, so y is pushed again (keyed once,
+    from the call's key table) and its first heap entry is skipped when
+    popped."""
     ring = RINGS[0]
     x, y, _ = ring.gens()
     order = ORDERS["degrevlex"]
     f = -(x**2) * y + y**2 + y
     basis = [-(y**2) + y, x * y - y]
     leads = [leading(g, order) for g in basis]
-    keyed = []
+    keyed, pushed = [], []
     key = type(order).key
+    heappush = heapq.heappush
 
     def record(self, exp):
         keyed.append(exp)
         return key(self, exp)
 
+    def record_push(heap, item):
+        pushed.append(item[1])
+        heappush(heap, item)
+
     with monkeypatch.context() as m:
         m.setattr(type(order), "key", record)
+        m.setattr(heapq, "heappush", record_push)
         r, quots = divide(f, basis, order, leads)
-    assert keyed.count((0, 1, 0)) == 2
+    # y enters the heap with f's terms, then once more when it reappears
+    assert pushed.count((0, 1, 0)) == 1
+    assert keyed.count((0, 1, 0)) == 1
     assert r == y
     assert quots == [ring.const(Fraction(-1)), -x - ring.one()]
     assert (r, quots) == reference_divide(f, basis, order, leads)

@@ -24,6 +24,7 @@ from cyclecalc.poly import ring_over
 from cyclecalc.scenario import run_scenario_text
 
 from . import (
+    test_audit,
     test_corr,
     test_divide,
     test_fields,
@@ -393,19 +394,42 @@ def empty_set_not_certified_proper(monkeypatch):
     _replace_everywhere(monkeypatch, geometry_mod, "projection_proper_certificate", mutant)
 
 
-def divide_by_last_divisor(monkeypatch):
-    """divide reduces each term by the last basis element whose leading term
-    divides it, not the first.  The basis cache and the audit log are fresh
-    for the rest of the test, as in _rewrite_groebner."""
-    mutant = _rewritten(
-        groebner_mod,
-        "divide",
-        "for i, (le, lc) in enumerate(lead):",
-        "for i, (le, lc) in reversed(list(enumerate(lead))):",
-    )
-    _replace_everywhere(monkeypatch, groebner_mod, "divide", mutant)
+def _rewrite_divide(monkeypatch, old: str, new: str):
+    """Rebind `divide` to its rewritten source wherever the engine's own is
+    bound, tests included.  The basis cache and the audit log are fresh for
+    the rest of the test, as in _rewrite_groebner."""
+    _replace_everywhere(monkeypatch, groebner_mod, "divide", _rewritten(groebner_mod, "divide", old, new))
     monkeypatch.setattr(groebner_mod, "_gb_cache", OrderedDict())
     monkeypatch.setattr(groebner_mod, "_audit_log", [])
+
+
+def divide_by_last_divisor(monkeypatch):
+    """divide reduces each term by the last basis element whose leading term
+    divides it, not the first."""
+    _rewrite_divide(
+        monkeypatch,
+        "for i, lead in enumerate(lead_exps):",
+        "for i, lead in reversed(list(enumerate(lead_exps))):",
+    )
+
+
+def qq_remainder_unscaled(monkeypatch):
+    """divide stores a QQ remainder term as its working coefficient, not
+    divided by the running scale S."""
+    _rewrite_divide(monkeypatch, "rem[e] = c if p else _ratio(c, S)", "rem[e] = c")
+
+
+def fp_coefficient_unreduced(monkeypatch):
+    """divide takes an F_p working coefficient as it was accumulated, without
+    reducing it mod p."""
+    _rewrite_divide(monkeypatch, "c %= p", "pass")
+
+
+def audit_tables_kept(monkeypatch):
+    """buchberger_audit keeps its divide() tables at module level, across
+    audits, not one pair per audit."""
+    monkeypatch.setattr(groebner_mod, "_kept_tables", ({}, {}), raising=False)
+    _rewrite_groebner(monkeypatch, "buchberger_audit", "tables = ({}, {})", "tables = _kept_tables")
 
 
 def staircase_is_the_whole_box(monkeypatch):
@@ -454,7 +478,7 @@ def basis_terms_stored_in_reverse(monkeypatch):
     """Over QQ, `_finalize` stores each basis element's terms last to first."""
     _rewrite_groebner(
         monkeypatch, "_finalize",
-        "c // lc for e, c in r.items()", "c // lc for e, c in reversed(r.items())",
+        "_ratio(c, lc) for e, c in r.items()", "_ratio(c, lc) for e, c in reversed(r.items())",
     )
 
 
@@ -491,6 +515,11 @@ def twisted_cubic_lies_in_its_ideal():
         m.setattr(groebner_mod, "_audit_enabled", True)
         groebner_mod.groebner(_twisted_cubic())
     test_zz_suite_audit.test_every_logged_basis_lies_in_its_ideal()
+
+
+def audit_after_a_true_basis_says_no():
+    """test_audit.test_an_audit_after_a_true_basis_still_says_no over QQ."""
+    test_audit.test_an_audit_after_a_true_basis_still_says_no(0)
 
 
 def failed_middle_field_seen():
@@ -580,6 +609,9 @@ def d2_trace_scenario_passes():
     (union_set_of_first_generator, test_supports.test_member_examples),
     (empty_set_not_certified_proper, test_corr.test_composing_through_zero_is_a_verdict),
     (divide_by_last_divisor, test_divide.test_divide_matches_reference),
+    (qq_remainder_unscaled, test_divide.test_scaled_division_writes_field_values),
+    (fp_coefficient_unreduced, test_divide.test_scaled_division_writes_field_values),
+    (audit_tables_kept, audit_after_a_true_basis_says_no),
     (staircase_is_the_whole_box, test_residues.test_trace_signs_with_base_variables_first),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),

@@ -284,6 +284,56 @@ def test_cli_stray_token_after_a_failed_name_is_a_positioned_error(tmp_path, bud
     assert proc.stderr.strip() == "scenario error: unexpected trailing input 'wibble' (line 55, col 48)"
 
 
+# X has a projective block, so B's closed set is saturated by its irrelevant
+# ideal: a Buchberger run that trips at zero S-pairs, leaving B no value
+WRONG_SPACE_HEAD = """char 0
+space X = space(affine(x, y), proj(u, v))
+space Y = space(affine(x, y))
+prime B = { x*v - y*u } on X noscreen
+"""
+WRONG_SPACE = {
+    "family member": (
+        "prime V = { y } on Y noscreen\nsupport S = family(B, V) on X\n",
+        "family generator in the wrong space (line 6, col 23)",
+    ),
+    "cycle support": (
+        "prime V = { y } on Y noscreen\nsupport F = family(V)\ncycle c = 1*[B] with support F\n",
+        "support family on the wrong space (line 7, col 30)",
+    ),
+    "corr cycle": (
+        "prime WX = { } on X noscreen\nprime WY = { } on Y noscreen\nsupport FX = full on X\n"
+        "support FY = full on Y\ncorr Z : [WX, FX] => [WY, FY] = 1*[B]\n",
+        "correspondence cycle not on the pair space (line 9, col 33)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SPACE))
+def test_a_wrong_space_is_the_same_error_at_every_budget(monkeypatch, case):
+    """A family member, a cycle's support family or a correspondence's cycle
+    on the wrong space is a positioned error when the statement is read, so
+    the run ends with it at every budget, also where B, which the statement
+    reads, has tripped and has no value."""
+    tail, want = WRONG_SPACE[case]
+    text = WRONG_SPACE_HEAD + tail
+    for pairs in (None, 0, 1, 3):
+        budget = Budget() if pairs is None else Budget(max_pairs=pairs)
+        assert _scenario_error(monkeypatch, text, budget) == want, pairs
+
+
+@pytest.mark.parametrize(
+    "budget", [[], ["--budget-pairs", "0"], ["--budget-pairs", "3"]], ids=["default", "pairs0", "pairs3"]
+)
+def test_cli_family_member_in_the_wrong_space_is_a_positioned_error(tmp_path, budget):
+    """At zero pairs B's statement trips; the member V on Y is still the
+    run's positioned error, exit 2, as at the default budget."""
+    path = tmp_path / "wrong_space.scn"
+    path.write_text(WRONG_SPACE_HEAD + WRONG_SPACE["family member"][0])
+    proc = _engine("run", str(path), *budget)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.strip() == "scenario error: " + WRONG_SPACE["family member"][1]
+
+
 def test_cli_declaration_trip_writes_the_report(tmp_path):
     out = tmp_path / "report.json"
     proc = _engine("run", str(SCENARIOS / "blowup.scn"), "--budget-pairs", "3", "--json", str(out))
