@@ -47,13 +47,28 @@ first used.  Over QQ it is fraction-free: the working terms W are integers
 under one running scale S, with S * f == Q + W + R at every step, where Q
 and R are S times the quotient sum and the remainder written so far; each
 term is written as its field value when it is produced, so nothing written
-is ever rescaled.  buchberger_audit makes one pair of divide() tables per
+is ever rescaled.  buchberger_audit makes one triple of divide() tables per
 audit and passes it to every S-pair's division: a first-divisor table (from
 an exponent tuple to the index of the first basis element whose leading
-exponent divides it, or -1) and a table of negated order keys.  Both depend
-only on the leading exponents and the order, which are fixed for the whole
-audit; they hold at most one entry per distinct monomial the audit's
-divisions meet, and are dropped when the audit returns.
+exponent divides it, or -1), a table of negated order keys, and each used
+basis element's integer form as a reducer.  They depend only on the basis,
+its leading exponents and the order, which are fixed for the whole audit;
+the first two hold at most one entry per distinct monomial the audit's
+divisions meet, the third one per basis element, and all three are dropped
+when the audit returns.
+
+buchberger_audit divides only the S-polynomials of a generating set of the
+leading-term syzygies (Cox, Little & O'Shea, ch. 2 §10), and its verdict is
+still exactly "a Gröbner basis with these leads".  Walking the pairs in
+lexicographic order, it drops (i, j) when some other element's leading
+monomial divides lcm(LM_i, LM_j) and (i, l) and (j, l) are both still
+undropped: then S_ij is a monomial combination of S_il and S_jl, so the
+remaining pairs still generate the syzygies (Buchberger's chain criterion,
+tested against the live set, never the initial one).  Of the rest it skips
+the pairs whose leading monomials are coprime, whose S-polynomials always
+have a standard representation (the product criterion), and divides the
+others: a zero remainder is a standard representation, since no quotient
+term times its divisor leads above the S-polynomial's leading monomial.
 
 A monomial whose total degree reaches 2^(FIELD_BITS - 1) does not fit a
 packed field: it raises EngineError wherever it first appears (an input, an
@@ -253,13 +268,16 @@ def divide(
     when it is produced, so nothing written is rescaled, and a Fraction is
     built only there, never while S is 1.
 
-    `tables`, when given, is (first_divisor, neg_keys): dicts from an
-    exponent to the index of the first basis element whose leading term
-    divides it (-1 for none) and to its negated order key.  Both depend only
-    on the basis's leading exponents and on the order, so calls that share
-    the tables must pass the same basis, leads and order, as buchberger_audit
-    does; they grow by at most one entry per distinct monomial the calls
-    meet.  Without tables the call makes its own, which die with it.
+    `tables`, when given, is (first_divisor, neg_keys, reducers): dicts from
+    an exponent to the index of the first basis element whose leading term
+    divides it (-1 for none) and to its negated order key, and from a basis
+    index to that element's integer form as a reducer (its tail, scaled or
+    inverted leading coefficient and scale).  They depend only on the basis,
+    its leading exponents and the order, so calls that share the tables must
+    pass the same basis, leads and order, as buchberger_audit does; the
+    first two grow by at most one entry per distinct monomial the calls
+    meet, the third by one per basis element used.  Without tables the call
+    makes its own, which die with it.
     """
     ring = f.ring
     p = ring.field.characteristic
@@ -267,8 +285,7 @@ def divide(
     if leads is None:
         leads = [leading(g, order) for g in basis]
     lead_exps = [lead for lead, _ in leads]
-    first, neg_keys = tables or ({}, {})
-    reducers: dict = {}
+    first, neg_keys, reducers = tables or ({}, {}, {})
     quots: list[dict] = [dict() for _ in basis]
     rem: dict = {}
     S, work = _integer_form(f.terms.items()) if not p else (1, dict(f.terms))
@@ -657,23 +674,56 @@ def audit_log() -> list:
 
 
 def buchberger_audit(gb: GBasis) -> bool:
-    """Post-hoc Buchberger criterion: every S-polynomial reduces to zero.
+    """True exactly when gb.basis is a Gröbner basis whose leading terms are
+    gb.leads: Buchberger's criterion over a generating set of the S-pair
+    syzygies, with his chain and product criteria (EUROSAM 1979).
 
     The stored leading terms are first checked against the basis itself, so
-    the S-polynomials and reductions may then use them.  Every S-polynomial
-    is divided by the same basis in the same order, so all the divisions
-    share one pair of divide() tables, made here and dropped on return.
+    the S-polynomials and reductions may then use them.  Write LM_i for the
+    leading monomial of g_i and x^γij for lcm(LM_i, LM_j).  By Cox, Little &
+    O'Shea (Ideals, Varieties, and Algorithms, ch. 2 §10), G is a Gröbner
+    basis if and only if, for a set P of pairs whose syzygies S_ij generate
+    the syzygies of the leading terms, every S-polynomial S(g_i, g_j) with
+    (i, j) in P has a standard representation sum(A_l g_l) with every
+    LM(A_l g_l) < x^γij.
+
+    P starts as every pair i < j and is walked once, pairs in lexicographic
+    order.  A pair is dropped from P when some other g_l has LM_l dividing
+    x^γij and (i, l) and (j, l) are both still in P, since then
+    S_ij = (x^γij / x^γil) S_il - (x^γij / x^γjl) S_jl.  Each removal keeps
+    the pairs still in P a generating set, and the test is against the live
+    P, never the initial one: three pairs that each have the other two as a
+    witness must not all go.  Of the pairs kept, one whose leading monomials
+    are coprime already has a standard representation (ch. 2 §9, Prop. 4),
+    so it is not divided, though it stays in P as a witness.  Every other
+    S-polynomial is divided by the basis; a zero remainder is a standard
+    representation, since each quotient term q times g_l has leading
+    monomial at most LM(S) < x^γij.  A nonzero remainder has no term in the
+    leading-term ideal, so G is no Gröbner basis.
+
+    Every S-polynomial is divided by the same basis in the same order, so
+    all the divisions share one triple of divide() tables, made here and
+    dropped on return.
     """
     if [leading(g, gb.order) for g in gb.basis] != gb.leads:
         return False
     n = len(gb.basis)
     fld = gb.ring.field
-    tables = ({}, {})
+    exps = gb.lead_exps
+    # live[a][b]: is the pair {a, b} still in P; the diagonal is False, so
+    # the chain test never takes i or j as its own witness
+    live = [[a != b for b in range(n)] for a in range(n)]
+    tables = ({}, {}, {})
     for i in range(n):
         ei, ci = gb.leads[i]
         for j in range(i + 1, n):
             ej, cj = gb.leads[j]
             L = exp_lcm(ei, ej)
+            if any(live[i][l] and live[j][l] and exp_divides(exps[l], L) for l in range(n)):
+                live[i][j] = live[j][i] = False
+                continue
+            if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+                continue
             s = _mul_monomial(gb.basis[i], exp_sub(L, ei), fld.inv(ci)) - _mul_monomial(
                 gb.basis[j], exp_sub(L, ej), fld.inv(cj)
             )

@@ -1,7 +1,8 @@
 """The Buchberger audit says no as well as yes: true bases pass it, a
 generating set that is not a Gröbner basis fails it, and so do wrong stored
-leading terms.  Its shared divide() tables give the verdicts, and the
-remainders, of fresh per-pair divisions.
+leading terms.  Its chain and product criteria give the verdict of dividing
+every S-pair, from fewer divisions, and its shared divide() tables give the
+remainders of fresh per-pair divisions.
 
 No oracle and no sympy: each expectation is the Buchberger criterion, or a
 remainder that visibly has no reducible term."""
@@ -100,14 +101,27 @@ def _random_poly(rng, ring, terms):
     return out
 
 
+def _audited_sets(ring, order, gens) -> list:
+    """The reduced basis of (gens), the monic generators, and two non-reduced
+    sets made from the reduced basis: one with its last element dropped and
+    one with its first element replaced by the sum of the first two."""
+    gb = groebner(Ideal(ring, gens), order)
+    out = [gb, _wrapped(ring, order, gens)]
+    if len(gb.basis) > 1:
+        out.append(_wrapped(ring, order, gb.basis[:-1]))
+        out.append(_wrapped(ring, order, [gb.basis[0] + gb.basis[1], *gb.basis[1:]]))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(ORDERS))
 @pytest.mark.parametrize("char", CHARS)
 def test_shared_tables_match_fresh_divisions(char, name):
     """On random ideals in three of the four variables: every S-pair's
     division with the tables shared across the pairs equals a fresh call
-    without tables, and the audit's verdict is whether every fresh remainder
-    is zero, for the reduced basis (always yes) and for the monic generators
-    (mostly no)."""
+    without tables, and the audit's verdict, from the pairs its criteria
+    keep, is whether every pair's fresh remainder is zero: for the reduced
+    basis (always yes), the monic generators (mostly no), and the reduced
+    basis with an element dropped or replaced by a sum (either)."""
     rng = random.Random(3301 + char)
     ring, order = ring_over(char, NAMES), ORDERS[name]
     verdicts = []
@@ -116,8 +130,8 @@ def test_shared_tables_match_fresh_divisions(char, name):
         gens = [g.inject(ring, {i: i for i in range(3)}) for g in gens if not g.is_zero()]
         if not gens:
             continue
-        for gb in (groebner(Ideal(ring, gens), order), _wrapped(ring, order, gens)):
-            tables = ({}, {})
+        for gb in _audited_sets(ring, order, gens):
+            tables = ({}, {}, {})
             fresh = _fresh_remainders(gb)
             for s, want in fresh:
                 assert divide(s, gb.basis, order, gb.leads, tables) == want, s
@@ -130,13 +144,50 @@ def test_shared_tables_match_fresh_divisions(char, name):
 @pytest.mark.parametrize("char", CHARS)
 def test_an_audit_after_a_true_basis_still_says_no(char):
     """[y^2, x y + 4] in lex is no Gröbner basis: its S-polynomial -4 y has
-    no term that y^2 or x y divides.  Auditing the basis [y + 3, x + 4] of a
-    point first, in the same ring and order, records y's first divisor as
-    element 0; the second audit must not reuse that, or it would reduce y by
-    y^2 and pass."""
+    no term that y^2 or x y divides.  Auditing the Gröbner basis
+    [y, x + 4, x y + 4 y] of the point (-4, 0) first, in the same ring and
+    order, divides the S-polynomial -4 y of its first and last elements by
+    element 0, so it records y's first divisor as element 0; the second
+    audit must not reuse that, or it would reduce y by y^2 and pass."""
     ring, order = ring_over(char, NAMES[:2]), lex(2)
     y, x = ring.var(1), ring.var(0)
-    point = groebner(Ideal(ring, [x + 4, y + 3]), order)
-    assert [str(g) for g in point.basis] == ["au_b + 3", "au_a + 4"]
-    assert groebner_mod.buchberger_audit(point)
+    assert groebner_mod.buchberger_audit(_wrapped(ring, order, [y, x + 4, x * y + 4 * y]))
     assert not groebner_mod.buchberger_audit(_wrapped(ring, order, [y**2, x * y + 4]))
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@pytest.mark.parametrize("char", CHARS)
+def test_chain_witnesses_must_be_live(char, name):
+    """Two sets that are no Gröbner basis although every pair has a chain
+    witness among the other two elements: [x + y, x + z, x], whose leading
+    monomials are all x (S(x + y, x) = y), and [x y + z, y z, x z], where
+    each leading monomial divides the lcm x y z of the other two
+    (S(x y + z, x z) = z^2).  Once one pair is dropped, the other two pairs
+    lack a live witness and must be divided."""
+    ring, order = ring_over(char, NAMES), ORDERS[name]
+    x, y, z, _ = ring.gens()
+    for polys in ([x + y, x + z, x], [x * y + z, y * z, x * z]):
+        assert not groebner_mod.buchberger_audit(_wrapped(ring, order, polys)), polys
+
+
+# S-pairs the audit divides on cyclic-4's reduced basis, of 21, 15 and 15
+# pairs: the same over every field, since the leading monomials are
+PAIRS_DIVIDED_ON_CYCLIC4 = {"degrevlex": 8, "lex": 6, "block": 6}
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@pytest.mark.parametrize("char", CHARS)
+def test_audit_divides_only_the_pairs_its_criteria_keep(monkeypatch, char, name):
+    """The count of divide() calls one audit of cyclic-4's reduced basis
+    makes is pinned, so a silent fallback to every pair is seen."""
+    ring, order = ring_over(char, NAMES), ORDERS[name]
+    gb = groebner(Ideal(ring, _cyclic4(ring)), order)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return divide(*args)
+
+    monkeypatch.setattr(groebner_mod, "divide", counted)
+    assert groebner_mod.buchberger_audit(gb)
+    assert len(calls) == PAIRS_DIVIDED_ON_CYCLIC4[name]

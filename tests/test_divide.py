@@ -103,6 +103,20 @@ def test_scaled_division_writes_field_values():
         assert (r, quots) == reference_divide(f(x, y), basis, order)
 
 
+def test_each_term_goes_to_its_first_divisor():
+    """x y by [x + 1, y]: both leading terms divide x y, and the first, x,
+    takes it (quotient y), leaving -y for y; reducing by y first would give
+    the quotients [0, x] instead."""
+    order = ORDERS["degrevlex"]
+    for char in (0, 7):
+        ring = RINGS[char]
+        x, y, _ = ring.gens()
+        basis = [x + 1, y]
+        r, quots = divide(x * y, basis, order)
+        assert (r, quots) == (ring.zero(), [y, ring.const(-1)])
+        assert (r, quots) == reference_divide(x * y, basis, order)
+
+
 def _large_height_poly(draw, ring, min_terms):
     """Numerators and denominators up to 10^6 of either sign, so leading
     coefficients are negative about half the time."""

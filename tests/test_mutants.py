@@ -427,9 +427,27 @@ def fp_coefficient_unreduced(monkeypatch):
 
 def audit_tables_kept(monkeypatch):
     """buchberger_audit keeps its divide() tables at module level, across
-    audits, not one pair per audit."""
-    monkeypatch.setattr(groebner_mod, "_kept_tables", ({}, {}), raising=False)
-    _rewrite_groebner(monkeypatch, "buchberger_audit", "tables = ({}, {})", "tables = _kept_tables")
+    audits, not one triple per audit."""
+    monkeypatch.setattr(groebner_mod, "_kept_tables", ({}, {}, {}), raising=False)
+    _rewrite_groebner(monkeypatch, "buchberger_audit", "tables = ({}, {}, {})", "tables = _kept_tables")
+
+
+def chain_witness_not_live(monkeypatch):
+    """buchberger_audit's chain criterion takes a witness l whose pairs with
+    i and j exist at all, not ones still in the live set, so three pairs
+    that witness each other are all dropped."""
+    _rewrite_groebner(monkeypatch, "buchberger_audit", "live[i][l] and live[j][l]", "l != i and l != j")
+
+
+def product_criterion_any(monkeypatch):
+    """buchberger_audit skips a pair as coprime when its leading monomials
+    miss each other in some variable, not in all."""
+    _rewrite_groebner(
+        monkeypatch,
+        "buchberger_audit",
+        "if all(a == 0 or b == 0 for a, b in zip(ei, ej)):",
+        "if any(a == 0 or b == 0 for a, b in zip(ei, ej)):",
+    )
 
 
 def staircase_is_the_whole_box(monkeypatch):
@@ -522,6 +540,17 @@ def audit_after_a_true_basis_says_no():
     test_audit.test_an_audit_after_a_true_basis_still_says_no(0)
 
 
+def chain_witnesses_must_be_live():
+    """test_audit.test_chain_witnesses_must_be_live over QQ in degrevlex."""
+    test_audit.test_chain_witnesses_must_be_live(0, "degrevlex")
+
+
+def cyclic4_inputs_fail():
+    """test_audit.test_true_bases_pass_and_their_inputs_fail over QQ in
+    degrevlex."""
+    test_audit.test_true_bases_pass_and_their_inputs_fail(0, "degrevlex")
+
+
 def failed_middle_field_seen():
     """test_divide.test_reduction_sees_a_failed_middle_field over F_7 and QQ."""
     for char in (7, 0):
@@ -608,10 +637,12 @@ def d2_trace_scenario_passes():
     (closed_set_unsaturated, test_geometry.test_saturation_idempotent),
     (union_set_of_first_generator, test_supports.test_member_examples),
     (empty_set_not_certified_proper, test_corr.test_composing_through_zero_is_a_verdict),
-    (divide_by_last_divisor, test_divide.test_divide_matches_reference),
+    (divide_by_last_divisor, test_divide.test_each_term_goes_to_its_first_divisor),
     (qq_remainder_unscaled, test_divide.test_scaled_division_writes_field_values),
     (fp_coefficient_unreduced, test_divide.test_scaled_division_writes_field_values),
     (audit_tables_kept, audit_after_a_true_basis_says_no),
+    (chain_witness_not_live, chain_witnesses_must_be_live),
+    (product_criterion_any, cyclic4_inputs_fail),
     (staircase_is_the_whole_box, test_residues.test_trace_signs_with_base_variables_first),
     (monic_by_stored_lc, qq_plain_and_cofactor_bases_agree),
     (remainder_not_scaled, qq_plain_and_cofactor_bases_agree),
